@@ -69,6 +69,7 @@ from .geometry import (
 from .potentials import (
     PotentialError,
     PotentialSpec,
+    QuadratureError,
     SystemSpec,
     catalog_green_form,
     decomposition_identities,
@@ -272,7 +273,7 @@ def _build_potential(kind: str, clause, metric: MetricSpec):
                                 "potential.custom.domain")
         clause.close()
         return PotentialSpec.from_expr(source, params=params, domain=domain)
-    except (ExprError, PotentialError, ValueError) as exc:
+    except (ExprError, PotentialError, QuadratureError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"potential.{kind}: {exc}") from exc
@@ -651,61 +652,37 @@ def _suite_independence(n: int, seed: int, tol: float | None) -> dict:
     return _report("independence", seed, n, [entry])
 
 
-def _spherical_pack(s: SphericalPhaseState) -> np.ndarray:
-    return np.concatenate([[s.r], s.theta, [s.p_r], s.p_theta])
-
-
-def _spherical_unpack(vec: np.ndarray, n: int) -> SphericalPhaseState:
-    return SphericalPhaseState(vec[0], vec[1:n], vec[n], vec[n + 1:])
-
-
-def _spherical_bracket(f, g, s: SphericalPhaseState) -> float:
-    """{F, G} over the chart's canonical pairs (r, p_r), (theta_j, p_theta_j)
-    by Richardson-extrapolated central differences."""
-    n = s.n
-    x = _spherical_pack(s)
-
-    def grad(fn):
-        out = np.empty(2 * n)
-        for i in range(2 * n):
-            h = 1e-6 * max(1.0, abs(x[i]))
-            d = np.zeros_like(x)
-            d[i] = h
-            coarse = (fn(_spherical_unpack(x + d, n))
-                      - fn(_spherical_unpack(x - d, n))) / (2.0 * h)
-            d[i] = 0.5 * h
-            fine = (fn(_spherical_unpack(x + d, n))
-                    - fn(_spherical_unpack(x - d, n))) / h
-            out[i] = (4.0 * fine - coarse) / 3.0
-        return out
-
-    gf, gg = grad(f), grad(g)
-    return float(np.dot(gf[:n], gg[n:]) - np.dot(gg[:n], gf[n:]))
-
-
 def _suite_coords(n: int, seed: int, tol: float | None) -> dict:
     rngs = _spawn(seed, 5)
     checks = []
 
+    # the chart state packed as a PhaseState, q = (r, theta) and
+    # p = (p_r, p_theta), so that poisson_bracket works in the chart
+    def cart(st):
+        return to_cartesian(
+            SphericalPhaseState(st.q[0], st.q[1:], st.p[0], st.p[1:]))
+
     def cart_q(i):
-        return lambda st: float(to_cartesian(st).q[i])
+        return lambda st: float(cart(st).q[i])
 
     def cart_p(i):
-        return lambda st: float(to_cartesian(st).p[i])
+        return lambda st: float(cart(st).p[i])
 
     worst, points = 0.0, 0
     for _ in range(6):
         s = _random_spherical(rngs[0], n)
+        packed = PhaseState(np.concatenate([[s.r], s.theta]),
+                            np.concatenate([[s.p_r], s.p_theta]))
         for i in range(n):
             for j in range(n):
                 target = 1.0 if i == j else 0.0
                 worst = max(worst, abs(
-                    _spherical_bracket(cart_q(i), cart_p(j), s) - target))
+                    poisson_bracket(cart_q(i), cart_p(j), packed) - target))
                 points += 1
             for j in range(i + 1, n):
                 worst = max(worst,
-                            abs(_spherical_bracket(cart_q(i), cart_q(j), s)),
-                            abs(_spherical_bracket(cart_p(i), cart_p(j), s)))
+                            abs(poisson_bracket(cart_q(i), cart_q(j), packed)),
+                            abs(poisson_bracket(cart_p(i), cart_p(j), packed)))
                 points += 2
     checks.append(_check_entry("canonicity", points,
                                worst, 1e-6 if tol is None else tol))

@@ -80,53 +80,20 @@ def hamiltonian_coalgebra(sys, s: PhaseState) -> float:
     return val
 
 
-def _make_grad(sys):
-    """Closure (q, p) -> (dH/dq, dH/dp) without per-call validation.
+def _make_rhs(sys):
+    """Closure y -> ydot = (dH/dp, -dH/dq) over plain floats, y = (q, p).
 
     Chain rule on H = K/(2 f^2) + U with K = p^2 + mu^2/r^2 + sum b_i/q_i^2:
 
         dH/dp_i = p_i / f^2
         dH/dq_i = [-mu^2 q_i/r^4 - b_i/q_i^3]/f^2 - K f' q_i/(f^3 r) + U' q_i/r
-    """
-    n = sys.n
-    mu2 = sys.mu2
-    barr = np.asarray(sys.b, dtype=float)
-    bmask = barr != 0.0
-    bnz = barr[bmask]
-    f, fprime = sys.metric.f, sys.metric.fprime
-    du = sys.potential.du if sys.potential is not None else None
 
-    def grad(q, p):
-        r2 = float(np.dot(q, q))
-        r = math.sqrt(r2)
-        fr = f(r)
-        inv_f2 = 1.0 / (fr * fr)
-        k = float(np.dot(p, p)) + mu2 / r2
-        dq = np.zeros(n)
-        if bnz.size:
-            qb = q[bmask]
-            k += float(np.sum(bnz / (qb * qb)))
-            dq[bmask] = -(bnz / qb ** 3) * inv_f2
-        coef = -mu2 / (r2 * r2) * inv_f2 - k * fprime(r) / (fr ** 3 * r)
-        if du is not None:
-            coef += du(r) / r
-        dq += coef * q
-        return dq, p * inv_f2
-
-    return grad
-
-
-def gradient(sys, s: PhaseState) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic (dH/dq, dH/dp), assembled from f, f' and U'."""
-    _validate(sys, s)
-    return _make_grad(sys)(s.q, s.p)
-
-
-def _make_rhs_scalar(sys):
-    """Plain-float Hamilton RHS y -> ydot for the implicit-midpoint loop.
-
-    Same arithmetic as _make_grad, written out over scalars: the midpoint
-    rule takes millions of fixed steps and array overhead would dominate.
+    No validation beyond the checked f and f': the integrators rely on their
+    DomainViolation at out-of-domain stage points (DOP853 gets NaN and
+    shrinks the step; the midpoint rule halts).  Plain floats, not numpy
+    arrays: on vectors this short (measured up to N = 8) numpy's per-call
+    overhead outweighs the arithmetic, even counting the DOP853 callback's
+    list/array conversions.
     """
     n = sys.n
     mu2 = sys.mu2
@@ -160,6 +127,13 @@ def _make_rhs_scalar(sys):
         return out
 
     return rhs
+
+
+def gradient(sys, s: PhaseState) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic (dH/dq, dH/dp), assembled from f, f' and U'."""
+    _validate(sys, s)
+    ydot = np.array(_make_rhs(sys)(s.q.tolist() + s.p.tolist()))
+    return -ydot[sys.n:], ydot[:sys.n]
 
 
 @dataclass(frozen=True)
@@ -260,16 +234,13 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
     record(0.0, y0)
 
     if method == "adaptive":
-        grad = _make_grad(sys)
-        nan_out = np.full(2 * n, np.nan)
+        kernel = _make_rhs(sys)
 
         def rhs(t, y):
             try:
-                with np.errstate(all="ignore"):
-                    dq, dp = grad(y[:n], y[n:])
-                    return np.concatenate([dp, -dq])
+                return np.array(kernel(y.tolist()))
             except (ValueError, ArithmeticError):
-                return nan_out.copy()
+                return np.full(2 * n, np.nan)
 
         solver = DOP853(rhs, 0.0, y0, t_end, rtol=rtol, atol=atol)
         sample_ts = np.linspace(0.0, t_end, samples)
@@ -317,7 +288,7 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
     else:
         if not step > 0:
             raise ValueError(f"step must be positive, got {step}")
-        rhs = _make_rhs_scalar(sys)
+        rhs = _make_rhs(sys)
         nsteps = max(1, round(t_end / step))
         h = t_end / nsteps
         stride = max(1, nsteps // (samples - 1))

@@ -94,10 +94,6 @@ class MetricSpec:
             raise DomainViolation(
                 f"r = {r} outside domain ({lo}, {hi}) of metric '{self.id}'")
 
-    def contains(self, r: float) -> bool:
-        lo, hi = self.domain
-        return lo < r < hi
-
     def f(self, r: float) -> float:
         self.check_domain(r)
         return self._f(r)
@@ -105,10 +101,6 @@ class MetricSpec:
     def fprime(self, r: float) -> float:
         self.check_domain(r)
         return self._fp(r)
-
-    def fsecond(self, r: float) -> float:
-        self.check_domain(r)
-        return self._fpp(r)
 
     def compiled(self) -> tuple[Callable, Callable, Callable]:
         """Raw (f, f', f'') callables without the domain check, for hot loops
@@ -217,9 +209,6 @@ class SpaceCatalogEntry:
     f_source: str
     defaults: Mapping[str, object]
     domain_note: str
-
-    def param_names(self):
-        return tuple(self.defaults)
 
 
 def _as_fraction(v) -> Fraction:

@@ -24,7 +24,6 @@ from typing import Callable, Mapping
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 from . import exprlang
@@ -33,7 +32,7 @@ from .geometry import MetricSpec, _as_fraction, catalog_lookup, sample_radii
 
 __all__ = [
     "PotentialError", "QuadratureError", "PotentialSpec", "SystemSpec",
-    "GreenFunctionTable", "green_function", "catalog_green_form", "kc_potential",
+    "green_function", "catalog_green_form", "kc_potential",
     "oscillator_potential", "named_system", "decomposition_identities",
     "NAMED_SYSTEMS",
 ]
@@ -182,46 +181,6 @@ def green_function(metric: MetricSpec, r: float, method: str = "auto") -> float:
         expr = exprlang.parse(_GREEN_FORMS[metric.id], params=set(metric.params))
         return exprlang.evaluate(expr, r, _metric_bindings(metric))
     return _quad_green(metric, r, _anchor(metric.domain))
-
-
-class GreenFunctionTable:
-    """Quadrature-backed U(r) sampled on a grid with monotone cubic
-    interpolation between nodes; the derivative 1/(r^2 f) is exact."""
-
-    def __init__(self, metric: MetricSpec, grid, values, r0: float):
-        grid = np.asarray(grid, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if grid.ndim != 1 or grid.shape != values.shape or grid.shape[0] < 4:
-            raise PotentialError("grid and values must be equal-length vectors (>= 4 points)")
-        if not np.all(np.diff(grid) > 0):
-            raise PotentialError("grid must be strictly increasing")
-        for r in (grid[0], grid[-1]):
-            metric.check_domain(float(r))
-        self.metric_id = metric.id
-        self.grid = grid
-        self.values = values
-        self.r0 = float(r0)
-        self.convention = "anchored-at-domain-midpoint"
-        self._metric = metric
-        self._interp = PchipInterpolator(grid, values, extrapolate=False)
-
-    @classmethod
-    def build(cls, metric: MetricSpec, n: int = 65) -> "GreenFunctionTable":
-        grid = sample_radii(metric.domain, n)
-        r0 = _anchor(metric.domain)
-        values = [_quad_green(metric, float(r), r0) for r in grid]
-        return cls(metric, grid, values, r0)
-
-    def u(self, r: float) -> float:
-        v = self._interp(r)
-        if np.isnan(v):
-            raise PotentialError(
-                f"r = {r} outside tabulated range ({self.grid[0]}, {self.grid[-1]})")
-        return float(v)
-
-    def du(self, r: float) -> float:
-        self._metric.check_domain(r)
-        return 1.0 / (r * r * self._metric.f(r))
 
 
 # ---------------------------------------------------------------------------

@@ -295,6 +295,24 @@ def test_simulate_singular_axis_is_a_config_error(tmp_path, capsys):
     assert "config error" in err
 
 
+def test_simulate_quadrature_failure_is_a_config_error(tmp_path, capsys):
+    # f has a near-zero at r = 2, so the quadrature-backed green function of
+    # this custom space diverges while the kc potential is built
+    config = tmp_path / "divergent.yaml"
+    config.write_text(
+        "space: {f: \"1e-12 + (r-2)^2\"}\n"
+        "potential: {kc: {alpha: 1.0}}\n"
+        "initial:\n"
+        "  cartesian: {q: [1.0, 0.3, 0.4], p: [-0.1, 0.5, 0.2]}\n"
+        "t_end: 1.0\n")
+    out_dir = tmp_path / "run"
+    code, _, err = run_cli(capsys, "simulate", "--config", str(config),
+                           "--out", str(out_dir))
+    assert code == 2
+    assert err.startswith("config error: potential.kc: green function on")
+    assert not (out_dir / "trajectory.csv").exists()
+
+
 def test_simulate_domain_exit_flushes_partial_output(tmp_path, capsys):
     config = tmp_path / "strip.yaml"
     config.write_text(STRIP_YAML)

@@ -348,6 +348,49 @@ def test_halt_on_domain_exit():
     assert conservation_report(rec)["halted"] == "domain-exit"
 
 
+def test_midpoint_halt_on_domain_exit():
+    # the same radial escape as above; the midpoint rule keeps the last
+    # state before the step that crosses |q| = 2
+    metric = MetricSpec.from_source("1", id="flat-strip", domain=(0.5, 2.0))
+    sys = SystemSpec(metric, None, mu2=0.0, n=3)
+    q0 = np.array([1.2, 0.3, 0.4])
+    rec = integrate(sys, PhaseState(q0, 0.5 * q0 / 1.3), 20.0,
+                    method="midpoint", step=1e-3)
+    assert rec.halted == "domain-exit"
+    assert rec.times[-1] == pytest.approx(1.399, abs=1e-9)
+    assert rec.final_state.radius < 2.0
+    assert rec.final_state.radius == pytest.approx(2.0, abs=1e-3)
+
+
+def _kepler_midpoint_stall():
+    sys = SystemSpec(EUCLID, kc_potential(EUCLID, 1.0), mu2=0.0, n=3)
+    s0 = PhaseState([1.0, 0.3, 0.4], [-0.1, 0.5, 0.2])
+    return sys, s0, {"max_fp_iter": 1}
+
+
+def _cap_outward_kick():
+    # f = sqrt(2 - r) -> 0 at the edge, so qdot = p/f^2 is large near it:
+    # the first midpoint stage from |q| = 1.9 lands beyond r = 2
+    metric = MetricSpec.from_source("sqrt(2 - r)", id="cap", domain=(0.0, 2.0))
+    sys = SystemSpec(metric, None, mu2=0.0, n=3)
+    s0 = PhaseState([1.9, 0.0, 0.0], [1.0, 0.0, 0.0])
+    return sys, s0, {"step": 0.05}
+
+
+@pytest.mark.parametrize("setup, reason", [
+    (_kepler_midpoint_stall, "fixed-point iteration stalled"),
+    (_cap_outward_kick, "rhs evaluation failed"),
+])
+def test_midpoint_halts_in_the_first_step(setup, reason):
+    sys, s0, options = setup()
+    rec = integrate(sys, s0, 1.0, method="midpoint", **options)
+    assert rec.halted.startswith(reason)
+    assert list(rec.times) == [0.0]
+    assert rec.stats["steps"] == 0
+    np.testing.assert_array_equal(rec.final_state.q, s0.q)
+    assert conservation_report(rec)["halted"] == rec.halted
+
+
 def test_darboux4_edge_is_unreachable():
     # f ~ 1/(pi - ln r) near r = e^pi: the edge sits at infinite metric
     # distance, so an outward geodesic asymptotes instead of exiting

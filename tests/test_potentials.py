@@ -8,7 +8,6 @@ from qmsflow.algebra import PhaseState
 from qmsflow.exprlang import format_expr
 from qmsflow.geometry import CATALOG, DomainViolation, MetricSpec, catalog_lookup, sample_radii
 from qmsflow.potentials import (
-    GreenFunctionTable,
     PotentialError,
     PotentialSpec,
     SystemSpec,
@@ -82,39 +81,6 @@ def test_green_function_quadrature_matches_closed_form_affinely():
     assert residual <= 1e-8
     assert abs(coef[0]) > 1e-3  # genuinely proportional, not constant
 
-
-def test_green_function_table():
-    metric = MetricSpec.from_source("1/(1 + r^2)", id="poincare-like")
-    table = GreenFunctionTable.build(metric, n=65)
-    assert np.all(np.diff(table.grid) > 0)
-    assert table.r0 == 1.0
-    # exact on the nodes
-    for k in (0, 17, 40, 64):
-        assert table.u(float(table.grid[k])) == table.values[k]
-    # interpolation error off the nodes is modest and shrinks under grid
-    # refinement (the table carries no tighter accuracy contract)
-    def worst_rel(t):
-        mids = np.sqrt(t.grid[:-1] * t.grid[1:])
-        errs = []
-        for r in mids[::4]:
-            ref = green_function(metric, float(r))
-            errs.append(abs(t.u(float(r)) - ref) / max(1.0, abs(ref)))
-        return max(errs)
-
-    coarse = worst_rel(table)
-    fine = worst_rel(GreenFunctionTable.build(metric, n=513))
-    assert coarse <= 1e-2
-    assert fine < coarse and fine <= 1e-4
-    # derivative is the exact integrand
-    r = 2.5
-    assert table.du(r) == pytest.approx(1.0 / (r * r * metric.f(r)), rel=1e-14)
-    with pytest.raises(PotentialError):
-        table.u(1e9)
-
-
-# ---------------------------------------------------------------------------
-# KC and oscillator potentials
-# ---------------------------------------------------------------------------
 
 def test_kc_potential_examples():
     assert kc_potential(metric_of("euclidean"), 1.0).u(2.0) == -0.5
