@@ -117,50 +117,30 @@ def so_n_generator(i: int, j: int, s: PhaseState) -> float:
 
 def angular_momentum_sq(s: PhaseState) -> float:
     """L^2 = sum_{i<j} J_ij^2, the b = 0 value of C^(N) = C_(N)."""
-    return _casimir_over(range(s.n), s.q, s.p, np.zeros(s.n))
-
-
-def _casimir_over(indices, q, p, b) -> float:
-    idx = list(indices)
-    total = float(np.sum(b[idx]))
-    for a, i in enumerate(idx):
-        for j in idx[a + 1:]:
-            jij = q[i] * p[j] - q[j] * p[i]
-            total += jij * jij
-            if b[i] != 0.0:
-                total += b[i] * q[j] ** 2 / q[i] ** 2
-            if b[j] != 0.0:
-                total += b[j] * q[i] ** 2 / q[j] ** 2
-    return total
+    return integral_set(s).left[-1] if s.n > 1 else 0.0
 
 
 def casimir_left(m: int, s: PhaseState, b: Sequence[float] | None = None) -> float:
     """C^(m): the integral built over the first m axes, 2 <= m <= N."""
     if not 2 <= m <= s.n:
         raise ValueError(f"need 2 <= m <= {s.n}, got m = {m}")
-    b = _check_b(s, b)
-    return _casimir_over(range(m), s.q, s.p, b)
+    return integral_set(s, b).left[m - 2]
 
 
 def casimir_right(m: int, s: PhaseState, b: Sequence[float] | None = None) -> float:
     """C_(m): the mirror integral over the last m axes, 2 <= m <= N."""
     if not 2 <= m <= s.n:
         raise ValueError(f"need 2 <= m <= {s.n}, got m = {m}")
-    b = _check_b(s, b)
-    return _casimir_over(range(s.n - m, s.n), s.q, s.p, b)
+    return integral_set(s, b).right[m - 2]
 
 
 @dataclass(frozen=True)
 class IntegralSet:
     """All universal integrals at one state: left C^(2..N), right C_(2..N).
-
-    The top members coincide by construction (same index set), which
-    `coincide` records; C_(N) is therefore redundant but kept for symmetry.
-    """
+    The top members are one number (same index set), kept for symmetry."""
 
     left: tuple          # (C^(2), ..., C^(N))
     right: tuple         # (C_(2), ..., C_(N))
-    coincide: bool
 
     def as_dict(self) -> dict:
         n = len(self.left) + 1
@@ -170,10 +150,35 @@ class IntegralSet:
 
 
 def integral_set(s: PhaseState, b: Sequence[float] | None = None) -> IntegralSet:
-    b = _check_b(s, b)
-    left = tuple(_casimir_over(range(m), s.q, s.p, b) for m in range(2, s.n + 1))
-    right = tuple(_casimir_over(range(s.n - m, s.n), s.q, s.p, b) for m in range(2, s.n + 1))
-    return IntegralSet(left, right, coincide=(left[-1] == right[-1]))
+    """Both towers at s, by nesting from C^(1) = b_1:
+
+        C^(m) = C^(m-1) + sum_{i<m} [J_im^2 + b_i q_m^2/q_i^2
+                                     + b_m q_i^2/q_m^2] + b_m
+
+    over axes 1..N for the left tower and N..1 for the right one, O(N^2) in
+    all.  C_(N) is taken from C^(N), so the top members agree exactly.  Zero
+    b terms are skipped, since q may vanish there.
+    """
+    b = _check_b(s, b).tolist()
+    q, p = s.q.tolist(), s.p.tolist()
+    towers = []
+    for q, p, b in ((q, p, b), (q[::-1], p[::-1], b[::-1])):
+        c, tower = b[0], []
+        for m in range(1, s.n):
+            qm, pm, bm = q[m], p[m], b[m]
+            for i in range(m):
+                jim = q[i] * pm - qm * p[i]
+                c += jim * jim
+                if b[i] != 0.0:
+                    c += b[i] * qm ** 2 / q[i] ** 2
+                if bm != 0.0:
+                    c += bm * q[i] ** 2 / qm ** 2
+            c += bm
+            tower.append(c)
+        towers.append(tower)
+    left, right = towers
+    right[-1] = left[-1]
+    return IntegralSet(tuple(left), tuple(right))
 
 
 # ---------------------------------------------------------------------------

@@ -432,7 +432,7 @@ def build_config(data) -> RunConfig:
     # potential domains, off every centrifugal axis)
     try:
         hamiltonian(system, state0)
-    except (DomainViolation, ValueError) as exc:
+    except (DomainViolation, QuadratureError, ValueError) as exc:
         raise ConfigError(f"initial state invalid: {exc}") from exc
 
     return RunConfig(system, state0, t_end, method=method, rtol=rtol,
@@ -486,7 +486,7 @@ def _trajectory_columns(n: int) -> list:
 
 
 def _write_trajectory_csv(path: str, record, n: int) -> None:
-    series = record.series()
+    series = record.series
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(_trajectory_columns(n)) + "\n")
         for k, t in enumerate(record.times):

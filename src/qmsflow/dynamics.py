@@ -19,20 +19,22 @@ leapfrog is not an option.
 
 Integration halts early, recording the reason and the last valid state,
 when a centrifugal axis is approached (|q_i| < 1e-10 with b_i != 0), when
-|q| reaches the edge of the system domain, or when the step size
-underflows near a singular set.
+|q| reaches the edge of the system domain, when the step size underflows
+near a singular set, or when a quadrature-backed U fails to evaluate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 from scipy.integrate import DOP853
 
 from .algebra import PhaseState, integral_set, sl2_realize, _check_b
 from .geometry import DomainViolation
+from .potentials import QuadratureError
 
 __all__ = [
     "TrajectoryRecord", "hamiltonian", "hamiltonian_coalgebra", "gradient",
@@ -140,16 +142,16 @@ def gradient(sys, s: PhaseState) -> tuple[np.ndarray, np.ndarray]:
 class TrajectoryRecord:
     """Sampled trajectory with conservation bookkeeping.
 
-    drift maps each audited quantity ("H", "Cl2", ..., "CrN") to
-    max_t |v(t) - v(0)| / (1 + |v(0)|).  halted is None for a completed
-    run, otherwise a short reason; on a halt the last valid state is kept
-    as the final sample.
+    series maps each audited quantity ("H", "Cl2", ..., "ClN", "Cr2", ...,
+    "CrN") to its read-only time series, one value per sample; drift maps
+    the same names to max_t |v(t) - v(0)| / (1 + |v(0)|).  halted is None
+    for a completed run, otherwise a short reason; on a halt the last valid
+    state is kept as the final sample.
     """
 
     times: np.ndarray
     states: tuple
-    energies: np.ndarray
-    integral_sets: tuple
+    series: MappingProxyType
     drift: dict
     stats: dict
     method: str
@@ -161,26 +163,20 @@ class TrajectoryRecord:
             raise ValueError("a trajectory needs at least one sample")
         if not np.all(np.diff(t) > 0):
             raise ValueError("sample times must be strictly increasing")
-        e = np.asarray(self.energies, dtype=float)
-        if not len(self.states) == len(self.integral_sets) == t.size == e.size:
+        series = {name: np.array(v, dtype=float) for name, v in self.series.items()}
+        if any(len(v) != t.size for v in series.values()) or len(self.states) != t.size:
             raise ValueError("sample columns disagree in length")
         if any(v < 0 for v in self.drift.values()):
             raise ValueError("drift entries must be nonnegative")
         t.setflags(write=False)
-        e.setflags(write=False)
+        for v in series.values():
+            v.setflags(write=False)
         object.__setattr__(self, "times", t)
-        object.__setattr__(self, "energies", e)
+        object.__setattr__(self, "series", MappingProxyType(series))
 
     @property
     def final_state(self) -> PhaseState:
         return self.states[-1]
-
-    def series(self) -> dict:
-        """Audited quantities as time series: H first, then Cl2.., Cr2..."""
-        out = {"H": self.energies}
-        for name in self.integral_sets[0].as_dict():
-            out[name] = np.array([iset.as_dict()[name] for iset in self.integral_sets])
-        return out
 
 
 def _drift(values: np.ndarray) -> float:
@@ -225,9 +221,9 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
 
     def record(t, y):
         st = PhaseState(np.array(y[:n], dtype=float), np.array(y[n:], dtype=float))
+        hs.append(hamiltonian(sys, st))  # first: a QuadratureError appends nothing
         ts.append(float(t))
         states.append(st)
-        hs.append(hamiltonian(sys, st))
         isets.append(integral_set(st, sys.b))
 
     y0 = np.concatenate([s0.q, s0.p])
@@ -248,42 +244,45 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
         steps = rejections = 0
         nfev_mark = solver.nfev
         halted = None
-        while solver.status == "running":
-            msg = solver.step()
-            if solver.status == "failed":
-                halted = f"step-size underflow: {msg}"
-                if solver.t > ts[-1]:  # last accepted state is still valid
-                    record(solver.t, solver.y)
-                break
-            steps += 1
-            # each attempted step costs the 12 stage evaluations of the
-            # 8(5,3) pair, so extra multiples of 12 are rejected attempts
-            rejections += max(0, (solver.nfev - nfev_mark) // 12 - 1)
-            nfev_mark = solver.nfev
-            dense = None
-            t_hi = solver.t
-            reason = violation(solver.y[:n])
-            if reason is not None:
-                dense = solver.dense_output()
-                a, c = solver.t_old, solver.t
-                for _ in range(80):  # bisect the crossing time
-                    mid = 0.5 * (a + c)
-                    if violation(dense(mid)[:n]) is None:
-                        a = mid
-                    else:
-                        c = mid
-                t_hi = a
-            while next_i < samples and sample_ts[next_i] <= t_hi + 1e-12 * max(1.0, t_hi):
-                if dense is None:
+        try:
+            while solver.status == "running":
+                msg = solver.step()
+                if solver.status == "failed":
+                    halted = f"step-size underflow: {msg}"
+                    if solver.t > ts[-1]:  # last accepted state is still valid
+                        record(solver.t, solver.y)
+                    break
+                steps += 1
+                # each attempted step costs the 12 stage evaluations of the
+                # 8(5,3) pair, so extra multiples of 12 are rejected attempts
+                rejections += max(0, (solver.nfev - nfev_mark) // 12 - 1)
+                nfev_mark = solver.nfev
+                dense = None
+                t_hi = solver.t
+                reason = violation(solver.y[:n])
+                if reason is not None:
                     dense = solver.dense_output()
-                record(float(sample_ts[next_i]), dense(float(sample_ts[next_i])))
-                next_i += 1
-            nfev_mark = solver.nfev  # dense output costs 3 extra evaluations
-            if reason is not None:
-                halted = reason
-                if t_hi > ts[-1] + 1e-12 * max(1.0, t_hi):
-                    record(t_hi, dense(t_hi))
-                break
+                    a, c = solver.t_old, solver.t
+                    for _ in range(80):  # bisect the crossing time
+                        mid = 0.5 * (a + c)
+                        if violation(dense(mid)[:n]) is None:
+                            a = mid
+                        else:
+                            c = mid
+                    t_hi = a
+                while next_i < samples and sample_ts[next_i] <= t_hi + 1e-12 * max(1.0, t_hi):
+                    if dense is None:
+                        dense = solver.dense_output()
+                    record(float(sample_ts[next_i]), dense(float(sample_ts[next_i])))
+                    next_i += 1
+                nfev_mark = solver.nfev  # dense output costs 3 extra evaluations
+                if reason is not None:
+                    halted = reason
+                    if t_hi > ts[-1] + 1e-12 * max(1.0, t_hi):
+                        record(t_hi, dense(t_hi))
+                    break
+        except QuadratureError as exc:
+            halted = f"quadrature failed: {exc}"
         stats = {"steps": steps, "nfev": int(solver.nfev), "rejections": int(rejections)}
     else:
         if not step > 0:
@@ -298,62 +297,62 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
         nfev = 0
         fp_worst = 0
         done = 0
-        for kstep in range(1, nsteps + 1):
-            try:
-                f0 = rhs(y)
-                nfev += 1
-                ynew = [y[j] + h * f0[j] for j in range(m)]
-                for it in range(max_fp_iter):
-                    mid = [0.5 * (y[j] + ynew[j]) for j in range(m)]
-                    fm = rhs(mid)
+        try:
+            for kstep in range(1, nsteps + 1):
+                try:
+                    f0 = rhs(y)
                     nfev += 1
-                    ynext = [y[j] + h * fm[j] for j in range(m)]
-                    delta = max(abs(ynext[j] - ynew[j]) for j in range(m))
-                    ynew = ynext
-                    if delta <= fp_tol * (1.0 + max(abs(v) for v in ynew)):
+                    ynew = [y[j] + h * f0[j] for j in range(m)]
+                    for it in range(max_fp_iter):
+                        mid = [0.5 * (y[j] + ynew[j]) for j in range(m)]
+                        fm = rhs(mid)
+                        nfev += 1
+                        ynext = [y[j] + h * fm[j] for j in range(m)]
+                        delta = max(abs(ynext[j] - ynew[j]) for j in range(m))
+                        ynew = ynext
+                        if delta <= fp_tol * (1.0 + max(abs(v) for v in ynew)):
+                            break
+                    else:
+                        halted = "fixed-point iteration stalled"
+                        if (kstep - 1) * h > ts[-1]:
+                            record((kstep - 1) * h, y)
                         break
-                else:
-                    halted = "fixed-point iteration stalled"
+                    fp_worst = max(fp_worst, it + 1)
+                except (ValueError, ArithmeticError) as exc:
+                    halted = f"rhs evaluation failed: {exc}"
                     if (kstep - 1) * h > ts[-1]:
                         record((kstep - 1) * h, y)
                     break
-                fp_worst = max(fp_worst, it + 1)
-            except (ValueError, ArithmeticError) as exc:
-                halted = f"rhs evaluation failed: {exc}"
-                if (kstep - 1) * h > ts[-1]:
-                    record((kstep - 1) * h, y)
-                break
-            prev = y
-            y = ynew
-            done = kstep
-            reason = violation(y[:n])
-            if reason is not None:
-                halted = reason
-                if (kstep - 1) * h > ts[-1]:  # keep the last valid state
-                    record((kstep - 1) * h, prev)
-                break
-            if kstep % stride == 0 or kstep == nsteps:
-                record(kstep * h, y)
+                prev = y
+                y = ynew
+                done = kstep
+                reason = violation(y[:n])
+                if reason is not None:
+                    halted = reason
+                    if (kstep - 1) * h > ts[-1]:  # keep the last valid state
+                        record((kstep - 1) * h, prev)
+                    break
+                if kstep % stride == 0 or kstep == nsteps:
+                    record(kstep * h, y)
+        except QuadratureError as exc:
+            halted = f"quadrature failed: {exc}"
         stats = {"steps": done, "nfev": nfev, "rejections": 0,
                  "max_fp_iterations": fp_worst}
 
-    series = {"H": np.asarray(hs)}
-    dicts = [iset.as_dict() for iset in isets]
-    for name in dicts[0]:
-        series[name] = np.array([d[name] for d in dicts])
+    towers = np.array([iset.left + iset.right for iset in isets])
+    series = {"H": np.array(hs), **dict(zip(isets[0].as_dict(), towers.T))}
     drift = {name: _drift(vals) for name, vals in series.items()}
-    return TrajectoryRecord(np.asarray(ts), tuple(states), series["H"],
-                            tuple(isets), drift, stats, method, halted)
+    return TrajectoryRecord(np.asarray(ts), tuple(states), series, drift,
+                            stats, method, halted)
 
 
 def conservation_report(rec: TrajectoryRecord, tol: float = 1e-7) -> dict:
     """Per-quantity drift with pass/fail against a drift tolerance."""
-    first = rec.integral_sets[0].as_dict()
     quantities = {}
     ok = True
     for name, d in rec.drift.items():
-        v0 = rec.energies[0] if name == "H" else first[name]
-        entry = {"initial": float(v0), "drift": float(d), "pass": bool(d <= tol)}
+        entry = {"initial": float(rec.series[name][0]), "drift": float(d),
+                 "pass": bool(d <= tol)}
         ok = ok and entry["pass"]
         quantities[name] = entry
     return {

@@ -197,15 +197,8 @@ def _green_spec_parts(metric: MetricSpec):
             "closed-form-catalog"
     r0 = _anchor(metric.domain)
     f = metric.compiled()[0]
-    cache: dict = {}
-
-    def u(r, _m=metric, _r0=r0):
-        v = cache.get(r)
-        if v is None:
-            v = cache[r] = _quad_green(_m, r, _r0)
-        return v
-
-    return None, u, (lambda r: 1.0 / (r * r * f(r))), "quadrature-backed"
+    return None, (lambda r: _quad_green(metric, r, r0)), \
+        (lambda r: 1.0 / (r * r * f(r))), "quadrature-backed"
 
 
 def kc_potential(metric: MetricSpec, alpha: float, gamma: float = 0.0) -> PotentialSpec:

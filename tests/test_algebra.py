@@ -100,8 +100,37 @@ def test_top_casimirs_coincide_exactly():
         b = rng.uniform(0.0, 2.0, n)
         assert casimir_left(n, s, b) == casimir_right(n, s, b)
         iset = integral_set(s, b)
-        assert iset.coincide
         assert len(iset.left) == len(iset.right) == n - 1
+
+
+def _casimir_by_definition(s, b, indices):
+    """The pair sum over an index set I, term by term:
+    sum_{i<j in I} [J_ij^2 + b_i q_j^2/q_i^2 + b_j q_i^2/q_j^2] + sum_{i in I} b_i."""
+    q, p = s.q.tolist(), s.p.tolist()
+    terms = [b[i] for i in indices]
+    for a, i in enumerate(indices):
+        for j in indices[a + 1:]:
+            terms += [(q[i] * p[j] - q[j] * p[i]) ** 2,
+                      b[i] * q[j] ** 2 / q[i] ** 2, b[j] * q[i] ** 2 / q[j] ** 2]
+    return math.fsum(terms)
+
+
+def test_towers_match_the_pair_sum_definition():
+    rng = np.random.default_rng(31)
+    for n in range(2, 9):
+        for _ in range(10):
+            s = random_state(rng, n, p_scale=2.0)
+            # zero, negative and positive couplings, in random positions
+            b = rng.choice([0.0, -1.0, 1.0], n) * rng.uniform(0.1, 3.0, n)
+            b = b.tolist()
+            iset = integral_set(s, b)
+            for m in range(2, n + 1):
+                left = _casimir_by_definition(s, b, list(range(m)))
+                right = _casimir_by_definition(s, b, list(range(n - m, n)))
+                assert iset.left[m - 2] == pytest.approx(left, rel=1e-13)
+                assert iset.right[m - 2] == pytest.approx(right, rel=1e-13)
+                assert casimir_left(m, s, b) == iset.left[m - 2]
+                assert casimir_right(m, s, b) == iset.right[m - 2]
 
 
 def test_integral_set_as_dict_names():

@@ -313,6 +313,48 @@ def test_simulate_quadrature_failure_is_a_config_error(tmp_path, capsys):
     assert not (out_dir / "trajectory.csv").exists()
 
 
+QUADRATURE_YAML = """\
+space: {f: "1/(1 + 0.2*r^2)"}
+potential: {kc: {alpha: 1.0}}
+initial:
+  cartesian: {q: [%s, 0.0, 0.0], p: [2.0, 0.1, 0.0]}
+t_end: 1.0
+samples: 101
+"""
+
+
+def test_simulate_quadrature_failure_at_the_initial_state(
+        tmp_path, capsys, fail_quadrature_between):
+    fail_quadrature_between(0.6, 1.0)
+    config = tmp_path / "run.yaml"
+    config.write_text(QUADRATURE_YAML % "0.7")
+    out_dir = tmp_path / "run"
+    code, _, err = run_cli(capsys, "simulate", "--config", str(config),
+                           "--out", str(out_dir))
+    assert code == 2
+    assert err.startswith("config error: initial state invalid: green function")
+    assert not (out_dir / "trajectory.csv").exists()
+
+
+def test_simulate_quadrature_failure_in_the_audit_flushes_partial_output(
+        tmp_path, capsys, fail_quadrature_between):
+    fail_quadrature_between(0.6, 1.0)
+    config = tmp_path / "run.yaml"
+    config.write_text(QUADRATURE_YAML % "0.5")
+    out_dir = tmp_path / "run"
+    code, _, err = run_cli(capsys, "simulate", "--config", str(config),
+                           "--out", str(out_dir))
+    assert code == 3
+    assert "integration halted: quadrature failed: green function" in err
+    data = np.loadtxt(str(out_dir / "trajectory.csv"), delimiter=",",
+                      skiprows=1)
+    assert 2 <= data.shape[0] < 101
+    assert np.all(np.linalg.norm(data[:, 1:4], axis=1) < 0.6)
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary["conservation"]["halted"].startswith("quadrature failed:")
+    assert summary["conservation"]["samples"] == data.shape[0]
+
+
 def test_simulate_domain_exit_flushes_partial_output(tmp_path, capsys):
     config = tmp_path / "strip.yaml"
     config.write_text(STRIP_YAML)

@@ -255,7 +255,7 @@ def test_implicit_midpoint_energy_drift_is_bounded_not_secular():
     assert rec.stats["rejections"] == 0
     assert max(rec.drift.values()) <= 1e-5
     # oscillatory, not secular: |H(t) - H(0)| must not grow linearly
-    slope = np.polyfit(rec.times, np.abs(rec.energies - rec.energies[0]), 1)[0]
+    slope = np.polyfit(rec.times, np.abs(rec.series["H"] - rec.series["H"][0]), 1)[0]
     assert abs(slope) <= 1e-9
 
 
@@ -391,6 +391,25 @@ def test_midpoint_halts_in_the_first_step(setup, reason):
     assert conservation_report(rec)["halted"] == rec.halted
 
 
+@pytest.mark.parametrize("method", ["adaptive", "midpoint"])
+@pytest.mark.parametrize("make_potential, coupling", [
+    (kc_potential, 1.0),           # U' is analytic: the audit's U(r) fails
+    (oscillator_potential, 0.01),  # U' needs U: the RHS fails at a stage
+])
+def test_quadrature_failure_halts_and_keeps_earlier_samples(
+        fail_quadrature_between, method, make_potential, coupling):
+    metric = MetricSpec.from_source("1/(1 + 0.2*r^2)", id="custom")
+    sys = SystemSpec(metric, make_potential(metric, coupling), n=3)
+    fail_quadrature_between(0.6, 1.0)
+    s0 = PhaseState([0.5, 0.0, 0.0], [2.0, 0.1, 0.0])
+    rec = integrate(sys, s0, 1.0, method=method, samples=101)
+    assert rec.halted.startswith("quadrature failed: green function on 'custom'")
+    assert 2 <= rec.times.size < 101
+    assert max(st.radius for st in rec.states) < 0.6
+    assert all(v.size == rec.times.size for v in rec.series.values())
+    assert conservation_report(rec)["halted"] == rec.halted
+
+
 def test_darboux4_edge_is_unreachable():
     # f ~ 1/(pi - ln r) near r = e^pi: the edge sits at infinite metric
     # distance, so an outward geodesic asymptotes instead of exiting
@@ -425,16 +444,20 @@ def test_halt_near_centrifugal_axis():
 def _tiny_record(times):
     sys = SystemSpec(EUCLID, None, mu2=0.0, n=2)
     states = tuple(PhaseState([1.0, 1.0], [0.0, 0.0]) for _ in times)
-    isets = tuple(integral_set(s) for s in states)
-    energies = np.zeros(len(times))
-    return TrajectoryRecord(np.asarray(times, dtype=float), states, energies,
-                            isets, {"H": 0.0}, {}, "adaptive")
+    series = {"H": np.zeros(len(times)),
+              "Cl2": np.zeros(len(times)), "Cr2": np.zeros(len(times))}
+    return TrajectoryRecord(np.asarray(times, dtype=float), states, series,
+                            {"H": 0.0}, {}, "adaptive")
 
 
 def test_trajectory_record_validation():
     rec = _tiny_record([0.0, 1.0, 2.0])
     assert rec.final_state.radius == pytest.approx(math.sqrt(2.0))
-    assert list(rec.series()) == ["H", "Cl2", "Cr2"]
+    assert list(rec.series) == ["H", "Cl2", "Cr2"]
+    with pytest.raises(TypeError):
+        rec.series["H"] = np.ones(3)                 # series are read-only
+    with pytest.raises(ValueError):
+        rec.series["Cl2"][0] = 1.0
     with pytest.raises(ValueError):
         _tiny_record([0.0, 1.0, 0.5])
     with pytest.raises(ValueError):
@@ -442,8 +465,11 @@ def test_trajectory_record_validation():
     sys = SystemSpec(EUCLID, None, mu2=0.0, n=2)
     s = PhaseState([1.0, 1.0], [0.0, 0.0])
     with pytest.raises(ValueError):
-        TrajectoryRecord(np.array([0.0]), (s,), np.zeros(1),
-                         (integral_set(s),), {"H": -1.0}, {}, "adaptive")
+        TrajectoryRecord(np.array([0.0]), (s,), {"H": np.zeros(1)},
+                         {"H": -1.0}, {}, "adaptive")
+    with pytest.raises(ValueError):
+        TrajectoryRecord(np.array([0.0, 1.0]), (s, s), {"H": np.zeros(1)},
+                         {"H": 0.0}, {}, "adaptive")
 
 
 def test_integrate_argument_validation():
