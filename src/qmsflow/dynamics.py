@@ -15,7 +15,11 @@ Runge-Kutta of order 8(5,3) (rtol 1e-10 / atol 1e-12), the accuracy
 workhorse.  For long-time drift studies there is a fixed-step implicit
 midpoint rule (symplectic, order 2) with fixed-point iteration; H is not
 separable as T(p) + V(q) -- f couples positions to momenta -- so explicit
-leapfrog is not an option.
+leapfrog is not an option.  Each step's iteration starts from a predictor
+built from the converged midpoint slopes of the previous steps (Hairer,
+Lubich and Wanner, Geometric Numerical Integration, sec. VIII.6), which
+puts it O(h^3) from the root, so most steps converge in two or three RHS
+calls.
 
 Integration halts early, recording the reason and the last valid state,
 when a centrifugal axis is approached (|q_i| < 1e-10 with b_i != 0), when
@@ -90,17 +94,18 @@ def _make_rhs(sys):
         dH/dp_i = p_i / f^2
         dH/dq_i = [-mu^2 q_i/r^4 - b_i/q_i^3]/f^2 - K f' q_i/(f^3 r) + U' q_i/r
 
-    No validation beyond the checked f and f': the integrators rely on their
-    DomainViolation at out-of-domain stage points (DOP853 gets NaN and
-    shrinks the step; the midpoint rule halts).  Plain floats, not numpy
-    arrays: on vectors this short (measured up to N = 8) numpy's per-call
-    overhead outweighs the arithmetic, even counting the DOP853 callback's
-    list/array conversions.
+    The only validation is one metric domain check of |q| per call, ahead of
+    the raw compiled f and f': the integrators rely on its DomainViolation at
+    out-of-domain stage points (DOP853 gets NaN and shrinks the step; the
+    midpoint rule halts).  Plain floats, not numpy arrays: on vectors this
+    short (measured up to N = 8) numpy's per-call overhead outweighs the
+    arithmetic, even counting the DOP853 callback's list/array conversions.
     """
     n = sys.n
     mu2 = sys.mu2
     b = tuple(float(x) for x in sys.b)
-    f, fprime = sys.metric.f, sys.metric.fprime
+    check_domain = sys.metric.check_domain
+    f, fprime, _ = sys.metric.compiled()
     du = sys.potential.du if sys.potential is not None else None
 
     def rhs(y):
@@ -108,6 +113,7 @@ def _make_rhs(sys):
         for i in range(n):
             r2 += y[i] * y[i]
         r = math.sqrt(r2)
+        check_domain(r)
         fr = f(r)
         inv_f2 = 1.0 / (fr * fr)
         k = mu2 / r2
@@ -192,8 +198,15 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
 
     method "adaptive" (default): embedded Runge-Kutta 8(5,3) with the given
     rtol/atol, sampled at `samples` equally spaced times.  method
-    "midpoint": fixed-step implicit midpoint with step `step`, fixed-point
-    iteration to fp_tol, sampled every matching stride of steps.
+    "midpoint": fixed-step implicit midpoint with step `step`, sampled every
+    matching stride of steps.  Step k solves y1 = y0 + h F, F = rhs((y0 +
+    y1)/2), by fixed-point iteration started from y0 + h G: G = rhs(y0) (an
+    explicit Euler guess) at step 1, G = F_1 at step 2 and G = 2 F_1 - F_2
+    from step 3 on, F_1 and F_2 being the converged slopes of the last two
+    steps.  Each iteration costs one RHS call; it stops once the update
+    delta = max|y_new - y_old| satisfies delta <= fp_tol (1 + max|y_new|),
+    and the run halts after max_fp_iter iterations without that.
+    stats["nfev"] counts the step-1 Euler call plus every fixed-point call.
     """
     if not t_end > 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
@@ -208,12 +221,14 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
     rmax = hi - _EDGE_EPS * max(1.0, abs(hi)) if math.isfinite(hi) else math.inf
     b_idx = [i for i, bi in enumerate(sys.b) if bi != 0.0]
 
-    def violation(qvec):
-        r = math.sqrt(sum(x * x for x in qvec))
-        if not rmin < r < rmax:
+    def violation(y):
+        r2 = 0.0
+        for i in range(n):
+            r2 += y[i] * y[i]
+        if not rmin < math.sqrt(r2) < rmax:
             return "domain-exit"
         for i in b_idx:
-            if abs(qvec[i]) < _AXIS_EPS:
+            if abs(y[i]) < _AXIS_EPS:
                 return "singular-axis"
         return None
 
@@ -259,13 +274,13 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
                 nfev_mark = solver.nfev
                 dense = None
                 t_hi = solver.t
-                reason = violation(solver.y[:n])
+                reason = violation(solver.y)
                 if reason is not None:
                     dense = solver.dense_output()
                     a, c = solver.t_old, solver.t
                     for _ in range(80):  # bisect the crossing time
                         mid = 0.5 * (a + c)
-                        if violation(dense(mid)[:n]) is None:
+                        if violation(dense(mid)) is None:
                             a = mid
                         else:
                             c = mid
@@ -293,6 +308,7 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
         stride = max(1, nsteps // (samples - 1))
         m = 2 * n
         y = [float(v) for v in y0]
+        f1 = f2 = None  # converged midpoint slopes of the last two steps
         halted = None
         nfev = 0
         fp_worst = 0
@@ -300,17 +316,29 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
         try:
             for kstep in range(1, nsteps + 1):
                 try:
-                    f0 = rhs(y)
-                    nfev += 1
-                    ynew = [y[j] + h * f0[j] for j in range(m)]
+                    if f1 is None:
+                        f0 = rhs(y)
+                        nfev += 1
+                        ynew = [y[j] + h * f0[j] for j in range(m)]
+                    elif f2 is None:
+                        ynew = [y[j] + h * f1[j] for j in range(m)]
+                    else:
+                        ynew = [y[j] + h * (2.0 * f1[j] - f2[j]) for j in range(m)]
+                    mid = [0.5 * (y[j] + ynew[j]) for j in range(m)]
                     for it in range(max_fp_iter):
-                        mid = [0.5 * (y[j] + ynew[j]) for j in range(m)]
                         fm = rhs(mid)
                         nfev += 1
-                        ynext = [y[j] + h * fm[j] for j in range(m)]
-                        delta = max(abs(ynext[j] - ynew[j]) for j in range(m))
-                        ynew = ynext
-                        if delta <= fp_tol * (1.0 + max(abs(v) for v in ynew)):
+                        delta = scale = 0.0
+                        for j in range(m):
+                            v = y[j] + h * fm[j]
+                            d = abs(v - ynew[j])
+                            if d > delta or d != d:  # a NaN never converges
+                                delta = d
+                            if abs(v) > scale:
+                                scale = abs(v)
+                            ynew[j] = v
+                            mid[j] = 0.5 * (y[j] + v)
+                        if delta <= fp_tol * (1.0 + scale):
                             break
                     else:
                         halted = "fixed-point iteration stalled"
@@ -323,10 +351,11 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
                     if (kstep - 1) * h > ts[-1]:
                         record((kstep - 1) * h, y)
                     break
+                f1, f2 = fm, f1
                 prev = y
                 y = ynew
                 done = kstep
-                reason = violation(y[:n])
+                reason = violation(y)
                 if reason is not None:
                     halted = reason
                     if (kstep - 1) * h > ts[-1]:  # keep the last valid state

@@ -221,8 +221,9 @@ def kc_potential(metric: MetricSpec, alpha: float, gamma: float = 0.0) -> Potent
 
 def _positive_subdomain(u: Callable, domain, label: str):
     """Restrict to the zero-free subinterval of U containing the domain
-    midpoint; when a crossing sits exactly at the midpoint take the lower
-    subinterval."""
+    midpoint; when a crossing sits at the midpoint take the lower
+    subinterval, ending no later than the midpoint itself (a quadrature-backed
+    U vanishes exactly there, while brentq may place the root an ulp above)."""
     grid = sample_radii(domain, 257)
     vals = np.array([u(float(r)) for r in grid])
     if np.max(np.abs(vals)) < 1e-14:
@@ -244,7 +245,7 @@ def _positive_subdomain(u: Callable, domain, label: str):
     for k in range(len(edges) - 1):
         lo, hi = edges[k], edges[k + 1]
         if abs(hi - mid) <= 1e-12 * max(1.0, abs(mid)):
-            return (lo, hi)  # crossing at the midpoint: lower side wins
+            return (lo, min(hi, mid))  # crossing at the midpoint: lower side wins
         if lo < mid < hi:
             return (lo, hi)
     raise PotentialError(f"{label}: empty subdomain around midpoint {mid}")

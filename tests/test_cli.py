@@ -336,6 +336,20 @@ def test_simulate_quadrature_failure_at_the_initial_state(
     assert not (out_dir / "trajectory.csv").exists()
 
 
+def test_simulate_oscillator_at_its_anchor_is_a_config_error(tmp_path, capsys):
+    # the quadrature-backed U vanishes at its anchor r0 = 1, where the
+    # oscillator beta/U^2 is singular: r0 lies outside the potential's domain
+    config = tmp_path / "run.yaml"
+    config.write_text(QUADRATURE_YAML.replace("kc: {alpha: 1.0}",
+                                              "oscillator: {beta: 0.01}") % "1.0")
+    out_dir = tmp_path / "run"
+    code, _, err = run_cli(capsys, "simulate", "--config", str(config),
+                           "--out", str(out_dir))
+    assert code == 2
+    assert err.startswith("config error: initial state invalid: |q| = 1 outside")
+    assert not (out_dir / "trajectory.csv").exists()
+
+
 def test_simulate_quadrature_failure_in_the_audit_flushes_partial_output(
         tmp_path, capsys, fail_quadrature_between):
     fail_quadrature_between(0.6, 1.0)

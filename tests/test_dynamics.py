@@ -269,6 +269,38 @@ def test_midpoint_agrees_with_adaptive():
     assert np.max(np.abs(ada.final_state.p - mid.final_state.p)) <= 1e-5
 
 
+def _circular_kepler():
+    return SystemSpec(EUCLID, kc_potential(EUCLID, 1.0), n=3), \
+        PhaseState([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+
+
+def _taub_nut_kc_with_mu2_and_b():
+    metric = metric_of("taub-nut")
+    return SystemSpec(metric, kc_potential(metric, 0.5), mu2=0.4, b=(0.1, 0.2, 0.3)), \
+        PhaseState([0.9, 0.7, 0.5], [0.2, -0.3, 0.1])
+
+
+@pytest.mark.parametrize("setup", [_circular_kepler, _taub_nut_kc_with_mu2_and_b])
+def test_midpoint_steps_solve_the_midpoint_equation(setup):
+    # every recorded step (stride 1) solves y1 = y0 + h rhs((y0 + y1)/2) to
+    # the fixed-point tolerance, whatever the predictor started from
+    sys, s0 = setup()
+    h, fp_tol, nsteps = 1e-3, 1e-13, 1000
+    rec = integrate(sys, s0, nsteps * h, method="midpoint", step=h,
+                    fp_tol=fp_tol, samples=nsteps + 1)
+    assert rec.halted is None and len(rec.states) == nsteps + 1
+    for a, b in zip(rec.states[:-1], rec.states[1:]):
+        mid = PhaseState(0.5 * (a.q + b.q), 0.5 * (a.p + b.p))
+        dh_dq, dh_dp = gradient(sys, mid)
+        residual = max(np.max(np.abs(b.q - a.q - h * dh_dp)),
+                       np.max(np.abs(b.p - a.p + h * dh_dq)))
+        assert residual <= fp_tol * (1.0 + max(np.max(np.abs(b.q)), np.max(np.abs(b.p))))
+    if setup is _circular_kepler:
+        # step 1 adds the Euler call, and steps 1 and 2 start O(h^2) from
+        # the root; every later step starts O(h^3) from it and takes three
+        assert rec.stats["nfev"] <= 3 * rec.stats["steps"] + 3
+
+
 # ---------------------------------------------------------------------------
 # conservation audit
 # ---------------------------------------------------------------------------
@@ -362,6 +394,18 @@ def test_midpoint_halt_on_domain_exit():
     assert rec.final_state.radius == pytest.approx(2.0, abs=1e-3)
 
 
+def test_midpoint_halt_on_singular_axis():
+    # a nearly free particle (b_1 = 1e-30) heads for the q_1 = 0 plane at
+    # unit speed; the third step of 1e-3 from q_1 = 3e-3 lands within the
+    # 1e-10 axis guard, and the state after step 2 is kept
+    sys = SystemSpec(EUCLID, None, mu2=0.0, b=(1e-30, 0.0, 0.0))
+    s0 = PhaseState([3e-3, 0.6, 0.8], [-1.0, 0.0, 0.0])
+    rec = integrate(sys, s0, 1.0, method="midpoint", step=1e-3)
+    assert rec.halted == "singular-axis"
+    assert rec.times[-1] == pytest.approx(2e-3, rel=1e-12)
+    assert rec.final_state.q[0] == pytest.approx(1e-3, rel=1e-9)
+
+
 def _kepler_midpoint_stall():
     sys = SystemSpec(EUCLID, kc_potential(EUCLID, 1.0), mu2=0.0, n=3)
     s0 = PhaseState([1.0, 0.3, 0.4], [-0.1, 0.5, 0.2])
@@ -377,9 +421,19 @@ def _cap_outward_kick():
     return sys, s0, {"step": 0.05}
 
 
+def _strip_outward_kick():
+    # f = 1 is finite beyond the strip, so only the domain check stops the
+    # first midpoint stage from |q| = 1.99 at r = 2.015
+    metric = MetricSpec.from_source("1", id="flat-strip", domain=(0.5, 2.0))
+    sys = SystemSpec(metric, None, mu2=0.0, n=3)
+    s0 = PhaseState([1.99, 0.0, 0.0], [1.0, 0.0, 0.0])
+    return sys, s0, {"step": 0.05}
+
+
 @pytest.mark.parametrize("setup, reason", [
     (_kepler_midpoint_stall, "fixed-point iteration stalled"),
     (_cap_outward_kick, "rhs evaluation failed"),
+    (_strip_outward_kick, "rhs evaluation failed: r = 2.015"),
 ])
 def test_midpoint_halts_in_the_first_step(setup, reason):
     sys, s0, options = setup()

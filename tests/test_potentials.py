@@ -111,6 +111,18 @@ def test_oscillator_domain_restriction_on_sphere():
     assert p.u(r) == pytest.approx(r * r / (r * r - 1.0) ** 2, rel=1e-12)
 
 
+def test_quadrature_oscillator_domain_excludes_the_anchor():
+    # the quadrature-backed U is anchored to vanish at r0 = 1 exactly, and
+    # the root brentq finds there may sit an ulp above r0
+    p = oscillator_potential(MetricSpec.from_source("1/(1 + 0.2*r^2)"), 0.01)
+    assert p.provenance == "quadrature-backed"
+    lo, hi = p.domain
+    assert lo == 0.0 and hi <= 1.0
+    assert hi == pytest.approx(1.0, rel=1e-12)
+    r = math.nextafter(hi, 0.0)
+    assert math.isfinite(p.u(r)) and p.u(r) > 0.0
+
+
 def test_catalog_kc_and_oscillator_columns():
     alpha, beta = 1.3, 0.7
     for mid in CATALOG:
