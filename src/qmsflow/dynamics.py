@@ -21,6 +21,11 @@ Lubich and Wanner, Geometric Numerical Integration, sec. VIII.6), which
 puts it O(h^3) from the root, so most steps converge in two or three RHS
 calls.
 
+Both integrators run on kernels generated once per system as straight-line
+Python source with the system's constants baked in (see _rhs_source): the
+RHS, and the whole fixed-point iteration of one midpoint step.  They match the
+plain loop form of the chain rule bit for bit.
+
 Integration halts early, recording the reason and the last valid state,
 when a centrifugal axis is approached (|q_i| < 1e-10 with b_i != 0), when
 |q| reaches the edge of the system domain, when the step size underflows
@@ -30,6 +35,7 @@ near a singular set, or when a quadrature-backed U fails to evaluate.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -37,6 +43,7 @@ import numpy as np
 from scipy.integrate import DOP853
 
 from .algebra import PhaseState, integral_set, sl2_realize, _check_b
+from .exprlang import to_python
 from .geometry import DomainViolation
 from .potentials import QuadratureError
 
@@ -86,61 +93,159 @@ def hamiltonian_coalgebra(sys, s: PhaseState) -> float:
     return val
 
 
-def _make_rhs(sys):
-    """Closure y -> ydot = (dH/dp, -dH/dq) over plain floats, y = (q, p).
+def _rhs_source(sys):
+    """Source of Hamilton's RHS for one system, as (names, body, slope): the
+    local names q0.., p0.. of y = (q, p), statements on them that leave coef
+    and inv_f2 set, and one expression per component of ydot = (dH/dp,
+    -dH/dq).
 
     Chain rule on H = K/(2 f^2) + U with K = p^2 + mu^2/r^2 + sum b_i/q_i^2:
 
         dH/dp_i = p_i / f^2
         dH/dq_i = [-mu^2 q_i/r^4 - b_i/q_i^3]/f^2 - K f' q_i/(f^3 r) + U' q_i/r
 
-    The only validation is one metric domain check of |q| per call, ahead of
-    the raw compiled f and f': the integrators rely on its DomainViolation at
-    out-of-domain stage points (DOP853 gets NaN and shrinks the step; the
-    midpoint rule halts).  Plain floats, not numpy arrays: on vectors this
-    short (measured up to N = 8) numpy's per-call overhead outweighs the
-    arithmetic, even counting the DOP853 callback's list/array conversions.
+    The system fixes N, mu^2, the b_i, f, f', U' and the metric domain, so
+    all of them are baked in: unrolled over N, with terms only for the
+    non-zero b_i, f and f' inlined through exprlang.to_python, U' inlined
+    when the potential has a du_expr (a quadrature-backed U' stays a call to
+    potential.du), and the domain bounds as literals.  The float operations
+    are those of the loop form of the formulas above, in the same order, so
+    the results are bitwise the same.  The only validation is the metric
+    domain check of |q|: out of the domain the code raises the
+    DomainViolation of MetricSpec.check_domain, which the integrators rely on
+    (DOP853 gets NaN and shrinks the step; the midpoint rule halts and quotes
+    the message).
     """
     n = sys.n
-    mu2 = sys.mu2
-    b = tuple(float(x) for x in sys.b)
-    check_domain = sys.metric.check_domain
-    f, fprime, _ = sys.metric.compiled()
-    du = sys.potential.du if sys.potential is not None else None
+    metric, potential = sys.metric, sys.potential
+    lo, hi = metric.domain
+    b = [float(x) for x in sys.b]
+    mu2 = float(sys.mu2)
+    q = [f"q{i}" for i in range(n)]
+    p = [f"p{i}" for i in range(n)]
 
-    def rhs(y):
-        r2 = 0.0
-        for i in range(n):
-            r2 += y[i] * y[i]
-        r = math.sqrt(r2)
-        check_domain(r)
-        fr = f(r)
-        inv_f2 = 1.0 / (fr * fr)
-        k = mu2 / r2
-        for i in range(n):
-            k += y[n + i] * y[n + i]
-        for i in range(n):
-            if b[i] != 0.0:
-                k += b[i] / (y[i] * y[i])
-        coef = -mu2 / (r2 * r2) * inv_f2 - k * fprime(r) / (fr * fr * fr * r)
-        if du is not None:
-            coef += du(r) / r
-        out = [0.0] * (2 * n)
-        for i in range(n):
-            g = coef * y[i]
-            if b[i] != 0.0:
-                g -= b[i] / y[i] ** 3 * inv_f2
-            out[i] = y[n + i] * inv_f2
-            out[n + i] = -g
-        return out
+    def lit(x):
+        return f"({x!r})"
 
-    return rhs
+    if potential is None:
+        du_term = []
+    elif potential.du_expr is not None:
+        du_term = [f"coef += ({to_python(potential.du_expr, potential.params)}) / r"]
+    else:
+        du_term = ["coef += du(r) / r"]
+    body = [
+        "r2 = " + " + ".join(f"{x} * {x}" for x in q),
+        "r = math.sqrt(r2)",
+        f"if not {lo!r} < r < {hi!r}:",
+        "    check_domain(r)",
+        f"fr = {to_python(metric.f_expr, metric.params)}",
+        "inv_f2 = 1.0 / (fr * fr)",
+        "k = " + " + ".join([f"{lit(mu2)} / r2"] + [f"{x} * {x}" for x in p]
+                            + [f"{lit(b[i])} / ({q[i]} * {q[i]})"
+                               for i in range(n) if b[i] != 0.0]),
+        f"coef = {lit(-mu2)} / (r2 * r2) * inv_f2 - k * "
+        f"({to_python(metric.fp_expr, metric.params)}) / (fr * fr * fr * r)",
+        *du_term,
+    ]
+    slope = [f"{x} * inv_f2" for x in p] + [
+        f"-(coef * {x} - {lit(b[i])} / {x} ** 3 * inv_f2)" if b[i] != 0.0
+        else f"-(coef * {x})" for i, x in enumerate(q)]
+    return q + p, body, slope
+
+
+def _compile(sys, name, lines):
+    """Compile the generated source of function `name` for sys.  Every float
+    literal prints by repr, so inf and nan are bound as names; the metric
+    domain check and U' are the only calls out."""
+    potential = sys.potential
+    env = {"math": math, "abs": abs, "inf": math.inf, "nan": math.nan,
+           "check_domain": sys.metric.check_domain,
+           "du": potential.du if potential is not None else None,
+           "ValueError": ValueError, "ArithmeticError": ArithmeticError,
+           "QuadratureError": QuadratureError, "__builtins__": {}}
+    exec(compile("\n".join(lines), f"<kernel of {sys.label}>", "exec"), env)
+    return env[name]
+
+
+def _make_rhs(sys):
+    """Generate rhs(y) for one system: y = (q, p) -> ydot = (dH/dp, -dH/dq)
+    as a list, straight-line code from _rhs_source.  Plain floats, not
+    numpy arrays: on vectors this short numpy's per-call overhead outweighs
+    the arithmetic."""
+    names, body, slope = _rhs_source(sys)
+    return _compile(sys, "rhs", [
+        "def rhs(y):",
+        f"    {', '.join(names)} = y",
+        *("    " + line for line in body),
+        f"    return [{', '.join(slope)}]",
+    ])
+
+
+def _make_solve(sys):
+    """Generate solve(y, ynew, h, tol, maxit) for one system.
+
+    It runs the fixed-point iteration of one implicit-midpoint step
+    y1 = y0 + h rhs((y0 + y1)/2) from the predictor ynew, with the RHS of
+    _rhs_source inlined and the sweep unrolled over 2N.  It stops once
+    delta = max|y1_new - y1_old| <= tol (1 + max|y1_new|) (a NaN update
+    never converges) or after maxit RHS evaluations, and returns (evals, y1,
+    slope, error): evals counts the RHS evaluations that completed; y1 and
+    slope are None unless it converged; error is the exception an RHS
+    evaluation raised, if any.
+    """
+    names, body, slope = _rhs_source(sys)
+    m = len(names)
+    y = [f"y{j}" for j in range(m)]
+    x = [f"x{j}" for j in range(m)]
+    g = [f"g{j}" for j in range(m)]
+    sweep = []
+    for j in range(m):
+        sweep += [f"v = {y[j]} + h * {g[j]}",
+                  f"d = abs(v - {x[j]})",
+                  "if d > delta or d != d:",  # a NaN never converges
+                  "    delta = d",
+                  "if abs(v) > scale:",
+                  "    scale = abs(v)",
+                  f"{x[j]} = v"]
+    return _compile(sys, "solve", [
+        "def solve(y, ynew, h, tol, maxit):",
+        f"    {', '.join(y)} = y",
+        f"    {', '.join(x)} = ynew",
+        "    evals = 0",
+        "    try:",
+        "        while evals < maxit:",
+        *(f"            {w} = 0.5 * ({y[j]} + {x[j]})" for j, w in enumerate(names)),
+        *("            " + line for line in body),
+        *(f"            {g[j]} = {e}" for j, e in enumerate(slope)),
+        "            evals += 1",
+        "            delta = scale = 0.0",
+        *("            " + line for line in sweep),
+        "            if delta <= tol * (1.0 + scale):",
+        f"                return evals, [{', '.join(x)}], [{', '.join(g)}], None",
+        "    except (ValueError, ArithmeticError, QuadratureError) as exc:",
+        "        return evals, None, None, exc",
+        "    return evals, None, None, None",
+    ])
+
+
+_KERNELS = weakref.WeakKeyDictionary()
+
+
+def _kernel(sys, make):
+    """The kernel that make (_make_rhs or _make_solve) generates for sys,
+    generated on first use: a system is fixed once built, so its kernels
+    are too.  The midpoint solve is generated only for midpoint runs, since
+    compiling it costs several times more than compiling the RHS."""
+    kernels = _KERNELS.setdefault(sys, {})
+    if make not in kernels:
+        kernels[make] = make(sys)
+    return kernels[make]
 
 
 def gradient(sys, s: PhaseState) -> tuple[np.ndarray, np.ndarray]:
     """Analytic (dH/dq, dH/dp), assembled from f, f' and U'."""
     _validate(sys, s)
-    ydot = np.array(_make_rhs(sys)(s.q.tolist() + s.p.tolist()))
+    ydot = np.array(_kernel(sys, _make_rhs)(s.q.tolist() + s.p.tolist()))
     return -ydot[sys.n:], ydot[:sys.n]
 
 
@@ -206,7 +311,8 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
     steps.  Each iteration costs one RHS call; it stops once the update
     delta = max|y_new - y_old| satisfies delta <= fp_tol (1 + max|y_new|),
     and the run halts after max_fp_iter iterations without that.
-    stats["nfev"] counts the step-1 Euler call plus every fixed-point call.
+    stats["nfev"] counts the step-1 Euler call plus every fixed-point call
+    that completed, also on a halt.
     """
     if not t_end > 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
@@ -245,7 +351,7 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
     record(0.0, y0)
 
     if method == "adaptive":
-        kernel = _make_rhs(sys)
+        kernel = _kernel(sys, _make_rhs)
 
         def rhs(t, y):
             try:
@@ -302,7 +408,8 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
     else:
         if not step > 0:
             raise ValueError(f"step must be positive, got {step}")
-        rhs = _make_rhs(sys)
+        rhs = _kernel(sys, _make_rhs)
+        solve = _kernel(sys, _make_solve)
         nsteps = max(1, round(t_end / step))
         h = t_end / nsteps
         stride = max(1, nsteps // (samples - 1))
@@ -324,28 +431,16 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
                         ynew = [y[j] + h * f1[j] for j in range(m)]
                     else:
                         ynew = [y[j] + h * (2.0 * f1[j] - f2[j]) for j in range(m)]
-                    mid = [0.5 * (y[j] + ynew[j]) for j in range(m)]
-                    for it in range(max_fp_iter):
-                        fm = rhs(mid)
-                        nfev += 1
-                        delta = scale = 0.0
-                        for j in range(m):
-                            v = y[j] + h * fm[j]
-                            d = abs(v - ynew[j])
-                            if d > delta or d != d:  # a NaN never converges
-                                delta = d
-                            if abs(v) > scale:
-                                scale = abs(v)
-                            ynew[j] = v
-                            mid[j] = 0.5 * (y[j] + v)
-                        if delta <= fp_tol * (1.0 + scale):
-                            break
-                    else:
+                    evals, ynew, fm, error = solve(y, ynew, h, fp_tol, max_fp_iter)
+                    nfev += evals
+                    if error is not None:
+                        raise error
+                    if ynew is None:
                         halted = "fixed-point iteration stalled"
                         if (kstep - 1) * h > ts[-1]:
                             record((kstep - 1) * h, y)
                         break
-                    fp_worst = max(fp_worst, it + 1)
+                    fp_worst = max(fp_worst, evals)
                 except (ValueError, ArithmeticError) as exc:
                     halted = f"rhs evaluation failed: {exc}"
                     if (kstep - 1) * h > ts[-1]:

@@ -34,7 +34,7 @@ __all__ = [
     "ExprError", "ExprSyntaxError", "UnknownIdentifierError",
     "NonConstantExponentError", "EvalDomainError",
     "parse", "differentiate", "evaluate", "format_expr", "compile_expr",
-    "contains_var",
+    "to_python", "contains_var",
 ]
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt", "abs")
@@ -551,12 +551,16 @@ def compile_expr(e: Expr, bindings: Mapping[str, float] | None = None) -> Callab
     checked errors.
     """
     bindings = bindings or {}
-    src = "lambda r: " + _to_python(e, bindings)
+    src = "lambda r: " + to_python(e, bindings)
     env = {"math": math, "abs": abs, "__builtins__": {}}
     return eval(compile(src, "<expr>", "eval"), env)
 
 
-def _to_python(e: Expr, bindings: Mapping[str, float]) -> str:
+def to_python(e: Expr, bindings: Mapping[str, float]) -> str:
+    """Python source of e in the variable r, parameters baked in as float
+    literals.  It calls only math.* and abs, so any code that binds r,
+    math and abs can inline it; compile_expr and the generated Hamiltonian
+    kernels of dynamics both do."""
     if isinstance(e, Const):
         return repr(e.value)
     if isinstance(e, Var):
@@ -566,18 +570,18 @@ def _to_python(e: Expr, bindings: Mapping[str, float]) -> str:
             raise ExprError(f"unbound parameter '{e.name}' at compile time")
         return repr(float(bindings[e.name]))
     if isinstance(e, Neg):
-        return f"(-{_to_python(e.arg, bindings)})"
+        return f"(-{to_python(e.arg, bindings)})"
     if isinstance(e, BinOp):
-        return f"({_to_python(e.left, bindings)} {e.op} {_to_python(e.right, bindings)})"
+        return f"({to_python(e.left, bindings)} {e.op} {to_python(e.right, bindings)})"
     if isinstance(e, Pow):
-        base = _to_python(e.base, bindings)
+        base = to_python(e.base, bindings)
         if isinstance(e.exponent, Const) and float(e.exponent.value).is_integer() \
                 and abs(e.exponent.value) <= 64:
             return f"({base} ** {int(e.exponent.value)})"
-        expo = _to_python(e.exponent, bindings)
+        expo = to_python(e.exponent, bindings)
         return f"math.pow({base}, {expo})"
     if isinstance(e, Call):
-        arg = _to_python(e.arg, bindings)
+        arg = to_python(e.arg, bindings)
         fn = {"ln": "math.log", "abs": "abs"}.get(e.fn, f"math.{e.fn}")
         return f"{fn}({arg})"
     raise TypeError(f"not an Expr node: {e!r}")

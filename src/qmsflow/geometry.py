@@ -17,7 +17,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import exprlang
-from .exprlang import Expr, compile_expr, differentiate, evaluate
+from .exprlang import Expr, compile_expr, differentiate
 
 __all__ = [
     "MetricSpec", "MetricError", "DomainViolation", "SpaceCatalogEntry",
@@ -97,10 +97,6 @@ class MetricSpec:
     def f(self, r: float) -> float:
         self.check_domain(r)
         return self._f(r)
-
-    def fprime(self, r: float) -> float:
-        self.check_domain(r)
-        return self._fp(r)
 
     def compiled(self) -> tuple[Callable, Callable, Callable]:
         """Raw (f, f', f'') callables without the domain check, for hot loops

@@ -100,10 +100,13 @@ class PotentialSpec:
     closed form, an anchored quadrature, or a user-supplied expression.  The
     coupling constants alpha (KC strength), beta (oscillator strength) and
     gamma (additive shift) are bookkeeping for constructors that know them.
+    `params` binds the parameters of u_expr/du_expr; with du_expr set, the
+    generated Hamiltonian kernels inline du_expr instead of calling du.
     """
 
     def __init__(self, u: Callable, du: Callable, provenance: str,
                  u_expr: Expr | None = None, du_expr: Expr | None = None,
+                 params: Mapping | None = None,
                  alpha: float = 0.0, beta: float = 0.0, gamma: float = 0.0,
                  domain=(0.0, math.inf), note: str = ""):
         if provenance not in _PROVENANCES:
@@ -115,6 +118,7 @@ class PotentialSpec:
         self._du = du
         self.u_expr = u_expr
         self.du_expr = du_expr
+        self.params = dict(params or {})
         self.provenance = provenance
         self.alpha = float(alpha)
         self.beta = float(beta)
@@ -133,7 +137,7 @@ class PotentialSpec:
             expr = exprlang.parse(expr, params=set(binds))
         dexpr = differentiate(expr)
         return cls(compile_expr(expr, binds), compile_expr(dexpr, binds),
-                   provenance, u_expr=expr, du_expr=dexpr, **kw)
+                   provenance, u_expr=expr, du_expr=dexpr, params=binds, **kw)
 
     def u(self, r: float) -> float:
         return float(self._u(r))

@@ -386,6 +386,30 @@ def test_simulate_domain_exit_flushes_partial_output(tmp_path, capsys):
     assert summary["conservation"]["halted"] == "domain-exit"
 
 
+def test_simulate_midpoint_axis_halt_flushes_partial_output(tmp_path, capsys):
+    # the midpoint run of test_midpoint_halt_on_singular_axis through the CLI:
+    # the third step lands within the axis guard of q_1 = 0
+    config = tmp_path / "axis.yaml"
+    config.write_text(
+        "space: {id: euclidean}\n"
+        "potential: none\n"
+        "b: [1.0e-30, 0.0, 0.0]\n"
+        "initial:\n"
+        "  cartesian: {q: [3.0e-3, 0.6, 0.8], p: [-1.0, 0.0, 0.0]}\n"
+        "integrator: {method: midpoint, step: 1.0e-3}\n"
+        "t_end: 1.0\n")
+    out_dir = tmp_path / "run"
+    code, _, err = run_cli(capsys, "simulate", "--config", str(config),
+                           "--out", str(out_dir))
+    assert code == 3
+    assert "integration halted: singular-axis" in err
+    data = np.loadtxt(str(out_dir / "trajectory.csv"), delimiter=",",
+                      skiprows=1, ndmin=2)
+    assert data[-1][0] == pytest.approx(2e-3, rel=1e-12)
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary["conservation"]["halted"] == "singular-axis"
+
+
 def test_simulate_summary_is_byte_deterministic(tmp_path, capsys):
     config = tmp_path / "kepler.yaml"
     config.write_text(KEPLER_YAML.replace("6.283185307179586", "1.0"))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qmsflow import dynamics
 from qmsflow.algebra import (
     PhaseState,
     SingularStateError,
@@ -17,8 +18,15 @@ from qmsflow.dynamics import (
     hamiltonian_coalgebra,
     integrate,
 )
-from qmsflow.geometry import DomainViolation, MetricSpec, catalog_lookup
+from qmsflow.geometry import (
+    DomainViolation,
+    MetricSpec,
+    catalog_ids,
+    catalog_lookup,
+    sample_radii,
+)
 from qmsflow.potentials import (
+    NAMED_SYSTEMS,
     SystemSpec,
     kc_potential,
     named_system,
@@ -131,6 +139,114 @@ def test_gradient_matches_finite_differences():
         scale = 1.0 + max(np.max(np.abs(dq)), np.max(np.abs(dp)))
         assert np.max(np.abs(dq - fq)) <= 1e-6 * scale
         assert np.max(np.abs(dp - fp)) <= 1e-6 * scale
+
+
+def _reference_rhs(sys):
+    """Hamilton's RHS as a loop over N with calls to the checked metric
+    domain, the compiled f and f' and PotentialSpec.du: the form whose float
+    operations the generated kernels perform, in the same order."""
+    n = sys.n
+    mu2 = sys.mu2
+    b = tuple(float(x) for x in sys.b)
+    check_domain = sys.metric.check_domain
+    f, fprime, _ = sys.metric.compiled()
+    du = sys.potential.du if sys.potential is not None else None
+
+    def rhs(y):
+        r2 = 0.0
+        for i in range(n):
+            r2 += y[i] * y[i]
+        r = math.sqrt(r2)
+        check_domain(r)
+        fr = f(r)
+        inv_f2 = 1.0 / (fr * fr)
+        k = mu2 / r2
+        for i in range(n):
+            k += y[n + i] * y[n + i]
+        for i in range(n):
+            if b[i] != 0.0:
+                k += b[i] / (y[i] * y[i])
+        coef = -mu2 / (r2 * r2) * inv_f2 - k * fprime(r) / (fr * fr * fr * r)
+        if du is not None:
+            coef += du(r) / r
+        out = [0.0] * (2 * n)
+        for i in range(n):
+            g = coef * y[i]
+            if b[i] != 0.0:
+                g -= b[i] / y[i] ** 3 * inv_f2
+            out[i] = y[n + i] * inv_f2
+            out[n + i] = -g
+        return out
+
+    return rhs
+
+
+def test_generated_rhs_matches_the_loop_form_bit_for_bit():
+    # every catalog metric free, with kc and with an oscillator, a custom f
+    # with quadrature-backed potentials, and the named systems; N = 2, 3, 8,
+    # mu2 zero and not, b with zero and non-zero entries
+    rng = np.random.default_rng(7)
+    custom = MetricSpec.from_source("1/(1 + 0.2*r^2)", id="custom")
+    parts = [(custom, kc_potential(custom, 1.0)),
+             (custom, oscillator_potential(custom, 0.01))]
+    for mid in catalog_ids():
+        metric = metric_of(mid)
+        parts += [(metric, None), (metric, kc_potential(metric, 0.8)),
+                  (metric, oscillator_potential(metric, 0.6))]
+    cases = parts + list(NAMED_SYSTEMS)
+    compared = 0
+    for k in range(4 * len(cases) * 3):
+        case = cases[k % len(cases)]
+        n = (2, 3, 8)[k // len(cases) % 3]
+        mu2 = 0.0 if k // (3 * len(cases)) % 2 else float(rng.uniform(0.1, 2.0))
+        b = rng.uniform(-1.0, 1.0, n)
+        b[rng.random(n) < 0.4] = 0.0
+        b[rng.integers(n)] = 0.0
+        if isinstance(case, str):
+            sys = named_system(case, {"n": n, "mu2": mu2, "centrifugal": b.tolist()})
+        else:
+            sys = SystemSpec(*case, mu2=mu2, b=b)
+        new, ref = dynamics._make_rhs(sys), _reference_rhs(sys)
+        radii = sample_radii(sys.domain, 64)
+        for r in rng.choice(radii, 3):
+            u = rng.normal(size=n)
+            y = (r * u / np.linalg.norm(u)).tolist() + rng.uniform(-1.5, 1.5, n).tolist()
+            assert [v.hex() for v in new(y)] == [v.hex() for v in ref(y)], (sys, y)
+            compared += 1
+    assert compared >= 1000
+
+
+@pytest.mark.parametrize("mid", ["euclidean", "hyperbolic", "darboux1", "darboux4"])
+def test_generated_rhs_raises_the_metric_domain_message(mid):
+    metric = metric_of(mid)
+    sys = SystemSpec(metric, kc_potential(metric, 0.8), mu2=0.3, b=(0.5, 0.0, 0.2))
+    lo, hi = metric.domain
+    rhs = dynamics._make_rhs(sys)
+    for r in (0.5 * lo, 1.5 * hi if math.isfinite(hi) else math.inf):
+        # sqrt(r*r) == r, so the kernel sees exactly this radius
+        y = [r, 0.0, 0.0, 0.1, 0.2, 0.3]
+        with pytest.raises(DomainViolation) as want:
+            metric.check_domain(r)
+        with pytest.raises(DomainViolation) as got:
+            rhs(y)
+        assert str(got.value) == str(want.value)
+
+
+def test_kernels_are_generated_once_per_system(monkeypatch):
+    made = []
+    for name in ("_make_rhs", "_make_solve"):
+        real = getattr(dynamics, name)
+        monkeypatch.setattr(dynamics, name,
+                            lambda sys, name=name, real=real: made.append(name) or real(sys))
+    sys = SystemSpec(EUCLID, kc_potential(EUCLID, 1.0), n=3)
+    s = PhaseState([1.0, 2.0, 2.0], [0.2, -0.1, 0.4])
+    for _ in range(3):
+        gradient(sys, s)
+    integrate(sys, s, 0.1)
+    assert made == ["_make_rhs"]  # an adaptive run compiles no midpoint solve
+    for _ in range(2):
+        integrate(sys, s, 0.1, method="midpoint")
+    assert made == ["_make_rhs", "_make_solve"]
 
 
 # ---------------------------------------------------------------------------
@@ -430,10 +546,24 @@ def _strip_outward_kick():
     return sys, s0, {"step": 0.05}
 
 
+def _cap_late_failure():
+    # a gentler kick than _cap_outward_kick: the Euler call and the first
+    # fixed-point call stay inside the cap, the second lands beyond r = 2
+    sys, s0, _ = _cap_outward_kick()
+    return sys, s0, {"step": 0.015}
+
+
+# nfev counts exactly the RHS evaluations that completed: the step-1 Euler
+# call, then every fixed-point call that returned
+_FIRST_STEP_NFEV = {_kepler_midpoint_stall: 2, _cap_outward_kick: 1,
+                    _strip_outward_kick: 1, _cap_late_failure: 2}
+
+
 @pytest.mark.parametrize("setup, reason", [
     (_kepler_midpoint_stall, "fixed-point iteration stalled"),
     (_cap_outward_kick, "rhs evaluation failed"),
     (_strip_outward_kick, "rhs evaluation failed: r = 2.015"),
+    (_cap_late_failure, "rhs evaluation failed: r = 2.0843722563652323"),
 ])
 def test_midpoint_halts_in_the_first_step(setup, reason):
     sys, s0, options = setup()
@@ -441,6 +571,8 @@ def test_midpoint_halts_in_the_first_step(setup, reason):
     assert rec.halted.startswith(reason)
     assert list(rec.times) == [0.0]
     assert rec.stats["steps"] == 0
+    assert rec.stats["nfev"] == _FIRST_STEP_NFEV[setup]
+    assert rec.stats["max_fp_iterations"] == 0
     np.testing.assert_array_equal(rec.final_state.q, s0.q)
     assert conservation_report(rec)["halted"] == rec.halted
 
