@@ -188,21 +188,23 @@ def integral_set(s: PhaseState, b: Sequence[float] | None = None) -> IntegralSet
 _EPS = 1e-6
 
 
-def fd_gradient(fn: Callable[[PhaseState], float], s: PhaseState,
-                eps: float = _EPS) -> tuple[np.ndarray, np.ndarray]:
+def fd_gradient(fn: Callable[[PhaseState], float | Sequence[float]],
+                s: PhaseState, eps: float = _EPS) -> tuple[np.ndarray, np.ndarray]:
     """(dF/dq, dF/dp) by central differences with one Richardson level.
 
     Per-coordinate step h_i = eps * max(1, |x_i|); the extrapolation
-    (4 D(h/2) - D(h))/3 cancels the leading h^2 truncation term.  Evaluation
-    failures at stencil points (domain exits, centrifugal singularities)
-    propagate to the caller.
+    (4 D(h/2) - D(h))/3 cancels the leading h^2 truncation term.  A scalar
+    fn gives two N-vectors; a fn returning m values gives two contiguous
+    (m, N) arrays, row a the gradient of value a, from one stencil sweep.
+    Evaluation failures at stencil points (domain exits, centrifugal
+    singularities) propagate to the caller.
     """
     x = np.concatenate([s.q, s.p])
     n = s.n
-    grad = np.empty(2 * n)
+    rows = []
 
     def feval(vec):
-        return float(fn(PhaseState(vec[:n], vec[n:])))
+        return np.asarray(fn(PhaseState(vec[:n], vec[n:])), dtype=float)
 
     for i in range(2 * n):
         h = eps * max(1.0, abs(x[i]))
@@ -211,34 +213,36 @@ def fd_gradient(fn: Callable[[PhaseState], float], s: PhaseState,
         coarse = (feval(x + d) - feval(x - d)) / (2 * h)
         d[i] = 0.5 * h
         fine = (feval(x + d) - feval(x - d)) / h
-        grad[i] = (4.0 * fine - coarse) / 3.0
-    return grad[:n], grad[n:]
+        rows.append((4.0 * fine - coarse) / 3.0)
+    grad = np.array(rows).T
+    return (np.ascontiguousarray(grad[..., :n]),
+            np.ascontiguousarray(grad[..., n:]))
 
 
-def poisson_bracket(f: Callable[[PhaseState], float],
-                    g: Callable[[PhaseState], float],
-                    s: PhaseState, eps: float = _EPS) -> float:
-    """{F, G} = sum_i (dF/dq_i dG/dp_i - dG/dq_i dF/dp_i), numerically."""
+def poisson_bracket(f: Callable[[PhaseState], float | Sequence[float]],
+                    g: Callable[[PhaseState], float | Sequence[float]],
+                    s: PhaseState, eps: float = _EPS) -> float | np.ndarray:
+    """{F, G} = sum_i (dF/dq_i dG/dp_i - dG/dq_i dF/dp_i), numerically.
+
+    For vector-valued f and g the result is the matrix {f_a, g_c}; with
+    g is f the gradients are taken once.
+    """
     fq, fp = fd_gradient(f, s, eps)
-    gq, gp = fd_gradient(g, s, eps)
-    return float(np.dot(fq, gp) - np.dot(gq, fp))
+    gq, gp = (fq, fp) if g is f else fd_gradient(g, s, eps)
+    out = fq @ gp.T - (gq @ fp.T).T
+    return float(out) if out.ndim == 0 else out
 
 
-def independence_rank(functions: Sequence[Callable[[PhaseState], float]],
+def independence_rank(fn: Callable[[PhaseState], Sequence[float]],
                       s: PhaseState, threshold: float = 1e-8) -> int:
-    """Numerical rank of the Jacobian of the given functions at s.
+    """Numerical rank of the Jacobian of the values of fn at s.
 
     Rank counts singular values above threshold * (largest singular value);
     gradients use the same finite-difference scheme as poisson_bracket.  The
     threshold sits an order of magnitude above the ~1e-7 noise floor of the
     gradients.
     """
-    rows = []
-    for fn in functions:
-        gq, gp = fd_gradient(fn, s)
-        rows.append(np.concatenate([gq, gp]))
-    jac = np.array(rows)
-    sv = np.linalg.svd(jac, compute_uv=False)
+    sv = np.linalg.svd(np.hstack(fd_gradient(fn, s)), compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
     return int(np.sum(sv > threshold * sv[0]))

@@ -27,8 +27,9 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from . import exprlang
-from .exprlang import BinOp, Const, Expr, Pow, Var, compile_expr, differentiate, format_expr
-from .geometry import MetricSpec, _as_fraction, catalog_lookup, sample_radii
+from .exprlang import (BinOp, Const, Expr, ExprError, Pow, Var, compile_expr,
+                       differentiate, format_expr)
+from .geometry import CATALOG, MetricSpec, _as_fraction, catalog_lookup, sample_radii
 
 __all__ = [
     "PotentialError", "QuadratureError", "PotentialSpec", "SystemSpec",
@@ -63,6 +64,22 @@ _GREEN_FORMS = {
     "nu-fold": "sqrt(a*r^(-(1/nu)) + b)",
     "nu-fold-a0": "-r^(-(1/nu))",
 }
+
+
+def _closed_form(metric: MetricSpec) -> Expr | None:
+    """The registered closed-form U for the metric, or None.  A catalog id
+    counts only while f is the expression its catalog entry parses to: a
+    custom f under a catalog id gets the quadrature."""
+    if metric.id not in _GREEN_FORMS:
+        return None
+    names = set(metric.params)
+    try:
+        catalog_f = exprlang.parse(CATALOG[metric.id].f_source, params=names)
+    except ExprError:
+        return None
+    if catalog_f != metric.f_expr:
+        return None
+    return exprlang.parse(_GREEN_FORMS[metric.id], params=names)
 
 
 def _metric_bindings(metric: MetricSpec) -> dict:
@@ -174,15 +191,15 @@ def catalog_green_form(metric_id: str) -> str:
 def green_function(metric: MetricSpec, r: float, method: str = "auto") -> float:
     """U(r) for the given metric.
 
-    method="auto" returns the registered closed form verbatim when the metric
-    id is in the catalog registry, otherwise (or with method="quadrature") an
+    method="auto" returns the registered closed form verbatim for a catalog
+    space (see _closed_form), otherwise (or with method="quadrature") an
     adaptive-quadrature value anchored at U(r0) = 0, r0 = _anchor(domain).
     """
     metric.check_domain(r)
     if method not in ("auto", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "auto" and metric.id in _GREEN_FORMS:
-        expr = exprlang.parse(_GREEN_FORMS[metric.id], params=set(metric.params))
+    expr = _closed_form(metric) if method == "auto" else None
+    if expr is not None:
         return exprlang.evaluate(expr, r, _metric_bindings(metric))
     return _quad_green(metric, r, _anchor(metric.domain))
 
@@ -193,8 +210,8 @@ def green_function(metric: MetricSpec, r: float, method: str = "auto") -> float:
 
 def _green_spec_parts(metric: MetricSpec):
     """(u_expr or None, u callable, du callable, provenance) for U itself."""
-    if metric.id in _GREEN_FORMS:
-        expr = exprlang.parse(_GREEN_FORMS[metric.id], params=set(metric.params))
+    expr = _closed_form(metric)
+    if expr is not None:
         binds = _metric_bindings(metric)
         dexpr = differentiate(expr)
         return expr, compile_expr(expr, binds), compile_expr(dexpr, binds), \

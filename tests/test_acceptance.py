@@ -129,11 +129,12 @@ def test_acceptance_3_functional_independence():
     metric = catalog_lookup("euclidean")
     b = (1.0, 2.0, 3.0)
     sys_spec = SystemSpec(metric, kc_potential(metric, 1.0), 0.3, b=b)
-    funcs = [lambda st: hamiltonian(sys_spec, st),
-             lambda st: integral_set(st, b).left[0],    # C^(2)
-             lambda st: integral_set(st, b).left[1],    # C^(3)
-             lambda st: integral_set(st, b).right[0]]   # C_(2)
-    full = sum(independence_rank(funcs, _random_state(rng, n)) == 4
+    def conserved(st):
+        # H, C^(2), C^(3), C_(2)
+        towers = integral_set(st, b)
+        return (hamiltonian(sys_spec, st), *towers.left, towers.right[0])
+
+    full = sum(independence_rank(conserved, _random_state(rng, n)) == 4
                for _ in range(20))
     ok = full >= 19
     _verdict(3, "rank {H, C^(2), C^(3), C_(2)} = 4 (N=3)", ok,

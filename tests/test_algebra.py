@@ -264,6 +264,47 @@ def test_fd_gradient_against_hand_gradient():
     assert gp == pytest.approx([3 * 4.0, 2.25], abs=1e-8)
 
 
+def _tower_members(b):
+    # every member of both towers, C^(2..N) then C_(2..N), as scalar callables
+    n = len(b)
+    return ([lambda st, m=m: casimir_left(m, st, b) for m in range(2, n + 1)]
+            + [lambda st, m=m: casimir_right(m, st, b) for m in range(2, n + 1)])
+
+
+def test_vector_fd_gradient_rows_are_the_scalar_gradients_bit_for_bit():
+    rng = np.random.default_rng(58)
+    for n in (2, 3, 4):
+        b = rng.uniform(0.2, 2.0, n)
+        members = _tower_members(b)
+        vector = lambda st: [fn(st) for fn in members]
+        s = random_state(rng, n, p_scale=2.0)
+        gq, gp = fd_gradient(vector, s)
+        assert gq.shape == gp.shape == (len(members), n)
+        assert gq.flags.c_contiguous and gp.flags.c_contiguous
+        for a, fn in enumerate(members):
+            sq, sp = fd_gradient(fn, s)
+            assert sq.shape == sp.shape == (n,)
+            assert [x.hex() for x in gq[a]] == [x.hex() for x in sq]
+            assert [x.hex() for x in gp[a]] == [x.hex() for x in sp]
+
+
+def test_vector_poisson_bracket_is_the_matrix_of_scalar_brackets():
+    rng = np.random.default_rng(59)
+    n = 4
+    b = rng.uniform(0.2, 2.0, n)
+    members = _tower_members(b) + [
+        lambda st, i=i, j=j: so_n_generator(i, j, st)
+        for i in range(n) for j in range(i + 1, n)]
+    vector = lambda st: [fn(st) for fn in members]
+    for _ in range(3):
+        s = random_state(rng, n, p_scale=2.0)
+        matrix = poisson_bracket(vector, vector, s)
+        assert matrix.shape == (len(members), len(members))
+        for a, f in enumerate(members):
+            for c, g in enumerate(members):
+                assert matrix[a, c] == poisson_bracket(f, g, s)
+
+
 # ---------------------------------------------------------------------------
 # functional independence
 # ---------------------------------------------------------------------------
@@ -284,12 +325,8 @@ def test_independence_rank_n3():
     rng = np.random.default_rng(99)
     b = [1.0, 2.0, 3.0]
     h = _hamiltonian(b, mu2=1.0)
-    fns = [
-        h,
-        lambda st: casimir_left(2, st, b),
-        lambda st: casimir_left(3, st, b),
-        lambda st: casimir_right(2, st, b),
-    ]
+    fns = lambda st: (h(st), casimir_left(2, st, b), casimir_left(3, st, b),
+                      casimir_right(2, st, b))
     for _ in range(20):
         s = random_state(rng, 3)
         assert independence_rank(fns, s) == 4
@@ -301,15 +338,15 @@ def test_independence_rank_duplicate_function():
     h = _hamiltonian(b, mu2=1.0)
     c2 = lambda st: casimir_left(2, st, b)
     s = random_state(rng, 3)
-    assert independence_rank([h, c2], s) == 2
-    assert independence_rank([h, c2, c2], s) == 2
+    assert independence_rank(lambda st: (h(st), c2(st)), s) == 2
+    assert independence_rank(lambda st: (h(st), c2(st), c2(st)), s) == 2
 
 
 def test_independence_rank_n2():
     rng = np.random.default_rng(321)
     b = [0.5, 1.5]
     h = _hamiltonian(b, mu2=0.25)
-    fns = [h, lambda st: casimir_left(2, st, b)]
+    fns = lambda st: (h(st), casimir_left(2, st, b))
     for _ in range(10):
         s = random_state(rng, 2)
         assert independence_rank(fns, s) == 2

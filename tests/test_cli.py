@@ -222,6 +222,72 @@ def test_config_validates_scalar_ranges():
         build_config(base_config(mu2="lots"))
 
 
+NONFINITE_CASES = [
+    ("space:\n  f: 1 + w*r^2\n  params: {w: .inf}\n", "space.params.w"),
+    ("space:\n  f: '1'\n  domain: [.inf, .inf]\n", "space.domain[0]"),
+    ("space: {id: euclidean}\nmu2: .inf\n", "mu2"),
+    ("space: {id: euclidean}\nb: [.nan, 0.0, 0.0]\n", "b[0]"),
+    ("space: {id: euclidean}\npotential: {kc: {alpha: -.inf}}\n",
+     "potential.kc.alpha"),
+    ("space: {id: euclidean}\nt_end: .inf\n", "t_end"),
+    ("space: {id: euclidean}\n"
+     "initial: {cartesian: {q: [1.0, 0.2, 0.3], p: [.inf, 0.1, 0.2]}}\n",
+     "initial.cartesian.p[0]"),
+]
+
+
+@pytest.mark.parametrize("text, key", NONFINITE_CASES,
+                         ids=[key for _, key in NONFINITE_CASES])
+def test_config_rejects_non_finite_numbers(text, key, tmp_path, capsys):
+    defaults = {"potential": "potential: none\n",
+                "initial": "initial: {cartesian: {q: [1.0, 0.2, 0.3], "
+                           "p: [0.1, -0.2, 0.4]}}\n",
+                "t_end": "t_end: 1.0\n"}
+    for top, line in defaults.items():
+        if f"{top}:" not in text:
+            text += line
+    config = tmp_path / "config.yaml"
+    config.write_text(text)
+    code, _, err = run_cli(capsys, "verify", "identities",
+                           "--config", str(config))
+    assert code == 2
+    assert f"config error: {key} must be finite" in err
+
+
+def test_config_accepts_an_unbounded_domain(tmp_path):
+    from qmsflow.cli import load_config
+    config = tmp_path / "config.yaml"
+    config.write_text("space: {f: '1', domain: [0.5, .inf]}\n"
+                      "potential: none\n"
+                      "initial: {cartesian: {q: [1.0, 0.2, 0.3], "
+                      "p: [0.1, -0.2, 0.4]}}\n"
+                      "t_end: 1.0\n")
+    assert load_config(str(config)).system.metric.domain == (0.5, math.inf)
+
+
+def test_catalog_id_on_a_custom_f_gets_the_quadrature_green_function():
+    from qmsflow.geometry import catalog_lookup
+    from qmsflow.potentials import green_function, kc_potential
+    cfg = build_config(base_config(
+        space={"f": "2/(1+r^2)", "id": "euclidean"},
+        potential={"kc": {"alpha": 1}}))
+    pot, metric = cfg.system.potential, cfg.system.metric
+    assert pot.provenance == "quadrature-backed"
+    # U' = 1/(r^2 f) = (1 + r^2)/(2 r^2), so U(3) - U(2) = 7/12
+    assert pot.u(3.0) - pot.u(2.0) == pytest.approx(7.0 / 12.0, rel=1e-9)
+    for r0, r1 in ((0.5, 1.0), (1.0, 4.0)):
+        quad = (green_function(metric, r1, method="quadrature")
+                - green_function(metric, r0, method="quadrature"))
+        assert pot.u(r1) - pot.u(r0) == pytest.approx(quad, rel=1e-9)
+    # catalog spaces, and their own f under their own id, keep the closed form
+    for mid in CATALOG:
+        assert kc_potential(catalog_lookup(mid), 1.0).provenance \
+            == "closed-form-catalog"
+    cfg = build_config(base_config(space={"f": "2/(1 + r^2)", "id": "spherical"},
+                                   potential={"kc": {"alpha": 1}}))
+    assert cfg.system.potential.provenance == "closed-form-catalog"
+
+
 def test_load_config_errors(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         from qmsflow.cli import load_config
@@ -484,6 +550,24 @@ def test_verify_impossible_tolerance_fails_with_exit_1(capsys):
     assert code == 1
     report = json.loads(out)
     assert report["pass"] is False
+
+
+def test_verify_nan_residual_fails_its_check(monkeypatch, capsys):
+    import qmsflow.cli as cli
+    from qmsflow.algebra import IntegralSet
+    real = cli.integral_set
+
+    def nan_c2(st, b=None):
+        towers = real(st, b)
+        return IntegralSet((math.nan, *towers.left[1:]), towers.right)
+
+    monkeypatch.setattr(cli, "integral_set", nan_c2)
+    code, out, _ = run_cli(capsys, "verify", "involution")
+    assert code == 1
+    assert '"pass": false' in out
+    checks = {c["check"]: c for c in json.loads(out)["checks"]}
+    assert checks["integrals-in-involution"]["pass"] is False
+    assert math.isnan(checks["integrals-in-involution"]["max_residual"])
 
 
 def test_verify_dimension_and_seed_come_from_config(tmp_path, capsys):
