@@ -84,20 +84,24 @@ class Sl2Triple:
             raise ValueError(f"J- = q^2 must be positive, got {self.jminus}")
 
 
-def _check_b(s: PhaseState, b) -> np.ndarray:
-    b = np.zeros(s.n) if b is None else np.asarray(b, dtype=float)
-    if b.shape != (s.n,):
-        raise ValueError(f"b must have length {s.n}, got shape {b.shape}")
-    hit = (b != 0.0) & (s.q == 0.0)
+def _check_b(q: np.ndarray, b) -> np.ndarray:
+    """b as a float array (zeros for None), checked against q, which is one
+    state or one state per row: the first q_i = 0 with b_i != 0, row by row,
+    raises SingularStateError."""
+    n = q.shape[-1]
+    b = np.zeros(n) if b is None else np.asarray(b, dtype=float)
+    if b.shape != (n,):
+        raise ValueError(f"b must have length {n}, got shape {b.shape}")
+    hit = (b != 0.0) & (q == 0.0)
     if np.any(hit):
-        i = int(np.argmax(hit))
+        i = int(np.argmax(hit)) % n
         raise SingularStateError(f"q_{i} = 0 with b_{i} = {b[i]} != 0")
     return b
 
 
 def sl2_realize(s: PhaseState, b: Sequence[float] | None = None) -> Sl2Triple:
     """Evaluate (J-, J3, J+) at a phase point for centrifugal coefficients b."""
-    b = _check_b(s, b)
+    b = _check_b(s.q, b)
     q, p = s.q, s.p
     jminus = float(np.dot(q, q))
     j3 = float(np.dot(q, p))
@@ -150,33 +154,43 @@ class IntegralSet:
 
 
 def integral_set(s: PhaseState, b: Sequence[float] | None = None) -> IntegralSet:
-    """Both towers at s, by nesting from C^(1) = b_1:
+    """Both towers at s (see _towers)."""
+    b = _check_b(s.q, b).tolist()
+    return _towers(s.q.tolist(), s.p.tolist(), b)
+
+
+def _towers(q: Sequence, p: Sequence, b: Sequence[float]) -> IntegralSet:
+    """Both towers from the coordinates q_1..q_N, p_1..p_N, by nesting from
+    C^(1) = b_1:
 
         C^(m) = C^(m-1) + sum_{i<m} [J_im^2 + b_i q_m^2/q_i^2
                                      + b_m q_i^2/q_m^2] + b_m
 
     over axes 1..N for the left tower and N..1 for the right one, O(N^2) in
     all.  C_(N) is taken from C^(N), so the top members agree exactly.  Zero
-    b terms are skipped, since q may vanish there.
+    b terms are skipped, since q may vanish there; b is not checked here.
+
+    Each q_i and p_i is a float, or a numpy column holding that coordinate
+    at many states.  The same float operations run on either, so every
+    entry of a column result is the value at its state bit for bit.
     """
-    b = _check_b(s, b).tolist()
-    q, p = s.q.tolist(), s.p.tolist()
-    towers = []
+    out = []
     for q, p, b in ((q, p, b), (q[::-1], p[::-1], b[::-1])):
+        sq = [x * x for x in q]
         c, tower = b[0], []
-        for m in range(1, s.n):
-            qm, pm, bm = q[m], p[m], b[m]
+        for m in range(1, len(q)):
+            pm, bm = p[m], b[m]
             for i in range(m):
-                jim = q[i] * pm - qm * p[i]
-                c += jim * jim
+                jim = q[i] * pm - q[m] * p[i]
+                c = c + jim * jim
                 if b[i] != 0.0:
-                    c += b[i] * qm ** 2 / q[i] ** 2
+                    c = c + b[i] * sq[m] / sq[i]
                 if bm != 0.0:
-                    c += bm * q[i] ** 2 / qm ** 2
-            c += bm
+                    c = c + bm * sq[i] / sq[m]
+            c = c + bm
             tower.append(c)
-        towers.append(tower)
-    left, right = towers
+        out.append(tower)
+    left, right = out
     right[-1] = left[-1]
     return IntegralSet(tuple(left), tuple(right))
 

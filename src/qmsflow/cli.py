@@ -495,15 +495,13 @@ def _trajectory_columns(n: int) -> list:
 
 
 def _write_trajectory_csv(path: str, record, n: int) -> None:
-    series = record.series
+    names = _trajectory_columns(n)
+    table = np.column_stack([record.times, record.q, record.p,
+                             *(record.series[name] for name in names[1 + 2 * n:])])
+    row = ",".join(["%.17g"] * len(names)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(_trajectory_columns(n)) + "\n")
-        for k, t in enumerate(record.times):
-            state = record.states[k]
-            row = [t, *state.q, *state.p, series["H"][k]]
-            row += [series[f"Cl{m}"][k] for m in range(2, n + 1)]
-            row += [series[f"Cr{m}"][k] for m in range(2, n)]
-            handle.write(",".join("%.17g" % v for v in row) + "\n")
+        handle.write(",".join(names) + "\n")
+        handle.writelines(row % tuple(values) for values in table.tolist())
 
 
 # --------------------------------------------------------------------------
@@ -860,8 +858,8 @@ def _cmd_verify(args) -> int:
             raise ConfigError(
                 f"seed must fit in an unsigned 64-bit integer, got {args.seed}")
         seed = args.seed
-    if args.tol is not None and not args.tol > 0.0:
-        raise ConfigError(f"tol must be positive, got {args.tol}")
+    if args.tol is not None and not 0.0 < args.tol < math.inf:
+        raise ConfigError(f"tol must be positive and finite, got {args.tol}")
     report = _SUITE_RUNNERS[args.suite](dimension, seed, args.tol)
     text = _dump_json(report)
     sys.stdout.write(text)

@@ -37,12 +37,15 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
 from scipy.integrate import DOP853
 
-from .algebra import PhaseState, integral_set, sl2_realize, _check_b
+# integral_set is not called here; it stays bound because perfbench/tracing.py
+# wraps dynamics.integral_set by name
+from .algebra import PhaseState, integral_set, sl2_realize, _check_b, _towers  # noqa: F401
 from .exprlang import to_python
 from .geometry import DomainViolation
 from .potentials import QuadratureError
@@ -56,29 +59,46 @@ _AXIS_EPS = 1e-10   # |q_i| below this with b_i != 0 counts as singular
 _EDGE_EPS = 1e-10   # margin for domain-exit detection
 
 
+def _radius(q) -> float:
+    """|q| of a sequence of floats, summed in order: the r of the generated
+    RHS, of the halt checks and of the audit."""
+    return math.sqrt(sum(x * x for x in q))
+
+
+def _check_domain(sys, r: float) -> None:
+    lo, hi = sys.domain
+    if not lo < r < hi:
+        raise DomainViolation(f"|q| = {r:.6g} outside the system domain ({lo:.6g}, {hi:.6g})")
+
+
 def _validate(sys, s: PhaseState) -> float:
     if s.n != sys.n:
         raise ValueError(f"state has dimension {s.n}, system expects {sys.n}")
-    _check_b(s, sys.b)
-    lo, hi = sys.domain
-    r = s.radius
-    if not lo < r < hi:
-        raise DomainViolation(f"|q| = {r:.6g} outside the system domain ({lo:.6g}, {hi:.6g})")
+    _check_b(s.q, sys.b)
+    r = _radius(s.q.tolist())
+    _check_domain(sys, r)
     return r
+
+
+def _energy(sys, q, p, r, fr, u):
+    """H from q, p, r = |q|, fr = f(r) and u = U(r) (None without a
+    potential), grouped exactly as written in the module docstring.  Each
+    argument but sys is a float, or a numpy column over many states (q and p
+    as sequences of columns); the same float operations run on either."""
+    k = sum(x * x for x in p) + sys.mu2 / (r * r)
+    for x, bi in zip(q, sys.b):
+        if bi != 0.0:
+            k = k + bi / (x * x)
+    val = k / (2.0 * fr * fr)
+    return val if u is None else val + u
 
 
 def hamiltonian(sys, s: PhaseState) -> float:
     """H(q, p), grouped exactly as written in the module docstring."""
     r = _validate(sys, s)
-    k = float(np.dot(s.p, s.p)) + sys.mu2 / (r * r)
-    for i, bi in enumerate(sys.b):
-        if bi != 0.0:
-            k += bi / s.q[i] ** 2
     fr = sys.metric.f(r)
-    val = k / (2.0 * fr * fr)
-    if sys.potential is not None:
-        val += sys.potential.u(r)
-    return val
+    u = sys.potential.u(r) if sys.potential is not None else None
+    return _energy(sys, s.q.tolist(), s.p.tolist(), r, fr, u)
 
 
 def hamiltonian_coalgebra(sys, s: PhaseState) -> float:
@@ -253,15 +273,18 @@ def gradient(sys, s: PhaseState) -> tuple[np.ndarray, np.ndarray]:
 class TrajectoryRecord:
     """Sampled trajectory with conservation bookkeeping.
 
-    series maps each audited quantity ("H", "Cl2", ..., "ClN", "Cr2", ...,
-    "CrN") to its read-only time series, one value per sample; drift maps
-    the same names to max_t |v(t) - v(0)| / (1 + |v(0)|).  halted is None
-    for a completed run, otherwise a short reason; on a halt the last valid
-    state is kept as the final sample.
+    q and p are read-only (T, N) arrays, one row per sample time; states
+    holds the same rows as PhaseStates, built on first access.  series maps
+    each audited quantity ("H", "Cl2", ..., "ClN", "Cr2", ..., "CrN") to its
+    read-only time series, one value per sample; drift maps the same names
+    to max_t |v(t) - v(0)| / (1 + |v(0)|).  halted is None for a completed
+    run, otherwise a short reason; on a halt the last valid state is kept as
+    the final sample.
     """
 
     times: np.ndarray
-    states: tuple
+    q: np.ndarray
+    p: np.ndarray
     series: MappingProxyType
     drift: dict
     stats: dict
@@ -274,20 +297,29 @@ class TrajectoryRecord:
             raise ValueError("a trajectory needs at least one sample")
         if not np.all(np.diff(t) > 0):
             raise ValueError("sample times must be strictly increasing")
+        q = np.array(self.q, dtype=float)
+        p = np.array(self.p, dtype=float)
+        if q.ndim != 2 or q.shape != p.shape:
+            raise ValueError(f"q and p must be equal (T, N) arrays, got {q.shape} and {p.shape}")
         series = {name: np.array(v, dtype=float) for name, v in self.series.items()}
-        if any(len(v) != t.size for v in series.values()) or len(self.states) != t.size:
+        if any(len(v) != t.size for v in (q, *series.values())):
             raise ValueError("sample columns disagree in length")
         if any(v < 0 for v in self.drift.values()):
             raise ValueError("drift entries must be nonnegative")
-        t.setflags(write=False)
-        for v in series.values():
+        for v in (t, q, p, *series.values()):
             v.setflags(write=False)
         object.__setattr__(self, "times", t)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "p", p)
         object.__setattr__(self, "series", MappingProxyType(series))
+
+    @cached_property
+    def states(self) -> tuple:
+        return tuple(map(PhaseState, self.q, self.p))
 
     @property
     def final_state(self) -> PhaseState:
-        return self.states[-1]
+        return PhaseState(self.q[-1], self.p[-1])
 
 
 def _drift(values: np.ndarray) -> float:
@@ -328,27 +360,33 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
     b_idx = [i for i, bi in enumerate(sys.b) if bi != 0.0]
 
     def violation(y):
-        r2 = 0.0
-        for i in range(n):
-            r2 += y[i] * y[i]
-        if not rmin < math.sqrt(r2) < rmax:
+        if not rmin < _radius(y[:n]) < rmax:
             return "domain-exit"
         for i in b_idx:
             if abs(y[i]) < _AXIS_EPS:
                 return "singular-axis"
         return None
 
-    ts, states, hs, isets = [], [], [], []
+    # per sample, only what can fail there: a QuadratureError from U halts
+    # the run with the samples before it kept; the rest of the audit runs
+    # over whole columns once the run ends
+    f = sys.metric.f
+    u = sys.potential.u if sys.potential is not None else None
+    ts, rows, rs, frs, us = [], [], [], [], []
 
     def record(t, y):
-        st = PhaseState(np.array(y[:n], dtype=float), np.array(y[n:], dtype=float))
-        hs.append(hamiltonian(sys, st))  # first: a QuadratureError appends nothing
+        r = _radius(y[:n])
+        _check_domain(sys, r)
+        fr = f(r)
+        if u is not None:
+            us.append(u(r))
         ts.append(float(t))
-        states.append(st)
-        isets.append(integral_set(st, sys.b))
+        rows.append(y)
+        rs.append(r)
+        frs.append(fr)
 
     y0 = np.concatenate([s0.q, s0.p])
-    record(0.0, y0)
+    record(0.0, y0.tolist())
 
     if method == "adaptive":
         kernel = _kernel(sys, _make_rhs)
@@ -371,7 +409,7 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
                 if solver.status == "failed":
                     halted = f"step-size underflow: {msg}"
                     if solver.t > ts[-1]:  # last accepted state is still valid
-                        record(solver.t, solver.y)
+                        record(solver.t, solver.y.tolist())
                     break
                 steps += 1
                 # each attempted step costs the 12 stage evaluations of the
@@ -391,16 +429,22 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
                         else:
                             c = mid
                     t_hi = a
+                first = next_i
                 while next_i < samples and sample_ts[next_i] <= t_hi + 1e-12 * max(1.0, t_hi):
+                    next_i += 1
+                if next_i > first:
                     if dense is None:
                         dense = solver.dense_output()
-                    record(float(sample_ts[next_i]), dense(float(sample_ts[next_i])))
-                    next_i += 1
+                    # the interpolant is elementwise in t, so one call for
+                    # the step's samples gives the bits of one call each
+                    block = sample_ts[first:next_i]
+                    for t, y in zip(block.tolist(), dense(block).T.tolist()):
+                        record(t, y)
                 nfev_mark = solver.nfev  # dense output costs 3 extra evaluations
                 if reason is not None:
                     halted = reason
                     if t_hi > ts[-1] + 1e-12 * max(1.0, t_hi):
-                        record(t_hi, dense(t_hi))
+                        record(t_hi, dense(t_hi).tolist())
                     break
         except QuadratureError as exc:
             halted = f"quadrature failed: {exc}"
@@ -463,11 +507,23 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
         stats = {"steps": done, "nfev": nfev, "rejections": 0,
                  "max_fp_iterations": fp_worst}
 
-    towers = np.array([iset.left + iset.right for iset in isets])
-    series = {"H": np.array(hs), **dict(zip(isets[0].as_dict(), towers.T))}
+    y = np.array(rows)
+    q, p = y[:, :n], y[:, n:]
+    series = _audit(sys, q, p, np.array(rs), np.array(frs),
+                    np.array(us) if u is not None else None)
     drift = {name: _drift(vals) for name, vals in series.items()}
-    return TrajectoryRecord(np.asarray(ts), tuple(states), series, drift,
-                            stats, method, halted)
+    return TrajectoryRecord(np.array(ts), q, p, series, drift, stats, method,
+                            halted)
+
+
+def _audit(sys, q, p, r, fr, u) -> dict:
+    """H and both towers at every sample of a run, one column at a time: q
+    and p are (T, N) arrays, r, fr and u the columns of |q|, f(|q|) and
+    U(|q|) (u None without a potential).  A sample with q_i = 0 where
+    b_i != 0 raises SingularStateError, the first such sample named."""
+    _check_b(q, sys.b)
+    q, p = list(q.T), list(p.T)
+    return {"H": _energy(sys, q, p, r, fr, u), **_towers(q, p, sys.b).as_dict()}
 
 
 def conservation_report(rec: TrajectoryRecord, tol: float = 1e-7) -> dict:

@@ -560,15 +560,21 @@ def to_python(e: Expr, bindings: Mapping[str, float]) -> str:
     """Python source of e in the variable r, parameters baked in as float
     literals.  It calls only math.* and abs, so any code that binds r,
     math and abs can inline it; compile_expr and the generated Hamiltonian
-    kernels of dynamics both do."""
+    kernels of dynamics both do.  A non-finite constant or parameter value
+    has no literal and raises ExprError."""
     if isinstance(e, Const):
+        if not math.isfinite(e.value):
+            raise ExprError(f"constant {e.value} is not finite")
         return repr(e.value)
     if isinstance(e, Var):
         return "r"
     if isinstance(e, Param):
         if e.name not in bindings:
             raise ExprError(f"unbound parameter '{e.name}' at compile time")
-        return repr(float(bindings[e.name]))
+        value = float(bindings[e.name])
+        if not math.isfinite(value):
+            raise ExprError(f"parameter '{e.name}' = {value} is not finite")
+        return repr(value)
     if isinstance(e, Neg):
         return f"(-{to_python(e.arg, bindings)})"
     if isinstance(e, BinOp):

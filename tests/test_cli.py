@@ -476,6 +476,32 @@ def test_simulate_midpoint_axis_halt_flushes_partial_output(tmp_path, capsys):
     assert summary["conservation"]["halted"] == "singular-axis"
 
 
+def test_simulate_adaptive_axis_halt_flushes_partial_output(tmp_path, capsys):
+    # the adaptive run of test_halt_near_centrifugal_axis through the CLI:
+    # attractive b_1 < 0 pulls q_1 onto the singular axis before t_end
+    config = tmp_path / "axis.yaml"
+    config.write_text(
+        "space: {id: euclidean}\n"
+        "potential: none\n"
+        "b: [-0.5, 0.0, 0.0]\n"
+        "initial:\n"
+        "  cartesian: {q: [1.0, 0.8, 0.6], p: [-0.6, 0.0, 0.0]}\n"
+        "t_end: 5.0\n")
+    out_dir = tmp_path / "run"
+    code, _, err = run_cli(capsys, "simulate", "--config", str(config),
+                           "--out", str(out_dir))
+    assert code == 3
+    assert "integration halted:" in err
+    halted = json.loads((out_dir / "summary.json").read_text())[
+        "conservation"]["halted"]
+    assert halted == "singular-axis" or halted.startswith("step-size underflow")
+    data = np.loadtxt(str(out_dir / "trajectory.csv"), delimiter=",",
+                      skiprows=1, ndmin=2)
+    assert 2 <= data.shape[0] < 201
+    assert data[-1][0] < 5.0
+    assert abs(data[-1][1]) < 1e-6
+
+
 def test_simulate_summary_is_byte_deterministic(tmp_path, capsys):
     config = tmp_path / "kepler.yaml"
     config.write_text(KEPLER_YAML.replace("6.283185307179586", "1.0"))
@@ -550,6 +576,14 @@ def test_verify_impossible_tolerance_fails_with_exit_1(capsys):
     assert code == 1
     report = json.loads(out)
     assert report["pass"] is False
+
+
+@pytest.mark.parametrize("tol", ["inf", "-inf", "nan"])
+def test_verify_rejects_a_non_finite_tolerance(tol, capsys):
+    code, out, err = run_cli(capsys, "verify", "brackets", f"--tol={tol}")
+    assert code == 2
+    assert out == ""
+    assert "config error: tol must be" in err
 
 
 def test_verify_nan_residual_fails_its_check(monkeypatch, capsys):

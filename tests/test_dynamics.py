@@ -628,34 +628,83 @@ def test_halt_near_centrifugal_axis():
 
 
 def _tiny_record(times):
-    sys = SystemSpec(EUCLID, None, mu2=0.0, n=2)
-    states = tuple(PhaseState([1.0, 1.0], [0.0, 0.0]) for _ in times)
+    q = np.ones((len(times), 2))
     series = {"H": np.zeros(len(times)),
               "Cl2": np.zeros(len(times)), "Cr2": np.zeros(len(times))}
-    return TrajectoryRecord(np.asarray(times, dtype=float), states, series,
-                            {"H": 0.0}, {}, "adaptive")
+    return TrajectoryRecord(np.asarray(times, dtype=float), q, 0.0 * q,
+                            series, {"H": 0.0}, {}, "adaptive")
 
 
 def test_trajectory_record_validation():
     rec = _tiny_record([0.0, 1.0, 2.0])
     assert rec.final_state.radius == pytest.approx(math.sqrt(2.0))
     assert list(rec.series) == ["H", "Cl2", "Cr2"]
+    assert rec.q.shape == rec.p.shape == (3, 2)
+    assert len(rec.states) == 3 and rec.states is rec.states  # built once
+    assert all(isinstance(st, PhaseState) for st in rec.states)
     with pytest.raises(TypeError):
         rec.series["H"] = np.ones(3)                 # series are read-only
     with pytest.raises(ValueError):
         rec.series["Cl2"][0] = 1.0
     with pytest.raises(ValueError):
+        rec.q[0, 0] = 2.0                            # so are the states
+    with pytest.raises(ValueError):
         _tiny_record([0.0, 1.0, 0.5])
     with pytest.raises(ValueError):
         _tiny_record([])
-    sys = SystemSpec(EUCLID, None, mu2=0.0, n=2)
-    s = PhaseState([1.0, 1.0], [0.0, 0.0])
+    one = np.ones((1, 2))
     with pytest.raises(ValueError):
-        TrajectoryRecord(np.array([0.0]), (s,), {"H": np.zeros(1)},
+        TrajectoryRecord(np.array([0.0]), one, one, {"H": np.zeros(1)},
                          {"H": -1.0}, {}, "adaptive")
     with pytest.raises(ValueError):
-        TrajectoryRecord(np.array([0.0, 1.0]), (s, s), {"H": np.zeros(1)},
-                         {"H": 0.0}, {}, "adaptive")
+        TrajectoryRecord(np.array([0.0, 1.0]), np.ones((2, 2)),
+                         np.ones((2, 2)), {"H": np.zeros(1)}, {"H": 0.0}, {},
+                         "adaptive")
+    with pytest.raises(ValueError):
+        TrajectoryRecord(np.array([0.0, 1.0]), np.ones((1, 2)),
+                         np.ones((1, 2)), {"H": np.zeros(2)}, {"H": 0.0}, {},
+                         "adaptive")
+    with pytest.raises(ValueError):
+        TrajectoryRecord(np.array([0.0]), one, np.ones((1, 3)),
+                         {"H": np.zeros(1)}, {"H": 0.0}, {}, "adaptive")
+
+
+@pytest.mark.parametrize("method, n", [("adaptive", 8), ("midpoint", 3)])
+def test_column_audit_matches_the_scalar_audit_bit_for_bit(method, n):
+    # integrate computes H and both towers over whole columns after the run;
+    # every sample must carry exactly the values of the per-state functions
+    metric = metric_of("darboux3b")
+    b = (0.02, 0.03, 0.025, 0.015, 0.035, 0.02, 0.03, 0.025)[:n]
+    sys = SystemSpec(metric, kc_potential(metric, -1.0), mu2=0.3, b=b)
+    s0 = PhaseState([0.5, -0.45, 0.4, 0.42, -0.38, 0.35, 0.44, -0.41][:n],
+                    [0.1, 0.05, -0.08, 0.07, 0.02, -0.06, 0.09, 0.03][:n])
+    options = ({"samples": 301} if method == "adaptive"
+               else {"samples": 51, "step": 1e-3})
+    rec = integrate(sys, s0, 0.5, method=method, **options)
+    assert rec.halted is None and rec.times.size == options["samples"]
+    assert rec.q.shape == rec.p.shape == (rec.times.size, n)
+    assert set(rec.series) == {"H", *integral_set(s0, b).as_dict()}
+    for k, st in enumerate(rec.states):
+        assert st.q.tolist() == rec.q[k].tolist()
+        assert st.p.tolist() == rec.p[k].tolist()
+        expected = {"H": hamiltonian(sys, st), **integral_set(st, b).as_dict()}
+        for name, value in expected.items():
+            assert float(rec.series[name][k]).hex() == value.hex(), (k, name)
+
+
+def test_singular_state_check_names_the_first_offending_state():
+    sys = SystemSpec(EUCLID, None, mu2=0.0, b=(0.0, 0.5, 0.3))
+    s0 = PhaseState([1.0, 0.0, 0.5], [0.1, 0.2, 0.3])
+    for call in (lambda: hamiltonian(sys, s0), lambda: integral_set(s0, sys.b),
+                 lambda: integrate(sys, s0, 1.0)):
+        with pytest.raises(SingularStateError, match="q_1 = 0 with b_1 = 0.5"):
+            call()
+    # one state per row, as integrate checks its samples: the first row
+    # with a hit decides, not the lowest axis index
+    rows = np.array([[0.0, 1.0, 1.0], [1.0, 2.0, 0.0], [1.0, 0.0, 1.0]])
+    with pytest.raises(SingularStateError, match="q_2 = 0 with b_2 = 0.3"):
+        dynamics._check_b(rows, sys.b)
+    np.testing.assert_array_equal(dynamics._check_b(rows[:1], sys.b), sys.b)
 
 
 def test_integrate_argument_validation():

@@ -88,6 +88,12 @@ def test_unknown_id_and_unknown_parameter():
         catalog_lookup("euclidean", m=3)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_construction_rejects_a_non_finite_parameter(value):
+    with pytest.raises(ValueError, match="parameter 'w'.*not finite"):
+        MetricSpec.from_source("1 + w*r^2", params={"w": value})
+
+
 def test_construction_rejects_nonpositive_factor():
     with pytest.raises(MetricError):
         MetricSpec.from_source("ln(r)", domain=(0.1, math.inf))

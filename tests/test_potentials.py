@@ -179,6 +179,15 @@ def test_user_supplied_potential_from_source():
     assert "w" in format_expr(p.u_expr)
 
 
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_potential_spec_rejects_a_non_finite_parameter(value):
+    with pytest.raises(ValueError, match="parameter 'w'.*not finite"):
+        PotentialSpec.from_expr("w/(1 + r^2)", params={"w": value})
+    metric = catalog_lookup("euclidean")
+    with pytest.raises(ValueError, match="not finite"):
+        kc_potential(metric, value)
+
 # ---------------------------------------------------------------------------
 # named systems
 # ---------------------------------------------------------------------------
