@@ -33,7 +33,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import astuple
+from dataclasses import astuple, dataclass
 from functools import partial
 from itertools import combinations
 
@@ -317,23 +317,20 @@ def _build_initial(node) -> PhaseState:
         raise ConfigError(f"initial.spherical: {exc}") from exc
 
 
+@dataclass(frozen=True)
 class RunConfig:
     """A fully validated run: system, initial state, integrator settings."""
 
-    def __init__(self, system: SystemSpec, initial: PhaseState, t_end: float,
-                 method: str = "adaptive", rtol: float = 1e-10,
-                 atol: float = 1e-12, step: float = 1e-3, samples: int = 201,
-                 seed: int = 42, outdir: str | None = None):
-        self.system = system
-        self.initial = initial
-        self.t_end = t_end
-        self.method = method
-        self.rtol = rtol
-        self.atol = atol
-        self.step = step
-        self.samples = samples
-        self.seed = seed
-        self.outdir = outdir
+    system: SystemSpec
+    initial: PhaseState
+    t_end: float
+    method: str = "adaptive"
+    rtol: float = 1e-10
+    atol: float = 1e-12
+    step: float = 1e-3
+    samples: int = 201
+    seed: int = 42
+    outdir: str | None = None
 
 
 def build_config(data) -> RunConfig:
@@ -914,10 +911,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (MetricError, PotentialError, ChartError, ExprError,
+    except (ConfigError, MetricError, PotentialError, ChartError, ExprError,
             SingularStateError, DomainViolation) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -476,30 +476,25 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
                     else:
                         ynew = [y[j] + h * (2.0 * f1[j] - f2[j]) for j in range(m)]
                     evals, ynew, fm, error = solve(y, ynew, h, fp_tol, max_fp_iter)
-                    nfev += evals
-                    if error is not None:
-                        raise error
-                    if ynew is None:
-                        halted = "fixed-point iteration stalled"
-                        if (kstep - 1) * h > ts[-1]:
-                            record((kstep - 1) * h, y)
-                        break
-                    fp_worst = max(fp_worst, evals)
                 except (ValueError, ArithmeticError) as exc:
-                    halted = f"rhs evaluation failed: {exc}"
-                    if (kstep - 1) * h > ts[-1]:
+                    evals, error = 0, exc
+                nfev += evals
+                if isinstance(error, QuadratureError):
+                    raise error  # to the quadrature halt that record shares
+                if error is not None:
+                    halted = f"rhs evaluation failed: {error}"
+                elif ynew is None:
+                    halted = "fixed-point iteration stalled"
+                else:
+                    fp_worst = max(fp_worst, evals)
+                    f1, f2 = fm, f1
+                    done = kstep
+                    halted = violation(ynew)
+                if halted is not None:
+                    if (kstep - 1) * h > ts[-1]:  # keep the last valid state
                         record((kstep - 1) * h, y)
                     break
-                f1, f2 = fm, f1
-                prev = y
                 y = ynew
-                done = kstep
-                reason = violation(y)
-                if reason is not None:
-                    halted = reason
-                    if (kstep - 1) * h > ts[-1]:  # keep the last valid state
-                        record((kstep - 1) * h, prev)
-                    break
                 if kstep % stride == 0 or kstep == nsteps:
                     record(kstep * h, y)
         except QuadratureError as exc:

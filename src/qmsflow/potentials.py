@@ -19,6 +19,7 @@ multifold family satisfies when constants are shuffled between its terms.
 from __future__ import annotations
 
 import math
+import weakref
 from fractions import Fraction
 from typing import Callable, Mapping
 
@@ -66,10 +67,20 @@ _GREEN_FORMS = {
 }
 
 
+_CLOSED_FORMS = weakref.WeakKeyDictionary()
+
+
 def _closed_form(metric: MetricSpec) -> Expr | None:
-    """The registered closed-form U for the metric, or None.  A catalog id
-    counts only while f is the expression its catalog entry parses to: a
-    custom f under a catalog id gets the quadrature."""
+    """The registered closed-form U for the metric, or None, parsed once per
+    metric (a metric is fixed once built).  A catalog id counts only while f
+    is the expression its catalog entry parses to: a custom f under a
+    catalog id gets the quadrature."""
+    if metric not in _CLOSED_FORMS:
+        _CLOSED_FORMS[metric] = _parse_closed_form(metric)
+    return _CLOSED_FORMS[metric]
+
+
+def _parse_closed_form(metric: MetricSpec) -> Expr | None:
     if metric.id not in _GREEN_FORMS:
         return None
     names = set(metric.params)

@@ -255,6 +255,28 @@ def test_left_and_right_families_internally_in_involution():
                     assert abs(val) <= 1e-5 * scale
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_left_and_right_towers_commute_only_on_disjoint_axes(n):
+    # C^(m) lives on axes 1..m and C_(k) on axes N-k+1..N: the two commute
+    # when the sets are disjoint (m + k <= N) and generically not otherwise,
+    # while the shared top member C^(N) = C_(N) commutes with both towers
+    rng = np.random.default_rng(60 + n)
+    for _ in range(20):
+        s = random_state(rng, n, p_scale=2.0)
+        b = rng.uniform(0.2, 2.0, n)
+        towers = integral_set(s, b)
+        matrix = poisson_bracket(lambda st: integral_set(st, b).left,
+                                 lambda st: integral_set(st, b).right, s)
+        for m in range(2, n + 1):
+            for k in range(2, n + 1):
+                left, right = towers.left[m - 2], towers.right[k - 2]
+                rel = abs(matrix[m - 2, k - 2]) / (1 + abs(left) + abs(right))
+                if m == n or k == n or m + k <= n:
+                    assert rel <= 1e-5, (m, k, rel)
+                else:
+                    assert rel > 1e-4, (m, k, rel)
+
+
 def test_fd_gradient_against_hand_gradient():
     # F = q1^2 p2 + p1^3 has dF/dq = (2 q1 p2, 0), dF/dp = (3 p1^2, q1^2)
     s = PhaseState([1.5, -0.5], [2.0, 0.75])

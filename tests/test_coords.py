@@ -8,7 +8,6 @@ from qmsflow.algebra import (
     SingularStateError,
     angular_momentum_sq,
     casimir_right,
-    fd_gradient,
     poisson_bracket,
     sl2_realize,
 )
@@ -265,36 +264,6 @@ def test_monopole_enters_only_through_top_integral():
 # structural properties of the chart
 # ---------------------------------------------------------------------------
 
-def _packed(st):
-    # (r, theta; p_r, p_theta) packed into a generic PhaseState so the
-    # finite-difference bracket engine can act on spherical functions
-    return SphericalPhaseState(st.q[0], st.q[1:], st.p[0], st.p[1:])
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_chart_is_canonical(n):
-    rng = np.random.default_rng(100 + n)
-    for _ in range(2):
-        s = random_spherical(rng, n)
-        packed = PhaseState(np.concatenate([[s.r], s.theta]),
-                            np.concatenate([[s.p_r], s.p_theta]))
-        fns = [lambda st, i=i: float(to_cartesian(_packed(st)).q[i]) for i in range(n)]
-        fns += [lambda st, i=i: float(to_cartesian(_packed(st)).p[i]) for i in range(n)]
-        grads = [np.concatenate(fd_gradient(f, packed)) for f in fns]
-
-        def bracket(a, c):
-            ga, gc = grads[a], grads[c]
-            return float(ga[:n] @ gc[n:] - gc[:n] @ ga[n:])
-
-        for i in range(n):
-            for j in range(n):
-                assert bracket(i, n + j) == pytest.approx(
-                    1.0 if i == j else 0.0, abs=1e-6)
-                if j > i:
-                    assert bracket(i, j) == pytest.approx(0.0, abs=1e-6)
-                    assert bracket(n + i, n + j) == pytest.approx(0.0, abs=1e-6)
-
-
 def test_kinetic_energy_is_chart_invariant():
     metric = catalog_lookup("darboux3b", {"k": 2.0})
     rng = np.random.default_rng(67)
@@ -354,35 +323,3 @@ def test_top_integral_supplants_angular_momentum():
         assert abs(val) <= 1e-5 * (1 + abs(h(s)) + abs(c_n(s)))
         worst_lsq = max(worst_lsq, abs(poisson_bracket(h, angular_momentum_sq, s)))
     assert worst_lsq > 1e-3  # generically broken
-
-
-def _jplus_l2_bracket_closed_form(s, b):
-    # closed form of {J+, L^2} in spherical variables
-    n = s.n
-    sins, coss = np.sin(s.theta), np.cos(s.theta)
-    total = 0.0
-    for j in range(n - 1):
-        tan = sins[j] / coss[j]
-        lead = s.p_theta[j] / (sins[j] ** 2 * tan * float(np.prod(sins[:j] ** 4)))
-        inner = b[j] * tan ** 4
-        prod = 1.0
-        for l in range(j + 1, n - 1):
-            inner -= b[l] / (coss[l] ** 2 * prod)
-            prod *= sins[l] ** 2
-        inner -= b[n - 1] / prod
-        total += lead * inner
-    return 4.0 * total / s.r ** 2
-
-
-def test_jplus_l2_bracket_closed_form():
-    rng = np.random.default_rng(83)
-    for _ in range(20):
-        b = rng.uniform(0.2, 2.0, 3)
-        theta = rng.uniform(0.3, 1.2, 2)  # clear of both tan poles
-        s = SphericalPhaseState(rng.uniform(0.5, 2.0), theta,
-                                rng.uniform(-2, 2), rng.uniform(-2, 2, 2))
-        c = to_cartesian(s)
-        jp = lambda st: sl2_realize(st, b).jplus
-        num = poisson_bracket(jp, angular_momentum_sq, c)
-        ref = _jplus_l2_bracket_closed_form(s, b)
-        assert abs(num - ref) <= 1e-5 * (1 + abs(ref))

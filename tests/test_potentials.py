@@ -138,30 +138,6 @@ def test_catalog_kc_and_oscillator_columns():
             assert abs(osc.u(r) - want) <= 1e-12 * max(1, abs(want)), mid
 
 
-def test_green_function_is_harmonic_on_every_catalog_space():
-    # (1/(r^2 f^3)) d/dr (r^2 f U') must vanish identically.  The check is
-    # windowed to radii in [0.1, 10]: outside that, the 1/(r^2 f^3)
-    # prefactor can exceed 1e5 and double-precision rounding noise alone
-    # swamps an absolute 1e-7 bound.
-    for mid in CATALOG:
-        metric = metric_of(mid)
-        pot = kc_potential(metric, 1.0)
-        fl = lambda r: r * r * metric.f(r) * pot.du(r)
-        lo, hi = metric.domain
-        window = (max(lo, 0.1), min(hi, 10.0))
-        assert window[0] < window[1]
-        for r in sample_radii(window, 32):
-            r = float(r)
-            # r^2 f U' is constant for a harmonic U, so a wide step costs
-            # no truncation and keeps the FD rounding noise small.
-            h = 1e-4 * max(1.0, r)
-            coarse = (fl(r + h) - fl(r - h)) / (2 * h)
-            fine = (fl(r + 0.5 * h) - fl(r - 0.5 * h)) / h
-            outer = (4.0 * fine - coarse) / 3.0
-            lap = outer / (r * r * metric.f(r) ** 3)
-            assert abs(lap) <= 1e-7, (mid, r, lap)
-
-
 def test_potential_spec_rejects_inconsistent_derivative():
     with pytest.raises(PotentialError):
         PotentialSpec(lambda r: r * r, lambda r: 3.0 * r, "user-supplied",
