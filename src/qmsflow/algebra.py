@@ -23,7 +23,6 @@ step h_i = 1e-6 * max(1, |x_i|).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -200,16 +199,18 @@ def _towers(q: Sequence, p: Sequence, b: Sequence[float]) -> IntegralSet:
 # ---------------------------------------------------------------------------
 
 _EPS = 1e-6
+_RANK_THRESHOLD = 1e-8
 
 
 def fd_gradient(fn: Callable[[PhaseState], float | Sequence[float]],
-                s: PhaseState, eps: float = _EPS) -> tuple[np.ndarray, np.ndarray]:
+                s: PhaseState) -> tuple[np.ndarray, np.ndarray]:
     """(dF/dq, dF/dp) by central differences with one Richardson level.
 
-    Per-coordinate step h_i = eps * max(1, |x_i|); the extrapolation
-    (4 D(h/2) - D(h))/3 cancels the leading h^2 truncation term.  A scalar
-    fn gives two N-vectors; a fn returning m values gives two contiguous
-    (m, N) arrays, row a the gradient of value a, from one stencil sweep.
+    Per-coordinate step h_i = _EPS * max(1, |x_i|) with _EPS = 1e-6; the
+    extrapolation (4 D(h/2) - D(h))/3 cancels the leading h^2 truncation
+    term.  A scalar fn gives two N-vectors; a fn returning m values gives two
+    contiguous (m, N) arrays, row a the gradient of value a, from one stencil
+    sweep.
     Evaluation failures at stencil points (domain exits, centrifugal
     singularities) propagate to the caller.
     """
@@ -221,7 +222,7 @@ def fd_gradient(fn: Callable[[PhaseState], float | Sequence[float]],
         return np.asarray(fn(PhaseState(vec[:n], vec[n:])), dtype=float)
 
     for i in range(2 * n):
-        h = eps * max(1.0, abs(x[i]))
+        h = _EPS * max(1.0, abs(x[i]))
         d = np.zeros_like(x)
         d[i] = h
         coarse = (feval(x + d) - feval(x - d)) / (2 * h)
@@ -235,28 +236,28 @@ def fd_gradient(fn: Callable[[PhaseState], float | Sequence[float]],
 
 def poisson_bracket(f: Callable[[PhaseState], float | Sequence[float]],
                     g: Callable[[PhaseState], float | Sequence[float]],
-                    s: PhaseState, eps: float = _EPS) -> float | np.ndarray:
+                    s: PhaseState) -> float | np.ndarray:
     """{F, G} = sum_i (dF/dq_i dG/dp_i - dG/dq_i dF/dp_i), numerically.
 
     For vector-valued f and g the result is the matrix {f_a, g_c}; with
     g is f the gradients are taken once.
     """
-    fq, fp = fd_gradient(f, s, eps)
-    gq, gp = (fq, fp) if g is f else fd_gradient(g, s, eps)
+    fq, fp = fd_gradient(f, s)
+    gq, gp = (fq, fp) if g is f else fd_gradient(g, s)
     out = fq @ gp.T - (gq @ fp.T).T
     return float(out) if out.ndim == 0 else out
 
 
 def independence_rank(fn: Callable[[PhaseState], Sequence[float]],
-                      s: PhaseState, threshold: float = 1e-8) -> int:
+                      s: PhaseState) -> int:
     """Numerical rank of the Jacobian of the values of fn at s.
 
-    Rank counts singular values above threshold * (largest singular value);
-    gradients use the same finite-difference scheme as poisson_bracket.  The
-    threshold sits an order of magnitude above the ~1e-7 noise floor of the
-    gradients.
+    Rank counts singular values above _RANK_THRESHOLD = 1e-8 times the largest
+    one; gradients use the same finite-difference scheme as poisson_bracket.
+    The threshold sits an order of magnitude above the ~1e-7 noise floor of
+    the gradients.
     """
     sv = np.linalg.svd(np.hstack(fd_gradient(fn, s)), compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
-    return int(np.sum(sv > threshold * sv[0]))
+    return int(np.sum(sv > _RANK_THRESHOLD * sv[0]))

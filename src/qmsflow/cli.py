@@ -74,7 +74,6 @@ from .potentials import (
     PotentialSpec,
     QuadratureError,
     SystemSpec,
-    catalog_green_form,
     decomposition_identities,
     green_function,
     kc_potential,
@@ -535,6 +534,8 @@ def _check_entry(name: str, residuals, tol: float) -> dict:
 
 
 def _report(suite: str, seed: int, n: int, checks: list) -> dict:
+    # a check with no points (no index triples at N = 2, say) checked nothing
+    checks = [c for c in checks if c["points"]]
     return {"suite": suite, "seed": int(seed), "dimension": int(n),
             "checks": checks, "pass": all(c["pass"] for c in checks)}
 
@@ -795,7 +796,7 @@ def _cmd_catalog(args) -> int:
     entry = CATALOG[mid]
     metric = catalog_lookup(mid)
     lo, hi = metric.domain
-    form = catalog_green_form(mid)
+    form = entry.green_source
     print(f"space: {mid}")
     print(f"  {entry.description}")
     print(f"  f(r) = {entry.f_source}")

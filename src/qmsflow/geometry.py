@@ -12,12 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
 
 from . import exprlang
-from .exprlang import Expr, compile_expr, differentiate
+from .exprlang import Expr, ExprError, compile_expr, differentiate
 
 __all__ = [
     "MetricSpec", "MetricError", "DomainViolation", "SpaceCatalogEntry",
@@ -35,22 +36,25 @@ class DomainViolation(ValueError):
     """Radius outside the metric's open domain."""
 
 
-def sample_radii(domain: tuple[float, float], n: int = 64, margin: float = 1e-3) -> np.ndarray:
+_MARGIN = 1e-3
+
+
+def sample_radii(domain: tuple[float, float], n: int = 64) -> np.ndarray:
     """n sample radii strictly inside an open interval.
 
-    Bounded intervals are sampled uniformly with a relative end margin;
-    intervals unbounded above are sampled geometrically over three decades
-    anchored just inside the lower end.
+    Bounded intervals are sampled uniformly with a relative end margin of
+    _MARGIN = 1e-3; intervals unbounded above are sampled geometrically over
+    three decades anchored just inside the lower end (lo * (1 + _MARGIN)).
     """
     lo, hi = domain
     if math.isinf(hi):
-        start = 1e-2 if lo == 0.0 else lo * (1.0 + margin)
+        start = 1e-2 if lo == 0.0 else lo * (1.0 + _MARGIN)
         stop = max(1e3, 1e3 * start)
         return np.geomspace(start, stop, n)
     width = hi - lo
     if width <= 0:
         raise MetricError(f"empty domain ({lo}, {hi})")
-    return np.linspace(lo + margin * width, hi - margin * width, n)
+    return np.linspace(lo + _MARGIN * width, hi - _MARGIN * width, n)
 
 
 class MetricSpec:
@@ -102,6 +106,22 @@ class MetricSpec:
         """Raw (f, f', f'') callables without the domain check, for hot loops
         whose driver enforces the domain itself."""
         return self._f, self._fp, self._fpp
+
+    @cached_property
+    def green_expr(self) -> Expr | None:
+        """The catalog's closed-form Green function U(r), parsed once, or None:
+        a catalog id counts only while f is the f its entry parses to under
+        this metric's parameter names (any other f gets the quadrature)."""
+        entry = CATALOG.get(self.id)
+        if entry is None:
+            return None
+        names = set(self.params)
+        try:
+            if exprlang.parse(entry.f_source, params=names) != self.f_expr:
+                return None
+        except ExprError:
+            return None
+        return exprlang.parse(entry.green_source, params=names)
 
     def __repr__(self):
         ps = ", ".join(f"{k}={v}" for k, v in self.params.items())
@@ -200,9 +220,12 @@ def geodesic_radius_inverse(kappa: float, r: float) -> float:
 
 @dataclass(frozen=True)
 class SpaceCatalogEntry:
+    """A named space: f and its Green function U = int dr/(r^2 f), as sources."""
+
     id: str
     description: str
     f_source: str
+    green_source: str
     defaults: Mapping[str, object]
     domain_note: str
 
@@ -223,30 +246,32 @@ def _as_fraction(v) -> Fraction:
 CATALOG: dict[str, SpaceCatalogEntry] = {}
 
 
-def _entry(id, description, f_source, defaults, domain_note):
-    CATALOG[id] = SpaceCatalogEntry(id, description, f_source, defaults, domain_note)
+def _entry(id, *fields):
+    CATALOG[id] = SpaceCatalogEntry(id, *fields)
 
 
-_entry("euclidean", "Flat Euclidean space", "1", {}, "r > 0")
+_entry("euclidean", "Flat Euclidean space", "1", "-1/r", {}, "r > 0")
 _entry("spherical", "Sphere of curvature +1 in stereographic radial coordinate",
-       "2/(1+r^2)", {}, "r > 0")
+       "2/(1+r^2)", "(r^2 - 1)/r", {}, "r > 0")
 _entry("hyperbolic", "Hyperbolic space of curvature -1 (Poincare ball)",
-       "2/(1-r^2)", {}, "0 < r < 1")
-_entry("darboux1", "Darboux space of type I", "sqrt(ln(r))/r", {}, "r > 1 (f real and positive)")
-_entry("darboux2", "Darboux space of type II", "sqrt(1+ln(r)^2)/(r*abs(ln(r)))", {},
-       "r > 1 (outer branch; the metric is also defined on 0 < r < 1)")
-_entry("darboux3a", "Darboux space of type IIIa", "sqrt(1+r)/r^2", {}, "r > 0")
-_entry("darboux3b", "Darboux space of type IIIb", "sqrt(k+r^2)", {"k": 1.0},
+       "2/(1-r^2)", "-(r^2 + 1)/r", {}, "0 < r < 1")
+_entry("darboux1", "Darboux space of type I", "sqrt(ln(r))/r", "sqrt(ln(r))", {},
+       "r > 1 (f real and positive)")
+_entry("darboux2", "Darboux space of type II", "sqrt(1+ln(r)^2)/(r*abs(ln(r)))",
+       "sqrt(1 + ln(r)^2)", {}, "r > 1 (outer branch; the metric is also defined on 0 < r < 1)")
+_entry("darboux3a", "Darboux space of type IIIa", "sqrt(1+r)/r^2", "sqrt(1 + r)", {}, "r > 0")
+_entry("darboux3b", "Darboux space of type IIIb", "sqrt(k+r^2)", "sqrt(k + r^2)/r", {"k": 1.0},
        "r > 0 for k >= 0; r > sqrt(-k) for k < 0")
 _entry("darboux4", "Darboux space of type IV",
-       "sqrt(a+cos(ln(r)))/(r*abs(sin(ln(r))))", {"a": 2.0},
+       "sqrt(a+cos(ln(r)))/(r*abs(sin(ln(r))))", "sqrt(a + cos(ln(r)))", {"a": 2.0},
        "principal interval 0 < ln r < pi, shortened so that a + cos(ln r) > 0; needs a > -1")
-_entry("taub-nut", "Taub-NUT space", "sqrt((4*m+r)/r)", {"m": 1.0}, "r > 0, m > 0")
-_entry("nu-fold", "nu-fold Kepler space with a != 0",
-       "sqrt(a+b*r^(1/nu))*r^(1/(2*nu)-1)", {"a": 1.0, "b": 1.0, "nu": Fraction(2)},
+_entry("taub-nut", "Taub-NUT space", "sqrt((4*m+r)/r)", "sqrt(4*m/r + 1)", {"m": 1.0},
+       "r > 0, m > 0")
+_entry("nu-fold", "nu-fold Kepler space with a != 0", "sqrt(a+b*r^(1/nu))*r^(1/(2*nu)-1)",
+       "sqrt(a*r^(-(1/nu)) + b)", {"a": 1.0, "b": 1.0, "nu": Fraction(2)},
        "interval where a + b r^(1/nu) > 0; nu rational > 0")
 _entry("nu-fold-a0", "nu-fold Kepler space with a = 0",
-       "r^(1/nu-1)", {"nu": Fraction(2)}, "r > 0; nu rational > 0")
+       "r^(1/nu-1)", "-r^(-(1/nu))", {"nu": Fraction(2)}, "r > 0; nu rational > 0")
 
 
 def catalog_ids() -> list[str]:
@@ -300,9 +325,7 @@ def catalog_lookup(id: str, params: Mapping | None = None, **kw) -> MetricSpec:
     domain = (0.0, math.inf)
     if id == "hyperbolic":
         domain = (0.0, 1.0)
-    elif id == "darboux1":
-        domain = (1.0, math.inf)
-    elif id == "darboux2":
+    elif id in ("darboux1", "darboux2"):
         domain = (1.0, math.inf)
     elif id == "darboux3b":
         k = float(values["k"])

@@ -6,10 +6,10 @@ The radial Green function
 
 defined up to affine constants, generates the two distinguished potentials on
 any of these spaces: the intrinsic Kepler-Coulomb potential alpha*U and the
-intrinsic oscillator beta/U^2.  Catalog metrics carry registered closed forms
-(constants absorbed); everything else falls back to adaptive quadrature
-anchored at U(r0) = 0, r0 the domain midpoint.  The two conventions differ by
-an affine map, which the coupling constants absorb.
+intrinsic oscillator beta/U^2.  Catalog metrics carry closed forms
+(MetricSpec.green_expr, constants absorbed); everything else falls back to
+adaptive quadrature anchored at U(r0) = 0, r0 the domain midpoint.  The two
+conventions differ by an affine map, which the coupling constants absorb.
 
 Also here: assembled named systems (MIC-Kepler flat/curved, Taub-NUT,
 multifold Kepler) and numerical checks of the algebraic identities that the
@@ -19,7 +19,6 @@ multifold family satisfies when constants are shuffled between its terms.
 from __future__ import annotations
 
 import math
-import weakref
 from fractions import Fraction
 from typing import Callable, Mapping
 
@@ -28,13 +27,13 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from . import exprlang
-from .exprlang import (BinOp, Const, Expr, ExprError, Pow, Var, compile_expr,
-                       differentiate, format_expr)
-from .geometry import CATALOG, MetricSpec, _as_fraction, catalog_lookup, sample_radii
+from .exprlang import (BinOp, Const, Expr, Pow, Var, compile_expr, differentiate,
+                       format_expr)
+from .geometry import MetricSpec, _as_fraction, catalog_lookup, sample_radii
 
 __all__ = [
     "PotentialError", "QuadratureError", "PotentialSpec", "SystemSpec",
-    "green_function", "catalog_green_form", "kc_potential",
+    "green_function", "kc_potential",
     "oscillator_potential", "named_system", "decomposition_identities",
     "NAMED_SYSTEMS",
 ]
@@ -49,48 +48,7 @@ class QuadratureError(RuntimeError):
 
 
 _PROVENANCES = ("closed-form-catalog", "quadrature-backed", "user-supplied")
-
-# Registered Green functions for the metric catalog, constants absorbed.
-# Each source uses the same parameter names as the metric it belongs to.
-_GREEN_FORMS = {
-    "euclidean": "-1/r",
-    "spherical": "(r^2 - 1)/r",
-    "hyperbolic": "-(r^2 + 1)/r",
-    "darboux1": "sqrt(ln(r))",
-    "darboux2": "sqrt(1 + ln(r)^2)",
-    "darboux3a": "sqrt(1 + r)",
-    "darboux3b": "sqrt(k + r^2)/r",
-    "darboux4": "sqrt(a + cos(ln(r)))",
-    "taub-nut": "sqrt(4*m/r + 1)",
-    "nu-fold": "sqrt(a*r^(-(1/nu)) + b)",
-    "nu-fold-a0": "-r^(-(1/nu))",
-}
-
-
-_CLOSED_FORMS = weakref.WeakKeyDictionary()
-
-
-def _closed_form(metric: MetricSpec) -> Expr | None:
-    """The registered closed-form U for the metric, or None, parsed once per
-    metric (a metric is fixed once built).  A catalog id counts only while f
-    is the expression its catalog entry parses to: a custom f under a
-    catalog id gets the quadrature."""
-    if metric not in _CLOSED_FORMS:
-        _CLOSED_FORMS[metric] = _parse_closed_form(metric)
-    return _CLOSED_FORMS[metric]
-
-
-def _parse_closed_form(metric: MetricSpec) -> Expr | None:
-    if metric.id not in _GREEN_FORMS:
-        return None
-    names = set(metric.params)
-    try:
-        catalog_f = exprlang.parse(CATALOG[metric.id].f_source, params=names)
-    except ExprError:
-        return None
-    if catalog_f != metric.f_expr:
-        return None
-    return exprlang.parse(_GREEN_FORMS[metric.id], params=names)
+_FD_POINTS = 8
 
 
 def _metric_bindings(metric: MetricSpec) -> dict:
@@ -106,10 +64,10 @@ def _anchor(domain) -> float:
     return 1.0 if lo == 0.0 else lo * math.e
 
 
-def _fd_consistency(u: Callable, du: Callable, domain, what: str, npts: int = 8):
-    # finite-difference spot check with one Richardson level
-    grid = sample_radii(domain, 4 * npts + 1)
-    for r in grid[2:-2:4][:npts]:
+def _fd_consistency(u: Callable, du: Callable, domain, what: str):
+    # finite-difference spot check, one Richardson level, at _FD_POINTS = 8 radii
+    grid = sample_radii(domain, 4 * _FD_POINTS + 1)
+    for r in grid[2:-2:4][:_FD_POINTS]:
         h = 1e-6 * max(1.0, abs(r))
         coarse = (u(r + h) - u(r - h)) / (2 * h)
         fine = (u(r + 0.5 * h) - u(r - 0.5 * h)) / h
@@ -136,7 +94,7 @@ class PotentialSpec:
                  u_expr: Expr | None = None, du_expr: Expr | None = None,
                  params: Mapping | None = None,
                  alpha: float = 0.0, beta: float = 0.0, gamma: float = 0.0,
-                 domain=(0.0, math.inf), note: str = ""):
+                 domain=(0.0, math.inf)):
         if provenance not in _PROVENANCES:
             raise PotentialError(f"unknown provenance {provenance!r}")
         lo, hi = float(domain[0]), float(domain[1])
@@ -152,7 +110,6 @@ class PotentialSpec:
         self.beta = float(beta)
         self.gamma = float(gamma)
         self.domain = (lo, hi)
-        self.note = note
         _fd_consistency(self._u, self._du, self.domain, f"potential ({provenance})")
 
     @classmethod
@@ -191,25 +148,17 @@ def _quad_green(metric: MetricSpec, r: float, r0: float) -> float:
     return float(out[0])
 
 
-def catalog_green_form(metric_id: str) -> str:
-    """Source string of the closed-form U(r) registered for a catalog space."""
-    if metric_id not in _GREEN_FORMS:
-        raise PotentialError(
-            f"no closed-form green function registered for '{metric_id}'")
-    return _GREEN_FORMS[metric_id]
-
-
 def green_function(metric: MetricSpec, r: float, method: str = "auto") -> float:
     """U(r) for the given metric.
 
-    method="auto" returns the registered closed form verbatim for a catalog
-    space (see _closed_form), otherwise (or with method="quadrature") an
-    adaptive-quadrature value anchored at U(r0) = 0, r0 = _anchor(domain).
+    method="auto" returns the catalog's closed form verbatim when the metric
+    has one (MetricSpec.green_expr), otherwise (or with method="quadrature")
+    an adaptive-quadrature value anchored at U(r0) = 0, r0 = _anchor(domain).
     """
     metric.check_domain(r)
     if method not in ("auto", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
-    expr = _closed_form(metric) if method == "auto" else None
+    expr = metric.green_expr if method == "auto" else None
     if expr is not None:
         return exprlang.evaluate(expr, r, _metric_bindings(metric))
     return _quad_green(metric, r, _anchor(metric.domain))
@@ -219,35 +168,28 @@ def green_function(metric: MetricSpec, r: float, method: str = "auto") -> float:
 # KC and oscillator constructors
 # ---------------------------------------------------------------------------
 
-def _green_spec_parts(metric: MetricSpec):
-    """(u_expr or None, u callable, du callable, provenance) for U itself."""
-    expr = _closed_form(metric)
-    if expr is not None:
-        binds = _metric_bindings(metric)
-        dexpr = differentiate(expr)
-        return expr, compile_expr(expr, binds), compile_expr(dexpr, binds), \
-            "closed-form-catalog"
+def _quadrature_pair(metric: MetricSpec):
+    """(U, U') by quadrature: U anchored at U(r0) = 0, U' = 1/(r^2 f)."""
     r0 = _anchor(metric.domain)
     f = metric.compiled()[0]
-    return None, (lambda r: _quad_green(metric, r, r0)), \
-        (lambda r: 1.0 / (r * r * f(r))), "quadrature-backed"
+    return (lambda r: _quad_green(metric, r, r0)), (lambda r: 1.0 / (r * r * f(r)))
 
 
 def kc_potential(metric: MetricSpec, alpha: float, gamma: float = 0.0) -> PotentialSpec:
     """Intrinsic Kepler-Coulomb potential alpha * U(r) (+ optional shift)."""
-    expr, u, du, provenance = _green_spec_parts(metric)
-    alpha = float(alpha)
-    gamma = float(gamma)
+    expr = metric.green_expr
+    alpha, gamma = float(alpha), float(gamma)
     if expr is not None:
         out = BinOp("*", Const(alpha), expr) if alpha != 1.0 else expr
         if gamma != 0.0:
             out = BinOp("+", out, Const(gamma))
         return PotentialSpec.from_expr(out, params=metric.params,
-                                       provenance=provenance, alpha=alpha,
+                                       provenance="closed-form-catalog", alpha=alpha,
                                        gamma=gamma, domain=metric.domain)
+    u, du = _quadrature_pair(metric)
     return PotentialSpec(lambda r: alpha * u(r) + gamma,
                          lambda r: alpha * du(r),
-                         provenance, alpha=alpha, gamma=gamma,
+                         "quadrature-backed", alpha=alpha, gamma=gamma,
                          domain=metric.domain)
 
 
@@ -289,20 +231,23 @@ def oscillator_potential(metric: MetricSpec, beta: float, gamma: float = 0.0) ->
     Zero crossings of U split the metric domain; the potential's domain is
     the subinterval containing the metric domain's midpoint.
     """
-    expr, u, du, provenance = _green_spec_parts(metric)
-    beta = float(beta)
-    gamma = float(gamma)
+    expr = metric.green_expr
+    beta, gamma = float(beta), float(gamma)
+    if expr is not None:
+        u = compile_expr(expr, _metric_bindings(metric))
+    else:
+        u, du = _quadrature_pair(metric)
     sub = _positive_subdomain(u, metric.domain, f"oscillator on '{metric.id}'")
     if expr is not None:
         out = BinOp("/", Const(beta), Pow(expr, Const(2.0)))
         if gamma != 0.0:
             out = BinOp("+", out, Const(gamma))
         return PotentialSpec.from_expr(out, params=metric.params,
-                                       provenance=provenance, beta=beta,
+                                       provenance="closed-form-catalog", beta=beta,
                                        gamma=gamma, domain=sub)
     return PotentialSpec(lambda r: beta / u(r) ** 2 + gamma,
                          lambda r: -2.0 * beta * du(r) / u(r) ** 3,
-                         provenance, beta=beta, gamma=gamma, domain=sub)
+                         "quadrature-backed", beta=beta, gamma=gamma, domain=sub)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qmsflow.algebra import (
-    IntegralSet,
     PhaseState,
     Sl2Triple,
     SingularStateError,

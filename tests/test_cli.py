@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import qmsflow
 from qmsflow.cli import ConfigError, VERIFY_SUITES, build_config, main
@@ -174,6 +175,22 @@ def test_config_named_system_replaces_space_and_couplings():
         build_config({**data, "space": {"id": "euclidean"}})
     with pytest.raises(ConfigError, match="remove the 'b' key"):
         build_config({**data, "b": [0.0, 0.0, 0.0]})
+
+
+def test_readme_yaml_examples_build():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = [yaml.safe_load(block.split("```")[0]) for block in
+              readme.read_text(encoding="utf-8").split("```yaml\n")[1:]]
+    assert len(blocks) == 2
+    config, named = blocks
+    cfg = build_config(config)
+    assert cfg.system.metric.id == "darboux3b" and cfg.system.n == 3
+    # the named-system block stands in for the space and its couplings
+    for key in ("space", "mu2", "b", "potential"):
+        del config[key]
+    cfg = build_config({**config, **named})
+    assert cfg.system.label == "mic-kepler"
+    assert (cfg.system.potential.alpha, cfg.system.mu2) == (2.0, 0.5)
 
 
 def test_config_rejects_singular_initial_state():
@@ -550,6 +567,26 @@ def test_verify_suites_pass_with_default_settings(suite, capsys):
         assert check["pass"] is True
         assert check["points"] > 0
         assert check["max_residual"] <= check["tolerance"]
+
+
+def test_verify_at_n2_lists_only_checks_with_points(tmp_path, capsys):
+    # at N = 2 there are no index triples for so(n) closure and each tower
+    # has one member, so those checks have nothing to check and are left out
+    config = tmp_path / "n2.yaml"
+    config.write_text("space: {id: euclidean}\npotential: none\n"
+                      "initial: {cartesian: {q: [1.0, 0.2], p: [0.1, -0.2]}}\n"
+                      "t_end: 1.0\nseed: 1\n")
+    listed = {}
+    for suite in VERIFY_SUITES:
+        code, out, _ = run_cli(capsys, "verify", suite, "--config", str(config))
+        report = json.loads(out)
+        assert code == 0 and report["dimension"] == 2
+        assert report["checks"], suite
+        for check in report["checks"]:
+            assert check["points"] > 0, (suite, check["check"])
+        listed[suite] = [check["check"] for check in report["checks"]]
+    assert listed["brackets"] == ["sl2-closure"]
+    assert listed["involution"] == ["hamiltonian-vs-integrals"]
 
 
 def test_verify_reports_are_byte_deterministic(tmp_path, capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qmsflow.geometry import (
-    CATALOG, DomainViolation, MetricError, MetricSpec, catalog_ids,
+    DomainViolation, MetricError, MetricSpec, catalog_ids,
     catalog_lookup, geodesic_radius_inverse, geodesic_radius_map,
     sample_radii, scalar_curvature,
 )

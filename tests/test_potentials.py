@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qmsflow import exprlang
 from qmsflow.algebra import PhaseState
 from qmsflow.exprlang import format_expr
 from qmsflow.geometry import CATALOG, DomainViolation, MetricSpec, catalog_lookup, sample_radii
@@ -57,6 +58,47 @@ def test_green_function_closed_forms():
     assert green_function(metric_of("hyperbolic"), 0.5) == pytest.approx(-2.5)
     with pytest.raises(DomainViolation):
         green_function(metric_of("hyperbolic"), 1.5)
+
+
+def test_every_catalog_metric_carries_its_closed_form():
+    for mid, entry in CATALOG.items():
+        metric = catalog_lookup(mid)
+        assert metric.green_expr == exprlang.parse(entry.green_source,
+                                                   params=set(metric.params)), mid
+
+
+def test_green_expr_is_none_off_the_catalog():
+    assert MetricSpec.from_source("2/(1+r^2)").green_expr is None
+    # a catalog id on another f
+    assert MetricSpec.from_source("2/(1+r^2)", id="euclidean").green_expr is None
+
+
+def test_green_expr_follows_the_metric_parameters():
+    metric = MetricSpec.from_source("sqrt(k+r^2)", params={"k": 4.0}, id="darboux3b")
+    assert metric.green_expr == exprlang.parse("sqrt(k + r^2)/r", params={"k"})
+    assert green_function(metric, 2.0) == math.sqrt(8.0) / 2.0
+    # without a parameter named k the catalog f does not parse: no closed form
+    metric = MetricSpec.from_source("sqrt(2+r^2)", id="darboux3b")
+    assert metric.green_expr is None
+    assert kc_potential(metric, 1.0).provenance == "quadrature-backed"
+
+
+def test_green_function_parses_the_green_source_once_per_metric(monkeypatch):
+    metric = catalog_lookup("taub-nut")
+    source = CATALOG["taub-nut"].green_source
+    seen = []
+    real = exprlang.parse
+
+    def parse(text, *args, **kwargs):
+        seen.append(text)
+        return real(text, *args, **kwargs)
+
+    monkeypatch.setattr(exprlang, "parse", parse)
+    values = [green_function(metric, r) for r in (0.5, 1.0, 2.0, 0.5)]
+    kc_potential(metric, 1.0)
+    oscillator_potential(metric, 1.0)
+    assert seen.count(source) <= 1
+    assert values[0] == values[3] == math.sqrt(9.0)
 
 
 def test_green_function_quadrature_anchoring():
