@@ -18,7 +18,9 @@ are conserved by every Hamiltonian of the form
 
 Brackets of arbitrary user-supplied functions are computed numerically:
 central differences with one level of Richardson extrapolation, per-coordinate
-step h_i = 1e-6 * max(1, |x_i|).
+step h_i = 1e-6 * max(1, |x_i|).  The function sees a state's whole stencil
+in one call, q and p as lists of N numpy columns over its 8N states, and
+returns one column or m columns (see fd_gradient).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 __all__ = [
     "PhaseState", "Sl2Triple", "IntegralSet", "SingularStateError",
-    "sl2_realize", "casimir_left", "casimir_right", "integral_set",
+    "sl2_realize", "sl2_columns", "casimir_left", "casimir_right", "integral_set",
     "so_n_generator", "angular_momentum_sq",
     "fd_gradient", "poisson_bracket", "independence_rank",
 ]
@@ -100,15 +102,16 @@ def _check_b(q: np.ndarray, b) -> np.ndarray:
 
 def sl2_realize(s: PhaseState, b: Sequence[float] | None = None) -> Sl2Triple:
     """Evaluate (J-, J3, J+) at a phase point for centrifugal coefficients b."""
-    b = _check_b(s.q, b)
-    q, p = s.q, s.p
-    jminus = float(np.dot(q, q))
-    j3 = float(np.dot(q, p))
-    jplus = float(np.dot(p, p))
-    nz = b != 0.0
-    if np.any(nz):
-        jplus += float(np.sum(b[nz] / q[nz] ** 2))
-    return Sl2Triple(jminus, j3, jplus)
+    return Sl2Triple(*sl2_columns(s.q.tolist(), s.p.tolist(), b))
+
+
+def sl2_columns(q: Sequence, p: Sequence, b: Sequence[float] | None = None) -> tuple:
+    """(J-, J3, J+) from the coordinates q_1..q_N and p_1..p_N, each a float
+    or a numpy column over many states, every sum taken in axis order.  The
+    first q_i = 0 with b_i != 0 raises SingularStateError."""
+    b = _check_b(np.transpose(q), b).tolist()
+    jplus = sum((bi / (x * x) for x, bi in zip(q, b) if bi != 0.0), sum(y * y for y in p))
+    return sum(x * x for x in q), sum(x * y for x, y in zip(q, p)), jplus
 
 
 def so_n_generator(i: int, j: int, s: PhaseState) -> float:
@@ -202,42 +205,39 @@ _EPS = 1e-6
 _RANK_THRESHOLD = 1e-8
 
 
-def fd_gradient(fn: Callable[[PhaseState], float | Sequence[float]],
+def fd_gradient(fn: Callable[[list, list], np.ndarray | Sequence[np.ndarray]],
                 s: PhaseState) -> tuple[np.ndarray, np.ndarray]:
     """(dF/dq, dF/dp) by central differences with one Richardson level.
 
     Per-coordinate step h_i = _EPS * max(1, |x_i|) with _EPS = 1e-6; the
     extrapolation (4 D(h/2) - D(h))/3 cancels the leading h^2 truncation
-    term.  A scalar fn gives two N-vectors; a fn returning m values gives two
-    contiguous (m, N) arrays, row a the gradient of value a, from one stencil
-    sweep.
-    Evaluation failures at stencil points (domain exits, centrifugal
-    singularities) propagate to the caller.
+    term.  fn is called once, on the 8N stencil states x + D, row 4i + k
+    stepping coordinate i of x = (q, p) by h_i, -h_i, h_i/2, -h_i/2 for
+    k = 0..3: fn(q, p) gets q and p as lists of N numpy columns over the
+    rows and returns one column (two N-vectors result) or m columns (two
+    contiguous (m, N) arrays, row a the gradient of value a), each entry bit
+    for bit what one call per state gives.  Failures in fn (domain exits,
+    centrifugal singularities) propagate to the caller.
     """
-    x = np.concatenate([s.q, s.p])
     n = s.n
-    rows = []
-
-    def feval(vec):
-        return np.asarray(fn(PhaseState(vec[:n], vec[n:])), dtype=float)
-
-    for i in range(2 * n):
-        h = _EPS * max(1.0, abs(x[i]))
-        d = np.zeros_like(x)
-        d[i] = h
-        coarse = (feval(x + d) - feval(x - d)) / (2 * h)
-        d[i] = 0.5 * h
-        fine = (feval(x + d) - feval(x - d)) / h
-        rows.append((4.0 * fine - coarse) / 3.0)
-    grad = np.array(rows).T
+    x = np.concatenate([s.q, s.p])
+    h = _EPS * np.maximum(1.0, np.abs(x))
+    d = (h[:, None] * [1.0, -1.0, 0.5, -0.5])[:, :, None] * np.eye(2 * n)[:, None]
+    cols = (x + d).reshape(8 * n, 2 * n).T
+    v = np.asarray(fn(list(cols[:n]), list(cols[n:])), dtype=float)
+    v = v.reshape(*v.shape[:-1], 2 * n, 4)
+    coarse = (v[..., 0] - v[..., 1]) / (2 * h)
+    fine = (v[..., 2] - v[..., 3]) / h
+    grad = (4.0 * fine - coarse) / 3.0
     return (np.ascontiguousarray(grad[..., :n]),
             np.ascontiguousarray(grad[..., n:]))
 
 
-def poisson_bracket(f: Callable[[PhaseState], float | Sequence[float]],
-                    g: Callable[[PhaseState], float | Sequence[float]],
+def poisson_bracket(f: Callable[[list, list], np.ndarray | Sequence[np.ndarray]],
+                    g: Callable[[list, list], np.ndarray | Sequence[np.ndarray]],
                     s: PhaseState) -> float | np.ndarray:
-    """{F, G} = sum_i (dF/dq_i dG/dp_i - dG/dq_i dF/dp_i), numerically.
+    """{F, G} = sum_i (dF/dq_i dG/dp_i - dG/dq_i dF/dp_i), numerically,
+    with f and g column functions as in fd_gradient.
 
     For vector-valued f and g the result is the matrix {f_a, g_c}; with
     g is f the gradients are taken once.
@@ -248,7 +248,7 @@ def poisson_bracket(f: Callable[[PhaseState], float | Sequence[float]],
     return float(out) if out.ndim == 0 else out
 
 
-def independence_rank(fn: Callable[[PhaseState], Sequence[float]],
+def independence_rank(fn: Callable[[list, list], Sequence[np.ndarray]],
                       s: PhaseState) -> int:
     """Numerical rank of the Jacobian of the values of fn at s.
 

@@ -33,7 +33,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
 
@@ -47,8 +47,7 @@ from .algebra import (
     independence_rank,
     integral_set,
     poisson_bracket,
-    sl2_realize,
-    so_n_generator,
+    sl2_columns,
 )
 from .coords import (
     ChartError,
@@ -59,7 +58,7 @@ from .coords import (
     spherical_casimir,
     to_cartesian,
 )
-from .dynamics import conservation_report, hamiltonian, integrate
+from .dynamics import _audit, _check_domain, conservation_report, hamiltonian, integrate
 from .exprlang import ExprError
 from .geometry import (
     CATALOG,
@@ -540,11 +539,26 @@ def _report(suite: str, seed: int, n: int, checks: list) -> dict:
             "checks": checks, "pass": all(c["pass"] for c in checks)}
 
 
-def _conserved(sys_spec: SystemSpec, st: PhaseState) -> tuple:
+def _at(fn, s: PhaseState) -> np.ndarray:
+    """The values of the column function fn at the one state s."""
+    return np.asarray(fn(list(s.q[:, None]), list(s.p[:, None])), dtype=float)[..., 0]
+
+
+def _conserved(sys_spec: SystemSpec, q, p) -> list:
     """H, C^(2)..C^(N) from the left family and C_(2)..C_(N-1) from the
-    right one (the top right member coincides with the top left one)."""
-    towers = integral_set(st, sys_spec.b)
-    return (hamiltonian(sys_spec, st), *towers.left, *towers.right[:-1])
+    right one (the top right member coincides with the top left one), as
+    columns over the states in the N columns q and p: the checks run once
+    over all states, then H and the towers as in the trajectory audit."""
+    if len(q) != sys_spec.n:
+        raise ValueError(f"state has dimension {len(q)}, system expects {sys_spec.n}")
+    r = np.sqrt(sum(x * x for x in q))
+    for x in r.tolist():
+        _check_domain(sys_spec, x)
+    pot = sys_spec.potential
+    fr = np.array([sys_spec.metric.f(x) for x in r.tolist()])
+    u = None if pot is None else np.array([pot.u(x) for x in r.tolist()])
+    series = _audit(sys_spec, np.transpose(q), np.transpose(p), r, fr, u)
+    return list(series.values())[:-1]
 
 
 def _suite_brackets(n: int, seed: int, tol: float | None) -> dict:
@@ -554,23 +568,23 @@ def _suite_brackets(n: int, seed: int, tol: float | None) -> dict:
     for _ in range(100):
         s = _random_state(rng_sl2, n)
         b = rng_sl2.uniform(-3.0, 3.0, n)
-        t = sl2_realize(s, b)
         # rows 0, 1, 2 are J-, J3, J+
-        gens = lambda st: astuple(sl2_realize(st, b))
+        gens = lambda q, p: sl2_columns(q, p, b)
+        jminus, j3, jplus = _at(gens, s)
         m = poisson_bracket(gens, gens, s)
-        residuals += [abs(m[1, 2] - 2.0 * t.jplus) / (1.0 + abs(t.jplus)),
-                      abs(m[1, 0] + 2.0 * t.jminus) / (1.0 + abs(t.jminus)),
-                      abs(m[0, 2] - 4.0 * t.j3) / (1.0 + abs(t.j3))]
+        residuals += [abs(m[1, 2] - 2.0 * jplus) / (1.0 + abs(jplus)),
+                      abs(m[1, 0] + 2.0 * jminus) / (1.0 + abs(jminus)),
+                      abs(m[0, 2] - 4.0 * j3) / (1.0 + abs(j3))]
     checks = [_check_entry("sl2-closure", residuals, tol)]
 
     pairs = list(combinations(range(n), 2))
     row = {pair: a for a, pair in enumerate(pairs)}
-    rotations = lambda st: [so_n_generator(i, j, st) for i, j in pairs]
+    rotations = lambda q, p: [q[i] * p[j] - q[j] * p[i] for i, j in pairs]
     residuals = []
     for _ in range(20):
         s = _random_state(rng_son, n)
         m = poisson_bracket(rotations, rotations, s)
-        v = rotations(s)
+        v = _at(rotations, s)
         for i, j, k in combinations(range(n), 3):
             ij, ik, jk = row[i, j], row[i, k], row[j, k]
             residuals += [abs(m[ij, ik] - v[jk]) / (1.0 + abs(v[jk])),
@@ -594,7 +608,7 @@ def _suite_involution(n: int, seed: int, tol: float | None) -> dict:
                 sys_spec = SystemSpec(metric, pot, mu2, b=b)
                 s = _random_state(rng, n)
                 conserved = partial(_conserved, sys_spec)
-                size = np.abs(conserved(s))
+                size = np.abs(_at(conserved, s))
                 m = poisson_bracket(conserved, conserved, s)
                 rel = np.abs(m) / (1.0 + size[:, None] + size[None, :])
                 res_h.extend(rel[0, 1:])
@@ -632,11 +646,12 @@ def _suite_coords(n: int, seed: int, tol: float | None) -> dict:
 
     # the chart state packed as a PhaseState, q = (r, theta) and
     # p = (p_r, p_theta), so that poisson_bracket works in the chart; rows
-    # 0..N-1 of the bracket matrix are the Cartesian q, rows N..2N-1 the p
-    def cart(st):
-        c = to_cartesian(
-            SphericalPhaseState(st.q[0], st.q[1:], st.p[0], st.p[1:]))
-        return np.concatenate([c.q, c.p])
+    # 0..N-1 of the bracket matrix are the Cartesian q, rows N..2N-1 the p;
+    # the chart is not columnar, so cart maps one stencil state at a time
+    def cart(q, p):
+        charts = (to_cartesian(SphericalPhaseState(a[0], a[1:], b[0], b[1:]))
+                  for a, b in zip(np.transpose(q), np.transpose(p)))
+        return np.transpose([np.concatenate([c.q, c.p]) for c in charts])
 
     residuals = []
     upper = np.triu_indices(n, 1)

@@ -107,6 +107,8 @@ class MetricSpec:
         whose driver enforces the domain itself."""
         return self._f, self._fp, self._fpp
 
+    _from_catalog = False   # True: f_expr is its catalog entry's f, parsed
+
     @cached_property
     def green_expr(self) -> Expr | None:
         """The catalog's closed-form Green function U(r), parsed once, or None:
@@ -117,7 +119,7 @@ class MetricSpec:
             return None
         names = set(self.params)
         try:
-            if exprlang.parse(entry.f_source, params=names) != self.f_expr:
+            if not self._from_catalog and exprlang.parse(entry.f_source, params=names) != self.f_expr:
                 return None
         except ExprError:
             return None
@@ -341,4 +343,6 @@ def catalog_lookup(id: str, params: Mapping | None = None, **kw) -> MetricSpec:
         domain = _nu_fold_domain(float(values["a"]), float(values["b"]), values["nu"])
 
     expr = exprlang.parse(entry.f_source, params=set(values))
-    return MetricSpec(id, expr, params=values, domain=domain)
+    metric = MetricSpec(id, expr, params=values, domain=domain)
+    metric._from_catalog = True   # green_expr need not parse f again
+    return metric

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,9 +15,15 @@ from qmsflow.algebra import (
     independence_rank,
     integral_set,
     poisson_bracket,
+    sl2_columns,
     sl2_realize,
     so_n_generator,
+    _towers,
 )
+from qmsflow.cli import _conserved
+from qmsflow.dynamics import hamiltonian
+from qmsflow.geometry import DomainViolation, catalog_lookup
+from qmsflow.potentials import SystemSpec, kc_potential, oscillator_potential
 
 
 def random_state(rng, n, p_scale=1.0):
@@ -182,16 +189,16 @@ def test_cauchy_schwarz_for_monopole_free_triple():
 def test_bracket_j3_jplus_known_value():
     b = [1.0, 2.0]
     s = PhaseState([1, 1], [1, 0])
-    f = lambda st: sl2_realize(st, b).j3
-    g = lambda st: sl2_realize(st, b).jplus
+    f = lambda q, p: sl2_columns(q, p, b)[1]
+    g = lambda q, p: sl2_columns(q, p, b)[2]
     # {J3, J+} = 2 J+ = 2 (1 + 1 + 2)
     assert poisson_bracket(f, g, s) == pytest.approx(8.0, abs=1e-6)
 
 
 def test_bracket_jminus_jplus_known_value():
     s = PhaseState([1, 2], [3, 4])
-    f = lambda st: sl2_realize(st).jminus
-    g = lambda st: sl2_realize(st).jplus
+    f = lambda q, p: sl2_columns(q, p)[0]
+    g = lambda q, p: sl2_columns(q, p)[2]
     # {J-, J+} = 4 J3 = 4 * 11
     assert poisson_bracket(f, g, s) == pytest.approx(44.0, abs=1e-5)
 
@@ -201,7 +208,8 @@ def test_bracket_self_vanishes():
     b = [0.5, 1.5, 2.5]
     for _ in range(5):
         s = random_state(rng, 3)
-        h = lambda st: sl2_realize(st, b).jplus + math.sin(st.radius)
+        h = lambda q, p: (sl2_columns(q, p, b)[2]
+                          + np.sin(np.sqrt(sl2_columns(q, p, b)[0])))
         assert abs(poisson_bracket(h, h, s)) <= 1e-9
 
 
@@ -212,9 +220,9 @@ def test_sl2_closure_at_random_states():
         n = int(rng.integers(2, 5))
         s = random_state(rng, n)
         b = rng.uniform(0.0, 3.0, n)
-        jm = lambda st: sl2_realize(st, b).jminus
-        j3 = lambda st: sl2_realize(st, b).j3
-        jp = lambda st: sl2_realize(st, b).jplus
+        jm = lambda q, p: sl2_columns(q, p, b)[0]
+        j3 = lambda q, p: sl2_columns(q, p, b)[1]
+        jp = lambda q, p: sl2_columns(q, p, b)[2]
         t = sl2_realize(s, b)
         assert abs(poisson_bracket(j3, jp, s) - 2 * t.jplus) <= 1e-5 * (1 + abs(t.jplus))
         assert abs(poisson_bracket(j3, jm, s) + 2 * t.jminus) <= 1e-5 * (1 + abs(t.jminus))
@@ -224,7 +232,7 @@ def test_sl2_closure_at_random_states():
 def test_so4_bracket_relations():
     # {J_ij, J_ik} = J_jk, {J_ij, J_jk} = -J_ik, {J_ik, J_jk} = J_ij  (i<j<k)
     rng = np.random.default_rng(31)
-    J = lambda i, j: (lambda st: so_n_generator(i, j, st))
+    J = lambda i, j: (lambda q, p: q[i] * p[j] - q[j] * p[i])
     for _ in range(5):
         s = random_state(rng, 4)
         for i in range(4):
@@ -244,13 +252,15 @@ def test_left_and_right_families_internally_in_involution():
     for _ in range(5):
         s = random_state(rng, n)
         b = rng.uniform(0.2, 2.0, n)
-        left = [lambda st, m=m: casimir_left(m, st, b) for m in range(2, n + 1)]
-        right = [lambda st, m=m: casimir_right(m, st, b) for m in range(2, n + 1)]
-        for fam in (left, right):
+        towers = integral_set(s, b)
+        for side in ("left", "right"):
+            values = getattr(towers, side)
+            fam = [lambda q, p, k=k, side=side: getattr(_towers(q, p, b), side)[k]
+                   for k in range(n - 1)]
             for a in range(len(fam)):
                 for c in range(a + 1, len(fam)):
                     val = poisson_bracket(fam[a], fam[c], s)
-                    scale = 1 + abs(fam[a](s)) + abs(fam[c](s))
+                    scale = 1 + abs(values[a]) + abs(values[c])
                     assert abs(val) <= 1e-5 * scale
 
 
@@ -264,8 +274,8 @@ def test_left_and_right_towers_commute_only_on_disjoint_axes(n):
         s = random_state(rng, n, p_scale=2.0)
         b = rng.uniform(0.2, 2.0, n)
         towers = integral_set(s, b)
-        matrix = poisson_bracket(lambda st: integral_set(st, b).left,
-                                 lambda st: integral_set(st, b).right, s)
+        matrix = poisson_bracket(lambda q, p: _towers(q, p, b).left,
+                                 lambda q, p: _towers(q, p, b).right, s)
         for m in range(2, n + 1):
             for k in range(2, n + 1):
                 left, right = towers.left[m - 2], towers.right[k - 2]
@@ -279,17 +289,17 @@ def test_left_and_right_towers_commute_only_on_disjoint_axes(n):
 def test_fd_gradient_against_hand_gradient():
     # F = q1^2 p2 + p1^3 has dF/dq = (2 q1 p2, 0), dF/dp = (3 p1^2, q1^2)
     s = PhaseState([1.5, -0.5], [2.0, 0.75])
-    f = lambda st: st.q[0] ** 2 * st.p[1] + st.p[0] ** 3
+    f = lambda q, p: q[0] ** 2 * p[1] + p[0] ** 3
     gq, gp = fd_gradient(f, s)
     assert gq == pytest.approx([2 * 1.5 * 0.75, 0.0], abs=1e-8)
     assert gp == pytest.approx([3 * 4.0, 2.25], abs=1e-8)
 
 
 def _tower_members(b):
-    # every member of both towers, C^(2..N) then C_(2..N), as scalar callables
+    # every member of both towers, C^(2..N) then C_(2..N), as column functions
     n = len(b)
-    return ([lambda st, m=m: casimir_left(m, st, b) for m in range(2, n + 1)]
-            + [lambda st, m=m: casimir_right(m, st, b) for m in range(2, n + 1)])
+    return ([lambda q, p, k=k: _towers(q, p, b).left[k] for k in range(n - 1)]
+            + [lambda q, p, k=k: _towers(q, p, b).right[k] for k in range(n - 1)])
 
 
 def test_vector_fd_gradient_rows_are_the_scalar_gradients_bit_for_bit():
@@ -297,7 +307,7 @@ def test_vector_fd_gradient_rows_are_the_scalar_gradients_bit_for_bit():
     for n in (2, 3, 4):
         b = rng.uniform(0.2, 2.0, n)
         members = _tower_members(b)
-        vector = lambda st: [fn(st) for fn in members]
+        vector = lambda q, p: [fn(q, p) for fn in members]
         s = random_state(rng, n, p_scale=2.0)
         gq, gp = fd_gradient(vector, s)
         assert gq.shape == gp.shape == (len(members), n)
@@ -314,9 +324,9 @@ def test_vector_poisson_bracket_is_the_matrix_of_scalar_brackets():
     n = 4
     b = rng.uniform(0.2, 2.0, n)
     members = _tower_members(b) + [
-        lambda st, i=i, j=j: so_n_generator(i, j, st)
+        lambda q, p, i=i, j=j: q[i] * p[j] - q[j] * p[i]
         for i in range(n) for j in range(i + 1, n)]
-    vector = lambda st: [fn(st) for fn in members]
+    vector = lambda q, p: [fn(q, p) for fn in members]
     for _ in range(3):
         s = random_state(rng, n, p_scale=2.0)
         matrix = poisson_bracket(vector, vector, s)
@@ -326,19 +336,89 @@ def test_vector_poisson_bracket_is_the_matrix_of_scalar_brackets():
                 assert matrix[a, c] == poisson_bracket(f, g, s)
 
 
+def _fd_gradient_per_state(fn, s):
+    # the stencil one state at a time: fn takes a PhaseState and returns a
+    # float or a sequence of floats, and each stencil point is its own call
+    x = np.concatenate([s.q, s.p])
+    n = s.n
+    feval = lambda vec: np.asarray(fn(PhaseState(vec[:n], vec[n:])), dtype=float)
+    rows = []
+    for i in range(2 * n):
+        h = 1e-6 * max(1.0, abs(x[i]))
+        d = np.zeros_like(x)
+        d[i] = h
+        coarse = (feval(x + d) - feval(x - d)) / (2 * h)
+        d[i] = 0.5 * h
+        fine = (feval(x + d) - feval(x - d)) / h
+        rows.append((4.0 * fine - coarse) / 3.0)
+    grad = np.array(rows).T
+    return grad[..., :n], grad[..., n:]
+
+
+def _systems(rng, n):
+    for mid in ("euclidean", "darboux3b", "taub-nut"):
+        metric = catalog_lookup(mid)
+        for pot in (None, kc_potential(metric, 0.7), oscillator_potential(metric, 0.4)):
+            yield SystemSpec(metric, pot, rng.uniform(0.0, 1.0), b=rng.uniform(-2.0, 2.0, n))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_batched_stencil_matches_the_per_state_loop_bit_for_bit(n):
+    # reference: H and both towers through the scalar hamiltonian and
+    # integral_set, one PhaseState per stencil point
+    rng = np.random.default_rng(70 + n)
+    hex_of = lambda a: [x.hex() for x in np.ravel(a)]
+    for sys_spec in _systems(rng, n):
+        s = random_state(rng, n, p_scale=2.0)
+        towers = lambda st: integral_set(st, sys_spec.b)
+        per_state = {
+            "scalar": lambda st: hamiltonian(sys_spec, st),
+            "vector": lambda st: (hamiltonian(sys_spec, st), *towers(st).left,
+                                  *towers(st).right[:-1])}
+        batched = {"scalar": lambda q, p: _conserved(sys_spec, q, p)[0],
+                   "vector": partial(_conserved, sys_spec)}
+        for kind, shape in (("scalar", (n,)), ("vector", (2 * n - 2, n))):
+            gq, gp = fd_gradient(batched[kind], s)
+            rq, rp = _fd_gradient_per_state(per_state[kind], s)
+            assert gq.shape == gp.shape == shape
+            assert gq.flags.c_contiguous and gp.flags.c_contiguous
+            assert hex_of(gq) == hex_of(rq) and hex_of(gp) == hex_of(rp), (sys_spec, kind)
+
+
+def test_bracket_stencil_failures_propagate():
+    metric = catalog_lookup("euclidean")
+    pot = kc_potential(metric, 1.0)
+    # q_2 = h/2: the -h/2 stencil state of q_2 lies on that axis
+    s = PhaseState([0.8, 0.6, 5e-7], [0.1, 0.2, 0.3])
+    free = partial(_conserved, SystemSpec(metric, pot, 0.3, b=[1.0, 0.0, 0.0]))
+    assert np.all(np.isfinite(poisson_bracket(free, free, s)))
+    walled = partial(_conserved, SystemSpec(metric, pot, 0.3, b=[1.0, 0.0, 2.0]))
+    with pytest.raises(SingularStateError, match="q_2 = 0 with b_2 = 2.0"):
+        poisson_bracket(walled, walled, s)
+
+    # the +h stencil state of q_0 leaves the unit ball of the hyperbolic space
+    hyperbolic = partial(_conserved, SystemSpec(catalog_lookup("hyperbolic"), None, n=3))
+    inside = PhaseState([1.0 - 1e-7, 0.0, 0.0], [0.1, 0.2, 0.3])
+    with pytest.raises(DomainViolation):
+        poisson_bracket(hyperbolic, hyperbolic, inside)
+
+    with pytest.raises(ValueError, match="dimension 2, system expects 3"):
+        poisson_bracket(free, free, PhaseState([0.8, 0.6], [0.1, 0.2]))
+
+
 # ---------------------------------------------------------------------------
 # functional independence
 # ---------------------------------------------------------------------------
 
 def _hamiltonian(b, mu2):
     # flat-space Kepler-type flow; enough structure for generic-rank checks
-    def h(st):
-        q2 = float(np.dot(st.q, st.q))
-        kin = float(np.dot(st.p, st.p)) + mu2 / q2
-        for bi, qi in zip(b, st.q):
+    def h(q, p):
+        q2 = sum(x * x for x in q)
+        kin = sum(y * y for y in p) + mu2 / q2
+        for bi, qi in zip(b, q):
             if bi:
-                kin += bi / qi ** 2
-        return 0.5 * kin - 1.0 / math.sqrt(q2)
+                kin = kin + bi / qi ** 2
+        return 0.5 * kin - 1.0 / np.sqrt(q2)
     return h
 
 
@@ -346,8 +426,7 @@ def test_independence_rank_n3():
     rng = np.random.default_rng(99)
     b = [1.0, 2.0, 3.0]
     h = _hamiltonian(b, mu2=1.0)
-    fns = lambda st: (h(st), casimir_left(2, st, b), casimir_left(3, st, b),
-                      casimir_right(2, st, b))
+    fns = lambda q, p: (h(q, p), *_towers(q, p, b).left, _towers(q, p, b).right[0])
     for _ in range(20):
         s = random_state(rng, 3)
         assert independence_rank(fns, s) == 4
@@ -357,17 +436,17 @@ def test_independence_rank_duplicate_function():
     rng = np.random.default_rng(13)
     b = [1.0, 2.0, 3.0]
     h = _hamiltonian(b, mu2=1.0)
-    c2 = lambda st: casimir_left(2, st, b)
+    c2 = lambda q, p: _towers(q, p, b).left[0]
     s = random_state(rng, 3)
-    assert independence_rank(lambda st: (h(st), c2(st)), s) == 2
-    assert independence_rank(lambda st: (h(st), c2(st), c2(st)), s) == 2
+    assert independence_rank(lambda q, p: (h(q, p), c2(q, p)), s) == 2
+    assert independence_rank(lambda q, p: (h(q, p), c2(q, p), c2(q, p)), s) == 2
 
 
 def test_independence_rank_n2():
     rng = np.random.default_rng(321)
     b = [0.5, 1.5]
     h = _hamiltonian(b, mu2=0.25)
-    fns = lambda st: (h(st), casimir_left(2, st, b))
+    fns = lambda q, p: (h(q, p), _towers(q, p, b).left[0])
     for _ in range(10):
         s = random_state(rng, 2)
         assert independence_rank(fns, s) == 2

@@ -625,14 +625,14 @@ def test_verify_rejects_a_non_finite_tolerance(tol, capsys):
 
 def test_verify_nan_residual_fails_its_check(monkeypatch, capsys):
     import qmsflow.cli as cli
-    from qmsflow.algebra import IntegralSet
-    real = cli.integral_set
+    real = cli._conserved
 
-    def nan_c2(st, b=None):
-        towers = real(st, b)
-        return IntegralSet((math.nan, *towers.left[1:]), towers.right)
+    def nan_c2(sys_spec, q, p):
+        values = real(sys_spec, q, p)    # H, C^(2), ...
+        values[1] = np.full_like(values[1], math.nan)
+        return values
 
-    monkeypatch.setattr(cli, "integral_set", nan_c2)
+    monkeypatch.setattr(cli, "_conserved", nan_c2)
     code, out, _ = run_cli(capsys, "verify", "involution")
     assert code == 1
     assert '"pass": false' in out

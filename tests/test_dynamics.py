@@ -9,7 +9,9 @@ from qmsflow.algebra import (
     SingularStateError,
     fd_gradient,
     integral_set,
+    _towers,
 )
+from qmsflow.cli import _conserved
 from qmsflow.dynamics import (
     TrajectoryRecord,
     conservation_report,
@@ -135,7 +137,7 @@ def test_gradient_matches_finite_differences():
         p = rng.uniform(-1.5, 1.5, n)
         s = PhaseState(q, p)
         dq, dp = gradient(sys, s)
-        fq, fp = fd_gradient(lambda st: hamiltonian(sys, st), s)
+        fq, fp = fd_gradient(lambda q, p: _conserved(sys, q, p)[0], s)
         scale = 1.0 + max(np.max(np.abs(dq)), np.max(np.abs(dp)))
         assert np.max(np.abs(dq - fq)) <= 1e-6 * scale
         assert np.max(np.abs(dp - fp)) <= 1e-6 * scale
@@ -328,11 +330,11 @@ def test_hamiltonian_in_involution_with_every_integral():
             p = rng.uniform(-1.0, 1.0, n)
             s = PhaseState(q, p)
             iset = integral_set(s, b)
-            fns = {"H": lambda st: hamiltonian(sys, st)}
+            fns = {"H": lambda q, p: _conserved(sys, q, p)[0]}
             vals = {"H": hamiltonian(sys, s)}
             for m in range(2, n + 1):
-                fns[f"Cl{m}"] = lambda st, m=m: integral_set(st, b).as_dict()[f"Cl{m}"]
-                fns[f"Cr{m}"] = lambda st, m=m: integral_set(st, b).as_dict()[f"Cr{m}"]
+                fns[f"Cl{m}"] = lambda q, p, m=m: _towers(q, p, b).left[m - 2]
+                fns[f"Cr{m}"] = lambda q, p, m=m: _towers(q, p, b).right[m - 2]
             vals.update(iset.as_dict())
             grads = {name: fd_gradient(fn, s) for name, fn in fns.items()}
 
