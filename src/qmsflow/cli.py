@@ -451,7 +451,7 @@ def load_config(path: str) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML in {path!r}: {exc}") from exc
     if data is None:
@@ -598,6 +598,8 @@ def _suite_involution(n: int, seed: int, tol: float | None) -> dict:
     tol = 1e-5 if tol is None else tol
     (rng,) = _spawn(seed, 1)
     res_h, res_c = [], []
+    # the left family holds N - 1 integrals, the right one N - 2
+    pairs = (np.triu_indices(n - 1, 1), np.triu_indices(n - 2, 1))
     for mid in ("euclidean", "darboux3b", "taub-nut"):
         metric = catalog_lookup(mid)
         for pot in (None, kc_potential(metric, 0.7),
@@ -614,8 +616,8 @@ def _suite_involution(n: int, seed: int, tol: float | None) -> dict:
                 res_h.extend(rel[0, 1:])
                 # rows 1..N-1 hold the left family, the rest the right one;
                 # each is involutive on its own, but the two do not commute
-                for family in (rel[1:n, 1:n], rel[n:, n:]):
-                    res_c.extend(family[np.triu_indices(len(family), 1)])
+                for family, upper in zip((rel[1:n, 1:n], rel[n:, n:]), pairs):
+                    res_c.extend(family[upper])
     checks = [_check_entry("hamiltonian-vs-integrals", res_h, tol),
               _check_entry("integrals-in-involution", res_c, tol)]
     return _report("involution", seed, n, checks)

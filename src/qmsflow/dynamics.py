@@ -23,8 +23,9 @@ calls.
 
 Both integrators run on kernels generated once per system as straight-line
 Python source with the system's constants baked in (see _rhs_source): the
-RHS, and the whole fixed-point iteration of one midpoint step.  They match the
-plain loop form of the chain rule bit for bit.
+RHS, and the whole midpoint run -- predictor, fixed-point iteration, halt
+checks and sample stride of every step in one call.  They match the plain
+loop form of the chain rule bit for bit.
 
 Integration halts early, recording the reason and the last valid state,
 when a centrifugal axis is approached (|q_i| < 1e-10 with b_i != 0), when
@@ -63,6 +64,14 @@ def _radius(q) -> float:
     """|q| of a sequence of floats, summed in order: the r of the generated
     RHS, of the halt checks and of the audit."""
     return math.sqrt(sum(x * x for x in q))
+
+
+def _halt_bounds(sys) -> tuple[float, float]:
+    """(rmin, rmax): the open interval of |q| a run halts on leaving, the
+    system domain pulled in by _EDGE_EPS."""
+    lo, hi = sys.domain
+    return (lo + _EDGE_EPS * max(1.0, abs(lo)) if lo > 0.0 else _EDGE_EPS,
+            hi - _EDGE_EPS * max(1.0, abs(hi)) if math.isfinite(hi) else math.inf)
 
 
 def _check_domain(sys, r: float) -> None:
@@ -178,7 +187,7 @@ def _compile(sys, name, lines):
     literal prints by repr, so inf and nan are bound as names; the metric
     domain check and U' are the only calls out."""
     potential = sys.potential
-    env = {"math": math, "abs": abs, "inf": math.inf, "nan": math.nan,
+    env = {"math": math, "abs": abs, "range": range, "inf": math.inf, "nan": math.nan,
            "check_domain": sys.metric.check_domain,
            "du": potential.du if potential is not None else None,
            "ValueError": ValueError, "ArithmeticError": ArithmeticError,
@@ -201,23 +210,31 @@ def _make_rhs(sys):
     ])
 
 
-def _make_solve(sys):
-    """Generate solve(y, ynew, h, tol, maxit) for one system.
+def _make_march(sys):
+    """Generate march(y, h, nsteps, stride, tol, maxit, record) for one
+    system: the whole implicit-midpoint run from the state y, as described
+    in integrate, with the RHS of _rhs_source inlined, the sweep unrolled
+    over 2N and the halt checks baked in.
 
-    It runs the fixed-point iteration of one implicit-midpoint step
-    y1 = y0 + h rhs((y0 + y1)/2) from the predictor ynew, with the RHS of
-    _rhs_source inlined and the sweep unrolled over 2N.  It stops once
-    delta = max|y1_new - y1_old| <= tol (1 + max|y1_new|) (a NaN update
-    never converges) or after maxit RHS evaluations, and returns (evals, y1,
-    slope, error): evals counts the RHS evaluations that completed; y1 and
-    slope are None unless it converged; error is the exception an RHS
-    evaluation raised, if any.
+    Each fixed-point pass evaluates the RHS at w = (y + x)/2 and sweeps x to
+    y + h rhs(w).  Step 1 opens with one pass at x = y, where w = y exactly:
+    that is the Euler call, its sweep sets the Euler predictor, and it takes
+    no convergence test.  A converged step that leaves (rmin, rmax) or comes
+    within _AXIS_EPS of an axis with b_i != 0 halts the run; otherwise it is
+    accepted, and record(t, y) gets every stride-th state and the last.
+    It returns (kstep, done, nfev, fp_worst, reason, exc, y): the step
+    reached, the steps accepted, the RHS evaluations that completed, the
+    most fixed-point passes a step took, the halt reason or None, the
+    exception that an RHS evaluation or record raised, if any, and the last
+    accepted state.
     """
     names, body, slope = _rhs_source(sys)
     m = len(names)
+    rmin, rmax = _halt_bounds(sys)
     y = [f"y{j}" for j in range(m)]
     x = [f"x{j}" for j in range(m)]
     g = [f"g{j}" for j in range(m)]
+    f = [f"f{j}" for j in range(m)]
     sweep = []
     for j in range(m):
         sweep += [f"v = {y[j]} + h * {g[j]}",
@@ -227,24 +244,50 @@ def _make_solve(sys):
                   "if abs(v) > scale:",
                   "    scale = abs(v)",
                   f"{x[j]} = v"]
-    return _compile(sys, "solve", [
-        "def solve(y, ynew, h, tol, maxit):",
+    axes = " or ".join(f"abs({x[i]}) < {_AXIS_EPS!r}"
+                       for i, bi in enumerate(sys.b) if bi != 0.0)
+    state = f"[{', '.join(y)}]"
+    halt = "return kstep, done, nfev, fp_worst, {}, " + state
+    return _compile(sys, "march", [
+        "def march(y, h, nsteps, stride, tol, maxit, record):",
         f"    {', '.join(y)} = y",
-        f"    {', '.join(x)} = ynew",
-        "    evals = 0",
-        "    try:",
-        "        while evals < maxit:",
-        *(f"            {w} = 0.5 * ({y[j]} + {x[j]})" for j, w in enumerate(names)),
-        *("            " + line for line in body),
-        *(f"            {g[j]} = {e}" for j, e in enumerate(slope)),
-        "            evals += 1",
-        "            delta = scale = 0.0",
-        *("            " + line for line in sweep),
-        "            if delta <= tol * (1.0 + scale):",
-        f"                return evals, [{', '.join(x)}], [{', '.join(g)}], None",
-        "    except (ValueError, ArithmeticError, QuadratureError) as exc:",
-        "        return evals, None, None, exc",
-        "    return evals, None, None, None",
+        f"    {', '.join(x)} = y",
+        "    done = nfev = fp_worst = 0",
+        "    for kstep in range(1, nsteps + 1):",
+        "        try:",
+        "            for evals in range(kstep > 1, maxit + 1):",  # pass 0: Euler
+        *(f"                {w} = 0.5 * ({y[j]} + {x[j]})" for j, w in enumerate(names)),
+        *("                " + line for line in body),
+        *(f"                {g[j]} = {e}" for j, e in enumerate(slope)),
+        "                nfev += 1",
+        "                delta = scale = 0.0",
+        *("                " + line for line in sweep),
+        "                if delta <= tol * (1.0 + scale) and evals:",
+        "                    break",
+        "            else:",
+        "                " + halt.format('"fixed-point iteration stalled", None'),
+        "        except (ValueError, ArithmeticError, QuadratureError) as exc:",
+        "            " + halt.format("None, exc"),
+        "        if evals > fp_worst:",
+        "            fp_worst = evals",
+        "        done = kstep",
+        "        if not {!r} < math.sqrt({}) < {!r}:".format(
+            rmin, " + ".join(f"{v} * {v}" for v in x[:m // 2]), rmax),
+        "            " + halt.format('"domain-exit", None'),
+        *([f"        if {axes}:", "            " + halt.format('"singular-axis", None')]
+          if axes else []),
+        f"        {', '.join(y)} = {', '.join(x)}",
+        "        if kstep % stride == 0 or kstep == nsteps:",
+        "            try:",
+        f"                record(kstep * h, {state})",
+        "            except QuadratureError as exc:",
+        "                " + halt.format("None, exc"),
+        "        if kstep == 1:",
+        *(f"            {x[j]} = {y[j]} + h * {g[j]}" for j in range(m)),
+        "        else:",
+        *(f"            {x[j]} = {y[j]} + h * (2.0 * {g[j]} - {f[j]})" for j in range(m)),
+        f"        {', '.join(f)} = {', '.join(g)}",
+        "    return nsteps, done, nfev, fp_worst, None, None, None",
     ])
 
 
@@ -252,10 +295,11 @@ _KERNELS = weakref.WeakKeyDictionary()
 
 
 def _kernel(sys, make):
-    """The kernel that make (_make_rhs or _make_solve) generates for sys,
+    """The kernel that make (_make_rhs or _make_march) generates for sys,
     generated on first use: a system is fixed once built, so its kernels
-    are too.  The midpoint solve is generated only for midpoint runs, since
-    compiling it costs several times more than compiling the RHS."""
+    are too.  Each is generated only for the runs that use it, since
+    compiling the midpoint run costs several times more than compiling the
+    RHS."""
     kernels = _KERNELS.setdefault(sys, {})
     if make not in kernels:
         kernels[make] = make(sys)
@@ -344,7 +388,9 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
     delta = max|y_new - y_old| satisfies delta <= fp_tol (1 + max|y_new|),
     and the run halts after max_fp_iter iterations without that.
     stats["nfev"] counts the step-1 Euler call plus every fixed-point call
-    that completed, also on a halt.
+    that completed, also on a halt.  The whole midpoint run is one call of
+    the system's generated kernel (_make_march), which calls back here only
+    to record a sample.
     """
     if not t_end > 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
@@ -354,9 +400,7 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
         raise ValueError(f"unknown method {method!r} (adaptive | midpoint)")
     hamiltonian(sys, s0)  # validates dimension, domain, centrifugal axes
     n = sys.n
-    lo, hi = sys.domain
-    rmin = lo + _EDGE_EPS * max(1.0, abs(lo)) if lo > 0.0 else _EDGE_EPS
-    rmax = hi - _EDGE_EPS * max(1.0, abs(hi)) if math.isfinite(hi) else math.inf
+    rmin, rmax = _halt_bounds(sys)
     b_idx = [i for i, bi in enumerate(sys.b) if bi != 0.0]
 
     def violation(y):
@@ -452,51 +496,18 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
     else:
         if not step > 0:
             raise ValueError(f"step must be positive, got {step}")
-        rhs = _kernel(sys, _make_rhs)
-        solve = _kernel(sys, _make_solve)
         nsteps = max(1, round(t_end / step))
         h = t_end / nsteps
-        stride = max(1, nsteps // (samples - 1))
-        m = 2 * n
-        y = [float(v) for v in y0]
-        f1 = f2 = None  # converged midpoint slopes of the last two steps
-        halted = None
-        nfev = 0
-        fp_worst = 0
-        done = 0
+        kstep, done, nfev, fp_worst, halted, exc, y = _kernel(sys, _make_march)(
+            y0.tolist(), h, nsteps, max(1, nsteps // (samples - 1)), fp_tol,
+            max_fp_iter, record)
         try:
-            for kstep in range(1, nsteps + 1):
-                try:
-                    if f1 is None:
-                        f0 = rhs(y)
-                        nfev += 1
-                        ynew = [y[j] + h * f0[j] for j in range(m)]
-                    elif f2 is None:
-                        ynew = [y[j] + h * f1[j] for j in range(m)]
-                    else:
-                        ynew = [y[j] + h * (2.0 * f1[j] - f2[j]) for j in range(m)]
-                    evals, ynew, fm, error = solve(y, ynew, h, fp_tol, max_fp_iter)
-                except (ValueError, ArithmeticError) as exc:
-                    evals, error = 0, exc
-                nfev += evals
-                if isinstance(error, QuadratureError):
-                    raise error  # to the quadrature halt that record shares
-                if error is not None:
-                    halted = f"rhs evaluation failed: {error}"
-                elif ynew is None:
-                    halted = "fixed-point iteration stalled"
-                else:
-                    fp_worst = max(fp_worst, evals)
-                    f1, f2 = fm, f1
-                    done = kstep
-                    halted = violation(ynew)
-                if halted is not None:
-                    if (kstep - 1) * h > ts[-1]:  # keep the last valid state
-                        record((kstep - 1) * h, y)
-                    break
-                y = ynew
-                if kstep % stride == 0 or kstep == nsteps:
-                    record(kstep * h, y)
+            if isinstance(exc, QuadratureError):
+                raise exc  # to the quadrature halt that record shares
+            if exc is not None:
+                halted = f"rhs evaluation failed: {exc}"
+            if halted is not None and (kstep - 1) * h > ts[-1]:
+                record((kstep - 1) * h, y)  # keep the last valid state
         except QuadratureError as exc:
             halted = f"quadrature failed: {exc}"
         stats = {"steps": done, "nfev": nfev, "rejections": 0,

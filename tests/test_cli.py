@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import functools
 import json
 import math
 import os
@@ -13,6 +14,7 @@ import pytest
 import yaml
 
 import qmsflow
+from qmsflow import cli, dynamics
 from qmsflow.cli import ConfigError, VERIFY_SUITES, build_config, main
 from qmsflow.geometry import CATALOG
 
@@ -491,6 +493,36 @@ def test_simulate_midpoint_axis_halt_flushes_partial_output(tmp_path, capsys):
     assert data[-1][0] == pytest.approx(2e-3, rel=1e-12)
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["conservation"]["halted"] == "singular-axis"
+
+
+def test_simulate_fixed_point_stall_flushes_partial_output(
+        tmp_path, capsys, monkeypatch):
+    # the run of tests/test_dynamics.py::_kepler_midpoint_stall through the
+    # CLI: one fixed-point pass per step never converges, so step 1 stalls
+    # and only the initial state is written
+    monkeypatch.setattr(cli, "integrate",
+                        functools.partial(dynamics.integrate, max_fp_iter=1))
+    config = tmp_path / "stall.yaml"
+    config.write_text(
+        "space: {id: euclidean}\n"
+        "potential:\n"
+        "  kc: {alpha: 1.0}\n"
+        "mu2: 0.0\n"
+        "initial:\n"
+        "  cartesian: {q: [1.0, 0.3, 0.4], p: [-0.1, 0.5, 0.2]}\n"
+        "integrator: {method: midpoint}\n"
+        "t_end: 1.0\n")
+    out_dir = tmp_path / "run"
+    code, _, err = run_cli(capsys, "simulate", "--config", str(config),
+                           "--out", str(out_dir))
+    assert code == 3
+    assert "integration halted: fixed-point iteration stalled" in err
+    data = np.loadtxt(str(out_dir / "trajectory.csv"), delimiter=",",
+                      skiprows=1, ndmin=2)
+    assert data.shape[0] == 1 and data[0][0] == 0.0
+    conservation = json.loads((out_dir / "summary.json").read_text())["conservation"]
+    assert conservation["halted"] == "fixed-point iteration stalled"
+    assert conservation["stats"]["steps"] == 0
 
 
 def test_simulate_adaptive_axis_halt_flushes_partial_output(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -236,7 +237,7 @@ def test_generated_rhs_raises_the_metric_domain_message(mid):
 
 def test_kernels_are_generated_once_per_system(monkeypatch):
     made = []
-    for name in ("_make_rhs", "_make_solve"):
+    for name in ("_make_rhs", "_make_march"):
         real = getattr(dynamics, name)
         monkeypatch.setattr(dynamics, name,
                             lambda sys, name=name, real=real: made.append(name) or real(sys))
@@ -245,10 +246,10 @@ def test_kernels_are_generated_once_per_system(monkeypatch):
     for _ in range(3):
         gradient(sys, s)
     integrate(sys, s, 0.1)
-    assert made == ["_make_rhs"]  # an adaptive run compiles no midpoint solve
+    assert made == ["_make_rhs"]  # an adaptive run compiles no midpoint run
     for _ in range(2):
         integrate(sys, s, 0.1, method="midpoint")
-    assert made == ["_make_rhs", "_make_solve"]
+    assert made == ["_make_rhs", "_make_march"]
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +418,49 @@ def test_midpoint_steps_solve_the_midpoint_equation(setup):
         # step 1 adds the Euler call, and steps 1 and 2 start O(h^2) from
         # the root; every later step starts O(h^3) from it and takes three
         assert rec.stats["nfev"] <= 3 * rec.stats["steps"] + 3
+
+
+def _darboux3b_kc_with_b():
+    # closed-form U', two non-zero b_i baked into the kernel
+    metric = metric_of("darboux3b")
+    return SystemSpec(metric, kc_potential(metric, 1.0), mu2=0.3, b=(0.2, 0.0, 0.5)), \
+        PhaseState([0.9, 0.7, 0.5], [0.2, -0.3, 0.1])
+
+
+def _custom_f_oscillator():
+    # U' needs the quadrature-backed U: the kernel calls potential.du
+    metric = MetricSpec.from_source("1/(1 + 0.2*r^2)", id="custom")
+    return SystemSpec(metric, oscillator_potential(metric, 0.01), n=3), \
+        PhaseState([0.5, 0.0, 0.0], [2.0, 0.1, 0.0])
+
+
+def _free_particle_at_rest():
+    # ydot = 0: the step-1 Euler call lands on the root, and only the
+    # fixed-point pass after it may take the convergence test
+    return SystemSpec(EUCLID, None, mu2=0.0, n=3), \
+        PhaseState([0.6, 0.0, 0.8], [0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("setup, nfev, fp_worst, digest", [
+    (_darboux3b_kc_with_b, 903, 4,
+     "ada6baf9888a339e4c84ba23402bc0377f760a1794f20fb9823d2176cf5a057b"),
+    (_custom_f_oscillator, 1379, 8,
+     "67aa1e3103be2bd5d98b12c2c655fbb7d2e2383383e3f6737ed74b57eb38acc4"),
+    (_free_particle_at_rest, 301, 1,
+     "5f4e810dc72cf1700600ebf8b51a0132fd7c7653f90b6ac1e92082cfe574dba0"),
+])
+def test_midpoint_run_is_pinned_bit_for_bit(setup, nfev, fp_worst, digest):
+    # 300 steps at stride 1: every state, every H and every count of the
+    # generated midpoint run, pinned to the values of the per-step loop
+    # that came before it
+    sys, s0 = setup()
+    rec = integrate(sys, s0, 0.3, method="midpoint", step=1e-3, samples=301)
+    assert rec.halted is None and rec.times.size == 301
+    assert rec.stats == {"steps": 300, "nfev": nfev, "rejections": 0,
+                         "max_fp_iterations": fp_worst}
+    got = hashlib.sha256(rec.q.tobytes() + rec.p.tobytes()
+                         + rec.series["H"].tobytes()).hexdigest()
+    assert got == digest
 
 
 # ---------------------------------------------------------------------------
