@@ -34,7 +34,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import combinations
 
 import numpy as np
@@ -886,7 +886,10 @@ def _cmd_verify(args) -> int:
     return 0 if report["pass"] else 1
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept: it depends on
+    nothing that changes between calls of main."""
     parser = argparse.ArgumentParser(
         prog="qmsflow",
         description="Superintegrable radial systems on curved spaces: "

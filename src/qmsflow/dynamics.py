@@ -10,22 +10,27 @@ provided and agree to rounding.  Along the flow of Hamilton's equations,
 H is conserved together with every universal integral C^(m)/C_(m),
 whatever f and U -- conservation_report certifies exactly that.
 
-Two integrators are provided.  The default is an adaptive embedded
-Runge-Kutta of order 8(5,3) (rtol 1e-10 / atol 1e-12), the accuracy
-workhorse.  For long-time drift studies there is a fixed-step implicit
-midpoint rule (symplectic, order 2) with fixed-point iteration; H is not
-separable as T(p) + V(q) -- f couples positions to momenta -- so explicit
-leapfrog is not an option.  Each step's iteration starts from a predictor
-built from the converged midpoint slopes of the previous steps (Hairer,
-Lubich and Wanner, Geometric Numerical Integration, sec. VIII.6), which
-puts it O(h^3) from the root, so most steps converge in two or three RHS
-calls.
+Two integrators are provided.  The default is the adaptive embedded
+Runge-Kutta pair DOP853 of order 8(5,3) (Hairer, Norsett and Wanner,
+Solving ODEs I, sec. II.10; rtol 1e-10 / atol 1e-12), the accuracy
+workhorse, with the tableau, error norm, step control and dense output of
+scipy.integrate's DOP853.  For long-time drift studies there is a
+fixed-step implicit midpoint rule (symplectic, order 2) with fixed-point
+iteration; H is not separable as T(p) + V(q) -- f couples positions to
+momenta -- so explicit leapfrog is not an option.  Each step's iteration
+starts from a predictor built from the converged midpoint slopes of the
+previous steps (Hairer, Lubich and Wanner, Geometric Numerical
+Integration, sec. VIII.6), which puts it O(h^3) from the root, so most
+steps converge in two or three RHS calls.
 
-Both integrators run on kernels generated once per system as straight-line
-Python source with the system's constants baked in (see _rhs_source): the
-RHS, and the whole midpoint run -- predictor, fixed-point iteration, halt
-checks and sample stride of every step in one call.  They match the plain
-loop form of the chain rule bit for bit.
+Both integrators run on kernels generated as straight-line Python source
+on plain floats.  Once per system, with the system's constants baked in
+(see _rhs_source): the RHS, and the whole midpoint run -- predictor,
+fixed-point iteration, halt checks and sample stride of every step in one
+call; they match the plain loop form of the chain rule bit for bit.  Once
+per dimension: one DOP853 attempt and its dense-output rows, whose stages
+call the system's RHS (see _make_dop853); the adaptive step loop stays in
+integrate.
 
 Integration halts early, recording the reason and the last valid state,
 when a centrifugal axis is approached (|q_i| < 1e-10 with b_i != 0), when
@@ -42,7 +47,6 @@ from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
-from scipy.integrate import DOP853
 
 # integral_set is not called here; it stays bound because perfbench/tracing.py
 # wraps dynamics.integral_set by name
@@ -58,6 +62,11 @@ __all__ = [
 
 _AXIS_EPS = 1e-10   # |q_i| below this with b_i != 0 counts as singular
 _EDGE_EPS = 1e-10   # margin for domain-exit detection
+
+# DOP853 step control, as in scipy.integrate: the error estimate is of
+# order 7, so a step scales by err^(-1/8) within [0.2, 10]
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ERR_EXPONENT = 0.9, 0.2, 10.0, -1.0 / 8.0
+_MIN_RTOL = 100.0 * math.ulp(1.0)
 
 
 def _radius(q) -> float:
@@ -142,8 +151,8 @@ def _rhs_source(sys):
     the results are bitwise the same.  The only validation is the metric
     domain check of |q|: out of the domain the code raises the
     DomainViolation of MetricSpec.check_domain, which the integrators rely on
-    (DOP853 gets NaN and shrinks the step; the midpoint rule halts and quotes
-    the message).
+    (the adaptive attempt is rejected and the step shrinks; the midpoint rule
+    halts and quotes the message).
     """
     n = sys.n
     metric, potential = sys.metric, sys.potential
@@ -182,18 +191,25 @@ def _rhs_source(sys):
     return q + p, body, slope
 
 
-def _compile(sys, name, lines):
-    """Compile the generated source of function `name` for sys.  Every float
-    literal prints by repr, so inf and nan are bound as names; the metric
-    domain check and U' are the only calls out."""
-    potential = sys.potential
-    env = {"math": math, "abs": abs, "range": range, "inf": math.inf, "nan": math.nan,
-           "check_domain": sys.metric.check_domain,
-           "du": potential.du if potential is not None else None,
-           "ValueError": ValueError, "ArithmeticError": ArithmeticError,
-           "QuadratureError": QuadratureError, "__builtins__": {}}
-    exec(compile("\n".join(lines), f"<kernel of {sys.label}>", "exec"), env)
+def _exec(name, lines, label, **env):
+    """Compile the generated source of function `name`.  Every float literal
+    prints by repr, so inf and nan are bound as names; env binds the calls
+    out."""
+    env.update({"math": math, "abs": abs, "max": max, "range": range,
+                "inf": math.inf, "nan": math.nan, "__builtins__": {}})
+    exec(compile("\n".join(lines), f"<{label}>", "exec"), env)
     return env[name]
+
+
+def _compile(sys, name, lines):
+    """_exec for one system's kernel: the metric domain check and U' are its
+    only calls out."""
+    potential = sys.potential
+    return _exec(name, lines, f"kernel of {sys.label}",
+                 check_domain=sys.metric.check_domain,
+                 du=potential.du if potential is not None else None,
+                 ValueError=ValueError, ArithmeticError=ArithmeticError,
+                 QuadratureError=QuadratureError)
 
 
 def _make_rhs(sys):
@@ -299,11 +315,142 @@ def _kernel(sys, make):
     generated on first use: a system is fixed once built, so its kernels
     are too.  Each is generated only for the runs that use it, since
     compiling the midpoint run costs several times more than compiling the
-    RHS."""
+    RHS.  The adaptive integrator's kernel depends on the dimension alone
+    and is kept per dimension instead (_dop853)."""
     kernels = _KERNELS.setdefault(sys, {})
     if make not in kernels:
         kernels[make] = make(sys)
     return kernels[make]
+
+
+def _make_dop853(m):
+    """Generate (attempt, dense) for states of m floats: one attempted step
+    of the explicit Runge-Kutta 8(5,3) pair DOP853 (Hairer, Norsett and
+    Wanner, Solving ODEs I, sec. II.10) and the rows of its dense output.
+    Both are straight-line code unrolled over the stages and the m
+    components, with the tableau of scipy.integrate's DOP853 as literals,
+    read from the installed scipy.integrate._ivp.dop853_coefficients (zero
+    entries dropped).  Each stage calls the system's rhs, passed in, so one
+    kernel serves every system of dimension m/2; inlining the RHS would cost
+    a compile per system.
+
+    attempt(rhs, y, f, h, rtol, atol) steps from y, f = rhs(y), by h > 0 and
+    returns (err, y_new, k): scipy's DOP853 error norm (the 5th- and
+    3rd-order estimates, each component scaled by atol + max(|y|, |y_new|)
+    rtol), the 8th-order solution and the 13 stage slopes, the last of them
+    rhs(y_new).  dense(rhs, y, y_new, k, h) evaluates the 3 extra stages and
+    returns the 7 rows of the step's interpolant (see _dense_output).  A
+    stage raises whatever rhs raises.
+    """
+    from scipy.integrate._ivp import dop853_coefficients as tab
+
+    comps = range(m)
+    y = ", ".join(f"y{i}" for i in comps)
+    y_new = ", ".join(f"yn{i}" for i in comps)
+
+    def combo(row, i):  # sum_j row_j k_j, component i
+        return " + ".join(f"{float(c)!r} * k{j}_{i}" for j, c in enumerate(row) if c != 0.0)
+
+    def unpack(s, source=None):
+        return ", ".join(f"k{s}_{i}" for i in comps) + f" = {source or f'k{s}'}"
+
+    def stage(s):
+        point = ", ".join(f"y{i} + ({combo(tab.A[s, :s], i)}) * h" for i in comps)
+        return [f"k{s} = rhs([{point}])", unpack(s)]
+
+    n_stages = tab.N_STAGES  # 12; slope 12 is rhs(y_new)
+    attempt = [
+        f"{y} = y", unpack(0, "f"),
+        *(line for s in range(1, n_stages) for line in stage(s)),
+        *(f"yn{i} = y{i} + h * ({combo(tab.B, i)})" for i in comps),
+        f"k{n_stages} = rhs([{y_new}])",
+        *(f"sc{i} = atol + max(abs(y{i}), abs(yn{i})) * rtol" for i in comps),
+        *(f"e{i} = ({combo(tab.E5, i)}) / sc{i}" for i in comps),
+        *(f"g{i} = ({combo(tab.E3, i)}) / sc{i}" for i in comps),
+        "n5 = " + " + ".join(f"e{i} * e{i}" for i in comps),
+        "n3 = " + " + ".join(f"g{i} * g{i}" for i in comps),
+        "k = " + ", ".join(["f"] + [f"k{s}" for s in range(1, n_stages + 1)]),
+        "if n5 == 0.0 and n3 == 0.0:",
+        f"    return 0.0, [{y_new}], k",
+        f"return h * n5 / math.sqrt((n5 + 0.01 * n3) * {m}), [{y_new}], k",
+    ]
+    dense = [
+        f"{y} = y", f"{y_new} = y_new",
+        ", ".join(f"k{s}" for s in range(n_stages + 1)) + " = k",
+        *(unpack(s) for s in range(n_stages + 1)),
+        *(line for s in range(n_stages + 1, tab.N_STAGES_EXTENDED) for line in stage(s)),
+        *(f"d{i} = yn{i} - y{i}" for i in comps),
+        f"return [[{', '.join(f'd{i}' for i in comps)}],",
+        f"        [{', '.join(f'h * k0_{i} - d{i}' for i in comps)}],",
+        f"        [{', '.join(f'2.0 * d{i} - h * (k{n_stages}_{i} + k0_{i})' for i in comps)}],",
+        *(f"        [{', '.join(f'h * ({combo(row, i)})' for i in comps)}],"
+          for row in tab.D),
+        "        ]",
+    ]
+    label = f"DOP853 kernel for m = {m}"
+    return (_exec("attempt", ["def attempt(rhs, y, f, h, rtol, atol):",
+                              *("    " + line for line in attempt)], label),
+            _exec("dense", ["def dense(rhs, y, y_new, k, h):",
+                            *("    " + line for line in dense)], label))
+
+
+_DOP853 = {}
+
+
+def _dop853(m):
+    """(attempt, dense) of _make_dop853 for dimension m, generated once."""
+    if m not in _DOP853:
+        _DOP853[m] = _make_dop853(m)
+    return _DOP853[m]
+
+
+def _dense_output(dense, rhs, t_old, h, y_old, y_new, k):
+    """The interpolant of one accepted step as a function at(ts): the states
+    at the times ts, one row per time.  It is scipy's Dop853DenseOutput: the
+    7 rows F from the generated dense, summed by Horner's rule in
+    x = (t - t_old)/h over numpy columns, each factor x or 1 - x in turn."""
+    rows = np.array(dense(rhs, y_old, y_new, k, h))[::-1]
+    y_old = np.array(y_old)
+
+    def at(ts):
+        x = ((np.asarray(ts) - t_old) / h)[:, None]
+        y = np.zeros((x.size, y_old.size))
+        for i, row in enumerate(rows):
+            y += row
+            y *= x if i % 2 == 0 else 1.0 - x
+        return y + y_old
+
+    return at
+
+
+def _rhs_or_nan(rhs, y):
+    """rhs(y), or NaN in every component where it raises, as scipy's DOP853
+    saw it: the step selection goes on, and the attempts from a NaN slope
+    are rejected."""
+    try:
+        return rhs(y)
+    except (ValueError, ArithmeticError):
+        return [math.nan] * len(y)
+
+
+def _rms(values) -> float:
+    return math.sqrt(sum(v * v for v in values)) / len(values) ** 0.5
+
+
+def _initial_step(rhs, y, f, t_end, rtol, atol) -> float:
+    """scipy's select_initial_step for DOP853's 7th-order error estimate
+    (Hairer, Norsett and Wanner, sec. II.4), on floats: one probe rhs call."""
+    scale = [atol + abs(v) * rtol for v in y]
+    d0 = _rms([v / s for v, s in zip(y, scale)])
+    d1 = _rms([v / s for v, s in zip(f, scale)])
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end)
+    f1 = _rhs_or_nan(rhs, [v + h0 * w for v, w in zip(y, f)])
+    d2 = _rms([(a - b) / s for a, b, s in zip(f1, f, scale)]) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+    return min(100 * h0, h1, t_end)
 
 
 def gradient(sys, s: PhaseState) -> tuple[np.ndarray, np.ndarray]:
@@ -378,9 +525,21 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
     """Integrate Hamilton's equations qdot = dH/dp, pdot = -dH/dq.
 
     method "adaptive" (default): embedded Runge-Kutta 8(5,3) with the given
-    rtol/atol, sampled at `samples` equally spaced times.  method
-    "midpoint": fixed-step implicit midpoint with step `step`, sampled every
-    matching stride of steps.  Step k solves y1 = y0 + h F, F = rhs((y0 +
+    rtol/atol (atol > 0; rtol raised to at least 100 machine epsilons),
+    sampled at `samples` equally spaced times.  Each attempt is one call of
+    the generated DOP853 kernel (_make_dop853) and the loop here is scipy's
+    DOP853 driver on Python floats: its initial step, the step factor
+    0.9 err^(-1/8) clipped to [0.2, 10] and capped at 1 after a rejection,
+    and the step-size underflow below 10 ulps of t.  An attempt whose stage
+    raises ValueError or ArithmeticError (a stage outside the metric domain)
+    is rejected with factor 0.2.  Samples, and the bisected crossing of a
+    halt, come from the interpolant of the step that spans them.
+    stats["nfev"] counts as scipy did: 2 for the initial slope and step, 12
+    per attempt and 3 per interpolant; stats["rejections"] counts the
+    rejected attempts.
+
+    method "midpoint": fixed-step implicit midpoint with step `step`,
+    sampled every matching stride of steps.  Step k solves y1 = y0 + h F, F = rhs((y0 +
     y1)/2), by fixed-point iteration started from y0 + h G: G = rhs(y0) (an
     explicit Euler guess) at step 1, G = F_1 at step 2 and G = 2 F_1 - F_2
     from step 3 on, F_1 and F_2 being the converged slopes of the last two
@@ -433,42 +592,59 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
     record(0.0, y0.tolist())
 
     if method == "adaptive":
-        kernel = _kernel(sys, _make_rhs)
-
-        def rhs(t, y):
-            try:
-                return np.array(kernel(y.tolist()))
-            except (ValueError, ArithmeticError):
-                return np.full(2 * n, np.nan)
-
-        solver = DOP853(rhs, 0.0, y0, t_end, rtol=rtol, atol=atol)
+        if not atol > 0.0:  # the error scale atol + |y| rtol divides
+            raise ValueError(f"atol must be positive, got {atol}")
+        # Python floats throughout: a numpy scalar would slow every attempt
+        rtol, atol, t_end = max(float(rtol), _MIN_RTOL), float(atol), float(t_end)
+        rhs = _kernel(sys, _make_rhs)
+        attempt, dense = _dop853(2 * n)
         sample_ts = np.linspace(0.0, t_end, samples)
         next_i = 1
+        t, y = 0.0, y0.tolist()
         steps = rejections = 0
-        nfev_mark = solver.nfev
+        nfev = 2  # rhs(y0) and the initial-step probe
         halted = None
         try:
-            while solver.status == "running":
-                msg = solver.step()
-                if solver.status == "failed":
-                    halted = f"step-size underflow: {msg}"
-                    if solver.t > ts[-1]:  # last accepted state is still valid
-                        record(solver.t, solver.y.tolist())
+            ydot = _rhs_or_nan(rhs, y)
+            h_abs = _initial_step(rhs, y, ydot, t_end, rtol, atol)
+            while t < t_end:
+                min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+                h_abs = max(h_abs, min_step)
+                rejected = False
+                while h_abs >= min_step:
+                    t_new = min(t + h_abs, t_end)
+                    h = t_new - t
+                    nfev += 12
+                    try:
+                        err, y_new, k = attempt(rhs, y, ydot, h, rtol, atol)
+                    except (ValueError, ArithmeticError):
+                        err = math.nan  # rejected below with the least factor
+                    if err < 1.0:
+                        break
+                    h_abs = h * max(_MIN_FACTOR, _SAFETY * err ** _ERR_EXPONENT)
+                    rejected = True
+                    rejections += 1
+                else:
+                    halted = ("step-size underflow: Required step size is less "
+                              "than spacing between numbers.")
+                    if t > ts[-1]:  # the last accepted state is still valid
+                        record(t, y)
                     break
+                factor = (_MAX_FACTOR if err == 0.0
+                          else min(_MAX_FACTOR, _SAFETY * err ** _ERR_EXPONENT))
+                h_abs = h * (min(1.0, factor) if rejected else factor)
+                t_old, y_old, t, y, ydot = t, y, t_new, y_new, k[-1]
                 steps += 1
-                # each attempted step costs the 12 stage evaluations of the
-                # 8(5,3) pair, so extra multiples of 12 are rejected attempts
-                rejections += max(0, (solver.nfev - nfev_mark) // 12 - 1)
-                nfev_mark = solver.nfev
-                dense = None
-                t_hi = solver.t
-                reason = violation(solver.y)
+                at = None
+                t_hi = t
+                reason = violation(y)
                 if reason is not None:
-                    dense = solver.dense_output()
-                    a, c = solver.t_old, solver.t
+                    at = _dense_output(dense, rhs, t_old, h, y_old, y, k)
+                    nfev += 3
+                    a, c = t_old, t
                     for _ in range(80):  # bisect the crossing time
                         mid = 0.5 * (a + c)
-                        if violation(dense(mid)) is None:
+                        if violation(at([mid])[0]) is None:
                             a = mid
                         else:
                             c = mid
@@ -477,22 +653,20 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
                 while next_i < samples and sample_ts[next_i] <= t_hi + 1e-12 * max(1.0, t_hi):
                     next_i += 1
                 if next_i > first:
-                    if dense is None:
-                        dense = solver.dense_output()
-                    # the interpolant is elementwise in t, so one call for
-                    # the step's samples gives the bits of one call each
+                    if at is None:
+                        at = _dense_output(dense, rhs, t_old, h, y_old, y, k)
+                        nfev += 3
                     block = sample_ts[first:next_i]
-                    for t, y in zip(block.tolist(), dense(block).T.tolist()):
-                        record(t, y)
-                nfev_mark = solver.nfev  # dense output costs 3 extra evaluations
+                    for t_s, y_s in zip(block.tolist(), at(block).tolist()):
+                        record(t_s, y_s)
                 if reason is not None:
                     halted = reason
                     if t_hi > ts[-1] + 1e-12 * max(1.0, t_hi):
-                        record(t_hi, dense(t_hi).tolist())
+                        record(t_hi, at([t_hi])[0].tolist())
                     break
         except QuadratureError as exc:
             halted = f"quadrature failed: {exc}"
-        stats = {"steps": steps, "nfev": int(solver.nfev), "rejections": int(rejections)}
+        stats = {"steps": steps, "nfev": nfev, "rejections": rejections}
     else:
         if not step > 0:
             raise ValueError(f"step must be positive, got {step}")

@@ -23,8 +23,6 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from . import exprlang
 from .exprlang import (BinOp, Const, Expr, Pow, Var, compile_expr, differentiate,
@@ -140,6 +138,8 @@ class PotentialSpec:
 # ---------------------------------------------------------------------------
 
 def _quad_green(metric: MetricSpec, r: float, r0: float) -> float:
+    from scipy.integrate import quad  # scipy loads only where quadrature runs
+
     f = metric.compiled()[0]
     out = quad(lambda t: 1.0 / (t * t * f(t)), r0, r,
                epsabs=1e-10, epsrel=1e-11, limit=2000, full_output=1)
@@ -198,6 +198,8 @@ def _positive_subdomain(u: Callable, domain, label: str):
     midpoint; when a crossing sits at the midpoint take the lower
     subinterval, ending no later than the midpoint itself (a quadrature-backed
     U vanishes exactly there, while brentq may place the root an ulp above)."""
+    from scipy.optimize import brentq
+
     grid = sample_radii(domain, 257)
     vals = np.array([u(float(r)) for r in grid])
     if np.max(np.abs(vals)) < 1e-14:

@@ -237,19 +237,200 @@ def test_generated_rhs_raises_the_metric_domain_message(mid):
 
 def test_kernels_are_generated_once_per_system(monkeypatch):
     made = []
-    for name in ("_make_rhs", "_make_march"):
+    for name in ("_make_rhs", "_make_march", "_make_dop853"):
         real = getattr(dynamics, name)
         monkeypatch.setattr(dynamics, name,
-                            lambda sys, name=name, real=real: made.append(name) or real(sys))
+                            lambda arg, name=name, real=real: made.append(name) or real(arg))
+    monkeypatch.setattr(dynamics, "_DOP853", {})
     sys = SystemSpec(EUCLID, kc_potential(EUCLID, 1.0), n=3)
     s = PhaseState([1.0, 2.0, 2.0], [0.2, -0.1, 0.4])
     for _ in range(3):
         gradient(sys, s)
     integrate(sys, s, 0.1)
-    assert made == ["_make_rhs"]  # an adaptive run compiles no midpoint run
+    # an adaptive run compiles no midpoint run
+    assert made == ["_make_rhs", "_make_dop853"]
     for _ in range(2):
         integrate(sys, s, 0.1, method="midpoint")
-    assert made == ["_make_rhs", "_make_march"]
+    assert made == ["_make_rhs", "_make_dop853", "_make_march"]
+    # the DOP853 kernel is one per dimension: a second system of the same
+    # dimension reuses it, a system of another dimension makes its own
+    for other in (SystemSpec(EUCLID, None, n=3), SystemSpec(EUCLID, None, n=4)):
+        for _ in range(2):
+            integrate(other, PhaseState([1.0, 2.0] + [1.0] * (other.n - 2),
+                                        [0.2, -0.1] + [0.1] * (other.n - 2)), 0.1)
+    assert made == ["_make_rhs", "_make_dop853", "_make_march", "_make_rhs",
+                    "_make_rhs", "_make_dop853"]
+
+
+# ---------------------------------------------------------------------------
+# the adaptive integrator against scipy's DOP853
+# ---------------------------------------------------------------------------
+
+
+def _scipy_reference(sys, s0, t_end, samples):
+    """The same run on scipy.integrate.DOP853, which the generated DOP853
+    kernel replaces: scipy steps the system's RHS (NaN where it raises), and
+    the loop samples and halts the way integrate does.  Returns (times,
+    states, stats, halted); rejections are the attempts beyond one per
+    accepted step, counted from nfev (12 per attempt, 3 per dense output)."""
+    from scipy.integrate import DOP853
+
+    n = sys.n
+    kernel = dynamics._kernel(sys, dynamics._make_rhs)
+
+    def fun(t, y):
+        try:
+            return np.array(kernel(y.tolist()))
+        except (ValueError, ArithmeticError):
+            return np.full(2 * n, np.nan)
+
+    rmin, rmax = dynamics._halt_bounds(sys)
+
+    def violation(y):
+        if not rmin < math.sqrt(sum(x * x for x in y[:n])) < rmax:
+            return "domain-exit"
+        if any(bi != 0.0 and abs(x) < 1e-10 for x, bi in zip(y, sys.b)):
+            return "singular-axis"
+        return None
+
+    solver = DOP853(fun, 0.0, np.concatenate([s0.q, s0.p]), t_end, rtol=1e-10, atol=1e-12)
+    sample_ts = np.linspace(0.0, t_end, samples)
+    times, states = [0.0], [solver.y.copy()]
+    next_i, steps, denses, halted = 1, 0, 0, None
+    while solver.status == "running":
+        msg = solver.step()
+        if solver.status == "failed":
+            halted = f"step-size underflow: {msg}"
+            if solver.t > times[-1]:
+                times.append(solver.t)
+                states.append(solver.y.copy())
+            break
+        steps += 1
+        dense, t_hi = None, solver.t
+        reason = violation(solver.y)
+        if reason is not None:
+            dense, denses = solver.dense_output(), denses + 1
+            a, c = solver.t_old, solver.t
+            for _ in range(80):
+                mid = 0.5 * (a + c)
+                if violation(dense(mid)) is None:
+                    a = mid
+                else:
+                    c = mid
+            t_hi = a
+        first = next_i
+        while next_i < samples and sample_ts[next_i] <= t_hi + 1e-12 * max(1.0, t_hi):
+            next_i += 1
+        if next_i > first:
+            if dense is None:
+                dense, denses = solver.dense_output(), denses + 1
+            times += sample_ts[first:next_i].tolist()
+            states += list(dense(sample_ts[first:next_i]).T)
+        if reason is not None:
+            halted = reason
+            if t_hi > times[-1] + 1e-12 * max(1.0, t_hi):
+                times.append(t_hi)
+                states.append(dense(t_hi))
+            break
+    attempts = (solver.nfev - 2 - 3 * denses) // 12
+    stats = {"steps": steps, "nfev": solver.nfev, "rejections": attempts - steps}
+    return np.array(times), np.array(states), stats, halted
+
+
+def _oracle_cases():
+    direction = np.array([0.6, -0.64, 0.48])
+    for mid in catalog_ids():
+        metric = metric_of(mid)
+        for kind, make, coupling in (("kc", kc_potential, 0.5),
+                                     ("oscillator", oscillator_potential, 0.4)):
+            sys = SystemSpec(metric, make(metric, coupling), mu2=0.05, b=(0.02, 0.04, 0.03))
+            r0 = anchor(sys.domain)
+            q0 = r0 * np.ones(3) / math.sqrt(3.0)
+            yield (f"{mid}-{kind}", sys,
+                   PhaseState(q0, 0.3 * metric.f(r0) ** 2 * direction), 5.0)
+    for name in NAMED_SYSTEMS:
+        sys = named_system(name, {"mu2": 0.3, "centrifugal": (0.02, 0.03, 0.01)})
+        yield name, sys, PhaseState([0.5, 0.3, 0.2], [-0.1, 0.3, 0.2]), 10.0
+    b8 = tuple(0.01 * (i + 1) for i in range(8))
+    yield ("mic-kepler-n8", named_system("mic-kepler", {"n": 8, "mu2": 0.2, "centrifugal": b8}),
+           PhaseState([0.6, -0.4, 0.3, 0.5, -0.2, 0.4, 0.3, -0.5],
+                      [0.1, 0.2, -0.3, 0.1, 0.2, -0.1, 0.3, 0.1]), 3.0)
+    strip = MetricSpec.from_source("1", id="flat-strip", domain=(0.5, 2.0))
+    q0 = np.array([1.2, 0.3, 0.4])
+    yield ("domain-exit", SystemSpec(strip, None, mu2=0.0, n=3),
+           PhaseState(q0, 0.5 * q0 / 1.3), 20.0)
+    # a free particle whose last step, cut to t_end, ends on the q_1 = 0 plane
+    yield ("singular-axis", SystemSpec(EUCLID, None, mu2=0.0, b=(1e-30, 0.0, 0.0)),
+           PhaseState([2.5, 0.8, 0.6], [-1.0, 0.0, 0.0]), 2.5)
+    yield ("underflow", SystemSpec(EUCLID, None, mu2=0.0, b=(-0.5, 0.0, 0.0)),
+           PhaseState([1.0, 0.8, 0.6], [-0.6, 0.0, 0.0]), 5.0)
+
+
+# fixed before the first comparison: each sample's largest component
+# difference, relative to that sample's largest component
+_ORACLE_RTOL = 1e-9
+_HALTS = {"domain-exit": "domain-exit", "singular-axis": "singular-axis",
+          "underflow": "step-size underflow: Required step size is less than "
+                       "spacing between numbers."}
+
+
+@pytest.mark.parametrize("label, sys, s0, t_end",
+                         [pytest.param(*case, id=case[0]) for case in _oracle_cases()])
+def test_adaptive_run_matches_scipy_dop853(label, sys, s0, t_end):
+    rec = integrate(sys, s0, t_end, samples=21)
+    times, states, stats, halted = _scipy_reference(sys, s0, t_end, 21)
+    assert rec.halted == halted == _HALTS.get(label)
+    if halted is None:
+        assert rec.stats == stats
+    # on the halt setups some steps are so short, or the motion so nearly
+    # free, that the error estimate is rounding noise, which depends on the
+    # order of the sums (scipy's BLAS dot against the kernel's plain sums);
+    # the step sequences may part there, the halt and the samples may not
+    got, got_times = np.hstack([rec.q, rec.p]), rec.times
+    if label == "underflow":
+        # the state where the step size underflowed sits where p_1 ~ 1/q_1
+        # blows up, and no two step sequences agree on it; the samples
+        # before it are compared
+        assert got_times[-1] == pytest.approx(times[-1], rel=1e-12)
+        got, got_times, states, times = got[:-1], got_times[:-1], states[:-1], times[:-1]
+    assert got_times.shape == times.shape
+    np.testing.assert_allclose(got_times, times, rtol=_ORACLE_RTOL, atol=0.0)
+    scale = np.max(np.abs(states), axis=1)
+    assert np.max(np.max(np.abs(got - states), axis=1) / scale) <= _ORACLE_RTOL
+
+
+def test_a_stage_outside_the_domain_rejects_the_attempt(monkeypatch):
+    # the flat strip of test_halt_on_domain_exit: a stage beyond |q| = 2
+    # raises the metric's DomainViolation, which rejects the attempt and
+    # cuts h by 0.2; every state a returned attempt reached lies inside the
+    # strip, so the run leaves it only through the bisection of a step
+    attempt, dense = dynamics._dop853(6)
+    log = []
+
+    def spy(rhs, y, f, h, rtol, atol):
+        try:
+            err, y_new, k = attempt(rhs, y, f, h, rtol, atol)
+        except DomainViolation:
+            log.append((h, None, None))
+            raise
+        log.append((h, err, y_new))
+        return err, y_new, k
+
+    monkeypatch.setitem(dynamics._DOP853, 6, (spy, dense))
+    metric = MetricSpec.from_source("1", id="flat-strip", domain=(0.5, 2.0))
+    sys = SystemSpec(metric, None, mu2=0.0, n=3)
+    q0 = np.array([1.2, 0.3, 0.4])
+    rec = integrate(sys, PhaseState(q0, 0.5 * q0 / 1.3), 20.0)
+    assert rec.halted == "domain-exit"
+    failed = [i for i, (_, err, _) in enumerate(log) if err is None]
+    assert failed and failed[-1] < len(log) - 1
+    for i in failed:
+        assert log[i + 1][0] == pytest.approx(0.2 * log[i][0], rel=1e-12)
+    assert rec.stats["rejections"] >= len(failed)
+    assert max(math.sqrt(sum(x * x for x in y[:3])) for _, err, y in log
+               if err is not None) < 2.0
+    assert rec.final_state.radius < 2.0
+    assert rec.final_state.radius == pytest.approx(2.0, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -762,5 +943,8 @@ def test_integrate_argument_validation():
         integrate(sys, s0, 1.0, samples=1)
     with pytest.raises(ValueError):
         integrate(sys, s0, 1.0, method="rk4")
+    for atol in (0.0, -1e-12):
+        with pytest.raises(ValueError):
+            integrate(sys, s0, 1.0, atol=atol)
     with pytest.raises(ValueError):
         integrate(sys, s0, 1.0, method="midpoint", step=0.0)

@@ -1,4 +1,5 @@
-"""Every imported name is read somewhere in its module.
+"""Every imported name is read somewhere in its module, and the command
+line starts without scipy.
 
 No linter is required to run the tests, so this AST scan keeps refactors
 from leaving dead imports behind.  A name listed in ``__all__`` counts as
@@ -6,6 +7,9 @@ read, and an import line marked ``# noqa: F401`` is exempt.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -49,3 +53,13 @@ def test_the_scan_sees_an_unused_import(tmp_path):
                       "from json import dumps, loads\n"
                       "__all__ = ['dumps']\nprint(loads)\n", encoding="utf-8")
     assert _unused_imports(module, tmp_path) == ["m.py:1: math"]
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy is imported where quadrature, root finding or the DOP853 tableau
+    # is first needed, so a plain import of the command line stays cheap
+    code = ("import sys, qmsflow.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert out.stdout.strip() == "[]"
