@@ -18,9 +18,9 @@ are conserved by every Hamiltonian of the form
 
 Brackets of arbitrary user-supplied functions are computed numerically:
 central differences with one level of Richardson extrapolation, per-coordinate
-step h_i = 1e-6 * max(1, |x_i|).  The function sees a state's whole stencil
-in one call, q and p as lists of N numpy columns over its 8N states, and
-returns one column or m columns (see fd_gradient).
+step h_i = 1e-6 * max(1, |x_i|).  The function sees the stencils of one state
+or of a stack of states in one call, q and p as lists of N numpy columns over
+8N rows per state, and returns one column or m columns (see fd_gradient).
 """
 
 from __future__ import annotations
@@ -86,17 +86,17 @@ class Sl2Triple:
 
 
 def _check_b(q: np.ndarray, b) -> np.ndarray:
-    """b as a float array (zeros for None), checked against q, which is one
-    state or one state per row: the first q_i = 0 with b_i != 0, row by row,
-    raises SingularStateError."""
+    """b as a float array (zeros for None) or one column per axis (shape
+    q.T), checked against q, one state or one state per row: the first
+    q_i = 0 with b_i != 0, row by row, raises SingularStateError."""
     n = q.shape[-1]
     b = np.zeros(n) if b is None else np.asarray(b, dtype=float)
-    if b.shape != (n,):
+    if b.shape not in ((n,), q.T.shape):
         raise ValueError(f"b must have length {n}, got shape {b.shape}")
-    hit = (b != 0.0) & (q == 0.0)
+    hit = (b.T != 0.0) & (q == 0.0)
     if np.any(hit):
-        i = int(np.argmax(hit)) % n
-        raise SingularStateError(f"q_{i} = 0 with b_{i} = {b[i]} != 0")
+        i, bi = int(np.argmax(hit)) % n, np.broadcast_to(b.T, hit.shape)[hit][0]
+        raise SingularStateError(f"q_{i} = 0 with b_{i} = {bi} != 0")
     return b
 
 
@@ -107,10 +107,12 @@ def sl2_realize(s: PhaseState, b: Sequence[float] | None = None) -> Sl2Triple:
 
 def sl2_columns(q: Sequence, p: Sequence, b: Sequence[float] | None = None) -> tuple:
     """(J-, J3, J+) from the coordinates q_1..q_N and p_1..p_N, each a float
-    or a numpy column over many states, every sum taken in axis order.  The
+    or a numpy column over many states, every sum taken in axis order; b_i
+    may be a column too (then a zero entry needs q_i != 0 at its row).  The
     first q_i = 0 with b_i != 0 raises SingularStateError."""
-    b = _check_b(np.transpose(q), b).tolist()
-    jplus = sum((bi / (x * x) for x, bi in zip(q, b) if bi != 0.0), sum(y * y for y in p))
+    b = _check_b(np.transpose(q), b)
+    b = b.tolist() if b.ndim == 1 else list(b)
+    jplus = sum((bi / (x * x) for x, bi in zip(q, b) if np.any(bi != 0.0)), sum(y * y for y in p))
     return sum(x * x for x in q), sum(x * y for x, y in zip(q, p)), jplus
 
 
@@ -206,58 +208,69 @@ _RANK_THRESHOLD = 1e-8
 
 
 def fd_gradient(fn: Callable[[list, list], np.ndarray | Sequence[np.ndarray]],
-                s: PhaseState) -> tuple[np.ndarray, np.ndarray]:
-    """(dF/dq, dF/dp) by central differences with one Richardson level.
+                s: PhaseState | Sequence[PhaseState]) -> tuple[np.ndarray, np.ndarray]:
+    """(dF/dq, dF/dp) by central differences with one Richardson level, at
+    the state s or at each of a sequence of S states of one dimension N.
 
     Per-coordinate step h_i = _EPS * max(1, |x_i|) with _EPS = 1e-6; the
     extrapolation (4 D(h/2) - D(h))/3 cancels the leading h^2 truncation
-    term.  fn is called once, on the 8N stencil states x + D, row 4i + k
-    stepping coordinate i of x = (q, p) by h_i, -h_i, h_i/2, -h_i/2 for
-    k = 0..3: fn(q, p) gets q and p as lists of N numpy columns over the
-    rows and returns one column (two N-vectors result) or m columns (two
-    contiguous (m, N) arrays, row a the gradient of value a), each entry bit
-    for bit what one call per state gives.  Failures in fn (domain exits,
-    centrifugal singularities) propagate to the caller.
+    term.  fn is called once, on the S * 8N stencil states x + D, state
+    major: state k owns rows 8N k .. 8N k + 8N - 1 (a caller may repeat
+    per-state parameters over them), its row 4i + c stepping coordinate i
+    of x = (q, p) by h_i, -h_i, h_i/2, -h_i/2 for c = 0..3.  fn(q, p) gets
+    q and p as lists of N numpy columns over the rows and returns one column
+    (two N-vectors result) or m columns (two contiguous (m, N) arrays, row a
+    the gradient of value a), each result with a leading state axis for a
+    sequence and bit for bit what one call per state gives.  Failures in fn
+    (domain exits, centrifugal singularities) propagate to the caller.
     """
-    n = s.n
-    x = np.concatenate([s.q, s.p])
+    one = isinstance(s, PhaseState)
+    x = np.array([np.concatenate([t.q, t.p]) for t in ([s] if one else s)])
+    n = x.shape[1] // 2
     h = _EPS * np.maximum(1.0, np.abs(x))
-    d = (h[:, None] * [1.0, -1.0, 0.5, -0.5])[:, :, None] * np.eye(2 * n)[:, None]
-    cols = (x + d).reshape(8 * n, 2 * n).T
+    d = (h[..., None] * [1.0, -1.0, 0.5, -0.5])[..., None] * np.eye(2 * n)[:, None]
+    cols = (x[:, None, None] + d).reshape(-1, 2 * n).T
     v = np.asarray(fn(list(cols[:n]), list(cols[n:])), dtype=float)
-    v = v.reshape(*v.shape[:-1], 2 * n, 4)
+    v = v.reshape(*v.shape[:-1], len(x), 2 * n, 4)
     coarse = (v[..., 0] - v[..., 1]) / (2 * h)
     fine = (v[..., 2] - v[..., 3]) / h
-    grad = (4.0 * fine - coarse) / 3.0
+    grad = np.moveaxis((4.0 * fine - coarse) / 3.0, -2, 0)
+    grad = grad[0] if one else grad
     return (np.ascontiguousarray(grad[..., :n]),
             np.ascontiguousarray(grad[..., n:]))
 
 
 def poisson_bracket(f: Callable[[list, list], np.ndarray | Sequence[np.ndarray]],
                     g: Callable[[list, list], np.ndarray | Sequence[np.ndarray]],
-                    s: PhaseState) -> float | np.ndarray:
+                    s: PhaseState | Sequence[PhaseState]) -> float | np.ndarray:
     """{F, G} = sum_i (dF/dq_i dG/dp_i - dG/dq_i dF/dp_i), numerically,
-    with f and g column functions as in fd_gradient.
+    with f, g and s (one state or a sequence) as in fd_gradient.
 
-    For vector-valued f and g the result is the matrix {f_a, g_c}; with
-    g is f the gradients are taken once.
+    For vector-valued f and g the result is the matrix {f_a, g_c}, with a
+    leading state axis for a sequence; with g is f the gradients are taken
+    once.
     """
     fq, fp = fd_gradient(f, s)
     gq, gp = (fq, fp) if g is f else fd_gradient(g, s)
-    out = fq @ gp.T - (gq @ fp.T).T
+    # as one (m, N) matrix per state, a scalar function giving one row
+    k = 0 if isinstance(s, PhaseState) else 1
+    shape = fq.shape[:-1] + gq.shape[k:-1]
+    fq, fp, gq, gp = (x.reshape(*x.shape[:k], -1, x.shape[-1]) for x in (fq, fp, gq, gp))
+    t = lambda x: np.swapaxes(x, -1, -2)
+    out = (fq @ t(gp) - t(gq @ t(fp))).reshape(shape)
     return float(out) if out.ndim == 0 else out
 
 
 def independence_rank(fn: Callable[[list, list], Sequence[np.ndarray]],
-                      s: PhaseState) -> int:
-    """Numerical rank of the Jacobian of the values of fn at s.
+                      s: PhaseState | Sequence[PhaseState]) -> int | np.ndarray:
+    """Numerical rank of the Jacobian of the values of fn at s, one state
+    or a sequence of states (one rank per state, from one stacked SVD).
 
     Rank counts singular values above _RANK_THRESHOLD = 1e-8 times the largest
     one; gradients use the same finite-difference scheme as poisson_bracket.
     The threshold sits an order of magnitude above the ~1e-7 noise floor of
     the gradients.
     """
-    sv = np.linalg.svd(np.hstack(fd_gradient(fn, s)), compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > _RANK_THRESHOLD * sv[0]))
+    sv = np.linalg.svd(np.concatenate(fd_gradient(fn, s), axis=-1), compute_uv=False)
+    rank = np.sum(sv > _RANK_THRESHOLD * sv[..., :1], axis=-1)
+    return int(rank) if isinstance(s, PhaseState) else rank

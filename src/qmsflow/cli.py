@@ -510,10 +510,13 @@ def _spawn(seed: int, count: int) -> list:
     return [np.random.Generator(np.random.Philox(child)) for child in children]
 
 
+_SIGNS = np.array([-1.0, 1.0])
+
+
 def _random_state(rng, n: int, pmax: float = 2.0) -> PhaseState:
     # components bounded away from zero so finite-difference stencils never
-    # straddle a centrifugal axis
-    q = rng.uniform(0.5, 1.5, n) * rng.choice([-1.0, 1.0], size=n)
+    # straddle a centrifugal axis; the signs draw as rng.choice(_SIGNS, n)
+    q = rng.uniform(0.5, 1.5, n) * _SIGNS[rng.integers(0, 2, size=n)]
     return PhaseState(q, rng.uniform(-pmax, pmax, n))
 
 
@@ -539,9 +542,11 @@ def _report(suite: str, seed: int, n: int, checks: list) -> dict:
             "checks": checks, "pass": all(c["pass"] for c in checks)}
 
 
-def _at(fn, s: PhaseState) -> np.ndarray:
-    """The values of the column function fn at the one state s."""
-    return np.asarray(fn(list(s.q[:, None]), list(s.p[:, None])), dtype=float)[..., 0]
+def _at(fn, states) -> np.ndarray:
+    """The values of the column function fn at the states, state first."""
+    q = np.array([s.q for s in states]).T
+    p = np.array([s.p for s in states]).T
+    return np.asarray(fn(list(q), list(p)), dtype=float).T
 
 
 def _conserved(sys_spec: SystemSpec, q, p) -> list:
@@ -564,33 +569,30 @@ def _conserved(sys_spec: SystemSpec, q, p) -> list:
 def _suite_brackets(n: int, seed: int, tol: float | None) -> dict:
     tol = 1e-5 if tol is None else tol
     rng_sl2, rng_son = _spawn(seed, 2)
-    residuals = []
-    for _ in range(100):
-        s = _random_state(rng_sl2, n)
-        b = rng_sl2.uniform(-3.0, 3.0, n)
-        # rows 0, 1, 2 are J-, J3, J+
-        gens = lambda q, p: sl2_columns(q, p, b)
-        jminus, j3, jplus = _at(gens, s)
-        m = poisson_bracket(gens, gens, s)
-        residuals += [abs(m[1, 2] - 2.0 * jplus) / (1.0 + abs(jplus)),
-                      abs(m[1, 0] + 2.0 * jminus) / (1.0 + abs(jminus)),
-                      abs(m[0, 2] - 4.0 * j3) / (1.0 + abs(j3))]
-    checks = [_check_entry("sl2-closure", residuals, tol)]
+    draws = [(_random_state(rng_sl2, n), rng_sl2.uniform(-3.0, 3.0, n)) for _ in range(100)]
+    states, b = [s for s, _ in draws], np.array([bk for _, bk in draws])
+    # rows 0, 1, 2 are J-, J3, J+; each state's rows (its 8N stencil rows
+    # or its centre row) come together, so its b repeats over them
+    gens = lambda q, p: sl2_columns(q, p, np.repeat(b, len(q[0]) // len(b), axis=0).T)
+    jminus, j3, jplus = _at(gens, states).T
+    m = poisson_bracket(gens, gens, states)
+    residuals = np.stack([abs(m[:, 1, 2] - 2.0 * jplus) / (1.0 + abs(jplus)),
+                          abs(m[:, 1, 0] + 2.0 * jminus) / (1.0 + abs(jminus)),
+                          abs(m[:, 0, 2] - 4.0 * j3) / (1.0 + abs(j3))], axis=1)
+    checks = [_check_entry("sl2-closure", residuals.ravel(), tol)]
 
     pairs = list(combinations(range(n), 2))
     row = {pair: a for a, pair in enumerate(pairs)}
     rotations = lambda q, p: [q[i] * p[j] - q[j] * p[i] for i, j in pairs]
-    residuals = []
-    for _ in range(20):
-        s = _random_state(rng_son, n)
-        m = poisson_bracket(rotations, rotations, s)
-        v = _at(rotations, s)
-        for i, j, k in combinations(range(n), 3):
-            ij, ik, jk = row[i, j], row[i, k], row[j, k]
-            residuals += [abs(m[ij, ik] - v[jk]) / (1.0 + abs(v[jk])),
-                          abs(m[ij, jk] + v[ik]) / (1.0 + abs(v[ik])),
-                          abs(m[ik, jk] - v[ij]) / (1.0 + abs(v[ij]))]
-    checks.append(_check_entry("so-n-closure", residuals, tol))
+    states = [_random_state(rng_son, n) for _ in range(20)]
+    m = poisson_bracket(rotations, rotations, states)
+    v = _at(rotations, states)
+    ij, ik, jk = np.array([(row[i, j], row[i, k], row[j, k])
+                           for i, j, k in combinations(range(n), 3)], dtype=int).reshape(-1, 3).T
+    residuals = np.stack([abs(m[:, ij, ik] - v[:, jk]) / (1.0 + abs(v[:, jk])),
+                          abs(m[:, ij, jk] + v[:, ik]) / (1.0 + abs(v[:, ik])),
+                          abs(m[:, ik, jk] - v[:, ij]) / (1.0 + abs(v[:, ij]))], axis=-1)
+    checks.append(_check_entry("so-n-closure", residuals.ravel(), tol))
     return _report("brackets", seed, n, checks)
 
 
@@ -610,7 +612,7 @@ def _suite_involution(n: int, seed: int, tol: float | None) -> dict:
                 sys_spec = SystemSpec(metric, pot, mu2, b=b)
                 s = _random_state(rng, n)
                 conserved = partial(_conserved, sys_spec)
-                size = np.abs(_at(conserved, s))
+                size = np.abs(_at(conserved, [s])[0])
                 m = poisson_bracket(conserved, conserved, s)
                 rel = np.abs(m) / (1.0 + size[:, None] + size[None, :])
                 res_h.extend(rel[0, 1:])
@@ -631,9 +633,9 @@ def _suite_independence(n: int, seed: int, tol: float | None) -> dict:
     sys_spec = SystemSpec(metric, kc_potential(metric, 1.0), 0.3,
                           b=rng.uniform(0.5, 2.5, n))
     expected, trials = 2 * n - 2, 20
-    full = sum(independence_rank(partial(_conserved, sys_spec),
-                                 _random_state(rng, n)) >= expected
-               for _ in range(trials))
+    states = [_random_state(rng, n) for _ in range(trials)]
+    full = int(np.sum(independence_rank(partial(_conserved, sys_spec), states)
+                      >= expected))
     # every state carries the deficient fraction, so points counts states
     entry = _check_entry("jacobian-rank", [(trials - full) / trials] * trials,
                          tol)

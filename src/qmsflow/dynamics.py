@@ -295,12 +295,12 @@ def _make_march(sys):
         "            " + halt.format("None, exc"),
         "        if evals > fp_worst:",
         "            fp_worst = evals",
-        "        done = kstep",
         "        if not {!r} < math.sqrt({}) < {!r}:".format(
             rmin, " + ".join(f"{v} * {v}" for v in x[:m // 2]), rmax),
         "            " + halt.format('"domain-exit", None'),
         *([f"        if {axes}:", "            " + halt.format('"singular-axis", None')]
           if axes else []),
+        "        done = kstep",
         f"        {', '.join(y)} = {', '.join(x)}",
         "        if kstep % stride == 0 or kstep == nsteps:",
         "            try:",

@@ -300,12 +300,15 @@ def _nu_fold_domain(a: float, b: float, nu: Fraction) -> tuple[float, float]:
     raise MetricError(f"nu-fold: empty domain for a = {a}, b = {b}")
 
 
+_BUILT: dict = {}   # (id, repr of the merged parameters) -> MetricSpec, <= 64
+
+
 def catalog_lookup(id: str, params: Mapping | None = None, **kw) -> MetricSpec:
-    """Build the MetricSpec for a catalog id.
+    """The MetricSpec for a catalog id.
 
     Parameters may be given as a mapping or as keyword arguments; missing ones
     take the entry's defaults.  Unknown ids and out-of-range parameters raise
-    MetricError.
+    MetricError.  A MetricSpec is immutable, so builds are kept and reused.
     """
     if id not in CATALOG:
         raise MetricError(f"unknown space id '{id}' (known: {', '.join(CATALOG)})")
@@ -317,6 +320,9 @@ def catalog_lookup(id: str, params: Mapping | None = None, **kw) -> MetricSpec:
         raise MetricError(f"space '{id}' takes no parameter(s) {sorted(unknown)}")
     values = dict(entry.defaults)
     values.update(given)
+    key = (id, repr(sorted(values.items())))
+    if key in _BUILT:
+        return _BUILT[key]
 
     if "nu" in values:
         nu = _as_fraction(values["nu"])
@@ -345,4 +351,7 @@ def catalog_lookup(id: str, params: Mapping | None = None, **kw) -> MetricSpec:
     expr = exprlang.parse(entry.f_source, params=set(values))
     metric = MetricSpec(id, expr, params=values, domain=domain)
     metric._from_catalog = True   # green_expr need not parse f again
+    if len(_BUILT) >= 64:
+        _BUILT.clear()
+    _BUILT[key] = metric
     return metric

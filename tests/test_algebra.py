@@ -406,6 +406,70 @@ def test_bracket_stencil_failures_propagate():
         poisson_bracket(free, free, PhaseState([0.8, 0.6], [0.1, 0.2]))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_stacked_engine_matches_the_per_state_calls_bit_for_bit(n):
+    # one stencil call over S states against S calls of one state each, for
+    # scalar, vector and mixed column functions and for per-state b
+    rng = np.random.default_rng(80 + n)
+    hex_of = lambda a: [x.hex() for x in np.ravel(a)]
+    metric = catalog_lookup("darboux3b")
+    sys_spec = SystemSpec(metric, kc_potential(metric, 0.7), 0.4,
+                          b=rng.uniform(-2.0, 2.0, n))
+    states = [random_state(rng, n, p_scale=2.0) for _ in range(7)]
+    vector = partial(_conserved, sys_spec)
+    scalar = lambda q, p: _conserved(sys_spec, q, p)[0]
+    for fn in (scalar, vector):
+        gq, gp = fd_gradient(fn, states)
+        assert gq.shape == gp.shape == (7, *fd_gradient(fn, states[0])[0].shape)
+        assert gq.flags.c_contiguous and gp.flags.c_contiguous
+        for k, s in enumerate(states):
+            sq, sp = fd_gradient(fn, s)
+            assert hex_of(gq[k]) == hex_of(sq) and hex_of(gp[k]) == hex_of(sp)
+    for f, g in ((scalar, scalar), (vector, vector), (scalar, vector), (vector, scalar)):
+        stacked = poisson_bracket(f, g, states)
+        assert stacked.shape[0] == 7
+        for k, s in enumerate(states):
+            assert hex_of(stacked[k]) == hex_of(poisson_bracket(f, g, s))
+    ranks = independence_rank(vector, states)
+    assert ranks.tolist() == [independence_rank(vector, s) for s in states]
+    assert ranks.tolist() == [2 * n - 2] * 7
+
+    # per-state b reaches sl2_columns as columns, repeated over each state's
+    # 8N stencil rows
+    b = rng.uniform(-3.0, 3.0, (7, n))
+    gens = lambda q, p: sl2_columns(q, p, np.repeat(b, 8 * n, axis=0).T)
+    stacked = poisson_bracket(gens, gens, states)
+    assert stacked.shape == (7, 3, 3)
+    for k, s in enumerate(states):
+        one = lambda q, p: sl2_columns(q, p, b[k])
+        assert hex_of(stacked[k]) == hex_of(poisson_bracket(one, one, s))
+
+
+def test_stacked_stencil_failures_propagate():
+    metric = catalog_lookup("euclidean")
+    pot = kc_potential(metric, 1.0)
+    clear = PhaseState([0.8, 0.6, 0.5], [0.1, 0.2, 0.3])
+    # q_2 = h/2: the -h/2 stencil state of q_2 lies on that axis
+    on_axis = PhaseState([0.8, 0.6, 5e-7], [0.1, 0.2, 0.3])
+    walled = partial(_conserved, SystemSpec(metric, pot, 0.3, b=[1.0, 0.0, 2.0]))
+    assert np.all(np.isfinite(poisson_bracket(walled, walled, [clear, clear])))
+    with pytest.raises(SingularStateError, match="q_2 = 0 with b_2 = 2.0"):
+        poisson_bracket(walled, walled, [clear, on_axis, clear])
+    with pytest.raises(SingularStateError, match="q_2 = 0 with b_2 = 2.0"):
+        independence_rank(walled, [clear, on_axis])
+    b = np.array([[1.0, 0.0, 0.5], [1.0, 0.0, 2.5]])
+    gens = lambda q, p: sl2_columns(q, p, np.repeat(b, 24, axis=0).T)
+    with pytest.raises(SingularStateError, match="q_2 = 0 with b_2 = 2.5"):
+        fd_gradient(gens, [clear, on_axis])
+
+    # the +h stencil state of q_0 leaves the unit ball of the hyperbolic space
+    hyperbolic = partial(_conserved, SystemSpec(catalog_lookup("hyperbolic"), None, n=3))
+    inside = PhaseState([1.0 - 1e-7, 0.0, 0.0], [0.1, 0.2, 0.3])
+    clear_of_edge = PhaseState([0.5, 0.1, 0.1], [0.1, 0.2, 0.3])
+    with pytest.raises(DomainViolation):
+        poisson_bracket(hyperbolic, hyperbolic, [clear_of_edge, inside])
+
+
 # ---------------------------------------------------------------------------
 # functional independence
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import functools
+import hashlib
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import pytest
 import yaml
 
 import qmsflow
-from qmsflow import cli, dynamics
+from qmsflow import cli, dynamics, geometry
 from qmsflow.cli import ConfigError, VERIFY_SUITES, build_config, main
 from qmsflow.geometry import CATALOG
 
@@ -493,6 +494,8 @@ def test_simulate_midpoint_axis_halt_flushes_partial_output(tmp_path, capsys):
     assert data[-1][0] == pytest.approx(2e-3, rel=1e-12)
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["conservation"]["halted"] == "singular-axis"
+    # the steps kept, not the third one that was discarded
+    assert summary["conservation"]["stats"]["steps"] == 2
 
 
 def test_simulate_fixed_point_stall_flushes_partial_output(
@@ -619,6 +622,54 @@ def test_verify_at_n2_lists_only_checks_with_points(tmp_path, capsys):
         listed[suite] = [check["check"] for check in report["checks"]]
     assert listed["brackets"] == ["sl2-closure"]
     assert listed["involution"] == ["hamiltonian-vs-integrals"]
+
+
+# sha256 over the JSON reports of seeds 1..4, recorded before the suites
+# pushed all their sampled states through one stencil call
+REPORT_PINS = {
+    ("brackets", 2): "bdbc631f8605bd6d2212414e0e9e388cd92f581cab7e39df4a597542f692300f",
+    ("brackets", 3): "b307918e9abff0cdb62dd11dcc41b07a41a53743720f4c1277f68e27854b6ed2",
+    ("brackets", 4): "9363c0dc7e3446101ed1ddb0c478584f201d5bd0b14c4ca21ea330dbb180168f",
+    ("brackets", 5): "3ed3e328749cdd38388af9482c4b5d40981987d1ad38843e76784f178fa42ec2",
+    ("independence", 2): "7199158a79681803f7010463969f91ba09df9b49691459fe13f0bb916fc7b18f",
+    ("independence", 3): "ece5d0fe21152e76361785d211f0a2959063ccfa07d02767542b46afcc93be19",
+    ("independence", 4): "0ecd12546e98cab240cd39667691ca7dfef24f592fb1fd739d121aa2eddbf218",
+    ("independence", 5): "8224d49910716c6d3ab9031b91de3dbf91497509f06109ada4d1c476eb6b3603",
+    ("involution", 2): "85777bc0873700e123959903a883f6fa0f49a27dad846d876a1c49b979b71c90",
+    ("involution", 3): "fa0cf7e1a9f91abf1db3a772633014ce536d69e9219bb69f507986227ecce138",
+    ("involution", 4): "9aff38c056558c1dd6f454a2889d1ddd8b410d7301b10385531ecfdd76f511af",
+    ("involution", 5): "5c85247d3eb09d7d8e7573e2a4940434f28cc4cb1667b7a0d7494e847ed19139",
+}
+
+
+@pytest.mark.parametrize("suite, n", sorted(REPORT_PINS))
+def test_verify_reports_are_pinned(suite, n):
+    digest = hashlib.sha256()
+    for seed in range(1, 5):
+        digest.update(cli._dump_json(cli._SUITE_RUNNERS[suite](n, seed, None)).encode())
+    assert digest.hexdigest() == REPORT_PINS[suite, n]
+
+
+def test_reports_do_not_depend_on_kept_metric_builds(monkeypatch):
+    # the green and involution suites look their spaces up again on every
+    # call: fresh builds and kept ones give the same reports
+    monkeypatch.setattr(geometry, "_BUILT", {})
+    fresh = [cli._dump_json(cli._SUITE_RUNNERS[s](3, 2, None)) for s in ("green", "involution")]
+    assert geometry._BUILT
+    kept = [cli._dump_json(cli._SUITE_RUNNERS[s](3, 2, None)) for s in ("green", "involution")]
+    assert kept == fresh
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 7, 2 ** 63 + 5])
+def test_random_state_signs_draw_as_generator_choice(seed):
+    # _SIGNS[integers(0, 2)] is the draw Generator.choice makes: the same
+    # signs, and the stream goes on at the same place
+    ours, theirs = (np.random.Generator(np.random.Philox(seed)) for _ in range(2))
+    for n in (1, 2, 3, 6):
+        for _ in range(20):
+            assert cli._SIGNS[ours.integers(0, 2, size=n)].tolist() == \
+                theirs.choice([-1.0, 1.0], size=n).tolist()
+            assert ours.uniform() == theirs.uniform()
 
 
 def test_verify_reports_are_byte_deterministic(tmp_path, capsys):

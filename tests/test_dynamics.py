@@ -648,7 +648,8 @@ def _reference_march(sys, s0, t_end, h, order):
     converged once max|x_new - x| <= fp_tol (1 + max|x_new|) (a NaN never
     does) and stalls after max_fp_iter passes besides the Euler call.  A
     converged state outside the halt bounds, within 1e-10 of a plane q_i = 0
-    with b_i != 0 or across one halts the run, keeping the state before it."""
+    with b_i != 0 or across one halts the run, keeping the state before it;
+    stats["steps"] counts the steps kept."""
     rhs = _reference_rhs(sys)
     rmin, rmax = dynamics._halt_bounds(sys)
     n, nsteps = sys.n, round(t_end / h)
@@ -683,8 +684,7 @@ def _reference_march(sys, s0, t_end, h, order):
                  for i in range(n) if sys.b[i] != 0.0):
             halted = "singular-axis"
         if halted is not None:
-            return times, states, halted, {"steps": kstep, "nfev": nfev,
-                                           "max_fp_iterations": fp_worst}
+            break
         y = x
         slopes.insert(0, F)
         times.append(kstep * h)
@@ -865,6 +865,7 @@ def test_midpoint_halt_on_domain_exit():
                     method="midpoint", step=1e-3)
     assert rec.halted == "domain-exit"
     assert rec.times[-1] == pytest.approx(1.399, abs=1e-9)
+    assert rec.stats["steps"] == 1399   # the 1400th step left and was discarded
     assert rec.final_state.radius < 2.0
     assert rec.final_state.radius == pytest.approx(2.0, abs=1e-3)
 
@@ -878,6 +879,7 @@ def test_midpoint_halt_on_singular_axis():
     rec = integrate(sys, s0, 1.0, method="midpoint", step=1e-3)
     assert rec.halted == "singular-axis"
     assert rec.times[-1] == pytest.approx(2e-3, rel=1e-12)
+    assert rec.stats["steps"] == 2
     assert rec.final_state.q[0] == pytest.approx(1e-3, rel=1e-9)
 
 
@@ -895,8 +897,9 @@ def test_both_integrators_halt_where_a_singular_plane_is_crossed(method, b1):
     if method == "adaptive":  # bisected on the interpolant
         assert rec.times[-1] == pytest.approx(1.0 / 0.6, abs=1e-9)
     else:  # the last step before the crossing
-        assert 1.0 / 0.6 - 1e-3 < rec.times[-1] < 1.0 / 0.6
-        assert rec.stats["steps"] == 1667
+        # the steps kept: the 1667th crossed the plane and was discarded
+        assert 1.0 / 0.6 - 1e-3 < rec.times[-1] == rec.stats["steps"] * 1e-3 < 1.0 / 0.6
+        assert rec.stats["steps"] == 1666
 
 
 def _kepler_midpoint_stall():

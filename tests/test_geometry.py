@@ -88,6 +88,22 @@ def test_unknown_id_and_unknown_parameter():
         catalog_lookup("euclidean", m=3)
 
 
+def test_a_repeated_lookup_returns_the_kept_build():
+    m = catalog_lookup("darboux3b")
+    assert catalog_lookup("darboux3b") is m
+    assert catalog_lookup("darboux3b", {"k": m.params["k"]}) is m
+    # other parameters, and equal ones of another type or sign, build anew
+    assert catalog_lookup("darboux3b", k=3.0) is not m
+    one, one_f = catalog_lookup("taub-nut", m=1), catalog_lookup("taub-nut", m=1.0)
+    assert one is not one_f and repr(one.params["m"]) == "1"
+    minus_zero = catalog_lookup("nu-fold", a=1, b=-0.0, nu=2)
+    assert minus_zero is not catalog_lookup("nu-fold", a=1, b=0.0, nu=2)
+    # a failed build is not kept
+    for _ in range(2):
+        with pytest.raises(MetricError):
+            catalog_lookup("nu-fold", a=1, b=1, nu=-2)
+
+
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_construction_rejects_a_non_finite_parameter(value):
     with pytest.raises(ValueError, match="parameter 'w'.*not finite"):
