@@ -105,15 +105,23 @@ def sl2_realize(s: PhaseState, b: Sequence[float] | None = None) -> Sl2Triple:
     return Sl2Triple(*sl2_columns(s.q.tolist(), s.p.tolist(), b))
 
 
-def sl2_columns(q: Sequence, p: Sequence, b: Sequence[float] | None = None) -> tuple:
+def sl2_columns(q: Sequence, p: Sequence, b: Sequence | None = None) -> tuple:
     """(J-, J3, J+) from the coordinates q_1..q_N and p_1..p_N, each a float
     or a numpy column over many states, every sum taken in axis order; b_i
     may be a column too (then a zero entry needs q_i != 0 at its row).  The
-    first q_i = 0 with b_i != 0 raises SingularStateError."""
-    b = _check_b(np.transpose(q), b)
-    b = b.tolist() if b.ndim == 1 else list(b)
-    jplus = sum((bi / (x * x) for x, bi in zip(q, b) if np.any(bi != 0.0)), sum(y * y for y in p))
+    first q_i = 0 with b_i != 0 raises SingularStateError.  Symbolic b
+    (sympy, say) takes the same sums unchecked."""
+    b = [0.0] * len(q) if b is None else b
+    if np.asarray(b).dtype != object:
+        _check_b(np.transpose(q), b)
+    jplus = sum((bi / (x * x) for x, bi, nz in zip(q, b, _nonzero(b)) if nz), sum(y * y for y in p))
     return sum(x * x for x in q), sum(x * y for x, y in zip(q, p)), jplus
+
+
+def _nonzero(b) -> list:
+    """Per axis, whether b_i (a float, a column or a symbol) is not all zero;
+    the b_i terms of an axis that is are skipped, since q_i may vanish there."""
+    return [bool(z.any() if isinstance(z, np.ndarray) else z) for z in (x != 0.0 for x in b)]
 
 
 def so_n_generator(i: int, j: int, s: PhaseState) -> float:
@@ -163,7 +171,7 @@ def integral_set(s: PhaseState, b: Sequence[float] | None = None) -> IntegralSet
     return _towers(s.q.tolist(), s.p.tolist(), b)
 
 
-def _towers(q: Sequence, p: Sequence, b: Sequence[float]) -> IntegralSet:
+def _towers(q: Sequence, p: Sequence, b: Sequence) -> IntegralSet:
     """Both towers from the coordinates q_1..q_N, p_1..p_N, by nesting from
     C^(1) = b_1:
 
@@ -171,15 +179,15 @@ def _towers(q: Sequence, p: Sequence, b: Sequence[float]) -> IntegralSet:
                                      + b_m q_i^2/q_m^2] + b_m
 
     over axes 1..N for the left tower and N..1 for the right one, O(N^2) in
-    all.  C_(N) is taken from C^(N), so the top members agree exactly.  Zero
-    b terms are skipped, since q may vanish there; b is not checked here.
+    all.  C_(N) is taken from C^(N), so the top members agree exactly.  An
+    all-zero b_i's terms are skipped (see _nonzero); b is not checked here.
 
-    Each q_i and p_i is a float, or a numpy column holding that coordinate
+    Each q_i, p_i and b_i is a float, or a numpy column holding that value
     at many states.  The same float operations run on either, so every
     entry of a column result is the value at its state bit for bit.
     """
-    out = []
-    for q, p, b in ((q, p, b), (q[::-1], p[::-1], b[::-1])):
+    nz, out = _nonzero(b), []
+    for q, p, b, nz in ((q, p, b, nz), (q[::-1], p[::-1], b[::-1], nz[::-1])):
         sq = [x * x for x in q]
         c, tower = b[0], []
         for m in range(1, len(q)):
@@ -187,9 +195,9 @@ def _towers(q: Sequence, p: Sequence, b: Sequence[float]) -> IntegralSet:
             for i in range(m):
                 jim = q[i] * pm - q[m] * p[i]
                 c = c + jim * jim
-                if b[i] != 0.0:
+                if nz[i]:
                     c = c + b[i] * sq[m] / sq[i]
-                if bm != 0.0:
+                if nz[m]:
                     c = c + bm * sq[i] / sq[m]
             c = c + bm
             tower.append(c)

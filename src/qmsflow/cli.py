@@ -57,6 +57,7 @@ from .coords import (
     radial_hamiltonian,
     spherical_casimir,
     to_cartesian,
+    to_cartesian_columns,
 )
 from .dynamics import _audit, _check_domain, conservation_report, hamiltonian, integrate
 from .exprlang import ExprError
@@ -549,20 +550,28 @@ def _at(fn, states) -> np.ndarray:
     return np.asarray(fn(list(q), list(p)), dtype=float).T
 
 
-def _conserved(sys_spec: SystemSpec, q, p) -> list:
+def _per_row(x, q) -> np.ndarray:
+    """Per-state values x repeated over each state's rows of the columns q."""
+    return np.repeat(x, len(q[0]) // len(x), axis=0)
+
+
+def _conserved(sys_spec: SystemSpec, q, p, mu2=None, b=None) -> list:
     """H, C^(2)..C^(N) from the left family and C_(2)..C_(N-1) from the
     right one (the top right member coincides with the top left one), as
-    columns over the states in the N columns q and p: the checks run once
-    over all states, then H and the towers as in the trajectory audit."""
+    columns over the states in the N columns q and p, for the system's mu2
+    and b or a column mu2 and N columns b: the checks run once over all
+    states, then f and U row by row, H and the towers as in the audit."""
     if len(q) != sys_spec.n:
         raise ValueError(f"state has dimension {len(q)}, system expects {sys_spec.n}")
     r = np.sqrt(sum(x * x for x in q))
-    for x in r.tolist():
+    lo, hi = sys_spec.domain
+    for x in r[~((lo < r) & (r < hi))][:1].tolist():  # the first row out of the domain
         _check_domain(sys_spec, x)
-    pot = sys_spec.potential
-    fr = np.array([sys_spec.metric.f(x) for x in r.tolist()])
-    u = None if pot is None else np.array([pot.u(x) for x in r.tolist()])
-    series = _audit(sys_spec, np.transpose(q), np.transpose(p), r, fr, u)
+    f, pot, rows = sys_spec.metric.compiled()[0], sys_spec.potential, r.tolist()
+    fr = np.array([f(x) for x in rows])
+    u = None if pot is None else np.array([pot.u(x) for x in rows])
+    series = _audit(np.transpose(q), np.transpose(p), r, fr, u,
+                    sys_spec.mu2 if mu2 is None else mu2, sys_spec.b if b is None else b)
     return list(series.values())[:-1]
 
 
@@ -573,7 +582,7 @@ def _suite_brackets(n: int, seed: int, tol: float | None) -> dict:
     states, b = [s for s, _ in draws], np.array([bk for _, bk in draws])
     # rows 0, 1, 2 are J-, J3, J+; each state's rows (its 8N stencil rows
     # or its centre row) come together, so its b repeats over them
-    gens = lambda q, p: sl2_columns(q, p, np.repeat(b, len(q[0]) // len(b), axis=0).T)
+    gens = lambda q, p: sl2_columns(q, p, _per_row(b, q).T)
     jminus, j3, jplus = _at(gens, states).T
     m = poisson_bracket(gens, gens, states)
     residuals = np.stack([abs(m[:, 1, 2] - 2.0 * jplus) / (1.0 + abs(jplus)),
@@ -606,20 +615,21 @@ def _suite_involution(n: int, seed: int, tol: float | None) -> dict:
         metric = catalog_lookup(mid)
         for pot in (None, kc_potential(metric, 0.7),
                     oscillator_potential(metric, 0.4)):
-            for _ in range(6):
-                mu2 = rng.uniform(0.0, 1.0)
-                b = rng.uniform(-2.0, 2.0, n)
-                sys_spec = SystemSpec(metric, pot, mu2, b=b)
-                s = _random_state(rng, n)
-                conserved = partial(_conserved, sys_spec)
-                size = np.abs(_at(conserved, [s])[0])
-                m = poisson_bracket(conserved, conserved, s)
-                rel = np.abs(m) / (1.0 + size[:, None] + size[None, :])
-                res_h.extend(rel[0, 1:])
-                # rows 1..N-1 hold the left family, the rest the right one;
-                # each is involutive on its own, but the two do not commute
-                for family, upper in zip((rel[1:n, 1:n], rel[n:, n:]), pairs):
-                    res_c.extend(family[upper])
+            # six states in one stencil call, each with its own mu2 and b,
+            # which come per row: the system gives f, U and the domain
+            draws = [(rng.uniform(0.0, 1.0), rng.uniform(-2.0, 2.0, n),
+                      _random_state(rng, n)) for _ in range(6)]
+            mu2, b, states = zip(*draws)
+            sys_spec = SystemSpec(metric, pot, n=n)
+            conserved = lambda q, p: _conserved(sys_spec, q, p, _per_row(mu2, q), _per_row(b, q).T)
+            size = np.abs(_at(conserved, states))
+            m = poisson_bracket(conserved, conserved, states)
+            rel = np.abs(m) / (1.0 + size[:, :, None] + size[:, None, :])
+            res_h.extend(rel[:, 0, 1:].ravel())
+            # rows 1..N-1 hold the left family, the rest the right one;
+            # each is involutive on its own, but the two do not commute
+            for family, (i, j) in zip((rel[:, 1:n, 1:n], rel[:, n:, n:]), pairs):
+                res_c.extend(family[:, i, j].ravel())
     checks = [_check_entry("hamiltonian-vs-integrals", res_h, tol),
               _check_entry("integrals-in-involution", res_c, tol)]
     return _report("involution", seed, n, checks)
@@ -648,25 +658,16 @@ def _suite_coords(n: int, seed: int, tol: float | None) -> dict:
     rngs = _spawn(seed, 5)
     checks = []
 
-    # the chart state packed as a PhaseState, q = (r, theta) and
+    # each chart state packed as a PhaseState, q = (r, theta) and
     # p = (p_r, p_theta), so that poisson_bracket works in the chart; rows
-    # 0..N-1 of the bracket matrix are the Cartesian q, rows N..2N-1 the p;
-    # the chart is not columnar, so cart maps one stencil state at a time
-    def cart(q, p):
-        charts = (to_cartesian(SphericalPhaseState(a[0], a[1:], b[0], b[1:]))
-                  for a, b in zip(np.transpose(q), np.transpose(p)))
-        return np.transpose([np.concatenate([c.q, c.p]) for c in charts])
-
-    residuals = []
-    upper = np.triu_indices(n, 1)
-    for _ in range(6):
-        s = _random_spherical(rngs[0], n)
-        packed = PhaseState(np.concatenate([[s.r], s.theta]),
-                            np.concatenate([[s.p_r], s.p_theta]))
-        m = poisson_bracket(cart, cart, packed)
-        residuals.extend(np.abs(m[:n, n:] - np.eye(n)).ravel())
-        residuals.extend(np.abs(m[:n, :n][upper]))
-        residuals.extend(np.abs(m[n:, n:][upper]))
+    # 0..N-1 of each bracket matrix are the Cartesian q, rows N..2N-1 the p
+    packed = [PhaseState(np.concatenate([[s.r], s.theta]), np.concatenate([[s.p_r], s.p_theta]))
+              for s in (_random_spherical(rngs[0], n) for _ in range(6))]
+    m = poisson_bracket(to_cartesian_columns, to_cartesian_columns, packed)
+    i, j = np.triu_indices(n, 1)
+    residuals = np.concatenate([np.abs(m[:, :n, n:] - np.eye(n)).ravel(),
+                                np.abs(m[:, :n, :n][:, i, j]).ravel(),
+                                np.abs(m[:, n:, n:][:, i, j]).ravel()])
     checks.append(_check_entry("canonicity", residuals,
                                1e-6 if tol is None else tol))
 

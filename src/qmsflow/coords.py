@@ -24,11 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import PhaseState, SingularStateError, Sl2Triple
+from .algebra import PhaseState, SingularStateError, Sl2Triple, _nonzero
 
 __all__ = [
     "SphericalPhaseState", "ChartError",
-    "to_cartesian", "from_cartesian",
+    "to_cartesian", "to_cartesian_columns", "from_cartesian",
     "spherical_generators", "spherical_casimir", "angular_chain",
     "angular_momentum_sq_spherical", "radial_hamiltonian",
 ]
@@ -78,54 +78,58 @@ class SphericalPhaseState:
         return self.theta.shape[0] + 1
 
 
-def _check_chart(sins: np.ndarray):
-    # sin(theta_k) for k = 1..N-2 enters the denominators S_j; the last angle
-    # never does.
-    for k in range(len(sins) - 1):
-        if abs(sins[k]) < 1e-15:
-            raise ChartError(f"sin(theta_{k + 1}) = 0: chart is singular here")
-
-
-def _q_of(r: float, sins, coss) -> np.ndarray:
-    n = len(sins) + 1
-    q = np.empty(n)
-    prod = 1.0
-    for j in range(n - 1):
-        q[j] = r * coss[j] * prod
-        prod *= sins[j]
-    q[n - 1] = r * prod
-    return q
-
-
-def _e_theta(r: float, sins, coss, j: int) -> np.ndarray:
-    """Tangent vector dq/dtheta_j; squared length r^2 prod_{k<j} sin^2."""
-    n = len(sins) + 1
-    e = np.zeros(n)
+def _e_theta(r, sins, coss, j: int) -> list:
+    """Tangent vector dq/dtheta_j as a list; squared length r^2 prod_{k<j} sin^2."""
     pre = r
     for k in range(j):
-        pre *= sins[k]
-    e[j] = -pre * sins[j]
+        pre = pre * sins[k]
+    e = [0.0] * j + [-pre * sins[j]]
     tail = pre * coss[j]  # the sin(theta_j) factor of deeper components, differentiated
-    for i in range(j + 1, n - 1):
-        e[i] = tail * coss[i]
-        tail *= sins[i]
-    e[n - 1] = tail
-    return e
+    for i in range(j + 1, len(sins)):
+        e.append(tail * coss[i])
+        tail = tail * sins[i]
+    return e + [tail]
+
+
+def _chart(r, sins, coss, p_r, p_theta) -> tuple[list, list]:
+    """Cartesian q and p (N entries each) from r, the sines and cosines of
+    the angles, p_r and p_theta: floats, or numpy columns with one point per
+    row, each row bit for bit its point's floats (a zero p_theta_j in a
+    column with others adds zeros, which can flip the sign of a zero p)."""
+    # sin(theta_k) for k = 1..N-2 enters the denominators S_j; the last does not
+    hit = np.abs(sins[:-1]) < 1e-15
+    if hit.any():
+        raise ChartError(f"sin(theta_{np.nonzero(hit)[0][0] + 1}) = 0: chart is singular here")
+    q, prod = [], 1.0
+    for s, c in zip(sins, coss):
+        q.append(r * c * prod)
+        prod = prod * s
+    q.append(r * prod)
+    p = [p_r * x / r for x in q]
+    # libm pow, as for a float: numpy squares a column as x * x, which
+    # differs in the last bit for about 0.1 % of inputs
+    sq = lambda x: np.array([v ** 2 for v in x.tolist()]) if isinstance(x, np.ndarray) else x ** 2
+    r2, s_prod = sq(r), 1.0  # S_j = prod_{k<j} sin^2
+    for j, (pt, nz) in enumerate(zip(p_theta, _nonzero(p_theta))):
+        if nz:
+            p = [a + pt * e / (r2 * s_prod) for a, e in zip(p, _e_theta(r, sins, coss, j))]
+        s_prod = s_prod * sq(sins[j])
+    return q, p
 
 
 def to_cartesian(s: SphericalPhaseState) -> PhaseState:
     """Map a spherical phase point to generic coordinates and momenta."""
-    sins = np.sin(s.theta)
-    coss = np.cos(s.theta)
-    _check_chart(sins)
-    q = _q_of(s.r, sins, coss)
-    p = s.p_r * q / s.r
-    s_prod = 1.0  # S_j = prod_{k<j} sin^2
-    for j in range(s.n - 1):
-        if s.p_theta[j] != 0.0:
-            p = p + s.p_theta[j] * _e_theta(s.r, sins, coss, j) / (s.r ** 2 * s_prod)
-        s_prod *= sins[j] ** 2
-    return PhaseState(q, p)
+    return PhaseState(*_chart(s.r, np.sin(s.theta).tolist(), np.cos(s.theta).tolist(),
+                              s.p_r, s.p_theta.tolist()))
+
+
+def to_cartesian_columns(q: list, p: list) -> list:
+    """to_cartesian on the column contract of algebra.fd_gradient: q = (r,
+    theta) and p = (p_r, p_theta) as lists of N numpy columns, the angles
+    taken into [0, 2pi); returns the Cartesian q columns, then those of p."""
+    theta = np.remainder(q[1:], _TWO_PI)
+    q, p = _chart(q[0], np.sin(theta), np.cos(theta), p[0], p[1:])
+    return q + p
 
 
 def from_cartesian(s: PhaseState) -> SphericalPhaseState:

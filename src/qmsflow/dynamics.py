@@ -51,7 +51,7 @@ import numpy as np
 
 # integral_set is not called here; it stays bound because perfbench/tracing.py
 # wraps dynamics.integral_set by name
-from .algebra import PhaseState, integral_set, sl2_realize, _check_b, _towers  # noqa: F401
+from .algebra import PhaseState, integral_set, sl2_realize, _check_b, _nonzero, _towers  # noqa: F401
 from .exprlang import to_python
 from .geometry import DomainViolation
 from .potentials import QuadratureError
@@ -99,14 +99,14 @@ def _validate(sys, s: PhaseState) -> float:
     return r
 
 
-def _energy(sys, q, p, r, fr, u):
-    """H from q, p, r = |q|, fr = f(r) and u = U(r) (None without a
-    potential), grouped exactly as written in the module docstring.  Each
-    argument but sys is a float, or a numpy column over many states (q and p
-    as sequences of columns); the same float operations run on either."""
-    k = sum(x * x for x in p) + sys.mu2 / (r * r)
-    for x, bi in zip(q, sys.b):
-        if bi != 0.0:
+def _energy(q, p, r, fr, u, mu2, b):
+    """H from q, p, r = |q|, fr = f(r), u = U(r) (None without a potential),
+    mu2 and b, grouped exactly as written in the module docstring.  Each is
+    a float, or a numpy column over many states (q, p and b as sequences of
+    them); the same float operations run on either."""
+    k = sum(x * x for x in p) + mu2 / (r * r)
+    for x, bi, nz in zip(q, b, _nonzero(b)):
+        if nz:
             k = k + bi / (x * x)
     val = k / (2.0 * fr * fr)
     return val if u is None else val + u
@@ -117,7 +117,7 @@ def hamiltonian(sys, s: PhaseState) -> float:
     r = _validate(sys, s)
     fr = sys.metric.f(r)
     u = sys.potential.u(r) if sys.potential is not None else None
-    return _energy(sys, s.q.tolist(), s.p.tolist(), r, fr, u)
+    return _energy(s.q.tolist(), s.p.tolist(), r, fr, u, sys.mu2, sys.b)
 
 
 def hamiltonian_coalgebra(sys, s: PhaseState) -> float:
@@ -713,21 +713,22 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
 
     y = np.array(rows)
     q, p = y[:, :n], y[:, n:]
-    series = _audit(sys, q, p, np.array(rs), np.array(frs),
-                    np.array(us) if u is not None else None)
+    series = _audit(q, p, np.array(rs), np.array(frs),
+                    np.array(us) if u is not None else None, sys.mu2, sys.b)
     drift = {name: _drift(vals) for name, vals in series.items()}
     return TrajectoryRecord(np.array(ts), q, p, series, drift, stats, method,
                             halted)
 
 
-def _audit(sys, q, p, r, fr, u) -> dict:
+def _audit(q, p, r, fr, u, mu2, b) -> dict:
     """H and both towers at every sample of a run, one column at a time: q
     and p are (T, N) arrays, r, fr and u the columns of |q|, f(|q|) and
-    U(|q|) (u None without a potential).  A sample with q_i = 0 where
-    b_i != 0 raises SingularStateError, the first such sample named."""
-    _check_b(q, sys.b)
+    U(|q|) (u None without a potential), mu2 and b floats or columns too.  A
+    sample with q_i = 0 where b_i != 0 raises SingularStateError, the first
+    such sample named."""
+    _check_b(q, b)
     q, p = list(q.T), list(p.T)
-    return {"H": _energy(sys, q, p, r, fr, u), **_towers(q, p, sys.b).as_dict()}
+    return {"H": _energy(q, p, r, fr, u, mu2, b), **_towers(q, p, b).as_dict()}
 
 
 def conservation_report(rec: TrajectoryRecord, tol: float = 1e-7) -> dict:

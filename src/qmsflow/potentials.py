@@ -18,6 +18,7 @@ multifold family satisfies when constants are shuffled between its terms.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Callable, Mapping
@@ -175,6 +176,8 @@ def _quadrature_pair(metric: MetricSpec):
     return (lambda r: _quad_green(metric, r, r0)), (lambda r: 1.0 / (r * r * f(r)))
 
 
+# a PotentialSpec is not changed once built, so builds are kept, as in catalog_lookup
+@functools.lru_cache(maxsize=64)
 def kc_potential(metric: MetricSpec, alpha: float, gamma: float = 0.0) -> PotentialSpec:
     """Intrinsic Kepler-Coulomb potential alpha * U(r) (+ optional shift)."""
     expr = metric.green_expr
@@ -227,6 +230,7 @@ def _positive_subdomain(u: Callable, domain, label: str):
     raise PotentialError(f"{label}: empty subdomain around midpoint {mid}")
 
 
+@functools.lru_cache(maxsize=64)
 def oscillator_potential(metric: MetricSpec, beta: float, gamma: float = 0.0) -> PotentialSpec:
     """Intrinsic oscillator beta / U(r)^2 (+ optional shift).
 

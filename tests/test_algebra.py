@@ -1,5 +1,6 @@
 import math
 from functools import partial
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -468,6 +469,82 @@ def test_stacked_stencil_failures_propagate():
     clear_of_edge = PhaseState([0.5, 0.1, 0.1], [0.1, 0.2, 0.3])
     with pytest.raises(DomainViolation):
         poisson_bracket(hyperbolic, hyperbolic, [clear_of_edge, inside])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_conserved_with_per_row_mu2_and_b_matches_one_system_per_state(n):
+    # the involution suite stacks states that each carry their own mu2 and
+    # b; every row must be what a SystemSpec of that state gives, and so
+    # must every bracket of the stacked stencil
+    rng = np.random.default_rng(90 + n)
+    hex_of = lambda a: [x.hex() for x in np.ravel(a)]
+    metric = catalog_lookup("darboux3b")
+    pot = oscillator_potential(metric, 0.4)
+    mu2, b = rng.uniform(0.0, 1.0, 5), rng.uniform(-2.0, 2.0, (5, n))
+    states = [random_state(rng, n, p_scale=2.0) for _ in range(5)]
+    carrier = SystemSpec(metric, pot, n=n)
+    singles = [partial(_conserved, SystemSpec(metric, pot, mu2[k], b=b[k])) for k in range(5)]
+    q, p = list(np.array([s.q for s in states]).T), list(np.array([s.p for s in states]).T)
+    stacked = np.array(_conserved(carrier, q, p, mu2, b.T))
+    for k, s in enumerate(states):
+        one = np.array(singles[k](list(s.q[:, None]), list(s.p[:, None])))
+        assert hex_of(stacked[:, k]) == hex_of(one[:, 0])
+
+    rows = lambda x, q: np.repeat(x, len(q[0]) // len(x), axis=0)
+    per_row = lambda q, p: _conserved(carrier, q, p, rows(mu2, q), rows(b, q).T)
+    m = poisson_bracket(per_row, per_row, states)
+    for k, s in enumerate(states):
+        assert hex_of(m[k]) == hex_of(poisson_bracket(singles[k], singles[k], s))
+
+
+def test_a_zero_entry_in_a_b_column_matches_the_float_path():
+    # b_0 is zero at rows 0 and 2 only, where q_0 != 0: the column path adds
+    # exact zeros there, the float path skips the term; no warning either way
+    metric = catalog_lookup("euclidean")
+    pot = kc_potential(metric, 1.0)
+    b = np.array([[0.0, 0.5, 1.0], [1.5, 0.2, 0.0], [0.0, 0.3, 0.7]])
+    mu2 = np.array([0.0, 0.4, 0.2])
+    q = np.array([[0.7, -0.6, 0.9], [0.8, 0.5, -1.1], [-1.2, 0.4, 0.6]])
+    p = np.array([[0.1, 0.2, -0.3], [0.0, -0.5, 0.4], [0.3, 0.3, 0.1]])
+    stacked = np.array(_conserved(SystemSpec(metric, pot, n=3), list(q.T), list(p.T), mu2, b.T))
+    gens = np.array(sl2_columns(list(q.T), list(p.T), b.T))
+    for k in range(3):
+        sys_k = SystemSpec(metric, pot, mu2[k], b=b[k])
+        one = _conserved(sys_k, list(q[k][:, None]), list(p[k][:, None]))
+        assert [float(x).hex() for x in stacked[:, k]] == [float(x[0]).hex() for x in one]
+        assert [float(x).hex() for x in gens[:, k]] == \
+            [float(x).hex() for x in sl2_columns(q[k].tolist(), p[k].tolist(), b[k])]
+
+
+def test_conserved_names_the_first_row_out_of_the_domain():
+    hyperbolic = SystemSpec(catalog_lookup("hyperbolic"), None, n=3)
+    # |q| = 0.5, 1.25, 0.75, 1.5 row by row: the domain is the unit ball
+    q = np.array([[0.3, 0.4, 0.0], [0.75, 1.0, 0.0], [0.45, 0.6, 0.0], [0.9, 1.2, 0.0]])
+    with pytest.raises(DomainViolation) as err:
+        _conserved(hyperbolic, list(q.T), list(np.zeros((3, 4))))
+    assert str(err.value) == "|q| = 1.25 outside the system domain (0, 1)"
+
+
+def test_sl2_columns_and_towers_take_symbolic_b():
+    # the one shipped body serves exact oracles too: symbols pass unchecked
+    sympy = pytest.importorskip("sympy")
+    n = 3
+    q, p, b = (list(sympy.symbols(f"{c}1:{n + 1}")) for c in "qpb")
+    jminus, j3, jplus = sl2_columns(q, p, b)
+    assert sympy.expand(jminus - sum(x ** 2 for x in q)) == 0
+    assert sympy.expand(j3 - sum(x * y for x, y in zip(q, p))) == 0
+    assert sympy.cancel(jplus - sum(y ** 2 for y in p)
+                        - sum(bi / x ** 2 for bi, x in zip(b, q))) == 0
+
+    def pair_sum(axes):
+        return sum((q[i] * p[j] - q[j] * p[i]) ** 2 + b[i] * q[j] ** 2 / q[i] ** 2
+                   + b[j] * q[i] ** 2 / q[j] ** 2
+                   for i, j in combinations(axes, 2)) + sum(b[i] for i in axes)
+
+    towers = _towers(q, p, b)
+    for m in range(2, n + 1):
+        assert sympy.cancel(towers.left[m - 2] - pair_sum(range(m))) == 0
+        assert sympy.cancel(towers.right[m - 2] - pair_sum(range(n - m, n))) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import pytest
 import yaml
 
 import qmsflow
-from qmsflow import cli, dynamics, geometry
+from qmsflow import cli, dynamics, geometry, potentials
 from qmsflow.cli import ConfigError, VERIFY_SUITES, build_config, main
 from qmsflow.geometry import CATALOG
 
@@ -624,8 +624,10 @@ def test_verify_at_n2_lists_only_checks_with_points(tmp_path, capsys):
     assert listed["involution"] == ["hamiltonian-vs-integrals"]
 
 
-# sha256 over the JSON reports of seeds 1..4, recorded before the suites
-# pushed all their sampled states through one stencil call
+# sha256 over the JSON reports of seeds 1..4, each recorded on the code
+# before a change it guards: brackets, independence and involution before
+# the suites pushed all their sampled states through one stencil call,
+# coords and green before the column chart and the kept potential builds
 REPORT_PINS = {
     ("brackets", 2): "bdbc631f8605bd6d2212414e0e9e388cd92f581cab7e39df4a597542f692300f",
     ("brackets", 3): "b307918e9abff0cdb62dd11dcc41b07a41a53743720f4c1277f68e27854b6ed2",
@@ -639,6 +641,11 @@ REPORT_PINS = {
     ("involution", 3): "fa0cf7e1a9f91abf1db3a772633014ce536d69e9219bb69f507986227ecce138",
     ("involution", 4): "9aff38c056558c1dd6f454a2889d1ddd8b410d7301b10385531ecfdd76f511af",
     ("involution", 5): "5c85247d3eb09d7d8e7573e2a4940434f28cc4cb1667b7a0d7494e847ed19139",
+    ("coords", 2): "7e669c393dd7ce7d35837041f9273d875a407f29901c893f0d8ba3d921c17774",
+    ("coords", 3): "88caa1ac9696675305d282d83d78daac26de8666036366a5d1524c053281937a",
+    ("coords", 4): "78a5b9b47536558f2a9ee9cd9adb668a81c4231c442e437297a9fbb7fee4eb53",
+    ("coords", 5): "6d52b43c849f3ea5f589d40e2654da7a2d3f06cad48265a4a561c317d79270c5",
+    ("green", 3): "e49feb8180f5b10cd6acd25eff5a06070c734f4ee4265d14f79d11ba28530d18",
 }
 
 
@@ -651,11 +658,13 @@ def test_verify_reports_are_pinned(suite, n):
 
 
 def test_reports_do_not_depend_on_kept_metric_builds(monkeypatch):
-    # the green and involution suites look their spaces up again on every
-    # call: fresh builds and kept ones give the same reports
+    # the green and involution suites look their spaces and potentials up
+    # again on every call: fresh builds and kept ones give the same reports
     monkeypatch.setattr(geometry, "_BUILT", {})
+    for build in (potentials.kc_potential, potentials.oscillator_potential):
+        build.cache_clear()
     fresh = [cli._dump_json(cli._SUITE_RUNNERS[s](3, 2, None)) for s in ("green", "involution")]
-    assert geometry._BUILT
+    assert geometry._BUILT and potentials.oscillator_potential.cache_info().currsize
     kept = [cli._dump_json(cli._SUITE_RUNNERS[s](3, 2, None)) for s in ("green", "involution")]
     assert kept == fresh
 
@@ -710,8 +719,8 @@ def test_verify_nan_residual_fails_its_check(monkeypatch, capsys):
     import qmsflow.cli as cli
     real = cli._conserved
 
-    def nan_c2(sys_spec, q, p):
-        values = real(sys_spec, q, p)    # H, C^(2), ...
+    def nan_c2(*args):
+        values = real(*args)    # H, C^(2), ...
         values[1] = np.full_like(values[1], math.nan)
         return values
 

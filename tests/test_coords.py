@@ -8,6 +8,7 @@ from qmsflow.algebra import (
     SingularStateError,
     angular_momentum_sq,
     casimir_right,
+    fd_gradient,
     poisson_bracket,
     sl2_realize,
     _towers,
@@ -21,6 +22,7 @@ from qmsflow.coords import (
     spherical_casimir,
     spherical_generators,
     to_cartesian,
+    to_cartesian_columns,
     radial_hamiltonian,
     _e_theta,
 )
@@ -83,6 +85,11 @@ def test_chart_violations():
         to_cartesian(SphericalPhaseState(1.0, [0.0, 0.5], 0.0, [0.0, 0.0]))
     # the last angle is allowed to sit on the axis
     to_cartesian(SphericalPhaseState(1.0, [0.5, 0.0], 0.0, [0.0, 1.0]))
+    # the column chart checks every row: theta_1 = pi at the second one
+    rows = lambda *x: np.array(x)
+    with pytest.raises(ChartError, match="sin\\(theta_1\\) = 0"):
+        to_cartesian_columns([rows(1.0, 1.0), rows(0.5, math.pi), rows(0.5, 0.5)],
+                             [rows(0.0, 0.0), rows(0.1, 0.1), rows(0.2, 0.2)])
 
 
 def test_round_trip_spherical_to_cartesian_and_back():
@@ -106,6 +113,34 @@ def test_round_trip_cartesian_to_spherical_and_back():
         c = to_cartesian(from_cartesian(PhaseState(q, p)))
         assert c.q == pytest.approx(q, rel=1e-12, abs=1e-12)
         assert c.p == pytest.approx(p, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_column_chart_matches_to_cartesian_row_by_row(n):
+    # the stencil rows of packed chart states, q = (r, theta) and p = (p_r,
+    # p_theta), as the coords canonicity check builds them: angles outside
+    # [0, 2pi), a p_theta_j of zero at every other centre, and radii where
+    # libm's r ** 2 and numpy's r * r differ in the last bit
+    rng = np.random.default_rng(50 + n)
+    radii = [r for r in rng.uniform(0.6, 2.0, 20000).tolist() if r ** 2 != r * r][:6]
+    states = []
+    for k, r in enumerate(radii):
+        theta = rng.uniform(0.4, 1.15, n - 1) + 2.0 * math.pi * rng.integers(-1, 2, n - 1)
+        p_theta = rng.uniform(-2.0, 2.0, n - 1)
+        if k % 2:
+            p_theta[k // 2 % (n - 1)] = 0.0
+        states.append(PhaseState(np.concatenate([[r], theta]),
+                                 np.concatenate([[rng.uniform(-2.0, 2.0)], p_theta])))
+    seen = []
+    fd_gradient(lambda q, p: seen.append((q, p)) or q[0], states)
+    ((q, p),) = seen
+    assert np.any(q[0] * q[0] != [x ** 2 for x in q[0].tolist()])
+    columns = to_cartesian_columns(q, p)
+    assert len(columns) == 2 * n
+    for k, (a, b) in enumerate(zip(np.transpose(q), np.transpose(p))):
+        c = to_cartesian(SphericalPhaseState(a[0], a[1:], b[0], b[1:]))
+        assert [float(col[k]).hex() for col in columns] == \
+            [x.hex() for x in np.concatenate([c.q, c.p])], k
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,21 @@ def test_kc_potential_examples():
     assert p.alpha == 1.0
 
 
+def test_potential_builds_are_kept_per_metric_and_arguments():
+    kc_potential.cache_clear()
+    metric = metric_of("darboux3b")
+    kc = kc_potential(metric, 0.7)
+    assert kc_potential(metric, 0.7) is kc
+    assert kc_potential(metric, 0.7, 0.1) is not kc
+    assert kc_potential(metric, 0.7000000000000001) is not kc
+    assert oscillator_potential(metric, 0.7) is not kc
+    assert kc_potential(metric_of("euclidean"), 0.7) is not kc
+    # 70 couplings on one metric: the store stays bounded
+    for k in range(70):
+        kc_potential(metric, 1.0 + k)
+    assert kc_potential.cache_info().currsize == 64
+
+
 def test_oscillator_potential_examples():
     assert oscillator_potential(metric_of("euclidean"), 1.0).u(3.0) == pytest.approx(9.0)
     p = oscillator_potential(metric_of("darboux2"), 1.0)
