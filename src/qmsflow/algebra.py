@@ -26,14 +26,14 @@ or of a stack of states in one call, q and p as lists of N numpy columns over
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = [
-    "PhaseState", "Sl2Triple", "IntegralSet", "SingularStateError",
-    "sl2_realize", "sl2_columns", "casimir_left", "casimir_right", "integral_set",
-    "so_n_generator", "angular_momentum_sq",
+    "PhaseState", "IntegralSet", "SingularStateError",
+    "sl2_columns", "so_n_columns", "integral_set",
     "fd_gradient", "poisson_bracket", "independence_rank",
 ]
 
@@ -72,19 +72,6 @@ class PhaseState:
         return float(np.linalg.norm(self.q))
 
 
-@dataclass(frozen=True)
-class Sl2Triple:
-    """Values (J-, J3, J+) of the coalgebra generators at a phase point."""
-
-    jminus: float
-    j3: float
-    jplus: float
-
-    def __post_init__(self):
-        if not self.jminus > 0.0:
-            raise ValueError(f"J- = q^2 must be positive, got {self.jminus}")
-
-
 def _check_b(q: np.ndarray, b) -> np.ndarray:
     """b as a float array (zeros for None) or one column per axis (shape
     q.T), checked against q, one state or one state per row: the first
@@ -100,11 +87,6 @@ def _check_b(q: np.ndarray, b) -> np.ndarray:
     return b
 
 
-def sl2_realize(s: PhaseState, b: Sequence[float] | None = None) -> Sl2Triple:
-    """Evaluate (J-, J3, J+) at a phase point for centrifugal coefficients b."""
-    return Sl2Triple(*sl2_columns(s.q.tolist(), s.p.tolist(), b))
-
-
 def sl2_columns(q: Sequence, p: Sequence, b: Sequence | None = None) -> tuple:
     """(J-, J3, J+) from the coordinates q_1..q_N and p_1..p_N, each a float
     or a numpy column over many states, every sum taken in axis order; b_i
@@ -118,36 +100,16 @@ def sl2_columns(q: Sequence, p: Sequence, b: Sequence | None = None) -> tuple:
     return sum(x * x for x in q), sum(x * y for x, y in zip(q, p)), jplus
 
 
+def so_n_columns(q: Sequence, p: Sequence) -> list:
+    """The so(N) generators J_ij = q_i p_j - q_j p_i for i < j, in the
+    order of itertools.combinations, from floats or numpy columns."""
+    return [q[i] * p[j] - q[j] * p[i] for i, j in combinations(range(len(q)), 2)]
+
+
 def _nonzero(b) -> list:
     """Per axis, whether b_i (a float, a column or a symbol) is not all zero;
     the b_i terms of an axis that is are skipped, since q_i may vanish there."""
     return [bool(z.any() if isinstance(z, np.ndarray) else z) for z in (x != 0.0 for x in b)]
-
-
-def so_n_generator(i: int, j: int, s: PhaseState) -> float:
-    """Angular momentum component J_ij = q_i p_j - q_j p_i (0-based, i < j)."""
-    if not 0 <= i < j < s.n:
-        raise ValueError(f"need 0 <= i < j < {s.n}, got ({i}, {j})")
-    return float(s.q[i] * s.p[j] - s.q[j] * s.p[i])
-
-
-def angular_momentum_sq(s: PhaseState) -> float:
-    """L^2 = sum_{i<j} J_ij^2, the b = 0 value of C^(N) = C_(N)."""
-    return integral_set(s).left[-1] if s.n > 1 else 0.0
-
-
-def casimir_left(m: int, s: PhaseState, b: Sequence[float] | None = None) -> float:
-    """C^(m): the integral built over the first m axes, 2 <= m <= N."""
-    if not 2 <= m <= s.n:
-        raise ValueError(f"need 2 <= m <= {s.n}, got m = {m}")
-    return integral_set(s, b).left[m - 2]
-
-
-def casimir_right(m: int, s: PhaseState, b: Sequence[float] | None = None) -> float:
-    """C_(m): the mirror integral over the last m axes, 2 <= m <= N."""
-    if not 2 <= m <= s.n:
-        raise ValueError(f"need 2 <= m <= {s.n}, got m = {m}")
-    return integral_set(s, b).right[m - 2]
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,7 @@ from .algebra import (
     integral_set,
     poisson_bracket,
     sl2_columns,
+    so_n_columns,
 )
 from .coords import (
     ChartError,
@@ -437,7 +438,7 @@ def build_config(data) -> RunConfig:
     # potential domains, off every centrifugal axis)
     try:
         hamiltonian(system, state0)
-    except (DomainViolation, QuadratureError, ValueError) as exc:
+    except (DomainViolation, QuadratureError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"initial state invalid: {exc}") from exc
 
     return RunConfig(system, state0, t_end, method=method, rtol=rtol,
@@ -590,12 +591,10 @@ def _suite_brackets(n: int, seed: int, tol: float | None) -> dict:
                           abs(m[:, 0, 2] - 4.0 * j3) / (1.0 + abs(j3))], axis=1)
     checks = [_check_entry("sl2-closure", residuals.ravel(), tol)]
 
-    pairs = list(combinations(range(n), 2))
-    row = {pair: a for a, pair in enumerate(pairs)}
-    rotations = lambda q, p: [q[i] * p[j] - q[j] * p[i] for i, j in pairs]
+    row = {pair: a for a, pair in enumerate(combinations(range(n), 2))}
     states = [_random_state(rng_son, n) for _ in range(20)]
-    m = poisson_bracket(rotations, rotations, states)
-    v = _at(rotations, states)
+    m = poisson_bracket(so_n_columns, so_n_columns, states)
+    v = _at(so_n_columns, states)
     ij, ik, jk = np.array([(row[i, j], row[i, k], row[j, k])
                            for i, j, k in combinations(range(n), 3)], dtype=int).reshape(-1, 3).T
     residuals = np.stack([abs(m[:, ij, ik] - v[:, jk]) / (1.0 + abs(v[:, jk])),

@@ -24,13 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import PhaseState, SingularStateError, Sl2Triple, _nonzero
+from .algebra import PhaseState, SingularStateError, _nonzero
 
 __all__ = [
     "SphericalPhaseState", "ChartError",
     "to_cartesian", "to_cartesian_columns", "from_cartesian",
-    "spherical_generators", "spherical_casimir", "angular_chain",
-    "angular_momentum_sq_spherical", "radial_hamiltonian",
+    "spherical_casimir", "angular_chain", "radial_hamiltonian",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -162,17 +161,6 @@ def from_cartesian(s: PhaseState) -> SphericalPhaseState:
     return SphericalPhaseState(r, theta, p_r, p_theta)
 
 
-def angular_momentum_sq_spherical(s: SphericalPhaseState) -> float:
-    """L^2 = sum_j p_theta_j^2 / prod_{k<j} sin^2(theta_k)."""
-    sins2 = np.sin(s.theta) ** 2
-    total = 0.0
-    s_prod = 1.0
-    for j in range(s.n - 1):
-        total += s.p_theta[j] ** 2 / s_prod
-        s_prod *= sins2[j]
-    return total
-
-
 def spherical_casimir(m: int, s: SphericalPhaseState, b=None) -> float:
     """The right-family integral C_(m) in spherical variables, 2 <= m <= N.
 
@@ -234,44 +222,6 @@ def angular_chain(s: SphericalPhaseState, b=None) -> list:
             value += b[j] / coss2[j]
         out.append(value)
     return out
-
-
-def spherical_generators(s: SphericalPhaseState, b=None, mu2: float = 0.0):
-    """Evaluate (J-, J3, J+) in spherical variables; returns (triple, C_N).
-
-    J- = r^2, J3 = r p_r, and J+ = p_r^2 + L^2/r^2 + centrifugal terms.  The
-    routine also evaluates the top integral C_(N) independently and checks the
-    identity J+ = p_r^2 + C_(N)/r^2 before returning.  A nonzero monopole
-    strength mu2 is folded into J+ as mu2/r^2 — the combination through which
-    it enters the Hamiltonian; with mu2 = 0 the triple is the bare realization.
-    """
-    n = s.n
-    b = np.zeros(n) if b is None else np.asarray(b, dtype=float)
-    if b.shape != (n,):
-        raise ValueError(f"b must have length {n}")
-    sins2 = np.sin(s.theta) ** 2
-    coss2 = np.cos(s.theta) ** 2
-    r2 = s.r ** 2
-
-    jplus = s.p_r ** 2 + angular_momentum_sq_spherical(s) / r2
-    s_prod = 1.0
-    for j in range(n - 1):
-        if b[j] != 0.0:
-            if coss2[j] < _SING2:
-                raise SingularStateError(f"cos(theta_{j + 1}) = 0 with b_{j + 1} != 0")
-            jplus += b[j] / (r2 * coss2[j] * s_prod)
-        s_prod *= sins2[j]
-    if b[n - 1] != 0.0:
-        if s_prod < _SING2:
-            raise SingularStateError(f"vanishing sine product with b_{n} != 0")
-        jplus += b[n - 1] / (r2 * s_prod)
-
-    c_n = spherical_casimir(n, s, b)
-    check = s.p_r ** 2 + c_n / r2
-    if abs(jplus - check) > 1e-10 * (1.0 + abs(jplus)):
-        raise ValueError(
-            f"internal inconsistency: J+ = {jplus!r} but p_r^2 + C_N/r^2 = {check!r}")
-    return Sl2Triple(r2, s.r * s.p_r, jplus + mu2 / r2), c_n
 
 
 def radial_hamiltonian(r: float, p_r: float, c_n: float, mu2: float,

@@ -49,9 +49,10 @@ from types import MappingProxyType
 
 import numpy as np
 
+from .algebra import PhaseState, sl2_columns, _check_b, _nonzero, _towers
 # integral_set is not called here; it stays bound because perfbench/tracing.py
 # wraps dynamics.integral_set by name
-from .algebra import PhaseState, integral_set, sl2_realize, _check_b, _nonzero, _towers  # noqa: F401
+from .algebra import integral_set  # noqa: F401
 from .exprlang import to_python
 from .geometry import DomainViolation
 from .potentials import QuadratureError
@@ -121,12 +122,13 @@ def hamiltonian(sys, s: PhaseState) -> float:
 
 
 def hamiltonian_coalgebra(sys, s: PhaseState) -> float:
-    """The same value through the coalgebra grouping [J+ + mu^2/J-]/(2f^2) + U."""
+    """The same value through the coalgebra grouping [J+ + mu^2/J-]/(2f^2) + U,
+    the paper's statement that H is a function of the sl(2,R) generators."""
     _validate(sys, s)
-    tri = sl2_realize(s, sys.b)
-    r = math.sqrt(tri.jminus)
+    jminus, _, jplus = sl2_columns(s.q.tolist(), s.p.tolist(), sys.b)
+    r = math.sqrt(jminus)
     fr = sys.metric.f(r)
-    val = (tri.jplus + sys.mu2 / tri.jminus) / (2.0 * fr * fr)
+    val = (jplus + sys.mu2 / jminus) / (2.0 * fr * fr)
     if sys.potential is not None:
         val += sys.potential.u(r)
     return val

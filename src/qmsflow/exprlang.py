@@ -3,8 +3,8 @@
 Expressions are functions of one positive variable ``r`` plus named constants
 (parameters).  They appear in config files as strings like ``"2/(1+r^2)"`` or
 ``"sqrt(k+r^2)"`` and are parsed into immutable trees that support exact
-symbolic differentiation, checked evaluation, printing, and compilation to
-fast plain-Python callables.
+symbolic differentiation, printing, and compilation to fast plain-Python
+callables, which are the one way an expression is evaluated.
 
 Grammar (precedence from loosest to tightest):
 
@@ -32,8 +32,8 @@ from typing import Callable, Iterable, Mapping
 __all__ = [
     "Expr", "Const", "Var", "Param", "Neg", "BinOp", "Pow", "Call",
     "ExprError", "ExprSyntaxError", "UnknownIdentifierError",
-    "NonConstantExponentError", "EvalDomainError",
-    "parse", "differentiate", "evaluate", "format_expr", "compile_expr",
+    "NonConstantExponentError",
+    "parse", "differentiate", "format_expr", "compile_expr",
     "to_python", "contains_var",
 ]
 
@@ -63,14 +63,6 @@ class UnknownIdentifierError(ExprSyntaxError):
 class NonConstantExponentError(ExprSyntaxError):
     def __init__(self, offset: int):
         super().__init__("exponent of '^' must not contain the variable r", offset)
-
-
-class EvalDomainError(ExprError):
-    """Evaluation left the real domain; carries the offending sub-expression."""
-
-    def __init__(self, message: str, node: "Expr"):
-        super().__init__(f"{message} in '{format_expr(node)}'")
-        self.node = node
 
 
 # --------------------------------------------------------------------------
@@ -293,82 +285,6 @@ def parse(source: str, params: Iterable[str] = ()) -> Expr:
 
 
 # --------------------------------------------------------------------------
-# evaluation
-# --------------------------------------------------------------------------
-
-def evaluate(e: Expr, r: float, bindings: Mapping[str, float] | None = None) -> float:
-    """Checked IEEE-double evaluation at r > 0 with all parameters bound.
-
-    Domain violations (ln of a non-positive value, sqrt of a negative value,
-    division by zero, fractional power of a negative base) raise
-    EvalDomainError naming the offending sub-expression.  r <= 0 is rejected
-    outright: every formula in this package lives on a positive radial domain
-    where abs(r) is the identity.
-    """
-    if not r > 0:
-        raise EvalDomainError(f"r must be positive, got {r}", e)
-    return _eval(e, float(r), bindings or {})
-
-
-def _eval(e: Expr, r: float, bindings: Mapping[str, float]) -> float:
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return r
-    if isinstance(e, Param):
-        try:
-            return float(bindings[e.name])
-        except KeyError:
-            raise EvalDomainError(f"unbound parameter '{e.name}'", e) from None
-    if isinstance(e, Neg):
-        return -_eval(e.arg, r, bindings)
-    if isinstance(e, BinOp):
-        a = _eval(e.left, r, bindings)
-        b = _eval(e.right, r, bindings)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if b == 0.0:
-            raise EvalDomainError("division by zero", e)
-        return a / b
-    if isinstance(e, Pow):
-        base = _eval(e.base, r, bindings)
-        expo = _eval(e.exponent, r, bindings)
-        if base == 0.0 and expo < 0:
-            raise EvalDomainError("zero raised to a negative power", e)
-        if base < 0.0 and expo != round(expo):
-            raise EvalDomainError("fractional power of a negative base", e)
-        try:
-            return math.pow(base, expo)
-        except (ValueError, OverflowError) as exc:
-            raise EvalDomainError(str(exc), e) from None
-    if isinstance(e, Call):
-        x = _eval(e.arg, r, bindings)
-        if e.fn == "ln":
-            if x <= 0.0:
-                raise EvalDomainError(f"ln of non-positive value {x}", e)
-            return math.log(x)
-        if e.fn == "sqrt":
-            if x < 0.0:
-                raise EvalDomainError(f"sqrt of negative value {x}", e)
-            return math.sqrt(x)
-        return _FN_TABLE[e.fn](x)
-    raise TypeError(f"not an Expr node: {e!r}")
-
-
-_FN_TABLE = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "exp": math.exp,
-    "abs": abs,
-}
-
-
-# --------------------------------------------------------------------------
 # differentiation
 # --------------------------------------------------------------------------
 
@@ -546,9 +462,9 @@ def compile_expr(e: Expr, bindings: Mapping[str, float] | None = None) -> Callab
     """Compile to a plain-Python callable r -> value with parameters baked in.
 
     This is the hot path for integrators and quadrature: no tree walking, no
-    domain checks beyond what the math functions themselves raise (ValueError
-    on e.g. log of a non-positive number).  Use evaluate() when you want
-    checked errors.
+    domain checks beyond what the arithmetic and math functions raise
+    themselves (ValueError on e.g. log of a non-positive number, or an
+    ArithmeticError), which the spec builders map to their own errors.
     """
     bindings = bindings or {}
     src = "lambda r: " + to_python(e, bindings)

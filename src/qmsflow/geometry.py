@@ -2,9 +2,8 @@
 
 A space is identified by its conformal factor f(r) > 0 on an open radial
 domain.  This module holds the MetricSpec record (f with exact first and
-second derivatives), the built-in catalog of named spaces, the scalar
-curvature of the conformally flat metric, and the map between the radial
-coordinate r and the geodesic radial coordinate on constant-curvature spaces.
+second derivatives), the built-in catalog of named spaces, and the scalar
+curvature of the conformally flat metric.
 """
 
 from __future__ import annotations
@@ -22,8 +21,7 @@ from .exprlang import Expr, ExprError, compile_expr, differentiate
 
 __all__ = [
     "MetricSpec", "MetricError", "DomainViolation", "SpaceCatalogEntry",
-    "CATALOG", "catalog_lookup", "catalog_ids", "scalar_curvature",
-    "geodesic_radius_map", "geodesic_radius_inverse", "sample_radii",
+    "CATALOG", "catalog_lookup", "scalar_curvature", "sample_radii",
 ]
 
 
@@ -173,7 +171,8 @@ def scalar_curvature(metric: MetricSpec, r: float, n: int) -> float:
         R = -(n-1) * [ 2 f''/f + 2(n-1) f'/(r f) + (n-4) (f'/f)^2 ] / f^2 ,
 
     which reduces to 0 for f == 1 and to the constant n(n-1)*kappa for
-    f = 2/(1+kappa r^2).
+    f = 2/(1+kappa r^2): the paper's statement that the sphere and the
+    hyperbolic space are the constant-curvature members of the family.
     """
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
@@ -183,37 +182,6 @@ def scalar_curvature(metric: MetricSpec, r: float, n: int) -> float:
     fpp = metric._fpp(r)
     u = fp / f
     return -(n - 1) * (2.0 * fpp / f + 2.0 * (n - 1) * u / r + (n - 4) * u * u) / (f * f)
-
-
-# ---------------------------------------------------------------------------
-# geodesic radial coordinate (constant curvature)
-# ---------------------------------------------------------------------------
-
-def geodesic_radius_map(kappa: float, r_hat: float) -> float:
-    """Radial coordinate r from the geodesic radial coordinate r_hat:
-    r = tan(sqrt(kappa) r_hat/2)/sqrt(kappa), which for kappa < 0 becomes the
-    hyperbolic-tangent form tanh(sqrt(-kappa) r_hat/2)/sqrt(-kappa)."""
-    if kappa == 0:
-        raise ValueError("kappa must be nonzero (flat space: r == r_hat)")
-    s = math.sqrt(abs(kappa))
-    x = 0.5 * s * r_hat
-    if kappa > 0:
-        if abs(math.cos(x)) < 1e-12:
-            raise ValueError(f"singular argument: sqrt(kappa)*r_hat/2 = {x} is at a pole of tan")
-        return math.tan(x) / s
-    return math.tanh(x) / s
-
-
-def geodesic_radius_inverse(kappa: float, r: float) -> float:
-    """Inverse of geodesic_radius_map on the principal branch."""
-    if kappa == 0:
-        raise ValueError("kappa must be nonzero (flat space: r == r_hat)")
-    s = math.sqrt(abs(kappa))
-    if kappa > 0:
-        return 2.0 * math.atan(s * r) / s
-    if s * r >= 1.0:
-        raise ValueError(f"singular argument: r = {r} is outside the disk of radius {1/s}")
-    return 2.0 * math.atanh(s * r) / s
 
 
 # ---------------------------------------------------------------------------
@@ -274,10 +242,6 @@ _entry("nu-fold", "nu-fold Kepler space with a != 0", "sqrt(a+b*r^(1/nu))*r^(1/(
        "interval where a + b r^(1/nu) > 0; nu rational > 0")
 _entry("nu-fold-a0", "nu-fold Kepler space with a = 0",
        "r^(1/nu-1)", "-r^(-(1/nu))", {"nu": Fraction(2)}, "r > 0; nu rational > 0")
-
-
-def catalog_ids() -> list[str]:
-    return list(CATALOG)
 
 
 def _darboux4_domain(a: float) -> tuple[float, float]:

@@ -64,14 +64,18 @@ def _anchor(domain) -> float:
 
 
 def _fd_consistency(u: Callable, du: Callable, domain, what: str):
-    # finite-difference spot check, one Richardson level, at _FD_POINTS = 8 radii
+    # finite-difference spot check, one Richardson level, at _FD_POINTS = 8 radii,
+    # on Python floats, so that a pole or an overflow raises instead of warning
     grid = sample_radii(domain, 4 * _FD_POINTS + 1)
-    for r in grid[2:-2:4][:_FD_POINTS]:
+    for r in grid[2:-2:4][:_FD_POINTS].tolist():
         h = 1e-6 * max(1.0, abs(r))
-        coarse = (u(r + h) - u(r - h)) / (2 * h)
-        fine = (u(r + 0.5 * h) - u(r - 0.5 * h)) / h
+        try:
+            coarse = (u(r + h) - u(r - h)) / (2 * h)
+            fine = (u(r + 0.5 * h) - u(r - 0.5 * h)) / h
+            ref = du(r)
+        except (ValueError, ArithmeticError) as exc:
+            raise PotentialError(f"{what}: not evaluable near r={r}: {exc}") from None
         fd = (4.0 * fine - coarse) / 3.0
-        ref = du(r)
         if not abs(fd - ref) <= 1e-6 * max(1.0, abs(ref)):
             raise PotentialError(
                 f"{what}: derivative inconsistent with value at r={r}: "
@@ -159,9 +163,8 @@ def green_function(metric: MetricSpec, r: float, method: str = "auto") -> float:
     metric.check_domain(r)
     if method not in ("auto", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
-    expr = metric.green_expr if method == "auto" else None
-    if expr is not None:
-        return exprlang.evaluate(expr, r, _metric_bindings(metric))
+    if method == "auto" and metric.green_expr is not None:
+        return kc_potential(metric, 1.0).u(r)   # the kept build of the closed form
     return _quad_green(metric, r, _anchor(metric.domain))
 
 

@@ -13,7 +13,6 @@ import numpy as np
 
 from qmsflow.algebra import (
     PhaseState,
-    angular_momentum_sq,
     integral_set,
     poisson_bracket,
     sl2_columns,
@@ -222,7 +221,7 @@ def test_acceptance_8_symmetry_breaking_signature():
     free_b = SystemSpec(metric, potential, 0.4, n=3)
     rec = integrate(free_b, PhaseState([1.0, 0.3, 0.4], [0.3, -0.4, 0.5]),
                     20.0)
-    lsq = np.array([angular_momentum_sq(s) for s in rec.states])
+    lsq = np.array([integral_set(s).left[-1] for s in rec.states])
     lsq_drift = float(np.abs(lsq - lsq[0]).max() / (1.0 + abs(lsq[0])))
 
     # documented state with every b_i nonzero: L^2 is visibly not conserved

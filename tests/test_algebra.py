@@ -7,18 +7,13 @@ import pytest
 
 from qmsflow.algebra import (
     PhaseState,
-    Sl2Triple,
     SingularStateError,
-    angular_momentum_sq,
-    casimir_left,
-    casimir_right,
     fd_gradient,
     independence_rank,
     integral_set,
     poisson_bracket,
     sl2_columns,
-    sl2_realize,
-    so_n_generator,
+    so_n_columns,
     _towers,
 )
 from qmsflow.cli import _conserved
@@ -49,64 +44,44 @@ def test_phase_state_validation():
         s.q[0] = 7.0                                 # states are read-only
 
 
-def test_sl2_triple_requires_positive_jminus():
-    with pytest.raises(ValueError):
-        Sl2Triple(0.0, 1.0, 1.0)
-
-
 # ---------------------------------------------------------------------------
 # generator and integral evaluation
 # ---------------------------------------------------------------------------
 
 def test_sl2_realize_examples():
-    t = sl2_realize(PhaseState([1, 1], [1, 0]), [0, 0])
-    assert (t.jminus, t.j3, t.jplus) == (2.0, 1.0, 1.0)
-
-    t = sl2_realize(PhaseState([1, 2], [3, 4]), [0, 0])
-    assert (t.jminus, t.j3, t.jplus) == (5.0, 11.0, 25.0)
-
+    # the realization (J-, J3, J+) = (q^2, q.p, p^2 + sum b_i/q_i^2)
+    assert sl2_columns([1.0, 1.0], [1.0, 0.0], [0, 0]) == (2.0, 1.0, 1.0)
+    assert sl2_columns([1.0, 2.0], [3.0, 4.0], [0, 0]) == (5.0, 11.0, 25.0)
     # pure centrifugal contribution to J+
-    t = sl2_realize(PhaseState([1, 1], [0, 0]), [2, 3])
-    assert (t.jminus, t.j3, t.jplus) == (2.0, 0.0, 5.0)
+    assert sl2_columns([1.0, 1.0], [0.0, 0.0], [2, 3]) == (2.0, 0.0, 5.0)
 
 
 def test_sl2_realize_singular_axis():
-    s = PhaseState([0.0, 1.0], [1.0, 1.0])
-    sl2_realize(s, [0.0, 4.0])  # b_1 = 0 on the vanishing axis: fine
+    q, p = [0.0, 1.0], [1.0, 1.0]
+    sl2_columns(q, p, [0.0, 4.0])  # b_1 = 0 on the vanishing axis: fine
     with pytest.raises(SingularStateError):
-        sl2_realize(s, [1.0, 0.0])
+        sl2_columns(q, p, [1.0, 0.0])
 
 
 def test_casimir_left_examples():
     s = PhaseState([1, 2], [3, 4])
-    assert casimir_left(2, s, [0, 0]) == 4.0  # (1*4 - 2*3)^2
+    assert integral_set(s, [0, 0]).left[0] == 4.0  # C^(2) = (1*4 - 2*3)^2
 
     s = PhaseState([1, 1], [0, 0])
-    assert casimir_left(2, s, [1, 1]) == 4.0  # centrifugal cross terms + b-sum
+    assert integral_set(s, [1, 1]).left[0] == 4.0  # centrifugal cross terms + b-sum
 
 
 def test_casimir_right_example():
     s = PhaseState([5, 1, 2], [0, 3, 1])
-    assert casimir_right(2, s, [0, 0, 0]) == 25.0  # (1*1 - 2*3)^2
-
-
-def test_casimir_index_bounds():
-    s = PhaseState([1, 1, 1], [0, 0, 0])
-    for m in (1, 4):
-        with pytest.raises(ValueError):
-            casimir_left(m, s)
-        with pytest.raises(ValueError):
-            casimir_right(m, s)
+    assert integral_set(s, [0, 0, 0]).right[0] == 25.0  # C_(2) = (1*1 - 2*3)^2
 
 
 def test_top_casimirs_coincide_exactly():
     rng = np.random.default_rng(5)
     for _ in range(50):
         n = int(rng.integers(2, 6))
-        s = random_state(rng, n)
-        b = rng.uniform(0.0, 2.0, n)
-        assert casimir_left(n, s, b) == casimir_right(n, s, b)
-        iset = integral_set(s, b)
+        iset = integral_set(random_state(rng, n), rng.uniform(0.0, 2.0, n))
+        assert iset.left[-1] == iset.right[-1]
         assert len(iset.left) == len(iset.right) == n - 1
 
 
@@ -136,8 +111,6 @@ def test_towers_match_the_pair_sum_definition():
                 right = _casimir_by_definition(s, b, list(range(n - m, n)))
                 assert iset.left[m - 2] == pytest.approx(left, rel=1e-13)
                 assert iset.right[m - 2] == pytest.approx(right, rel=1e-13)
-                assert casimir_left(m, s, b) == iset.left[m - 2]
-                assert casimir_right(m, s, b) == iset.right[m - 2]
 
 
 def test_integral_set_as_dict_names():
@@ -148,13 +121,12 @@ def test_integral_set_as_dict_names():
 
 
 def test_so_n_generator_examples():
-    assert so_n_generator(0, 1, PhaseState([1, 0], [0, 1])) == 1.0
-    # J_13 at q=(1,2,3), p=(3,2,1): 1*1 - 3*3
-    assert so_n_generator(0, 2, PhaseState([1, 2, 3], [3, 2, 1])) == -8.0
-    with pytest.raises(ValueError):
-        so_n_generator(1, 1, PhaseState([1, 2], [0, 0]))
-    with pytest.raises(ValueError):
-        so_n_generator(0, 2, PhaseState([1, 2], [0, 0]))
+    # J_ij in combinations order: J_12 at q=(1,0), p=(0,1)
+    assert so_n_columns([1.0, 0.0], [0.0, 1.0]) == [1.0]
+    # J_12, J_13, J_23 at q=(1,2,3), p=(3,2,1), J_13 = 1*1 - 3*3
+    assert so_n_columns([1.0, 2.0, 3.0], [3.0, 2.0, 1.0]) == [-4.0, -8.0, -4.0]
+    q, p = [np.array([1.0, 0.0]), np.array([2.0, 1.0])], [np.array([3.0, 1.0]), np.array([4.0, 1.0])]
+    assert [list(c) for c in so_n_columns(q, p)] == [[-2.0, -1.0]]
 
 
 def test_casimir_is_sum_of_angular_momenta_when_b_vanishes():
@@ -162,25 +134,22 @@ def test_casimir_is_sum_of_angular_momenta_when_b_vanishes():
     rng = np.random.default_rng(11)
     for _ in range(20):
         s = random_state(rng, 4)
+        left = integral_set(s).left
         for m in (2, 3, 4):
-            total = sum(
-                so_n_generator(i, j, s) ** 2
-                for i in range(m) for j in range(i + 1, m)
-            )
-            assert casimir_left(m, s) == pytest.approx(total, rel=1e-12)
-        assert angular_momentum_sq(s) == pytest.approx(casimir_left(4, s), rel=1e-12)
+            total = sum(j * j for j in so_n_columns(s.q[:m].tolist(), s.p[:m].tolist()))
+            assert left[m - 2] == pytest.approx(total, rel=1e-12)
 
 
 def test_cauchy_schwarz_for_monopole_free_triple():
-    # J+ J- - J3^2 = sum_{i<j} J_ij^2 >= 0 when all b_i = 0
+    # J+ J- - J3^2 = sum_{i<j} J_ij^2 = L^2 >= 0 when all b_i = 0
     rng = np.random.default_rng(23)
     for _ in range(40):
         n = int(rng.integers(2, 5))
         s = random_state(rng, n)
-        t = sl2_realize(s)
-        lsq = angular_momentum_sq(s)
-        assert t.jplus * t.jminus - t.j3 ** 2 == pytest.approx(lsq, rel=1e-12, abs=1e-12)
-        assert t.jplus * t.jminus - t.j3 ** 2 >= -1e-12
+        jminus, j3, jplus = sl2_columns(s.q.tolist(), s.p.tolist())
+        lsq = integral_set(s).left[-1]
+        assert jplus * jminus - j3 ** 2 == pytest.approx(lsq, rel=1e-12, abs=1e-12)
+        assert jplus * jminus - j3 ** 2 >= -1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -224,27 +193,24 @@ def test_sl2_closure_at_random_states():
         jm = lambda q, p: sl2_columns(q, p, b)[0]
         j3 = lambda q, p: sl2_columns(q, p, b)[1]
         jp = lambda q, p: sl2_columns(q, p, b)[2]
-        t = sl2_realize(s, b)
-        assert abs(poisson_bracket(j3, jp, s) - 2 * t.jplus) <= 1e-5 * (1 + abs(t.jplus))
-        assert abs(poisson_bracket(j3, jm, s) + 2 * t.jminus) <= 1e-5 * (1 + abs(t.jminus))
-        assert abs(poisson_bracket(jm, jp, s) - 4 * t.j3) <= 1e-5 * (1 + abs(t.j3))
+        t_jminus, t_j3, t_jplus = sl2_columns(s.q.tolist(), s.p.tolist(), b)
+        assert abs(poisson_bracket(j3, jp, s) - 2 * t_jplus) <= 1e-5 * (1 + abs(t_jplus))
+        assert abs(poisson_bracket(j3, jm, s) + 2 * t_jminus) <= 1e-5 * (1 + abs(t_jminus))
+        assert abs(poisson_bracket(jm, jp, s) - 4 * t_j3) <= 1e-5 * (1 + abs(t_j3))
 
 
 def test_so4_bracket_relations():
     # {J_ij, J_ik} = J_jk, {J_ij, J_jk} = -J_ik, {J_ik, J_jk} = J_ij  (i<j<k)
     rng = np.random.default_rng(31)
-    J = lambda i, j: (lambda q, p: q[i] * p[j] - q[j] * p[i])
+    row = {pair: a for a, pair in enumerate(combinations(range(4), 2))}
+    J = lambda i, j: (lambda q, p: so_n_columns(q, p)[row[i, j]])
     for _ in range(5):
         s = random_state(rng, 4)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                for k in range(j + 1, 4):
-                    assert poisson_bracket(J(i, j), J(i, k), s) == pytest.approx(
-                        so_n_generator(j, k, s), abs=1e-6)
-                    assert poisson_bracket(J(i, j), J(j, k), s) == pytest.approx(
-                        -so_n_generator(i, k, s), abs=1e-6)
-                    assert poisson_bracket(J(i, k), J(j, k), s) == pytest.approx(
-                        so_n_generator(i, j, s), abs=1e-6)
+        v = so_n_columns(s.q.tolist(), s.p.tolist())
+        for i, j, k in combinations(range(4), 3):
+            assert poisson_bracket(J(i, j), J(i, k), s) == pytest.approx(v[row[j, k]], abs=1e-6)
+            assert poisson_bracket(J(i, j), J(j, k), s) == pytest.approx(-v[row[i, k]], abs=1e-6)
+            assert poisson_bracket(J(i, k), J(j, k), s) == pytest.approx(v[row[i, j]], abs=1e-6)
 
 
 def test_left_and_right_families_internally_in_involution():

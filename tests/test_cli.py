@@ -436,6 +436,31 @@ def test_simulate_oscillator_at_its_anchor_is_a_config_error(tmp_path, capsys):
     assert not (out_dir / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("potential, q0, expected", [
+    # U overflows at the radii its derivative is spot-checked at
+    ('{u: "exp(exp(r))"}', 1.0, "potential.custom: potential (user-supplied): not evaluable"),
+    # U is fine at the spot checks but overflows at the initial |q| = 6.65
+    ('{u: "exp(exp(r))", domain: [0.0, 6.7]}', 6.65, "initial state invalid: "),
+    # U divides by zero everywhere
+    ('{u: "1/(r-r)"}', 1.0, "potential.custom: potential (user-supplied): not evaluable"),
+], ids=["overflow-at-spot-check", "overflow-at-initial-state", "pole-everywhere"])
+def test_simulate_custom_potential_arithmetic_error_is_a_config_error(
+        tmp_path, capsys, potential, q0, expected):
+    config = tmp_path / "run.yaml"
+    config.write_text(
+        "space: {id: euclidean}\n"
+        f"potential: {{custom: {potential}}}\n"
+        "initial:\n"
+        f"  cartesian: {{q: [{q0}, 0.0, 0.0], p: [0.0, 0.5, 0.0]}}\n"
+        "t_end: 1.0\n")
+    out_dir = tmp_path / "run"
+    code, _, err = run_cli(capsys, "simulate", "--config", str(config),
+                           "--out", str(out_dir))
+    assert code == 2
+    assert err.startswith(f"config error: {expected}"), err
+    assert not (out_dir / "trajectory.csv").exists()
+
+
 def test_simulate_quadrature_failure_in_the_audit_flushes_partial_output(
         tmp_path, capsys, fail_quadrature_between):
     fail_quadrature_between(0.6, 1.0)

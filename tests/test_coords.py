@@ -6,21 +6,18 @@ import pytest
 from qmsflow.algebra import (
     PhaseState,
     SingularStateError,
-    angular_momentum_sq,
-    casimir_right,
     fd_gradient,
+    integral_set,
     poisson_bracket,
-    sl2_realize,
+    sl2_columns,
     _towers,
 )
 from qmsflow.coords import (
     ChartError,
     SphericalPhaseState,
     angular_chain,
-    angular_momentum_sq_spherical,
     from_cartesian,
     spherical_casimir,
-    spherical_generators,
     to_cartesian,
     to_cartesian_columns,
     radial_hamiltonian,
@@ -147,44 +144,44 @@ def test_column_chart_matches_to_cartesian_row_by_row(n):
 # generators and integrals in spherical variables
 # ---------------------------------------------------------------------------
 
+def _generators(s, b=None):
+    """(J-, J3, J+) of the Cartesian image of the spherical state s."""
+    c = to_cartesian(s)
+    return sl2_columns(c.q.tolist(), c.p.tolist(), b)
+
+
 def test_spherical_generators_monopole_free():
+    # with b = 0, J+ = p_r^2 + L^2/r^2 and C_(N) = L^2
     rng = np.random.default_rng(3)
     for _ in range(10):
         s = random_spherical(rng, 3)
-        t, c_n = spherical_generators(s)
-        lsq = angular_momentum_sq_spherical(s)
-        assert t.jplus == pytest.approx(s.p_r ** 2 + lsq / s.r ** 2, rel=1e-12)
-        assert c_n == pytest.approx(lsq, rel=1e-12)
+        lsq = spherical_casimir(3, s)
+        assert _generators(s)[2] == pytest.approx(s.p_r ** 2 + lsq / s.r ** 2, rel=1e-12)
+        assert integral_set(to_cartesian(s)).right[-1] == pytest.approx(lsq, rel=1e-12)
 
 
 def test_spherical_generators_arithmetic_example():
     # J+ = 0 + p_theta^2 + 1/cos^2 + 1/sin^2 at theta = pi/4, r = 1
     s = SphericalPhaseState(1.0, [math.pi / 4], 0.0, [1.0])
-    t, c2 = spherical_generators(s, b=[1.0, 1.0])
-    assert t.jplus == pytest.approx(5.0, rel=1e-14)
-    assert (t.jminus, t.j3) == (1.0, 0.0)
-    assert c2 == pytest.approx(5.0, rel=1e-14)
+    jminus, j3, jplus = _generators(s, [1.0, 1.0])
+    assert jplus == pytest.approx(5.0, rel=1e-14)
+    assert jminus == pytest.approx(1.0, rel=1e-15) and j3 == pytest.approx(0.0, abs=1e-15)
+    assert spherical_casimir(2, s, [1.0, 1.0]) == pytest.approx(5.0, rel=1e-14)
 
 
 def test_spherical_generators_match_cartesian_realization():
+    # J- = r^2, J3 = r p_r and J+ = p_r^2 + C_(N)/r^2 in spherical variables
     rng = np.random.default_rng(17)
     for _ in range(20):
         n = int(rng.integers(2, 6))
         s = random_spherical(rng, n)
         b = rng.uniform(0.1, 2.0, n)
-        t, c_n = spherical_generators(s, b)
-        ref = sl2_realize(to_cartesian(s), b)
-        assert t.jminus == pytest.approx(ref.jminus, rel=1e-12)
-        assert t.j3 == pytest.approx(ref.j3, rel=1e-12, abs=1e-12)
-        assert t.jplus == pytest.approx(ref.jplus, rel=1e-12)
-        assert c_n == pytest.approx(casimir_right(n, to_cartesian(s), b), rel=1e-12)
-
-
-def test_spherical_generators_fold_in_monopole():
-    s = SphericalPhaseState(2.0, [0.7], 0.3, [1.2])
-    bare, _ = spherical_generators(s, [0.5, 0.5])
-    folded, _ = spherical_generators(s, [0.5, 0.5], mu2=3.0)
-    assert folded.jplus == pytest.approx(bare.jplus + 3.0 / 4.0, rel=1e-14)
+        jminus, j3, jplus = _generators(s, b)
+        c_n = spherical_casimir(n, s, b)
+        assert jminus == pytest.approx(s.r ** 2, rel=1e-12)
+        assert j3 == pytest.approx(s.r * s.p_r, rel=1e-12, abs=1e-12)
+        assert jplus == pytest.approx(s.p_r ** 2 + c_n / s.r ** 2, rel=1e-12)
+        assert c_n == pytest.approx(integral_set(to_cartesian(s), b).right[-1], rel=1e-12)
 
 
 def test_spherical_casimir_small_cases():
@@ -208,7 +205,7 @@ def test_spherical_casimir_matches_cartesian():
         c = to_cartesian(s)
         for m in (2, 3, 4):
             lhs = spherical_casimir(m, s, b)
-            rhs = casimir_right(m, c, b)
+            rhs = integral_set(c, b).right[m - 2]
             assert abs(lhs - rhs) <= 1e-10 * (1 + abs(rhs))
 
 
@@ -239,11 +236,12 @@ def test_angular_chain_matches_direct_formula():
 
 
 def test_l2_agreement_between_representations():
+    # L^2 is C_(N) = C^(N) at b = 0, in either chart
     rng = np.random.default_rng(59)
     for _ in range(10):
         s = random_spherical(rng, 4)
-        assert angular_momentum_sq_spherical(s) == pytest.approx(
-            angular_momentum_sq(to_cartesian(s)), rel=1e-12)
+        assert spherical_casimir(4, s) == pytest.approx(
+            integral_set(to_cartesian(s)).left[-1], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +306,7 @@ def test_kinetic_energy_is_chart_invariant():
         c = to_cartesian(s)
         f = metric.f(s.r)
         cart = float(np.dot(c.p, c.p)) / (2 * f * f)
-        sph = (s.p_r ** 2 + angular_momentum_sq_spherical(s) / s.r ** 2) / (2 * f * f)
+        sph = (s.p_r ** 2 + spherical_casimir(4, s) / s.r ** 2) / (2 * f * f)
         assert cart == pytest.approx(sph, rel=1e-12)
 
 

@@ -22,9 +22,9 @@ from qmsflow.dynamics import (
     integrate,
 )
 from qmsflow.geometry import (
+    CATALOG,
     DomainViolation,
     MetricSpec,
-    catalog_ids,
     catalog_lookup,
     sample_radii,
 )
@@ -192,7 +192,7 @@ def test_generated_rhs_matches_the_loop_form_bit_for_bit():
     custom = MetricSpec.from_source("1/(1 + 0.2*r^2)", id="custom")
     parts = [(custom, kc_potential(custom, 1.0)),
              (custom, oscillator_potential(custom, 0.01))]
-    for mid in catalog_ids():
+    for mid in CATALOG:
         metric = metric_of(mid)
         parts += [(metric, None), (metric, kc_potential(metric, 0.8)),
                   (metric, oscillator_potential(metric, 0.6))]
@@ -339,7 +339,7 @@ def _scipy_reference(sys, s0, t_end, samples):
 
 def _oracle_cases():
     direction = np.array([0.6, -0.64, 0.48])
-    for mid in catalog_ids():
+    for mid in CATALOG:
         metric = metric_of(mid)
         for kind, make, coupling in (("kc", kc_potential, 0.5),
                                      ("oscillator", oscillator_potential, 0.4)):

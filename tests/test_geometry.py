@@ -1,4 +1,4 @@
-"""Metric catalog, scalar curvature, and geodesic radial map tests."""
+"""Metric catalog, scalar curvature, and geodesic radius tests."""
 
 import math
 from fractions import Fraction
@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 from qmsflow.geometry import (
-    DomainViolation, MetricError, MetricSpec, catalog_ids,
-    catalog_lookup, geodesic_radius_inverse, geodesic_radius_map,
+    CATALOG, DomainViolation, MetricError, MetricSpec, catalog_lookup,
     sample_radii, scalar_curvature,
 )
 
 
 def test_catalog_is_complete():
-    assert sorted(catalog_ids()) == sorted([
+    assert sorted(CATALOG) == sorted([
         "euclidean", "spherical", "hyperbolic",
         "darboux1", "darboux2", "darboux3a", "darboux3b", "darboux4",
         "taub-nut", "nu-fold", "nu-fold-a0",
@@ -22,7 +21,7 @@ def test_catalog_is_complete():
 
 
 def test_every_catalog_factor_is_positive_on_its_domain():
-    for id in catalog_ids():
+    for id in CATALOG:
         m = catalog_lookup(id)  # construction itself grid-checks f > 0
         for r in sample_radii(m.domain, 64):
             assert m.f(float(r)) > 0.0, id
@@ -167,32 +166,14 @@ def test_curvature_constant_curvature_spaces(kappa, n):
 
 
 # ---------------------------------------------------------------------------
-# geodesic radial map
+# geodesic radius
 # ---------------------------------------------------------------------------
 
-def test_geodesic_map_exact_values():
-    assert geodesic_radius_map(1.0, math.pi / 2) == pytest.approx(1.0, rel=1e-15)
-    # small-argument limit r ~ r_hat/2
-    assert geodesic_radius_map(1.0, 1e-8) == pytest.approx(5e-9, rel=1e-12)
-    # analytic continuation to kappa < 0 is the hyperbolic tangent
-    assert geodesic_radius_map(-1.0, 1.0) == pytest.approx(math.tanh(0.5), rel=1e-15)
-    assert geodesic_radius_map(-1.0, 1.0) == pytest.approx(0.46211715726000974, rel=1e-14)
-
-
-def test_geodesic_map_round_trip():
-    for kappa in (1.0, -1.0, 0.5, -2.0):
-        for r_hat in np.linspace(0.05, 1.4, 13):
-            r = geodesic_radius_map(kappa, float(r_hat))
-            assert geodesic_radius_inverse(kappa, r) == pytest.approx(float(r_hat), abs=1e-12)
-
-
-def test_geodesic_map_singularities():
-    with pytest.raises(ValueError):
-        geodesic_radius_map(1.0, math.pi)  # tan pole
-    with pytest.raises(ValueError):
-        geodesic_radius_map(0.0, 1.0)
-    with pytest.raises(ValueError):
-        geodesic_radius_inverse(-1.0, 1.0)  # outside the unit disk
+def _geodesic_radius_map(kappa, r_hat):
+    """r from the geodesic radius r_hat: tan(sqrt(kappa) r_hat/2)/sqrt(kappa),
+    the tanh form for kappa < 0."""
+    s = math.sqrt(abs(kappa))
+    return (math.tan if kappa > 0 else math.tanh)(0.5 * s * r_hat) / s
 
 
 @pytest.mark.parametrize("kappa", [1.0, -1.0])
@@ -203,9 +184,9 @@ def test_geodesic_map_metric_identities(kappa):
     m = MetricSpec.from_source("2/(1+k*r^2)", params={"k": kappa}, domain=domain)
     for r_hat in np.linspace(0.05, 1.5, 32):
         r_hat = float(r_hat)
-        r = geodesic_radius_map(kappa, r_hat)
+        r = _geodesic_radius_map(kappa, r_hat)
         h = 1e-6
-        drdrh = (geodesic_radius_map(kappa, r_hat + h) - geodesic_radius_map(kappa, r_hat - h)) / (2 * h)
+        drdrh = (_geodesic_radius_map(kappa, r_hat + h) - _geodesic_radius_map(kappa, r_hat - h)) / (2 * h)
         f = m.f(r)
         assert f * f * drdrh * drdrh == pytest.approx(1.0, abs=1e-9)
         if kappa > 0:

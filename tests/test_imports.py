@@ -1,5 +1,6 @@
-"""Every imported name is read somewhere in its module, and the command
-line starts without scipy.
+"""Every imported name is read somewhere in its module, every name in a
+module's ``__all__`` is bound there, and the command line starts without
+scipy.
 
 No linter is required to run the tests, so this AST scan keeps refactors
 from leaving dead imports behind.  A name listed in ``__all__`` counts as
@@ -7,6 +8,7 @@ read, and an import line marked ``# noqa: F401`` is exempt.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -45,6 +47,19 @@ def test_no_module_imports_a_name_it_never_reads():
     assert len(files) > 10
     unused = [entry for path in files for entry in _unused_imports(path)]
     assert unused == []
+
+
+def test_every_name_in_all_is_bound():
+    # the scan above counts __all__ entries as reads, so a stale entry left
+    # by a deletion would hide a dead import
+    modules = sorted((ROOT / "src" / "qmsflow").glob("*.py"))
+    stale = []
+    for path in modules:
+        module = importlib.import_module(f"qmsflow.{path.stem}")
+        stale += [f"{path.stem}.{name}" for name in getattr(module, "__all__", ())
+                  if not hasattr(module, name)]
+    assert len(modules) > 5
+    assert stale == []
 
 
 def test_the_scan_sees_an_unused_import(tmp_path):

@@ -201,6 +201,11 @@ def test_potential_spec_rejects_inconsistent_derivative():
                       domain=(0.1, 10.0))
     with pytest.raises(PotentialError):
         PotentialSpec(lambda r: r, lambda r: 1.0, "nonsense", domain=(0.1, 10.0))
+    # an overflow, a pole and a log off its domain at the spot-check radii,
+    # which run on Python floats, so that none only warns
+    for source in ("exp(exp(r))", "1/(r-r)", "ln(r-2)"):
+        with pytest.raises(PotentialError, match="not evaluable near r="):
+            PotentialSpec.from_expr(source)
 
 
 def test_user_supplied_potential_from_source():
