@@ -43,23 +43,28 @@ import yaml
 from .algebra import (
     PhaseState,
     SingularStateError,
-    fd_gradient,  # noqa: F401  (perfbench/tracing.py wraps it by this name)
+    _check_b,
+    _towers,
     independence_rank,
-    integral_set,
     poisson_bracket,
     sl2_columns,
     so_n_columns,
 )
+from .algebra import fd_gradient  # noqa: F401  (perfbench/tracing.py wraps it by this name)
+from .algebra import integral_set  # noqa: F401  (perfbench/tracing.py wraps it by this name)
 from .coords import (
     ChartError,
     SphericalPhaseState,
-    angular_chain,
-    from_cartesian,
+    angular_chain_columns,
+    from_cartesian_columns,
     radial_hamiltonian,
-    spherical_casimir,
+    spherical_casimir_columns,
     to_cartesian,
     to_cartesian_columns,
 )
+from .coords import angular_chain  # noqa: F401  (perfbench/tracing.py wraps it by this name)
+from .coords import from_cartesian  # noqa: F401  (perfbench/tracing.py wraps it by this name)
+from .coords import spherical_casimir  # noqa: F401  (perfbench/tracing.py wraps it by this name)
 from .dynamics import _audit, _check_domain, conservation_report, hamiltonian, integrate
 from .exprlang import ExprError
 from .geometry import (
@@ -522,12 +527,15 @@ def _random_state(rng, n: int, pmax: float = 2.0) -> PhaseState:
     return PhaseState(q, rng.uniform(-pmax, pmax, n))
 
 
-def _random_spherical(rng, n: int) -> SphericalPhaseState:
-    # angles keep both sin and cos away from zero
-    theta = rng.uniform(0.4, 1.15, n - 1)
-    return SphericalPhaseState(rng.uniform(0.6, 2.0), theta,
-                               rng.uniform(-2.0, 2.0),
-                               rng.uniform(-2.0, 2.0, n - 1))
+def _charts(u: np.ndarray, n: int, b: tuple = ()) -> np.ndarray:
+    """Chart points (r, theta, p_r, p_theta), sin and cos of the angles away
+    from zero, with N values of b in [lo, hi) if b = (lo, hi), as 2N (+ N)
+    columns from the rows of u, rng.random draws: bit for bit the per-point
+    rng.uniform calls for theta, r, p_r, p_theta, b, each lo + (hi - lo) u."""
+    lo, hi = np.repeat([(0.4, 1.15), (0.6, 2.0), (-2.0, 2.0), b or (0.0, 0.0)],
+                       [n - 1, 1, n, n if b else 0], axis=0).T
+    x = (lo + (hi - lo) * u).T
+    return x[[n - 1, *range(n - 1), *range(n, len(x))]]  # r first
 
 
 def _check_entry(name: str, residuals, tol: float) -> dict:
@@ -556,23 +564,28 @@ def _per_row(x, q) -> np.ndarray:
     return np.repeat(x, len(q[0]) // len(x), axis=0)
 
 
-def _conserved(sys_spec: SystemSpec, q, p, mu2=None, b=None) -> list:
+def _conserved(systems, q, p, mu2=None, b=None) -> list:
     """H, C^(2)..C^(N) from the left family and C_(2)..C_(N-1) from the
     right one (the top right member coincides with the top left one), as
-    columns over the states in the N columns q and p, for the system's mu2
-    and b or a column mu2 and N columns b: the checks run once over all
-    states, then f and U row by row, H and the towers as in the audit."""
-    if len(q) != sys_spec.n:
-        raise ValueError(f"state has dimension {len(q)}, system expects {sys_spec.n}")
+    columns over the states in the N columns q and p, for one SystemSpec or
+    a list of them, each owning an equal block of rows in order: its domain
+    is checked once, then its f and U run row by row (u = 0.0 where it has no
+    U and another has).  mu2 and b are the first system's, or columns."""
+    systems = [systems] if isinstance(systems, SystemSpec) else systems
+    if len(q) != systems[0].n:
+        raise ValueError(f"state has dimension {len(q)}, system expects {systems[0].n}")
     r = np.sqrt(sum(x * x for x in q))
-    lo, hi = sys_spec.domain
-    for x in r[~((lo < r) & (r < hi))][:1].tolist():  # the first row out of the domain
-        _check_domain(sys_spec, x)
-    f, pot, rows = sys_spec.metric.compiled()[0], sys_spec.potential, r.tolist()
-    fr = np.array([f(x) for x in rows])
-    u = None if pot is None else np.array([pot.u(x) for x in rows])
-    series = _audit(np.transpose(q), np.transpose(p), r, fr, u,
-                    sys_spec.mu2 if mu2 is None else mu2, sys_spec.b if b is None else b)
+    fr, u = [], []
+    for sys_spec, block in zip(systems, np.split(r, len(systems))):
+        lo, hi = sys_spec.domain
+        for x in block[~((lo < block) & (block < hi))][:1].tolist():  # the first row out
+            _check_domain(sys_spec, x)
+        f, pot, rows = sys_spec.metric.compiled()[0], sys_spec.potential, block.tolist()
+        fr += [f(x) for x in rows]
+        u += [0.0] * len(rows) if pot is None else [pot.u(x) for x in rows]
+    u = np.array(u) if any(x.potential is not None for x in systems) else None
+    series = _audit(np.transpose(q), np.transpose(p), r, np.array(fr), u,
+                    systems[0].mu2 if mu2 is None else mu2, systems[0].b if b is None else b)
     return list(series.values())[:-1]
 
 
@@ -607,29 +620,26 @@ def _suite_brackets(n: int, seed: int, tol: float | None) -> dict:
 def _suite_involution(n: int, seed: int, tol: float | None) -> dict:
     tol = 1e-5 if tol is None else tol
     (rng,) = _spawn(seed, 1)
-    res_h, res_c = [], []
-    # the left family holds N - 1 integrals, the right one N - 2
-    pairs = (np.triu_indices(n - 1, 1), np.triu_indices(n - 2, 1))
+    systems = []
     for mid in ("euclidean", "darboux3b", "taub-nut"):
         metric = catalog_lookup(mid)
-        for pot in (None, kc_potential(metric, 0.7),
-                    oscillator_potential(metric, 0.4)):
-            # six states in one stencil call, each with its own mu2 and b,
-            # which come per row: the system gives f, U and the domain
-            draws = [(rng.uniform(0.0, 1.0), rng.uniform(-2.0, 2.0, n),
-                      _random_state(rng, n)) for _ in range(6)]
-            mu2, b, states = zip(*draws)
-            sys_spec = SystemSpec(metric, pot, n=n)
-            conserved = lambda q, p: _conserved(sys_spec, q, p, _per_row(mu2, q), _per_row(b, q).T)
-            size = np.abs(_at(conserved, states))
-            m = poisson_bracket(conserved, conserved, states)
-            rel = np.abs(m) / (1.0 + size[:, :, None] + size[:, None, :])
-            res_h.extend(rel[:, 0, 1:].ravel())
-            # rows 1..N-1 hold the left family, the rest the right one;
-            # each is involutive on its own, but the two do not commute
-            for family, (i, j) in zip((rel[:, 1:n, 1:n], rel[:, n:, n:]), pairs):
-                res_c.extend(family[:, i, j].ravel())
-    checks = [_check_entry("hamiltonian-vs-integrals", res_h, tol),
+        systems += [SystemSpec(metric, pot, n=n) for pot in
+                    (None, kc_potential(metric, 0.7), oscillator_potential(metric, 0.4))]
+    # six states per system, drawn system by system, each with its own mu2
+    # and b, which come per row; all 54 go through one centre-value call and
+    # one stencil call, each system giving f, U and the domain of its block
+    draws = [(rng.uniform(0.0, 1.0), rng.uniform(-2.0, 2.0, n), _random_state(rng, n))
+             for _ in range(6 * len(systems))]
+    mu2, b, states = zip(*draws)
+    conserved = lambda q, p: _conserved(systems, q, p, _per_row(mu2, q), _per_row(b, q).T)
+    size = np.abs(_at(conserved, states))
+    m = poisson_bracket(conserved, conserved, states)
+    rel = np.abs(m) / (1.0 + size[:, :, None] + size[:, None, :])
+    # rows 1..N-1 hold the left family (N - 1 integrals), the rest the right
+    # one (N - 2); each is involutive on its own, but the two do not commute
+    (i, j), (k, h) = np.triu_indices(n - 1, 1), np.triu_indices(n - 2, 1)
+    res_c = np.concatenate([rel[:, 1:n, 1:n][:, i, j].ravel(), rel[:, n:, n:][:, k, h].ravel()])
+    checks = [_check_entry("hamiltonian-vs-integrals", rel[:, 0, 1:].ravel(), tol),
               _check_entry("integrals-in-involution", res_c, tol)]
     return _report("involution", seed, n, checks)
 
@@ -657,11 +667,10 @@ def _suite_coords(n: int, seed: int, tol: float | None) -> dict:
     rngs = _spawn(seed, 5)
     checks = []
 
-    # each chart state packed as a PhaseState, q = (r, theta) and
+    # each chart point packed as a PhaseState, q = (r, theta) and
     # p = (p_r, p_theta), so that poisson_bracket works in the chart; rows
     # 0..N-1 of each bracket matrix are the Cartesian q, rows N..2N-1 the p
-    packed = [PhaseState(np.concatenate([[s.r], s.theta]), np.concatenate([[s.p_r], s.p_theta]))
-              for s in (_random_spherical(rngs[0], n) for _ in range(6))]
+    packed = [PhaseState(x[:n], x[n:]) for x in _charts(rngs[0].random((6, 2 * n)), n).T]
     m = poisson_bracket(to_cartesian_columns, to_cartesian_columns, packed)
     i, j = np.triu_indices(n, 1)
     residuals = np.concatenate([np.abs(m[:, :n, n:] - np.eye(n)).ravel(),
@@ -670,54 +679,40 @@ def _suite_coords(n: int, seed: int, tol: float | None) -> dict:
     checks.append(_check_entry("canonicity", residuals,
                                1e-6 if tol is None else tol))
 
-    residuals = []
-    for _ in range(20):
-        s = _random_spherical(rngs[1], n)
-        back = from_cartesian(to_cartesian(s))
-        residuals.append(np.max(np.abs(np.concatenate([
-            [back.r - s.r, back.p_r - s.p_r],
-            back.theta - s.theta, back.p_theta - s.p_theta]))))
-        c0 = _random_state(rngs[1], n)
-        c1 = to_cartesian(from_cartesian(c0))
-        residuals.append(np.max(np.abs(np.concatenate([c1.q - c0.q,
-                                                       c1.p - c0.p]))))
-    checks.append(_check_entry("round-trip", residuals,
+    # each check below draws its states first, in the order of one loop over
+    # them, then makes one pass over their columns
+    draws = [(rngs[1].random(2 * n), _random_state(rngs[1], n)) for _ in range(20)]
+    chart = _charts(np.array([u for u, _ in draws]), n)
+    cart = np.array([np.concatenate([c.q, c.p]) for _, c in draws]).T
+    x = to_cartesian_columns(list(chart[:n]), list(chart[n:]))
+    y = from_cartesian_columns(list(cart[:n]), list(cart[n:]))
+    residuals = [np.abs(np.array(from_cartesian_columns(x[:n], x[n:])) - chart),
+                 np.abs(np.array(to_cartesian_columns(y[:n], y[n:])) - cart)]
+    checks.append(_check_entry("round-trip", np.concatenate(np.max(residuals, axis=1)),
                                1e-12 if tol is None else tol))
 
-    residuals = []
-    for _ in range(20):
-        s = _random_spherical(rngs[2], n)
-        b = rngs[2].uniform(0.3, 1.5, n)
-        right = integral_set(to_cartesian(s), b).right
-        for m in range(2, n + 1):
-            sph = spherical_casimir(m, s, b)
-            residuals.append(abs(sph - right[m - 2]) / (1.0 + abs(right[m - 2])))
-    checks.append(_check_entry("casimir-match", residuals,
+    chart, b = np.split(_charts(rngs[2].random((20, 3 * n)), n, (0.3, 1.5)), [2 * n])
+    x = to_cartesian_columns(list(chart[:n]), list(chart[n:]))
+    _check_b(np.transpose(x[:n]), b)
+    right = np.array(_towers(x[:n], x[n:], list(b)).right)
+    sph = np.array(spherical_casimir_columns(n, chart[1:n], chart[n + 1:], b))
+    checks.append(_check_entry("casimir-match", (abs(sph - right) / (1.0 + abs(right))).ravel(),
                                1e-10 if tol is None else tol))
 
-    residuals = []
-    for _ in range(20):
-        s = _random_spherical(rngs[3], n)
-        b = rngs[3].uniform(0.3, 1.5, n)
-        chain = angular_chain(s, b)
-        for m in range(2, n + 1):
-            sph = spherical_casimir(m, s, b)
-            residuals.append(abs(chain[m - 2] - sph) / (1.0 + abs(sph)))
-    checks.append(_check_entry("chain-consistency", residuals,
+    chart, b = np.split(_charts(rngs[3].random((20, 3 * n)), n, (0.3, 1.5)), [2 * n])
+    chain = np.array(angular_chain_columns(chart[1:n], chart[n + 1:], b))
+    sph = np.array(spherical_casimir_columns(n, chart[1:n], chart[n + 1:], b))
+    checks.append(_check_entry("chain-consistency", (abs(chain - sph) / (1.0 + abs(sph))).ravel(),
                                1e-12 if tol is None else tol))
 
     metric = catalog_lookup("darboux3b")
     potential = kc_potential(metric, 0.7)
-    residuals = []
-    for _ in range(20):
-        s = _random_spherical(rngs[4], n)
-        b = rngs[4].uniform(0.0, 1.0, n)
-        c_n = spherical_casimir(n, s, b)
-        reduced = radial_hamiltonian(s.r, s.p_r, c_n, 0.3, metric, potential)
-        full = hamiltonian(SystemSpec(metric, potential, 0.3, b=b),
-                           to_cartesian(s))
-        residuals.append(abs(reduced - full) / (1.0 + abs(full)))
-    checks.append(_check_entry("radial-reduction", residuals,
+    chart, b = np.split(_charts(rngs[4].random((20, 3 * n)), n, (0.0, 1.0)), [2 * n])
+    c_n = spherical_casimir_columns(n, chart[1:n], chart[n + 1:], b)[-1]
+    reduced = radial_hamiltonian(chart[0], chart[n], c_n, 0.3, metric, potential)
+    x = to_cartesian_columns(list(chart[:n]), list(chart[n:]))
+    full = _conserved(SystemSpec(metric, potential, 0.3, n=n), x[:n], x[n:], b=b)[0]
+    checks.append(_check_entry("radial-reduction", abs(reduced - full) / (1.0 + abs(full)),
                                1e-12 if tol is None else tol))
     return _report("coords", seed, n, checks)
 

@@ -29,7 +29,8 @@ from .algebra import PhaseState, SingularStateError, _nonzero
 __all__ = [
     "SphericalPhaseState", "ChartError",
     "to_cartesian", "to_cartesian_columns", "from_cartesian",
-    "spherical_casimir", "angular_chain", "radial_hamiltonian",
+    "from_cartesian_columns", "spherical_casimir", "spherical_casimir_columns",
+    "angular_chain", "angular_chain_columns", "radial_hamiltonian",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -77,6 +78,34 @@ class SphericalPhaseState:
         return self.theta.shape[0] + 1
 
 
+def _sq(x):
+    """x ** 2 by libm pow, also row by row on a numpy column: numpy's x * x
+    differs in the last bit for about 0.1 % of inputs."""
+    return np.array([v ** 2 for v in x.tolist()]) if isinstance(x, np.ndarray) else x ** 2
+
+
+def _rows(fn, *args):
+    """fn on floats, or row by row on numpy columns (floats broadcast):
+    math.hypot and math.atan2 differ from numpy's in the last bit."""
+    if not any(isinstance(a, np.ndarray) for a in args):
+        return fn(*args)
+    return np.array([fn(*v) for v in zip(*(a.tolist() for a in np.broadcast_arrays(*args)))])
+
+
+def _dot(a, b):
+    """sum_i a_i b_i of two lists of N floats or numpy columns by a stacked
+    (S,1,N) @ (S,N,1) matmul, each row np.dot's sum (a column sum is not)."""
+    x = np.stack(np.broadcast_arrays(*a, *b), axis=-1)
+    return (x[..., None, :len(a)] @ x[..., len(a):, None])[..., 0, 0]
+
+
+def _check(hit, exc, message: str) -> None:
+    """Raise exc(message) if hit, a bool or a column, holds: at its first row."""
+    hit = np.asarray(hit)
+    if hit.any():
+        raise exc(message + (f" at row {hit.argmax()}" if hit.ndim else ""))
+
+
 def _e_theta(r, sins, coss, j: int) -> list:
     """Tangent vector dq/dtheta_j as a list; squared length r^2 prod_{k<j} sin^2."""
     pre = r
@@ -96,23 +125,19 @@ def _chart(r, sins, coss, p_r, p_theta) -> tuple[list, list]:
     row, each row bit for bit its point's floats (a zero p_theta_j in a
     column with others adds zeros, which can flip the sign of a zero p)."""
     # sin(theta_k) for k = 1..N-2 enters the denominators S_j; the last does not
-    hit = np.abs(sins[:-1]) < 1e-15
-    if hit.any():
-        raise ChartError(f"sin(theta_{np.nonzero(hit)[0][0] + 1}) = 0: chart is singular here")
+    for k, s in enumerate(sins[:-1]):
+        _check(np.abs(s) < 1e-15, ChartError, f"sin(theta_{k + 1}) = 0: chart is singular here")
     q, prod = [], 1.0
     for s, c in zip(sins, coss):
         q.append(r * c * prod)
         prod = prod * s
     q.append(r * prod)
     p = [p_r * x / r for x in q]
-    # libm pow, as for a float: numpy squares a column as x * x, which
-    # differs in the last bit for about 0.1 % of inputs
-    sq = lambda x: np.array([v ** 2 for v in x.tolist()]) if isinstance(x, np.ndarray) else x ** 2
-    r2, s_prod = sq(r), 1.0  # S_j = prod_{k<j} sin^2
+    r2, s_prod = _sq(r), 1.0  # S_j = prod_{k<j} sin^2
     for j, (pt, nz) in enumerate(zip(p_theta, _nonzero(p_theta))):
         if nz:
             p = [a + pt * e / (r2 * s_prod) for a, e in zip(p, _e_theta(r, sins, coss, j))]
-        s_prod = s_prod * sq(sins[j])
+        s_prod = s_prod * _sq(sins[j])
     return q, p
 
 
@@ -132,33 +157,39 @@ def to_cartesian_columns(q: list, p: list) -> list:
 
 
 def from_cartesian(s: PhaseState) -> SphericalPhaseState:
-    """Invert the spherical chart: radius, successive arctangents, momenta.
+    """Invert the spherical chart (see from_cartesian_columns)."""
+    x, n = from_cartesian_columns(list(s.q), list(s.p)), s.n
+    return SphericalPhaseState(x[0], x[1:n], x[n], x[n + 1:])
 
-    theta_j = atan2(|q_{j+1..N}|, q_j) for j <= N-2 lands in [0, pi]; the last
-    angle is atan2(q_N, q_{N-1}) wrapped into [0, 2pi).
-    """
-    q, p = s.q, s.p
-    n = s.n
+
+def from_cartesian_columns(q: list, p: list) -> list:
+    """The inverse of to_cartesian_columns: r, theta, p_r and p_theta from q
+    and p, lists of N floats or numpy columns, each row bit for bit its
+    state's from_cartesian.  theta_j = atan2(|q_{j+1..N}|, q_j) for j <= N-2
+    lands in [0, pi]; the last angle is atan2(q_N, q_{N-1}) in [0, 2pi)."""
+    n = len(q)
     if n < 2:
         raise ValueError("need at least two coordinates for a spherical chart")
     # tail norms T_j = |q_{j..N}|, built backwards for accuracy
-    tail = np.zeros(n + 1)
+    tail = [0.0] * (n + 1)
     for j in range(n - 1, -1, -1):
-        tail[j] = math.hypot(q[j], tail[j + 1])
-    r = tail[0]
-    theta = np.empty(n - 1)
+        tail[j] = _rows(math.hypot, q[j], tail[j + 1])
     for j in range(n - 2):
-        if tail[j + 1] == 0.0:
-            raise ChartError(f"q_{j + 2}..q_{n} all vanish: angles beyond theta_{j + 1} undefined")
-        theta[j] = math.atan2(tail[j + 1], q[j])
-    theta[n - 2] = math.atan2(q[n - 1], q[n - 2]) % _TWO_PI
+        _check(tail[j + 1] == 0.0, ChartError, f"q_{j + 2}..q_{n} all vanish: "
+               f"angles beyond theta_{j + 1} undefined")
+    theta = [_rows(math.atan2, tail[j + 1], q[j]) for j in range(n - 2)]
+    theta.append(_rows(math.atan2, q[n - 1], q[n - 2]) % _TWO_PI)
+    r, sins, coss = tail[0], np.sin(theta), np.cos(theta)
+    p_theta = [_dot(_e_theta(r, sins, coss, j), p) for j in range(n - 1)]
+    # a last angle just below 0 wraps to 2pi, where the momenta are taken; it is kept as 0
+    return [r, *theta[:-1], theta[-1] % _TWO_PI, _dot(q, p) / r, *p_theta]
 
-    sins = np.sin(theta)
-    coss = np.cos(theta)
-    p_r = float(np.dot(q, p)) / r
-    p_theta = np.array([float(np.dot(_e_theta(r, sins, coss, j), p))
-                        for j in range(n - 1)])
-    return SphericalPhaseState(r, theta, p_r, p_theta)
+
+def _b_vector(n: int, b) -> np.ndarray:
+    b = np.zeros(n) if b is None else np.asarray(b, dtype=float)
+    if b.shape != (n,):
+        raise ValueError(f"b must have length {n}")
+    return b
 
 
 def spherical_casimir(m: int, s: SphericalPhaseState, b=None) -> float:
@@ -168,30 +199,36 @@ def spherical_casimir(m: int, s: SphericalPhaseState, b=None) -> float:
               / prod_{k=N-m+1}^{j-1} sin^2 theta_k
             + b_N / prod_{l=N-m+1}^{N-1} sin^2 theta_l .
     """
-    n = s.n
-    if not 2 <= m <= n:
-        raise ValueError(f"need 2 <= m <= {n}, got m = {m}")
-    b = np.zeros(n) if b is None else np.asarray(b, dtype=float)
-    if b.shape != (n,):
-        raise ValueError(f"b must have length {n}")
-    sins2 = np.sin(s.theta) ** 2
-    coss2 = np.cos(s.theta) ** 2
-    start = n - m  # 0-based index of the first participating angle
-    total = 0.0
-    s_prod = 1.0  # prod of sin^2 over participating angles before j
-    for j in range(start, n - 1):
-        term = s.p_theta[j] ** 2
-        if b[j] != 0.0:
-            if coss2[j] < _SING2:
-                raise SingularStateError(f"cos(theta_{j + 1}) = 0 with b_{j + 1} != 0")
-            term += b[j] / coss2[j]
-        total += term / s_prod
-        s_prod *= sins2[j]
-    if b[n - 1] != 0.0:
-        if s_prod < _SING2:
-            raise SingularStateError(f"vanishing sine product with b_{n} != 0")
-        total += b[n - 1] / s_prod
-    return total
+    if not 2 <= m <= s.n:
+        raise ValueError(f"need 2 <= m <= {s.n}, got m = {m}")
+    return spherical_casimir_columns(m, s.theta, s.p_theta, _b_vector(s.n, b))[-1]
+
+
+def spherical_casimir_columns(m: int, theta, p_theta, b) -> list:
+    """[C_(2), ..., C_(m)] from theta, p_theta and b (N-1, N-1 and N floats
+    or numpy columns), each row bit for bit spherical_casimir at its state.
+    An all-zero b_j is skipped (algebra._nonzero); a zero entry in a b_j
+    column with others needs a nonsingular angle at its row."""
+    n = len(theta) + 1
+    sins2, coss2, nz = np.sin(theta) ** 2, np.cos(theta) ** 2, _nonzero(b)
+    terms = {j: _sq(p_theta[j]) for j in range(n - m, n - 1)}  # + b_j/cos^2 theta_j
+    for j in terms:
+        if nz[j]:
+            _check((b[j] != 0.0) & (coss2[j] < _SING2), SingularStateError,
+                   f"cos(theta_{j + 1}) = 0 with b_{j + 1} != 0")
+            terms[j] = terms[j] + b[j] / coss2[j]
+    out = []
+    for level in range(2, m + 1):
+        total, s_prod = 0.0, 1.0  # s_prod: prod of sin^2 over the angles before j
+        for j in range(n - level, n - 1):
+            total = total + terms[j] / s_prod
+            s_prod = s_prod * sins2[j]
+        if nz[n - 1]:
+            _check((b[n - 1] != 0.0) & (s_prod < _SING2), SingularStateError,
+                   f"vanishing sine product with b_{n} != 0")
+            total = total + b[n - 1] / s_prod
+        out.append(total)
+    return out
 
 
 def angular_chain(s: SphericalPhaseState, b=None) -> list:
@@ -201,41 +238,41 @@ def angular_chain(s: SphericalPhaseState, b=None) -> list:
         C_(l) = p_theta_{N-l+1}^2 + C_(l-1)/sin^2 theta_{N-l+1}
                 + b_{N-l+1}/cos^2 theta_{N-l+1} .
     """
-    n = s.n
-    b = np.zeros(n) if b is None else np.asarray(b, dtype=float)
-    if b.shape != (n,):
-        raise ValueError(f"b must have length {n}")
-    sins2 = np.sin(s.theta) ** 2
-    coss2 = np.cos(s.theta) ** 2
-    value = b[n - 1]
-    out = []
-    for level in range(2, n + 1):
-        j = n - level  # 0-based angle index N-l+1
-        if value != 0.0:
-            if sins2[j] < _SING2:
-                raise SingularStateError(f"sin(theta_{j + 1}) = 0 in the angular chain")
+    return angular_chain_columns(s.theta, s.p_theta, _b_vector(s.n, b))
+
+
+def angular_chain_columns(theta, p_theta, b) -> list:
+    """angular_chain on floats or numpy columns, as spherical_casimir_columns
+    takes them (a zero C_(l-1) in a column with others is divided too)."""
+    n = len(theta) + 1
+    sins2, coss2, nz = np.sin(theta) ** 2, np.cos(theta) ** 2, _nonzero(b)
+    value, out = b[n - 1], []
+    for j in range(n - 2, -1, -1):  # the 0-based angle index N-l+1 of level l
+        if np.any(value != 0.0):
+            _check((value != 0.0) & (sins2[j] < _SING2), SingularStateError,
+                   f"sin(theta_{j + 1}) = 0 in the angular chain")
             value = value / sins2[j]
-        value += s.p_theta[j] ** 2
-        if b[j] != 0.0:
-            if coss2[j] < _SING2:
-                raise SingularStateError(f"cos(theta_{j + 1}) = 0 with b_{j + 1} != 0")
-            value += b[j] / coss2[j]
+        value = value + _sq(p_theta[j])
+        if nz[j]:
+            _check((b[j] != 0.0) & (coss2[j] < _SING2), SingularStateError,
+                   f"cos(theta_{j + 1}) = 0 with b_{j + 1} != 0")
+            value = value + b[j] / coss2[j]
         out.append(value)
     return out
 
 
-def radial_hamiltonian(r: float, p_r: float, c_n: float, mu2: float,
-                       metric, potential=None) -> float:
+def radial_hamiltonian(r, p_r, c_n, mu2, metric, potential=None):
     """Energy of the reduced one-degree-of-freedom radial system:
 
-        H(r, p_r) = [p_r^2 + (C_N + mu2)/r^2] / (2 f(r)^2) + U(r).
+        H(r, p_r) = [p_r^2 + (C_N + mu2)/r^2] / (2 f(r)^2) + U(r),
 
-    `potential` may be any callable U(r) or an object with a .u method.
+    on floats or numpy columns, f (domain-checked) and U row by row on
+    floats.  `potential` may be any callable U(r) or an object with a .u
+    method.
     """
-    metric.check_domain(r)
-    f = metric.f(r)
-    value = (p_r ** 2 + (c_n + mu2) / r ** 2) / (2.0 * f * f)
+    f = _rows(metric.f, r)
+    value = (_sq(p_r) + (c_n + mu2) / _sq(r)) / (2.0 * f * f)
     if potential is not None:
         u = getattr(potential, "u", potential)
-        value += float(u(r))
+        value = value + _rows(lambda x: float(u(x)), r)
     return value

@@ -50,9 +50,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .algebra import PhaseState, sl2_columns, _check_b, _nonzero, _towers
-# integral_set is not called here; it stays bound because perfbench/tracing.py
-# wraps dynamics.integral_set by name
-from .algebra import integral_set  # noqa: F401
+from .algebra import integral_set  # noqa: F401  (perfbench/tracing.py wraps it by this name)
 from .exprlang import to_python
 from .geometry import DomainViolation
 from .potentials import QuadratureError
@@ -459,6 +457,8 @@ def _initial_step(rhs, y, f, t_end, rtol, atol) -> float:
     d0 = _rms([v / s for v, s in zip(y, scale)])
     d1 = _rms([v / s for v, s in zip(f, scale)])
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end)
+    if h0 == 0.0:  # d1 overflowed to inf: scipy's step is then min(100 h0, ...) = 0
+        return 0.0
     f1 = _rhs_or_nan(rhs, [v + h0 * w for v, w in zip(y, f)])
     d2 = _rms([(a - b) / s for a, b, s in zip(f1, f, scale)]) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:

@@ -15,7 +15,7 @@ import pytest
 import yaml
 
 import qmsflow
-from qmsflow import cli, dynamics, geometry, potentials
+from qmsflow import algebra, cli, coords, dynamics, geometry, potentials
 from qmsflow.cli import ConfigError, VERIFY_SUITES, build_config, main
 from qmsflow.geometry import CATALOG
 
@@ -461,6 +461,31 @@ def test_simulate_custom_potential_arithmetic_error_is_a_config_error(
     assert not (out_dir / "trajectory.csv").exists()
 
 
+def test_simulate_overflowing_initial_slope_halts_with_partial_output(tmp_path, capsys):
+    # U' overflows the slope norm of the initial-step estimate (H itself is
+    # finite), which then takes a zero first step, as scipy's does; the step
+    # cannot grow from there, so the run halts at t = 0 with the initial row
+    config = tmp_path / "run.yaml"
+    config.write_text(
+        "space: {id: euclidean}\n"
+        'potential: {custom: {u: "exp(exp(r))", domain: [0.0, 6.7]}}\n'
+        "initial:\n"
+        "  cartesian: {q: [6.3, 0.0, 0.0], p: [0.0, 0.5, 0.0]}\n"
+        "t_end: 1.0\n")
+    out_dir = tmp_path / "run"
+    code, _, err = run_cli(capsys, "simulate", "--config", str(config),
+                           "--out", str(out_dir))
+    assert code == 3
+    assert "integration halted: step-size underflow" in err
+    data = np.loadtxt(str(out_dir / "trajectory.csv"), delimiter=",",
+                      skiprows=1, ndmin=2)
+    assert data.shape[0] == 1
+    assert data[0, :7].tolist() == [0.0, 6.3, 0.0, 0.0, 0.0, 0.5, 0.0]
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary["conservation"]["halted"].startswith("step-size underflow")
+    assert summary["conservation"]["samples"] == 1
+
+
 def test_simulate_quadrature_failure_in_the_audit_flushes_partial_output(
         tmp_path, capsys, fail_quadrature_between):
     fail_quadrature_between(0.6, 1.0)
@@ -703,6 +728,53 @@ def test_random_state_signs_draw_as_generator_choice(seed):
         for _ in range(20):
             assert cli._SIGNS[ours.integers(0, 2, size=n)].tolist() == \
                 theirs.choice([-1.0, 1.0], size=n).tolist()
+            assert ours.uniform() == theirs.uniform()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_involution_makes_one_stencil_call_and_coords_no_per_state_call(monkeypatch, n):
+    # involution puts all nine (metric, potential) groups through one
+    # stencil call and one centre-value call; the coords checks go through
+    # the column bodies, none through a per-state chart function
+    calls = {"fd_gradient": 0, "_at": 0}
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    def per_state(*args):
+        raise AssertionError("per-state call")
+
+    monkeypatch.setattr(algebra, "fd_gradient", counted("fd_gradient", algebra.fd_gradient))
+    monkeypatch.setattr(cli, "_at", counted("_at", cli._at))
+    cli._suite_involution(n, 1, None)
+    assert calls == {"fd_gradient": 1, "_at": 1}
+    for name in ("to_cartesian", "from_cartesian", "spherical_casimir", "angular_chain",
+                 "integral_set"):
+        monkeypatch.setattr(cli, name, per_state)
+    for name in ("to_cartesian", "from_cartesian", "spherical_casimir", "angular_chain"):
+        monkeypatch.setattr(coords, name, per_state)
+    assert cli._suite_coords(n, 1, None)["pass"]
+    assert calls["fd_gradient"] == 2  # the canonicity check
+
+
+@pytest.mark.parametrize("seed", [1, 2, 2 ** 63 + 5])
+def test_charts_draw_as_per_point_uniform_calls(seed):
+    # one block of random() draws gives the chart points and b that
+    # per-point uniform calls give, bit for bit, and leaves the stream at
+    # the same place
+    ours, theirs = (np.random.Generator(np.random.Philox(seed)) for _ in range(2))
+    for n in (2, 3, 4, 6):
+        for b in ((), (0.3, 1.5), (0.0, 1.0)):
+            x = cli._charts(ours.random((20, 3 * n if b else 2 * n)), n, b)
+            for k in range(20):
+                theta = theirs.uniform(0.4, 1.15, n - 1)
+                r, p_r = theirs.uniform(0.6, 2.0), theirs.uniform(-2.0, 2.0)
+                want = [r, *theta, p_r, *theirs.uniform(-2.0, 2.0, n - 1)]
+                want += theirs.uniform(*b, n).tolist() if b else []
+                assert x[:, k].tolist() == want
             assert ours.uniform() == theirs.uniform()
 
 

@@ -16,14 +16,18 @@ from qmsflow.coords import (
     ChartError,
     SphericalPhaseState,
     angular_chain,
+    angular_chain_columns,
     from_cartesian,
+    from_cartesian_columns,
     spherical_casimir,
+    spherical_casimir_columns,
     to_cartesian,
     to_cartesian_columns,
     radial_hamiltonian,
     _e_theta,
 )
 from qmsflow.geometry import DomainViolation, catalog_lookup
+from qmsflow.potentials import kc_potential
 
 
 def random_spherical(rng, n, r_range=(0.5, 2.0)):
@@ -195,6 +199,82 @@ def test_spherical_casimir_small_cases():
         spherical_casimir(1, s)
     with pytest.raises(ValueError):
         spherical_casimir(4, s)
+
+
+def _signed_zeros(rng, x):
+    """x with about one entry in five replaced by 0.0 or -0.0."""
+    x = x.copy()
+    hit = rng.random(x.shape) < 0.2
+    x[hit] = rng.choice([0.0, -0.0], int(hit.sum()))
+    return x
+
+
+def _hex(values) -> list:
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_column_bodies_match_their_float_functions_bit_for_bit(n):
+    # 400 states per dimension, one per row of the columns: each row of a
+    # column body is its state's float function, to the last bit and sign
+    rng = np.random.default_rng(80 + n)
+    count = 400
+    # Cartesian states with a zero last coordinate of either sign now and
+    # then, and one last angle a hair below 0, which wraps to 2pi and then 0
+    q = rng.uniform(0.1, 2.0, (count, n)) * rng.choice([-1.0, 1.0], (count, n))
+    q[:, -1] = _signed_zeros(rng, q[:, -1])
+    q[0, -2:] = 1.0, -1e-300
+    p = _signed_zeros(rng, rng.uniform(-2.0, 2.0, (count, n)))
+    columns = from_cartesian_columns(list(q.T), list(p.T))
+    assert columns[n - 1][0] == 0.0
+    for k in range(count):
+        s = from_cartesian(PhaseState(q[k], p[k]))
+        assert _hex(x[k] for x in columns) == _hex([s.r, *s.theta, s.p_r, *s.p_theta]), k
+
+    # chart states; b has an axis that is zero throughout, whose terms are
+    # skipped, and zero entries of either sign elsewhere, which add zeros
+    theta = rng.uniform(0.05, 2.0 * math.pi - 0.05, (count, n - 1))
+    p_theta = _signed_zeros(rng, rng.uniform(-2.0, 2.0, (count, n - 1)))
+    b = _signed_zeros(rng, rng.uniform(0.1, 2.0, (count, n)))
+    b[:, 0] = 0.0
+    casimirs = spherical_casimir_columns(n, theta.T, p_theta.T, b.T)
+    chain = angular_chain_columns(theta.T, p_theta.T, b.T)
+    metric = catalog_lookup("darboux3b")
+    potential = kc_potential(metric, 0.7)
+    r, p_r = rng.uniform(0.6, 2.0, count), _signed_zeros(rng, rng.uniform(-2.0, 2.0, count))
+    radial = radial_hamiltonian(r, p_r, casimirs[-1], 0.3, metric, potential)
+    for k in range(count):
+        s = SphericalPhaseState(r[k], theta[k], p_r[k], p_theta[k])
+        assert _hex(c[k] for c in casimirs) == \
+            _hex(spherical_casimir(m, s, b[k]) for m in range(2, n + 1)), k
+        assert _hex(c[k] for c in chain) == _hex(angular_chain(s, b[k])), k
+        assert radial[k].hex() == radial_hamiltonian(
+            s.r, s.p_r, spherical_casimir(n, s, b[k]), 0.3, metric, potential).hex(), k
+
+
+def test_column_bodies_name_the_singular_row():
+    rows = lambda *x: np.array(x)
+    with pytest.raises(ChartError, match=r"^q_2..q_3 all vanish: angles beyond theta_1 undefined at row 1$"):
+        from_cartesian_columns([rows(1.0, 1.0, 1.0), rows(0.5, 0.0, 0.5), rows(0.5, -0.0, 0.5)],
+                               [rows(0.1, 0.2, 0.3)] * 3)
+    with pytest.raises(ChartError, match=r"^q_2..q_3 all vanish: angles beyond theta_1 undefined$"):
+        from_cartesian(PhaseState([1.0, 0.0, 0.0], [0.1, 0.2, 0.3]))
+    with pytest.raises(ChartError, match=r"^sin\(theta_1\) = 0: chart is singular here at row 2$"):
+        to_cartesian_columns([rows(1.0, 1.0, 1.0), rows(0.5, 0.5, math.pi), rows(0.5, 0.5, 0.5)],
+                             [rows(0.0, 0.0, 0.0), rows(0.1, 0.1, 0.1), rows(0.2, 0.2, 0.2)])
+    # cos(theta_1) = 0 with b_1 != 0 at the third state
+    theta, p_theta = [rows(0.3, 0.4, math.pi / 2)], [rows(1.0, 1.0, 1.0)]
+    with pytest.raises(SingularStateError, match=r"^cos\(theta_1\) = 0 with b_1 != 0 at row 2$"):
+        spherical_casimir_columns(2, theta, p_theta, [rows(1.0, 1.0, 1.0), rows(0.0, 0.0, 0.0)])
+    with pytest.raises(SingularStateError, match=r"^cos\(theta_1\) = 0 with b_1 != 0 at row 2$"):
+        angular_chain_columns(theta, p_theta, [rows(1.0, 1.0, 1.0), rows(0.0, 0.0, 0.0)])
+    # sin(theta_2) = 0 with b_3 != 0 at the second state
+    theta, p_theta = [rows(0.3, 0.3, 0.3), rows(0.4, 0.0, 0.4)], [rows(1.0, 1.0, 1.0)] * 2
+    b = [rows(0.0, 0.0, 0.0)] * 2 + [rows(1.0, 1.0, 1.0)]
+    with pytest.raises(SingularStateError, match=r"^vanishing sine product with b_3 != 0 at row 1$"):
+        spherical_casimir_columns(3, theta, p_theta, b)
+    with pytest.raises(SingularStateError, match=r"^sin\(theta_2\) = 0 in the angular chain at row 1$"):
+        angular_chain_columns(theta, p_theta, b)
 
 
 def test_spherical_casimir_matches_cartesian():

@@ -1,6 +1,6 @@
 """Every imported name is read somewhere in its module, every name in a
-module's ``__all__`` is bound there, and the command line starts without
-scipy.
+module's ``__all__`` is bound there, every name the benchmark traces
+resolves, and the command line starts without scipy.
 
 No linter is required to run the tests, so this AST scan keeps refactors
 from leaving dead imports behind.  A name listed in ``__all__`` counts as
@@ -9,6 +9,7 @@ read, and an import line marked ``# noqa: F401`` is exempt.
 
 import ast
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -78,3 +79,27 @@ def test_importing_the_cli_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert out.stdout.strip() == "[]"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_name_the_benchmark_traces_resolves():
+    # perfbench/tracing.py wraps each traced function at the name its caller
+    # looks it up by, with getattr and no default: a name a refactor drops
+    # (an import left without a caller, say) would crash every traced round
+    tracing = _tracing()
+    modules = {name: importlib.import_module(f"qmsflow.{name}") for name in
+               ("cli", "dynamics", "algebra", "exprlang", "geometry", "potentials")}
+    missing = [target for target, _ in tracing._FUNCTION_SPANS
+               if not callable(getattr(modules[target.split(".")[0]], target.split(".")[1], None))]
+    missing += [f"{mod}.{cls}.{attr}" for mod, cls, attr, _ in tracing._CLASSMETHOD_SPANS
+                if not isinstance(vars(getattr(modules[mod], cls)).get(attr), classmethod)]
+    missing += [f"cli.{name}" for name in ("integrate", "green_function", "_SUITE_RUNNERS")
+                if not hasattr(modules["cli"], name)]
+    assert len(tracing._FUNCTION_SPANS) > 20
+    assert missing == []
