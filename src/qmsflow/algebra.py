@@ -178,9 +178,10 @@ _RANK_THRESHOLD = 1e-8
 
 
 def fd_gradient(fn: Callable[[list, list], np.ndarray | Sequence[np.ndarray]],
-                s: PhaseState | Sequence[PhaseState]) -> tuple[np.ndarray, np.ndarray]:
+                s: PhaseState | Sequence[PhaseState] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(dF/dq, dF/dp) by central differences with one Richardson level, at
-    the state s or at each of a sequence of S states of one dimension N.
+    the state s or at each of S states of one dimension N, given as a
+    sequence of PhaseStates or as one (S, 2N) array of rows (q, p).
 
     Per-coordinate step h_i = _EPS * max(1, |x_i|) with _EPS = 1e-6; the
     extrapolation (4 D(h/2) - D(h))/3 cancels the leading h^2 truncation
@@ -195,7 +196,7 @@ def fd_gradient(fn: Callable[[list, list], np.ndarray | Sequence[np.ndarray]],
     (domain exits, centrifugal singularities) propagate to the caller.
     """
     one = isinstance(s, PhaseState)
-    x = np.array([np.concatenate([t.q, t.p]) for t in ([s] if one else s)])
+    x = s if isinstance(s, np.ndarray) else np.array([np.concatenate([t.q, t.p]) for t in ([s] if one else s)])
     n = x.shape[1] // 2
     h = _EPS * np.maximum(1.0, np.abs(x))
     d = (h[..., None] * [1.0, -1.0, 0.5, -0.5])[..., None] * np.eye(2 * n)[:, None]
@@ -212,9 +213,9 @@ def fd_gradient(fn: Callable[[list, list], np.ndarray | Sequence[np.ndarray]],
 
 def poisson_bracket(f: Callable[[list, list], np.ndarray | Sequence[np.ndarray]],
                     g: Callable[[list, list], np.ndarray | Sequence[np.ndarray]],
-                    s: PhaseState | Sequence[PhaseState]) -> float | np.ndarray:
+                    s: PhaseState | Sequence[PhaseState] | np.ndarray) -> float | np.ndarray:
     """{F, G} = sum_i (dF/dq_i dG/dp_i - dG/dq_i dF/dp_i), numerically,
-    with f, g and s (one state or a sequence) as in fd_gradient.
+    with f, g and s (one state, a sequence or an array) as in fd_gradient.
 
     For vector-valued f and g the result is the matrix {f_a, g_c}, with a
     leading state axis for a sequence; with g is f the gradients are taken
@@ -232,9 +233,9 @@ def poisson_bracket(f: Callable[[list, list], np.ndarray | Sequence[np.ndarray]]
 
 
 def independence_rank(fn: Callable[[list, list], Sequence[np.ndarray]],
-                      s: PhaseState | Sequence[PhaseState]) -> int | np.ndarray:
+                      s: PhaseState | Sequence[PhaseState] | np.ndarray) -> int | np.ndarray:
     """Numerical rank of the Jacobian of the values of fn at s, one state
-    or a sequence of states (one rank per state, from one stacked SVD).
+    or S states as in fd_gradient (one rank per state, from one stacked SVD).
 
     Rank counts singular values above _RANK_THRESHOLD = 1e-8 times the largest
     one; gradients use the same finite-difference scheme as poisson_bracket.

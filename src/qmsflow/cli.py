@@ -33,6 +33,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import combinations
@@ -496,12 +497,32 @@ def _trajectory_columns(n: int) -> list:
             + [f"Cr{m}" for m in range(2, n)])
 
 
+def _make_outdir(path: str) -> None:
+    """Create the output directory, before any computation; a path that
+    cannot be one is a configuration error."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc}") from exc
+
+
+@contextmanager
+def _output(path: str):
+    """path opened for writing; failing to open or write it is a
+    configuration error."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            yield handle
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc}") from exc
+
+
 def _write_trajectory_csv(path: str, record, n: int) -> None:
     names = _trajectory_columns(n)
     table = np.column_stack([record.times, record.q, record.p,
                              *(record.series[name] for name in names[1 + 2 * n:])])
     row = ",".join(["%.17g"] * len(names)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with _output(path) as handle:
         handle.write(",".join(names) + "\n")
         handle.writelines(row % tuple(values) for values in table.tolist())
 
@@ -517,14 +538,54 @@ def _spawn(seed: int, count: int) -> list:
     return [np.random.Generator(np.random.Philox(child)) for child in children]
 
 
+def _draw_rows(rng, count: int, sizes) -> list:
+    """count rows drawn from rng as one random_raw block, one (count, |k|)
+    array per entry k of sizes, row by row: for k > 0 the floats
+    rng.random(k) gives, for k < 0 the bits rng.integers(0, 2, size=-k)
+    gives, bit for bit, and the stream left where those calls leave it.
+
+    Philox's random() takes one 64-bit word, (word >> 11) * 2**-53;
+    integers(0, 2) takes one 32-bit half, low half first, the high one kept
+    for the next bit (in bit_generator.state as has_uint32 and uinteger,
+    across rows and calls), and for a range of 2 Lemire's method gives that
+    half's top bit."""
+    sizes = np.asarray(sizes)
+    bit = np.tile(np.repeat(sizes < 0, np.abs(sizes)), count)
+    bg = rng.bit_generator
+    state = bg.state
+    held = state["has_uint32"]
+    # g = 1, 3, 5, ... takes a new word's low half, g = 2, 4, ... the high
+    # half of the word before; g = 0 is the half held at the start
+    g = np.arange(bit.sum()) + 1 - held
+    high = g % 2 == 0
+    fetch = ~bit
+    fetch[bit] = ~high
+    word = np.cumsum(fetch)  # index into words, led by the held half
+    words = np.concatenate([[np.uint64(state["uinteger"]) << np.uint64(32)],
+                            bg.random_raw(int(word[-1]))])
+    at = word[bit]
+    at[high] = np.concatenate([[0], at[:-1]])[high]
+    values = np.empty(len(bit))
+    values[~bit] = (words[word[~bit]] >> np.uint64(11)) * 2.0 ** -53
+    values[bit] = (words[at] >> np.where(high, 63, 31).astype(np.uint64)) & np.uint64(1)
+    state = bg.state
+    state["has_uint32"] = int(len(g) + held) % 2
+    if np.any(~high):
+        state["uinteger"] = int(words[at[~high][-1]] >> np.uint64(32))
+    bg.state = state
+    edges = np.cumsum(np.abs(sizes))
+    return np.split(values.reshape(count, edges[-1]), edges[:-1], axis=1)
+
+
 _SIGNS = np.array([-1.0, 1.0])
 
 
-def _random_state(rng, n: int, pmax: float = 2.0) -> PhaseState:
-    # components bounded away from zero so finite-difference stencils never
-    # straddle a centrifugal axis; the signs draw as rng.choice(_SIGNS, n)
-    q = rng.uniform(0.5, 1.5, n) * _SIGNS[rng.integers(0, 2, size=n)]
-    return PhaseState(q, rng.uniform(-pmax, pmax, n))
+def _states(magnitude, signs, p) -> np.ndarray:
+    """(S, 2N) states, rows (q, p), from the draws of _draw_rows(rng, S,
+    [N, -N, N]): rng.uniform(0.5, 1.5, N) times _SIGNS[rng.integers(0, 2,
+    size=N)] for q, bounded away from zero so that finite-difference stencils
+    never straddle a centrifugal axis, and rng.uniform(-2.0, 2.0, N) for p."""
+    return np.hstack([(0.5 + magnitude) * _SIGNS[signs.astype(int)], -2.0 + 4.0 * p])
 
 
 def _charts(u: np.ndarray, n: int, b: tuple = ()) -> np.ndarray:
@@ -552,11 +613,11 @@ def _report(suite: str, seed: int, n: int, checks: list) -> dict:
             "checks": checks, "pass": all(c["pass"] for c in checks)}
 
 
-def _at(fn, states) -> np.ndarray:
-    """The values of the column function fn at the states, state first."""
-    q = np.array([s.q for s in states]).T
-    p = np.array([s.p for s in states]).T
-    return np.asarray(fn(list(q), list(p)), dtype=float).T
+def _at(fn, x: np.ndarray) -> np.ndarray:
+    """The values of the column function fn at the (S, 2N) states x, rows
+    (q, p), state first."""
+    n = x.shape[1] // 2
+    return np.asarray(fn(list(x.T[:n]), list(x.T[n:])), dtype=float).T
 
 
 def _per_row(x, q) -> np.ndarray:
@@ -592,8 +653,8 @@ def _conserved(systems, q, p, mu2=None, b=None) -> list:
 def _suite_brackets(n: int, seed: int, tol: float | None) -> dict:
     tol = 1e-5 if tol is None else tol
     rng_sl2, rng_son = _spawn(seed, 2)
-    draws = [(_random_state(rng_sl2, n), rng_sl2.uniform(-3.0, 3.0, n)) for _ in range(100)]
-    states, b = [s for s, _ in draws], np.array([bk for _, bk in draws])
+    *state, b = _draw_rows(rng_sl2, 100, [n, -n, n, n])
+    states, b = _states(*state), -3.0 + 6.0 * b
     # rows 0, 1, 2 are J-, J3, J+; each state's rows (its 8N stencil rows
     # or its centre row) come together, so its b repeats over them
     gens = lambda q, p: sl2_columns(q, p, _per_row(b, q).T)
@@ -605,7 +666,7 @@ def _suite_brackets(n: int, seed: int, tol: float | None) -> dict:
     checks = [_check_entry("sl2-closure", residuals.ravel(), tol)]
 
     row = {pair: a for a, pair in enumerate(combinations(range(n), 2))}
-    states = [_random_state(rng_son, n) for _ in range(20)]
+    states = _states(*_draw_rows(rng_son, 20, [n, -n, n]))
     m = poisson_bracket(so_n_columns, so_n_columns, states)
     v = _at(so_n_columns, states)
     ij, ik, jk = np.array([(row[i, j], row[i, k], row[j, k])
@@ -628,9 +689,8 @@ def _suite_involution(n: int, seed: int, tol: float | None) -> dict:
     # six states per system, drawn system by system, each with its own mu2
     # and b, which come per row; all 54 go through one centre-value call and
     # one stencil call, each system giving f, U and the domain of its block
-    draws = [(rng.uniform(0.0, 1.0), rng.uniform(-2.0, 2.0, n), _random_state(rng, n))
-             for _ in range(6 * len(systems))]
-    mu2, b, states = zip(*draws)
+    mu2, b, *state = _draw_rows(rng, 6 * len(systems), [1, n, n, -n, n])
+    mu2, b, states = mu2[:, 0], -2.0 + 4.0 * b, _states(*state)
     conserved = lambda q, p: _conserved(systems, q, p, _per_row(mu2, q), _per_row(b, q).T)
     size = np.abs(_at(conserved, states))
     m = poisson_bracket(conserved, conserved, states)
@@ -652,7 +712,7 @@ def _suite_independence(n: int, seed: int, tol: float | None) -> dict:
     sys_spec = SystemSpec(metric, kc_potential(metric, 1.0), 0.3,
                           b=rng.uniform(0.5, 2.5, n))
     expected, trials = 2 * n - 2, 20
-    states = [_random_state(rng, n) for _ in range(trials)]
+    states = _states(*_draw_rows(rng, trials, [n, -n, n]))
     full = int(np.sum(independence_rank(partial(_conserved, sys_spec), states)
                       >= expected))
     # every state carries the deficient fraction, so points counts states
@@ -667,11 +727,12 @@ def _suite_coords(n: int, seed: int, tol: float | None) -> dict:
     rngs = _spawn(seed, 5)
     checks = []
 
-    # each chart point packed as a PhaseState, q = (r, theta) and
-    # p = (p_r, p_theta), so that poisson_bracket works in the chart; rows
-    # 0..N-1 of each bracket matrix are the Cartesian q, rows N..2N-1 the p
-    packed = [PhaseState(x[:n], x[n:]) for x in _charts(rngs[0].random((6, 2 * n)), n).T]
-    m = poisson_bracket(to_cartesian_columns, to_cartesian_columns, packed)
+    # each chart point a state row (r, theta, p_r, p_theta), taken as
+    # q = (r, theta) and p = (p_r, p_theta), so that poisson_bracket works
+    # in the chart; rows 0..N-1 of each bracket matrix are the Cartesian q,
+    # rows N..2N-1 the p
+    chart = _charts(rngs[0].random((6, 2 * n)), n).T
+    m = poisson_bracket(to_cartesian_columns, to_cartesian_columns, chart)
     i, j = np.triu_indices(n, 1)
     residuals = np.concatenate([np.abs(m[:, :n, n:] - np.eye(n)).ravel(),
                                 np.abs(m[:, :n, :n][:, i, j]).ravel(),
@@ -681,9 +742,8 @@ def _suite_coords(n: int, seed: int, tol: float | None) -> dict:
 
     # each check below draws its states first, in the order of one loop over
     # them, then makes one pass over their columns
-    draws = [(rngs[1].random(2 * n), _random_state(rngs[1], n)) for _ in range(20)]
-    chart = _charts(np.array([u for u, _ in draws]), n)
-    cart = np.array([np.concatenate([c.q, c.p]) for _, c in draws]).T
+    u, *state = _draw_rows(rngs[1], 20, [2 * n, n, -n, n])
+    chart, cart = _charts(u, n), _states(*state).T
     x = to_cartesian_columns(list(chart[:n]), list(chart[n:]))
     y = from_cartesian_columns(list(cart[:n]), list(cart[n:]))
     residuals = [np.abs(np.array(from_cartesian_columns(x[:n], x[n:])) - chart),
@@ -832,7 +892,7 @@ def _cmd_catalog(args) -> int:
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     outdir = args.out if args.out is not None else (cfg.outdir or ".")
-    os.makedirs(outdir, exist_ok=True)
+    _make_outdir(outdir)
     record = integrate(cfg.system, cfg.initial, cfg.t_end, method=cfg.method,
                        rtol=cfg.rtol, atol=cfg.atol, samples=cfg.samples,
                        step=cfg.step)
@@ -848,7 +908,7 @@ def _cmd_simulate(args) -> int:
         "conservation": conservation_report(record),
     }
     json_path = os.path.join(outdir, "summary.json")
-    with open(json_path, "w", encoding="utf-8") as handle:
+    with _output(json_path) as handle:
         handle.write(_dump_json(summary))
     if record.halted is not None:
         print(f"integration halted: {record.halted}", file=sys.stderr)
@@ -872,14 +932,15 @@ def _cmd_verify(args) -> int:
         seed = args.seed
     if args.tol is not None and not 0.0 < args.tol < math.inf:
         raise ConfigError(f"tol must be positive and finite, got {args.tol}")
+    if args.out is not None:
+        _make_outdir(args.out)
     report = _SUITE_RUNNERS[args.suite](dimension, seed, args.tol)
     text = _dump_json(report)
-    sys.stdout.write(text)
+    # the file first, so that a report that cannot be written prints nothing
     if args.out is not None:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, f"verify-{args.suite}.json")
-        with open(path, "w", encoding="utf-8") as handle:
+        with _output(os.path.join(args.out, f"verify-{args.suite}.json")) as handle:
             handle.write(text)
+    sys.stdout.write(text)
     return 0 if report["pass"] else 1
 
 

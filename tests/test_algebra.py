@@ -412,6 +412,29 @@ def test_stacked_engine_matches_the_per_state_calls_bit_for_bit(n):
         assert hex_of(stacked[k]) == hex_of(poisson_bracket(one, one, s))
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_array_of_states_matches_the_list_of_phase_states_bit_for_bit(n):
+    # an (S, 2N) array of rows (q, p) is the same S states as a list of
+    # PhaseStates, strided views included (a transposed block of columns)
+    rng = np.random.default_rng(40 + n)
+    hex_of = lambda a: [x.hex() for x in np.ravel(a)]
+    metric = catalog_lookup("taub-nut")
+    sys_spec = SystemSpec(metric, oscillator_potential(metric, 0.4), 0.3,
+                          b=rng.uniform(0.5, 2.0, n))
+    states = [random_state(rng, n, p_scale=2.0) for _ in range(6)]
+    rows = np.array([np.concatenate([s.q, s.p]) for s in states])
+    vector = partial(_conserved, sys_spec)
+    scalar = lambda q, p: _conserved(sys_spec, q, p)[0]
+    for x in (rows, np.ascontiguousarray(rows.T).T):
+        for fn in (scalar, vector):
+            assert all(hex_of(a) == hex_of(b)
+                       for a, b in zip(fd_gradient(fn, x), fd_gradient(fn, states)))
+            assert hex_of(poisson_bracket(fn, vector, x)) == \
+                hex_of(poisson_bracket(fn, vector, states))
+        assert independence_rank(vector, x).tolist() == \
+            independence_rank(vector, states).tolist()
+
+
 def test_stacked_stencil_failures_propagate():
     metric = catalog_lookup("euclidean")
     pot = kc_potential(metric, 1.0)

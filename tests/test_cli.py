@@ -618,6 +618,33 @@ def test_simulate_summary_is_byte_deterministic(tmp_path, capsys):
     assert texts[0] == texts[1]
 
 
+def test_simulate_out_naming_a_file_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # the output directory is made before integrating; a regular file in
+    # its place is a configuration error (exit 2), and nothing is written
+    config = tmp_path / "kepler.yaml"
+    config.write_text(KEPLER_YAML)
+    (tmp_path / "afile").write_text("keep\n")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "integrate", None)  # never reached
+    code, out, err = run_cli(capsys, "simulate", "--config", str(config), "--out", "afile")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: cannot write 'afile'")
+    assert (tmp_path / "afile").read_text() == "keep\n"
+    assert sorted(os.listdir(tmp_path)) == ["afile", "kepler.yaml"]
+
+
+def test_simulate_unwritable_output_file_is_a_config_error(tmp_path, capsys):
+    config = tmp_path / "kepler.yaml"
+    config.write_text(KEPLER_YAML.replace("6.283185307179586", "0.5"))
+    (tmp_path / "run" / "summary.json").mkdir(parents=True)
+    code, out, err = run_cli(capsys, "simulate", "--config", str(config),
+                             "--out", str(tmp_path / "run"))
+    assert code == 2
+    assert out == ""
+    assert "config error: cannot write" in err and "summary.json" in err
+
+
 def test_simulate_midpoint_method_from_config(tmp_path, capsys):
     config = tmp_path / "mid.yaml"
     config.write_text(
@@ -731,6 +758,122 @@ def test_random_state_signs_draw_as_generator_choice(seed):
             assert ours.uniform() == theirs.uniform()
 
 
+def _state_dump(rng) -> str:
+    return json.dumps(rng.bit_generator.state, sort_keys=True, default=np.ndarray.tolist)
+
+
+def _old_state(rng, n):
+    # the per-state draw of the suites before one raw block per stream
+    q = rng.uniform(0.5, 1.5, n) * cli._SIGNS[rng.integers(0, 2, size=n)]
+    return [*q, *rng.uniform(-2.0, 2.0, n)]
+
+
+# per stream: the layout of _draw_rows, the old loop's draws for one row,
+# and the suite's rows from the segments _draw_rows gives
+DRAW_LAYOUTS = {
+    "brackets-sl2": (lambda n: [n, -n, n, n],
+                     lambda rng, n: [*_old_state(rng, n), *rng.uniform(-3.0, 3.0, n)],
+                     lambda m, s, p, b: np.hstack([cli._states(m, s, p), -3.0 + 6.0 * b])),
+    "states": (lambda n: [n, -n, n], _old_state, cli._states),
+    "involution": (lambda n: [1, n, n, -n, n],
+                   lambda rng, n: [rng.uniform(0.0, 1.0), *rng.uniform(-2.0, 2.0, n),
+                                   *_old_state(rng, n)],
+                   lambda mu2, b, *x: np.hstack([mu2, -2.0 + 4.0 * b, cli._states(*x)])),
+    "coords-round-trip": (lambda n: [2 * n, n, -n, n],
+                          lambda rng, n: [*rng.random(2 * n), *_old_state(rng, n)],
+                          lambda u, *x: np.hstack([u, cli._states(*x)])),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(DRAW_LAYOUTS))
+@pytest.mark.parametrize("seed", [1, 2, 3, 7, 2 ** 63 + 5])
+def test_draw_rows_gives_the_old_per_state_draws(seed, layout):
+    # one raw block gives the rows the per-state loops gave, bit for bit,
+    # and leaves the stream where they left it; an odd N leaves a kept half
+    # to the next row and to the next call
+    sizes, old_row, rows = DRAW_LAYOUTS[layout]
+    ours, theirs = (np.random.Generator(np.random.Philox(seed)) for _ in range(2))
+    for n in range(1, 7):
+        for count in (1, 2, 7, 100):
+            got = rows(*cli._draw_rows(ours, count, sizes(n)))
+            want = [old_row(theirs, n) for _ in range(count)]
+            assert [x.hex() for x in got.ravel()] == [float(x).hex() for x in np.ravel(want)]
+            assert _state_dump(ours) == _state_dump(theirs)
+
+
+@pytest.mark.parametrize("seed", [1, 7, 2 ** 63 + 5])
+@pytest.mark.parametrize("sizes", [[3, -1, -2], [-3, -2], [-1, 2, -3, 1], [4], [-5], [2, -1, 1, -1]])
+def test_draw_rows_is_random_and_integers_row_by_row(seed, sizes):
+    # the generic contract: segment k > 0 is rng.random(k), k < 0 is
+    # rng.integers(0, 2, size=-k), row after row, also from a stream that
+    # holds a half before the call (held) and with two sign segments in a row
+    for held in (0, 1):
+        ours, theirs = (np.random.Generator(np.random.Philox(seed)) for _ in range(2))
+        if held:
+            ours.integers(0, 2), theirs.integers(0, 2)
+        assert ours.bit_generator.state["has_uint32"] == held
+        for count in (1, 2, 7, 100):
+            got = cli._draw_rows(ours, count, sizes)
+            want = [[theirs.random(k) if k > 0 else theirs.integers(0, 2, size=-k) for k in sizes]
+                    for _ in range(count)]
+            for a, segment in enumerate(got):
+                assert segment.shape == (count, abs(sizes[a]))
+                assert [x.hex() for x in segment.ravel()] == \
+                    [float(x).hex() for row in want for x in row[a]]
+            assert _state_dump(ours) == _state_dump(theirs)
+        assert ours.integers(0, 2, size=5).tolist() == theirs.integers(0, 2, size=5).tolist()
+        assert ours.random() == theirs.random()
+
+
+class _CountedDraws:
+    """A Generator, or its bit generator, that notes each method called."""
+
+    def __init__(self, target, calls):
+        object.__setattr__(self, "_target", target)
+        object.__setattr__(self, "_calls", calls)
+
+    def __getattr__(self, name):
+        value = getattr(self._target, name)
+        if name == "bit_generator":
+            return _CountedDraws(value, self._calls)
+        if not callable(value):
+            return value
+
+        def counted(*args, **kwargs):
+            self._calls.append(name)
+            return value(*args, **kwargs)
+        return counted
+
+    def __setattr__(self, name, value):
+        setattr(self._target, name, value)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_each_verify_stream_makes_one_draw_call(monkeypatch, n):
+    # every stream of brackets, involution, independence and coords is drawn
+    # in one call (independence draws its b first), and the counted streams
+    # give the same reports
+    real, streams = cli._spawn, []
+
+    def spawn(seed, count):
+        rngs = [_CountedDraws(rng, []) for rng in real(seed, count)]
+        streams.extend(rng._calls for rng in rngs)
+        return rngs
+
+    plain = {s: cli._dump_json(cli._SUITE_RUNNERS[s](n, 3, None)) for s in
+             ("brackets", "involution", "independence", "coords")}
+    monkeypatch.setattr(cli, "_spawn", spawn)
+    calls = {}
+    for suite in plain:
+        streams.clear()
+        assert cli._dump_json(cli._SUITE_RUNNERS[suite](n, 3, None)) == plain[suite]
+        calls[suite] = [list(c) for c in streams]
+    assert calls == {"brackets": [["random_raw"]] * 2,
+                     "involution": [["random_raw"]],
+                     "independence": [["uniform", "random_raw"]],
+                     "coords": [["random"], ["random_raw"], ["random"], ["random"], ["random"]]}
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_involution_makes_one_stencil_call_and_coords_no_per_state_call(monkeypatch, n):
     # involution puts all nine (metric, potential) groups through one
@@ -788,6 +931,25 @@ def test_verify_reports_are_byte_deterministic(tmp_path, capsys):
         assert (out_dir / "verify-brackets.json").read_text() == out
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+def test_verify_out_naming_a_file_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # checked before the suite runs: exit 2, no report on stdout
+    (tmp_path / "afile").write_text("keep\n")
+    monkeypatch.setitem(cli._SUITE_RUNNERS, "brackets", None)  # never reached
+    code, out, err = run_cli(capsys, "verify", "brackets", "--out", str(tmp_path / "afile"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: cannot write")
+    assert (tmp_path / "afile").read_text() == "keep\n"
+
+
+def test_verify_unwritable_report_prints_nothing(tmp_path, capsys):
+    (tmp_path / "verify-green.json").mkdir()
+    code, out, err = run_cli(capsys, "verify", "green", "--out", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert "config error: cannot write" in err and "verify-green.json" in err
 
 
 def test_verify_seed_changes_the_sampled_points(capsys):
