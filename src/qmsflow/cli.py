@@ -198,6 +198,11 @@ def _param_map(node, where: str) -> dict:
     return out
 
 
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
+
+
 def _as_domain(node, where: str) -> tuple[float, float]:
     # an upper end of .inf leaves the domain unbounded; no other number in a
     # config may be infinite
@@ -368,18 +373,13 @@ def build_config(data) -> RunConfig:
                     f"potential.named-system defines the whole system; "
                     f"remove the '{key}' key")
         sid = _as_str(clause.take("id"), "potential.named-system.id")
-        params = {}
-        for key, value in clause.rest().items():
-            name = _as_str(key, "potential.named-system")
-            where = f"potential.named-system.{name}"
-            if name == "centrifugal":
-                params[name] = _as_vector(value, where)
-            elif name == "n":
-                params[name] = _as_int(value, where)
-            elif isinstance(value, int) and not isinstance(value, bool):
-                params[name] = value
-            else:
-                params[name] = _as_float(value, where)
+        special = {}
+        if clause.has("centrifugal"):
+            special["centrifugal"] = _as_vector(clause.take("centrifugal"),
+                                                "potential.named-system.centrifugal")
+        if clause.has("n"):
+            special["n"] = _as_int(clause.take("n"), "potential.named-system.n")
+        params = {**_param_map(clause.rest(), "potential.named-system"), **special}
         if dimension is not None:
             if "n" in params and params["n"] != dimension:
                 raise ConfigError(
@@ -430,9 +430,7 @@ def build_config(data) -> RunConfig:
             raise ConfigError(f"{name} must be positive, got {value}")
     if samples < 2:
         raise ConfigError(f"samples must be >= 2, got {samples}")
-    if not 0 <= seed < 2 ** 64:
-        raise ConfigError(
-            f"seed must fit in an unsigned 64-bit integer, got {seed}")
+    _check_seed(seed)
 
     out = _Section(output_node, "output")
     outdir = out.take("directory", None)
@@ -638,9 +636,9 @@ def _conserved(systems, q, p, mu2=None, b=None) -> list:
     r = np.sqrt(sum(x * x for x in q))
     fr, u = [], []
     for sys_spec, block in zip(systems, np.split(r, len(systems))):
-        lo, hi = sys_spec.domain
+        lo, hi = domain = sys_spec.domain
         for x in block[~((lo < block) & (block < hi))][:1].tolist():  # the first row out
-            _check_domain(sys_spec, x)
+            _check_domain(domain, x)
         f, pot, rows = sys_spec.metric.compiled()[0], sys_spec.potential, block.tolist()
         fr += [f(x) for x in rows]
         u += [0.0] * len(rows) if pot is None else [pot.u(x) for x in rows]
@@ -926,9 +924,7 @@ def _cmd_verify(args) -> int:
         cfg = load_config(args.config)
         dimension, seed = cfg.system.n, cfg.seed
     if args.seed is not None:
-        if not 0 <= args.seed < 2 ** 64:
-            raise ConfigError(
-                f"seed must fit in an unsigned 64-bit integer, got {args.seed}")
+        _check_seed(args.seed)
         seed = args.seed
     if args.tol is not None and not 0.0 < args.tol < math.inf:
         raise ConfigError(f"tol must be positive and finite, got {args.tol}")

@@ -266,13 +266,11 @@ def radial_hamiltonian(r, p_r, c_n, mu2, metric, potential=None):
 
         H(r, p_r) = [p_r^2 + (C_N + mu2)/r^2] / (2 f(r)^2) + U(r),
 
-    on floats or numpy columns, f (domain-checked) and U row by row on
-    floats.  `potential` may be any callable U(r) or an object with a .u
-    method.
+    on floats or numpy columns, f (domain-checked) and U = potential.u (a
+    PotentialSpec's, or None for no potential) row by row on floats.
     """
     f = _rows(metric.f, r)
     value = (_sq(p_r) + (c_n + mu2) / _sq(r)) / (2.0 * f * f)
     if potential is not None:
-        u = getattr(potential, "u", potential)
-        value = value + _rows(lambda x: float(u(x)), r)
+        value = value + _rows(potential.u, r)
     return value

@@ -62,6 +62,9 @@ __all__ = [
 
 _AXIS_EPS = 1e-10   # |q_i| below this with b_i != 0 counts as singular
 _EDGE_EPS = 1e-10   # margin for domain-exit detection
+_FP_TOL = 1e-13     # midpoint fixed-point tolerance, relative to 1 + max|y|
+_MAX_FP_ITER = 100  # fixed-point passes per midpoint step before a stall
+_DRIFT_TOL = 1e-7   # conservation_report passes a drift up to this
 
 # DOP853 step control, as in scipy.integrate: the error estimate is of
 # order 7, so a step scales by err^(-1/8) within [0.2, 10]
@@ -83,8 +86,8 @@ def _halt_bounds(sys) -> tuple[float, float]:
             hi - _EDGE_EPS * max(1.0, abs(hi)) if math.isfinite(hi) else math.inf)
 
 
-def _check_domain(sys, r: float) -> None:
-    lo, hi = sys.domain
+def _check_domain(domain, r: float) -> None:
+    lo, hi = domain
     if not lo < r < hi:
         raise DomainViolation(f"|q| = {r:.6g} outside the system domain ({lo:.6g}, {hi:.6g})")
 
@@ -94,7 +97,7 @@ def _validate(sys, s: PhaseState) -> float:
         raise ValueError(f"state has dimension {s.n}, system expects {sys.n}")
     _check_b(s.q, sys.b)
     r = _radius(s.q.tolist())
-    _check_domain(sys, r)
+    _check_domain(sys.domain, r)
     return r
 
 
@@ -228,10 +231,10 @@ def _make_rhs(sys):
 
 
 def _make_march(sys):
-    """Generate march(y, h, nsteps, stride, tol, maxit, record) for one
-    system: the whole implicit-midpoint run from the state y, as described
-    in integrate, with the RHS of _rhs_source inlined, the sweep unrolled
-    over 2N and the halt checks baked in.
+    """Generate march(y, h, nsteps, stride, record) for one system: the
+    whole implicit-midpoint run from the state y, as described in integrate,
+    with the RHS of _rhs_source inlined, the sweep unrolled over 2N, and the
+    halt checks, _FP_TOL and _MAX_FP_ITER baked in.
 
     Each fixed-point pass evaluates the RHS at w = (y + x)/2 and sweeps x to
     y + h rhs(w).  Step 1 opens with one pass at x = y, where w = y exactly:
@@ -274,20 +277,20 @@ def _make_march(sys):
     state = f"[{', '.join(y)}]"
     halt = "return kstep, done, nfev, fp_worst, {}, " + state
     return _compile(sys, "march", [
-        "def march(y, h, nsteps, stride, tol, maxit, record):",
+        "def march(y, h, nsteps, stride, record):",
         f"    {', '.join(y)} = y",
         f"    {' = '.join(', '.join(v) for v in (x, f2, f3, f4))} = y",
         "    done = nfev = fp_worst = 0",
         "    for kstep in range(1, nsteps + 1):",
         "        try:",
-        "            for evals in range(kstep > 1, maxit + 1):",  # pass 0: Euler
+        f"            for evals in range(kstep > 1, {_MAX_FP_ITER + 1}):",  # pass 0: Euler
         *(f"                {w} = 0.5 * ({y[j]} + {x[j]})" for j, w in enumerate(names)),
         *("                " + line for line in body),
         *(f"                {g[j]} = {e}" for j, e in enumerate(slope)),
         "                nfev += 1",
         "                delta = scale = 0.0",
         *("                " + line for line in sweep),
-        "                if delta <= tol * (1.0 + scale) and evals:",
+        f"                if delta <= {_FP_TOL!r} * (1.0 + scale) and evals:",
         "                    break",
         "            else:",
         "                " + halt.format('"fixed-point iteration stalled", None'),
@@ -535,8 +538,7 @@ def _drift(values: np.ndarray) -> float:
 
 def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
               rtol: float = 1e-10, atol: float = 1e-12, samples: int = 201,
-              step: float = 1e-3, fp_tol: float = 1e-13,
-              max_fp_iter: int = 100) -> TrajectoryRecord:
+              step: float = 1e-3) -> TrajectoryRecord:
     """Integrate Hamilton's equations qdot = dH/dp, pdot = -dH/dq.
 
     method "adaptive" (default): embedded Runge-Kutta 8(5,3) with the given
@@ -563,10 +565,10 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
     2 F_1 - F_2 at step 3, 3 (F_1 - F_2) + F_3 at step 4 and
     4 (F_1 + F_3) - 6 F_2 - F_4 from step 5 on, which starts O(h^5) from the
     root.  Each iteration costs one RHS call; it stops once the update
-    delta = max|y_new - y_old| satisfies delta <= fp_tol (1 + max|y_new|),
-    and the run halts after max_fp_iter iterations without that.  A step
+    delta = max|y_new - y_old| satisfies delta <= _FP_TOL (1 + max|y_new|),
+    and the run halts after _MAX_FP_ITER iterations without that.  A step
     accepted after one iteration is off the root by about h L/2 times the
-    predictor's error (L a Lipschitz constant of rhs), far below fp_tol, but
+    predictor's error (L a Lipschitz constant of rhs), far below _FP_TOL, but
     not zero: on long runs H drifts slowly, about 1e-15 per unit time on
     circular Kepler at h = 1e-3.
     stats["nfev"] counts the step-1 Euler call plus every fixed-point call
@@ -598,14 +600,16 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
 
     # per sample, only what can fail there: a QuadratureError from U halts
     # the run with the samples before it kept; the rest of the audit runs
-    # over whole columns once the run ends
-    f = sys.metric.f
+    # over whole columns once the run ends.  The system domain lies inside
+    # the metric's, so f needs no domain check of its own.
+    domain = sys.domain
+    f = sys.metric.compiled()[0]
     u = sys.potential.u if sys.potential is not None else None
     ts, rows, rs, frs, us = [], [], [], [], []
 
     def record(t, y):
         r = _radius(y[:n])
-        _check_domain(sys, r)
+        _check_domain(domain, r)
         fr = f(r)
         if u is not None:
             us.append(u(r))
@@ -616,21 +620,22 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
 
     y0 = np.concatenate([s0.q, s0.p])
     record(0.0, y0.tolist())
-
-    if method == "adaptive":
-        if not atol > 0.0:  # the error scale atol + |y| rtol divides
-            raise ValueError(f"atol must be positive, got {atol}")
-        # Python floats throughout: a numpy scalar would slow every attempt
-        rtol, atol, t_end = max(float(rtol), _MIN_RTOL), float(atol), float(t_end)
-        rhs = _kernel(sys, _make_rhs)
-        attempt, dense = _dop853(2 * n)
-        sample_ts = np.linspace(0.0, t_end, samples)
-        next_i = 1
-        t, y = 0.0, y0.tolist()
-        steps = rejections = 0
-        nfev = 2  # rhs(y0) and the initial-step probe
-        halted = None
-        try:
+    steps = nfev = rejections = fp_worst = 0
+    # on a halt: the reason, and the last valid (t, y), recorded unless
+    # within 1e-12 (relative) of the last sample or the halt is a quadrature's
+    halted = last = None
+    try:
+        if method == "adaptive":
+            if not atol > 0.0:  # the error scale atol + |y| rtol divides
+                raise ValueError(f"atol must be positive, got {atol}")
+            # Python floats throughout: a numpy scalar would slow every attempt
+            rtol, atol, t_end = max(float(rtol), _MIN_RTOL), float(atol), float(t_end)
+            rhs = _kernel(sys, _make_rhs)
+            attempt, dense = _dop853(2 * n)
+            sample_ts = np.linspace(0.0, t_end, samples)
+            next_i = 1
+            t, y = 0.0, y0.tolist()
+            nfev = 2  # rhs(y0) and the initial-step probe
             ydot = _rhs_or_nan(rhs, y)
             h_abs = _initial_step(rhs, y, ydot, t_end, rtol, atol)
             while t < t_end:
@@ -653,8 +658,7 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
                 else:
                     halted = ("step-size underflow: Required step size is less "
                               "than spacing between numbers.")
-                    if t > ts[-1]:  # the last accepted state is still valid
-                        record(t, y)
+                    last = t, y
                     break
                 factor = (_MAX_FACTOR if err == 0.0
                           else min(_MAX_FACTOR, _SAFETY * err ** _ERR_EXPONENT))
@@ -687,31 +691,27 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
                         record(t_s, y_s)
                 if reason is not None:
                     halted = reason
-                    if t_hi > ts[-1] + 1e-12 * max(1.0, t_hi):
-                        record(t_hi, at([t_hi])[0].tolist())
+                    last = t_hi, at([t_hi])[0].tolist()
                     break
-        except QuadratureError as exc:
-            halted = f"quadrature failed: {exc}"
-        stats = {"steps": steps, "nfev": nfev, "rejections": rejections}
-    else:
-        if not step > 0:
-            raise ValueError(f"step must be positive, got {step}")
-        nsteps = max(1, round(t_end / step))
-        h = t_end / nsteps
-        kstep, done, nfev, fp_worst, halted, exc, y = _kernel(sys, _make_march)(
-            y0.tolist(), h, nsteps, max(1, nsteps // (samples - 1)), fp_tol,
-            max_fp_iter, record)
-        try:
+        else:
+            if not step > 0:
+                raise ValueError(f"step must be positive, got {step}")
+            nsteps = max(1, round(t_end / step))
+            h = t_end / nsteps
+            kstep, steps, nfev, fp_worst, halted, exc, y = _kernel(sys, _make_march)(
+                y0.tolist(), h, nsteps, max(1, nsteps // (samples - 1)), record)
             if isinstance(exc, QuadratureError):
-                raise exc  # to the quadrature halt that record shares
+                raise exc
             if exc is not None:
                 halted = f"rhs evaluation failed: {exc}"
-            if halted is not None and (kstep - 1) * h > ts[-1]:
-                record((kstep - 1) * h, y)  # keep the last valid state
-        except QuadratureError as exc:
-            halted = f"quadrature failed: {exc}"
-        stats = {"steps": done, "nfev": nfev, "rejections": 0,
-                 "max_fp_iterations": fp_worst}
+            last = (kstep - 1) * h, y
+        if halted is not None and last[0] > ts[-1] + 1e-12 * max(1.0, last[0]):
+            record(*last)
+    except QuadratureError as exc:
+        halted = f"quadrature failed: {exc}"
+    stats = {"steps": steps, "nfev": nfev, "rejections": rejections}
+    if method == "midpoint":
+        stats["max_fp_iterations"] = fp_worst
 
     y = np.array(rows)
     q, p = y[:, :n], y[:, n:]
@@ -733,17 +733,17 @@ def _audit(q, p, r, fr, u, mu2, b) -> dict:
     return {"H": _energy(q, p, r, fr, u, mu2, b), **_towers(q, p, b).as_dict()}
 
 
-def conservation_report(rec: TrajectoryRecord, tol: float = 1e-7) -> dict:
-    """Per-quantity drift with pass/fail against a drift tolerance."""
+def conservation_report(rec: TrajectoryRecord) -> dict:
+    """Per-quantity drift with pass/fail against _DRIFT_TOL."""
     quantities = {}
     ok = True
     for name, d in rec.drift.items():
         entry = {"initial": float(rec.series[name][0]), "drift": float(d),
-                 "pass": bool(d <= tol)}
+                 "pass": bool(d <= _DRIFT_TOL)}
         ok = ok and entry["pass"]
         quantities[name] = entry
     return {
-        "tolerance": float(tol),
+        "tolerance": _DRIFT_TOL,
         "method": rec.method,
         "t_final": float(rec.times[-1]),
         "samples": int(rec.times.size),

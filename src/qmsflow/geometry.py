@@ -58,18 +58,18 @@ def sample_radii(domain: tuple[float, float], n: int = 64) -> np.ndarray:
 class MetricSpec:
     """Conformal factor f(r) with derivatives and validity domain.
 
-    Immutable after construction.  Construction verifies f > 0 on a 64-point
-    grid over the domain and spot-checks f' and f'' against central finite
+    Immutable after construction.  f' and f'' are derived from f with
+    exprlang.differentiate.  Construction verifies f > 0 on a 64-point grid
+    over the domain and spot-checks f' and f'' against central finite
     differences of f at 8 points (relative tolerance 1e-6).
     """
 
     def __init__(self, id: str, f_expr: Expr, params: Mapping | None = None,
-                 domain: tuple[float, float] = (0.0, math.inf),
-                 fp_expr: Expr | None = None, fpp_expr: Expr | None = None):
+                 domain: tuple[float, float] = (0.0, math.inf)):
         self.id = id
         self.f_expr = f_expr
-        self.fp_expr = fp_expr if fp_expr is not None else differentiate(f_expr)
-        self.fpp_expr = fpp_expr if fpp_expr is not None else differentiate(self.fp_expr)
+        self.fp_expr = differentiate(f_expr)
+        self.fpp_expr = differentiate(self.fp_expr)
         self.params = dict(params or {})
         lo, hi = float(domain[0]), float(domain[1])
         if not (lo >= 0.0 and hi > lo):
@@ -267,18 +267,17 @@ def _nu_fold_domain(a: float, b: float, nu: Fraction) -> tuple[float, float]:
 _BUILT: dict = {}   # (id, repr of the merged parameters) -> MetricSpec, <= 64
 
 
-def catalog_lookup(id: str, params: Mapping | None = None, **kw) -> MetricSpec:
+def catalog_lookup(id: str, params: Mapping | None = None) -> MetricSpec:
     """The MetricSpec for a catalog id.
 
-    Parameters may be given as a mapping or as keyword arguments; missing ones
-    take the entry's defaults.  Unknown ids and out-of-range parameters raise
-    MetricError.  A MetricSpec is immutable, so builds are kept and reused.
+    Missing parameters take the entry's defaults.  Unknown ids and
+    out-of-range parameters raise MetricError.  A MetricSpec is immutable,
+    so builds are kept and reused.
     """
     if id not in CATALOG:
         raise MetricError(f"unknown space id '{id}' (known: {', '.join(CATALOG)})")
     entry = CATALOG[id]
     given = dict(params or {})
-    given.update(kw)
     unknown = set(given) - set(entry.defaults)
     if unknown:
         raise MetricError(f"space '{id}' takes no parameter(s) {sorted(unknown)}")

@@ -181,22 +181,18 @@ def _quadrature_pair(metric: MetricSpec):
 
 # a PotentialSpec is not changed once built, so builds are kept, as in catalog_lookup
 @functools.lru_cache(maxsize=64)
-def kc_potential(metric: MetricSpec, alpha: float, gamma: float = 0.0) -> PotentialSpec:
-    """Intrinsic Kepler-Coulomb potential alpha * U(r) (+ optional shift)."""
+def kc_potential(metric: MetricSpec, alpha: float) -> PotentialSpec:
+    """Intrinsic Kepler-Coulomb potential alpha * U(r)."""
     expr = metric.green_expr
-    alpha, gamma = float(alpha), float(gamma)
+    alpha = float(alpha)
     if expr is not None:
         out = BinOp("*", Const(alpha), expr) if alpha != 1.0 else expr
-        if gamma != 0.0:
-            out = BinOp("+", out, Const(gamma))
         return PotentialSpec.from_expr(out, params=metric.params,
                                        provenance="closed-form-catalog", alpha=alpha,
-                                       gamma=gamma, domain=metric.domain)
+                                       domain=metric.domain)
     u, du = _quadrature_pair(metric)
-    return PotentialSpec(lambda r: alpha * u(r) + gamma,
-                         lambda r: alpha * du(r),
-                         "quadrature-backed", alpha=alpha, gamma=gamma,
-                         domain=metric.domain)
+    return PotentialSpec(lambda r: alpha * u(r), lambda r: alpha * du(r),
+                         "quadrature-backed", alpha=alpha, domain=metric.domain)
 
 
 def _positive_subdomain(u: Callable, domain, label: str):

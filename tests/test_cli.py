@@ -1,6 +1,5 @@
 """End-to-end tests of the command-line interface."""
 
-import functools
 import hashlib
 import json
 import math
@@ -180,10 +179,14 @@ def test_config_named_system_replaces_space_and_couplings():
         build_config({**data, "b": [0.0, 0.0, 0.0]})
 
 
-def test_readme_yaml_examples_build():
+def _readme_yaml_blocks() -> list:
     readme = Path(__file__).resolve().parent.parent / "README.md"
-    blocks = [yaml.safe_load(block.split("```")[0]) for block in
-              readme.read_text(encoding="utf-8").split("```yaml\n")[1:]]
+    return [block.split("```")[0] for block in
+            readme.read_text(encoding="utf-8").split("```yaml\n")[1:]]
+
+
+def test_readme_yaml_examples_build():
+    blocks = [yaml.safe_load(block) for block in _readme_yaml_blocks()]
     assert len(blocks) == 2
     config, named = blocks
     cfg = build_config(config)
@@ -552,9 +555,9 @@ def test_simulate_fixed_point_stall_flushes_partial_output(
         tmp_path, capsys, monkeypatch):
     # the run of tests/test_dynamics.py::_kepler_midpoint_stall through the
     # CLI: one fixed-point pass per step never converges, so step 1 stalls
-    # and only the initial state is written
-    monkeypatch.setattr(cli, "integrate",
-                        functools.partial(dynamics.integrate, max_fp_iter=1))
+    # and only the initial state is written (the config builds a new
+    # system, so its kernel is generated under the patched constant)
+    monkeypatch.setattr(dynamics, "_MAX_FP_ITER", 1)
     config = tmp_path / "stall.yaml"
     config.write_text(
         "space: {id: euclidean}\n"
@@ -616,6 +619,27 @@ def test_simulate_summary_is_byte_deterministic(tmp_path, capsys):
         texts.append((out_dir / "summary.json").read_bytes()
                      + (out_dir / "trajectory.csv").read_bytes())
     assert texts[0] == texts[1]
+
+
+# sha256 of trajectory.csv and summary.json, recorded before the
+# integrator's tolerances became constants: the adaptive runs of the README
+# config and of a domain exit (the scipy oracle checks them only to 1e-9)
+@pytest.mark.parametrize("config, code, csv_digest, json_digest", [
+    (lambda: _readme_yaml_blocks()[0], 0,
+     "880d2a9a0b244ba4bb03d118543ed6e9f7a3045bfd3f73be65ed40b2f29076ea",
+     "588ed4429164e9b481f5d0e99043d9e5058c7e6bbbdce5dbc1ff8547fa5726e7"),
+    (lambda: STRIP_YAML, 3,
+     "f2ca6cd2035532e8e855f4d725addab17d8c15b3cd0b4cec2e0a287b97dab430",
+     "aa0bb14779dcad1f448e16f396ab78590d9267f2a0db4f1e20926cb1d79bf3f0"),
+], ids=["readme", "domain-exit"])
+def test_adaptive_simulate_outputs_are_pinned(tmp_path, capsys, config, code,
+                                              csv_digest, json_digest):
+    path = tmp_path / "run.yaml"
+    path.write_text(config())
+    out_dir = tmp_path / "run"
+    assert run_cli(capsys, "simulate", "--config", str(path), "--out", str(out_dir))[0] == code
+    assert hashlib.sha256((out_dir / "trajectory.csv").read_bytes()).hexdigest() == csv_digest
+    assert hashlib.sha256((out_dir / "summary.json").read_bytes()).hexdigest() == json_digest
 
 
 def test_simulate_out_naming_a_file_is_a_config_error(tmp_path, capsys, monkeypatch):
@@ -704,7 +728,8 @@ def test_verify_at_n2_lists_only_checks_with_points(tmp_path, capsys):
 # sha256 over the JSON reports of seeds 1..4, each recorded on the code
 # before a change it guards: brackets, independence and involution before
 # the suites pushed all their sampled states through one stencil call,
-# coords and green before the column chart and the kept potential builds
+# coords and green before the column chart and the kept potential builds,
+# identities before the integrator's tolerances became constants
 REPORT_PINS = {
     ("brackets", 2): "bdbc631f8605bd6d2212414e0e9e388cd92f581cab7e39df4a597542f692300f",
     ("brackets", 3): "b307918e9abff0cdb62dd11dcc41b07a41a53743720f4c1277f68e27854b6ed2",
@@ -723,6 +748,10 @@ REPORT_PINS = {
     ("coords", 4): "78a5b9b47536558f2a9ee9cd9adb668a81c4231c442e437297a9fbb7fee4eb53",
     ("coords", 5): "6d52b43c849f3ea5f589d40e2654da7a2d3f06cad48265a4a561c317d79270c5",
     ("green", 3): "e49feb8180f5b10cd6acd25eff5a06070c734f4ee4265d14f79d11ba28530d18",
+    ("identities", 2): "bf99680d4eeb1d863eb67f43ea3311dc85be50a138cd35ab2532bbd4ae0cc325",
+    ("identities", 3): "6d8d86b38718c62f585d474b433f3ba28cfbc18e4c5f6e58c384e8410e33946e",
+    ("identities", 4): "fc51babda31bbaa728a8020d67fddb0db011fd478a677c938b366adaefa887c8",
+    ("identities", 5): "fff9fa0864d442d084b17cee1c6f0c3f1874d6284c6111e5253bed51a0dcdd25",
 }
 
 

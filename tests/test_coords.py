@@ -331,7 +331,7 @@ def test_l2_agreement_between_representations():
 def test_radial_hamiltonian_simple_values():
     euclid = catalog_lookup("euclidean")
     # circular Kepler orbit: 1/2 - 1
-    assert radial_hamiltonian(1.0, 0.0, 1.0, 0.0, euclid, lambda r: -1.0 / r) == -0.5
+    assert radial_hamiltonian(1.0, 0.0, 1.0, 0.0, euclid, kc_potential(euclid, 1.0)) == -0.5
     # pure monopole energy at unit radius
     assert radial_hamiltonian(1.0, 0.0, 0.0, 2.0, euclid) == 1.0
     with pytest.raises(DomainViolation):
@@ -352,16 +352,17 @@ def test_radial_hamiltonian_matches_full_hamiltonian():
         full = (float(np.dot(c.p, c.p)) + mu2 / q2 + float(np.sum(b / c.q ** 2))) \
             / (2 * f * f) + u(math.sqrt(q2))
         c_n = spherical_casimir(3, s, b)
-        reduced = radial_hamiltonian(s.r, s.p_r, c_n, mu2, metric, u)
+        reduced = radial_hamiltonian(s.r, s.p_r, c_n, mu2, metric, kc_potential(metric, 1.0))
         assert reduced == pytest.approx(full, rel=1e-12)
 
 
 def test_monopole_enters_only_through_top_integral():
     euclid = catalog_lookup("euclidean")
+    kc = kc_potential(euclid, 1.0)
     u = lambda r: -1.0 / r
     # shifting mu^2 into C_N leaves the reduced energy unchanged
-    a = radial_hamiltonian(1.7, 0.3, 2.0, 1.5, euclid, u)
-    b = radial_hamiltonian(1.7, 0.3, 3.5, 0.0, euclid, u)
+    a = radial_hamiltonian(1.7, 0.3, 2.0, 1.5, euclid, kc)
+    b = radial_hamiltonian(1.7, 0.3, 3.5, 0.0, euclid, kc)
     assert a == pytest.approx(b, rel=1e-15)
     # and the same statement through full states: match L^2 + mu^2
     x = 1.5

@@ -585,9 +585,9 @@ def test_midpoint_steps_solve_the_midpoint_equation(setup):
     # every recorded step (stride 1) solves y1 = y0 + h rhs((y0 + y1)/2) to
     # the fixed-point tolerance, whatever the predictor started from
     sys, s0 = setup()
-    h, fp_tol, nsteps = 1e-3, 1e-13, 1000
+    h, fp_tol, nsteps = 1e-3, dynamics._FP_TOL, 1000
     rec = integrate(sys, s0, nsteps * h, method="midpoint", step=h,
-                    fp_tol=fp_tol, samples=nsteps + 1)
+                    samples=nsteps + 1)
     assert rec.halted is None and len(rec.states) == nsteps + 1
     for a, b in zip(rec.states[:-1], rec.states[1:]):
         mid = PhaseState(0.5 * (a.q + b.q), 0.5 * (a.p + b.p))
@@ -644,9 +644,9 @@ def _reference_march(sys, s0, t_end, h, order):
     opens with the Euler call (no convergence test); every later step starts
     from y + h G, G extrapolated to the given order from the converged
     slopes.  A pass evaluates F = rhs((y + x)/2) and moves x to y + h F; at
-    integrate's defaults fp_tol = 1e-13 and max_fp_iter = 100, the step has
-    converged once max|x_new - x| <= fp_tol (1 + max|x_new|) (a NaN never
-    does) and stalls after max_fp_iter passes besides the Euler call.  A
+    integrate's constants _FP_TOL = 1e-13 and _MAX_FP_ITER = 100, the step
+    has converged once max|x_new - x| <= _FP_TOL (1 + max|x_new|) (a NaN
+    never does) and stalls after _MAX_FP_ITER passes besides the Euler call.  A
     converged state outside the halt bounds, within 1e-10 of a plane q_i = 0
     with b_i != 0 or across one halts the run, keeping the state before it;
     stats["steps"] counts the steps kept."""
@@ -784,11 +784,11 @@ def test_midpoint_run_is_pinned_bit_for_bit(setup, nfev, fp_worst, digest):
 def test_free_particle_report_is_exact():
     sys = SystemSpec(EUCLID, None, mu2=0.0, n=2)
     rec = integrate(sys, PhaseState([0.5, 1.0], [0.7, 0.1]), 5.0)
-    report = conservation_report(rec, tol=1e-10)
+    report = conservation_report(rec)
     assert report["pass"] is True
     assert report["halted"] is None
-    for entry in report["quantities"].values():
-        assert entry["drift"] <= 1e-12
+    for name, entry in report["quantities"].items():
+        assert entry["drift"] == rec.drift[name] <= 1e-12
         assert entry["pass"] is True
 
 
@@ -902,13 +902,16 @@ def test_both_integrators_halt_where_a_singular_plane_is_crossed(method, b1):
         assert rec.stats["steps"] == 1666
 
 
-def _kepler_midpoint_stall():
+def _kepler_midpoint_stall(monkeypatch):
+    # one fixed-point pass per step: the kernel of this new system is
+    # generated under the patched constant
+    monkeypatch.setattr(dynamics, "_MAX_FP_ITER", 1)
     sys = SystemSpec(EUCLID, kc_potential(EUCLID, 1.0), mu2=0.0, n=3)
     s0 = PhaseState([1.0, 0.3, 0.4], [-0.1, 0.5, 0.2])
-    return sys, s0, {"max_fp_iter": 1}
+    return sys, s0, {}
 
 
-def _cap_outward_kick():
+def _cap_outward_kick(monkeypatch):
     # f = sqrt(2 - r) -> 0 at the edge, so qdot = p/f^2 is large near it:
     # the first midpoint stage from |q| = 1.9 lands beyond r = 2
     metric = MetricSpec.from_source("sqrt(2 - r)", id="cap", domain=(0.0, 2.0))
@@ -917,7 +920,7 @@ def _cap_outward_kick():
     return sys, s0, {"step": 0.05}
 
 
-def _strip_outward_kick():
+def _strip_outward_kick(monkeypatch):
     # f = 1 is finite beyond the strip, so only the domain check stops the
     # first midpoint stage from |q| = 1.99 at r = 2.015
     metric = MetricSpec.from_source("1", id="flat-strip", domain=(0.5, 2.0))
@@ -926,10 +929,10 @@ def _strip_outward_kick():
     return sys, s0, {"step": 0.05}
 
 
-def _cap_late_failure():
+def _cap_late_failure(monkeypatch):
     # a gentler kick than _cap_outward_kick: the Euler call and the first
     # fixed-point call stay inside the cap, the second lands beyond r = 2
-    sys, s0, _ = _cap_outward_kick()
+    sys, s0, _ = _cap_outward_kick(monkeypatch)
     return sys, s0, {"step": 0.015}
 
 
@@ -945,8 +948,8 @@ _FIRST_STEP_NFEV = {_kepler_midpoint_stall: 2, _cap_outward_kick: 1,
     (_strip_outward_kick, "rhs evaluation failed: r = 2.015"),
     (_cap_late_failure, "rhs evaluation failed: r = 2.0843722563652323"),
 ])
-def test_midpoint_halts_in_the_first_step(setup, reason):
-    sys, s0, options = setup()
+def test_midpoint_halts_in_the_first_step(monkeypatch, setup, reason):
+    sys, s0, options = setup(monkeypatch)
     rec = integrate(sys, s0, 1.0, method="midpoint", **options)
     assert rec.halted.startswith(reason)
     assert list(rec.times) == [0.0]

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qmsflow import exprlang, geometry
 from qmsflow.geometry import (
     CATALOG, DomainViolation, MetricError, MetricSpec, catalog_lookup,
     sample_radii, scalar_curvature,
@@ -28,7 +29,7 @@ def test_every_catalog_factor_is_positive_on_its_domain():
 
 
 def test_taub_nut_factor():
-    m = catalog_lookup("taub-nut", m=1)
+    m = catalog_lookup("taub-nut", {"m": 1})
     assert m.domain == (0.0, math.inf)
     for r in (0.5, 1.0, 4.0):
         assert m.f(r) == pytest.approx(math.sqrt((4 + r) / r), rel=1e-15)
@@ -43,14 +44,14 @@ def test_darboux1_factor_and_domain():
 
 
 def test_darboux4_domain_depends_on_a():
-    m = catalog_lookup("darboux4", a=2)
+    m = catalog_lookup("darboux4", {"a": 2})
     assert m.domain[0] == 1.0
     assert m.domain[1] == pytest.approx(math.exp(math.pi))
     # for |a| < 1 the interval shortens to where a + cos(ln r) > 0
-    m2 = catalog_lookup("darboux4", a=0.5)
+    m2 = catalog_lookup("darboux4", {"a": 0.5})
     assert m2.domain[1] == pytest.approx(math.exp(math.acos(-0.5)))
     with pytest.raises(MetricError):
-        catalog_lookup("darboux4", a=-1.5)
+        catalog_lookup("darboux4", {"a": -1.5})
 
 
 def test_hyperbolic_domain():
@@ -62,29 +63,29 @@ def test_hyperbolic_domain():
 
 
 def test_nu_is_stored_as_rational():
-    m = catalog_lookup("nu-fold", a=1, b=2, nu=1.5)
+    m = catalog_lookup("nu-fold", {"a": 1, "b": 2, "nu": 1.5})
     assert m.params["nu"] == Fraction(3, 2)
-    m2 = catalog_lookup("nu-fold-a0", nu="7/3")
+    m2 = catalog_lookup("nu-fold-a0", {"nu": "7/3"})
     assert m2.params["nu"] == Fraction(7, 3)
 
 
 def test_nu_fold_parameter_validation():
     with pytest.raises(MetricError):
-        catalog_lookup("nu-fold", a=0, b=1, nu=2)     # a = 0 is the other id
+        catalog_lookup("nu-fold", {"a": 0, "b": 1, "nu": 2})     # a = 0 is the other id
     with pytest.raises(MetricError):
-        catalog_lookup("nu-fold", a=-1, b=-2, nu=2)   # empty domain
+        catalog_lookup("nu-fold", {"a": -1, "b": -2, "nu": 2})   # empty domain
     with pytest.raises(MetricError):
-        catalog_lookup("nu-fold", a=1, b=1, nu=-2)
+        catalog_lookup("nu-fold", {"a": 1, "b": 1, "nu": -2})
     # sign-dependent domains
-    assert catalog_lookup("nu-fold", a=1, b=-1, nu=2).domain == (0.0, 1.0)
-    assert catalog_lookup("nu-fold", a=-1, b=1, nu=2).domain == (1.0, math.inf)
+    assert catalog_lookup("nu-fold", {"a": 1, "b": -1, "nu": 2}).domain == (0.0, 1.0)
+    assert catalog_lookup("nu-fold", {"a": -1, "b": 1, "nu": 2}).domain == (1.0, math.inf)
 
 
 def test_unknown_id_and_unknown_parameter():
     with pytest.raises(MetricError):
         catalog_lookup("bogus")
     with pytest.raises(MetricError):
-        catalog_lookup("euclidean", m=3)
+        catalog_lookup("euclidean", {"m": 3})
 
 
 def test_a_repeated_lookup_returns_the_kept_build():
@@ -92,15 +93,15 @@ def test_a_repeated_lookup_returns_the_kept_build():
     assert catalog_lookup("darboux3b") is m
     assert catalog_lookup("darboux3b", {"k": m.params["k"]}) is m
     # other parameters, and equal ones of another type or sign, build anew
-    assert catalog_lookup("darboux3b", k=3.0) is not m
-    one, one_f = catalog_lookup("taub-nut", m=1), catalog_lookup("taub-nut", m=1.0)
+    assert catalog_lookup("darboux3b", {"k": 3.0}) is not m
+    one, one_f = catalog_lookup("taub-nut", {"m": 1}), catalog_lookup("taub-nut", {"m": 1.0})
     assert one is not one_f and repr(one.params["m"]) == "1"
-    minus_zero = catalog_lookup("nu-fold", a=1, b=-0.0, nu=2)
-    assert minus_zero is not catalog_lookup("nu-fold", a=1, b=0.0, nu=2)
+    minus_zero = catalog_lookup("nu-fold", {"a": 1, "b": -0.0, "nu": 2})
+    assert minus_zero is not catalog_lookup("nu-fold", {"a": 1, "b": 0.0, "nu": 2})
     # a failed build is not kept
     for _ in range(2):
         with pytest.raises(MetricError):
-            catalog_lookup("nu-fold", a=1, b=1, nu=-2)
+            catalog_lookup("nu-fold", {"a": 1, "b": 1, "nu": -2})
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
@@ -114,12 +115,14 @@ def test_construction_rejects_nonpositive_factor():
         MetricSpec.from_source("ln(r)", domain=(0.1, math.inf))
 
 
-def test_construction_rejects_inconsistent_derivative():
-    import qmsflow.exprlang as el
-    f = el.parse("r^2")
-    wrong_fp = el.parse("3*r")
-    with pytest.raises(MetricError):
-        MetricSpec("bad", f, fp_expr=wrong_fp)
+def test_construction_rejects_inconsistent_derivative(monkeypatch):
+    # a wrong f' in place of the derivative of f = r^2: the finite-difference
+    # spot check rejects the metric
+    f, wrong_fp = exprlang.parse("r^2"), exprlang.parse("3*r")
+    monkeypatch.setattr(geometry, "differentiate",
+                        lambda e: wrong_fp if e == f else exprlang.differentiate(e))
+    with pytest.raises(MetricError, match="f' inconsistent with f"):
+        MetricSpec("bad", f)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +144,7 @@ def test_curvature_darboux3b_frozen_value():
     # f = sqrt(1+r^2): by hand, at r = 1, N = 3:
     #   f = sqrt2, f'/f = 1/2, f''/f = 1/4
     #   R = -2*(2*(1/4) + 4*(1/2) - (1/2)^2)/2 = -2.25
-    m = catalog_lookup("darboux3b", k=1)
+    m = catalog_lookup("darboux3b", {"k": 1})
     val = scalar_curvature(m, 1.0, 3)
     assert val == pytest.approx(-2.25, rel=1e-12)
     # independent oracle: same formula with finite-difference derivatives of f

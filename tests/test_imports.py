@@ -1,10 +1,12 @@
-"""Every imported name is read somewhere in its module, every name in a
+"""Every imported name is read somewhere in its module, every private
+module-level name of the package is read by some module, every name in a
 module's ``__all__`` is bound there, every name the benchmark traces
 resolves, and the command line starts without scipy.
 
-No linter is required to run the tests, so this AST scan keeps refactors
-from leaving dead imports behind.  A name listed in ``__all__`` counts as
-read, and an import line marked ``# noqa: F401`` is exempt.
+No linter is required to run the tests, so these AST scans keep refactors
+from leaving dead imports and dead helpers behind.  A name listed in
+``__all__`` counts as read, and an import line marked ``# noqa: F401`` is
+exempt.
 """
 
 import ast
@@ -48,6 +50,49 @@ def test_no_module_imports_a_name_it_never_reads():
     assert len(files) > 10
     unused = [entry for path in files for entry in _unused_imports(path)]
     assert unused == []
+
+
+def _unread_private_names(root: Path) -> list:
+    """The module-level private functions, classes and constants (one
+    leading underscore) of the modules in root that no module there reads:
+    by name in its own module, imported by name, or as an attribute."""
+    defined, read, attributes = [], set(), set()
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            names = []
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            defined += [(path, name, node.lineno) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add((path.stem, node.id))
+            elif isinstance(node, ast.ImportFrom):
+                module = (node.module or "").rsplit(".", 1)[-1]
+                read.update((module, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+    return [f"{path.relative_to(root)}:{line}: {name}" for path, name, line in defined
+            if (path.stem, name) not in read and name not in attributes]
+
+
+def test_no_private_name_of_the_package_is_left_unread():
+    names = _unread_private_names(ROOT / "src" / "qmsflow")
+    assert names == []
+
+
+def test_the_scan_sees_an_unread_private_name(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "_OWN = 1\n_IMPORTED = 2\n_ATTRIBUTE = 3\n_DEAD = 4\n\n\n"
+        "def _helper():\n    return _OWN\n\n\nclass _Unused:\n    pass\n\n\n"
+        "print(_helper())\n", encoding="utf-8")
+    (tmp_path / "b.py").write_text("from . import a\nfrom .a import _IMPORTED\n"
+                                   "print(_IMPORTED, a._ATTRIBUTE)\n", encoding="utf-8")
+    assert _unread_private_names(tmp_path) == ["a.py:4: _DEAD", "a.py:11: _Unused"]
 
 
 def test_every_name_in_all_is_bound():

@@ -138,7 +138,6 @@ def test_potential_builds_are_kept_per_metric_and_arguments():
     metric = metric_of("darboux3b")
     kc = kc_potential(metric, 0.7)
     assert kc_potential(metric, 0.7) is kc
-    assert kc_potential(metric, 0.7, 0.1) is not kc
     assert kc_potential(metric, 0.7000000000000001) is not kc
     assert oscillator_potential(metric, 0.7) is not kc
     assert kc_potential(metric_of("euclidean"), 0.7) is not kc
