@@ -91,9 +91,6 @@ from .potentials import (
 __all__ = ["ConfigError", "RunConfig", "build_config", "load_config", "main",
            "VERIFY_SUITES"]
 
-VERIFY_SUITES = ("brackets", "involution", "independence", "coords",
-                 "identities", "green")
-
 
 class ConfigError(ValueError):
     """A configuration file or command line is malformed or inconsistent."""
@@ -536,54 +533,14 @@ def _spawn(seed: int, count: int) -> list:
     return [np.random.Generator(np.random.Philox(child)) for child in children]
 
 
-def _draw_rows(rng, count: int, sizes) -> list:
-    """count rows drawn from rng as one random_raw block, one (count, |k|)
-    array per entry k of sizes, row by row: for k > 0 the floats
-    rng.random(k) gives, for k < 0 the bits rng.integers(0, 2, size=-k)
-    gives, bit for bit, and the stream left where those calls leave it.
-
-    Philox's random() takes one 64-bit word, (word >> 11) * 2**-53;
-    integers(0, 2) takes one 32-bit half, low half first, the high one kept
-    for the next bit (in bit_generator.state as has_uint32 and uinteger,
-    across rows and calls), and for a range of 2 Lemire's method gives that
-    half's top bit."""
-    sizes = np.asarray(sizes)
-    bit = np.tile(np.repeat(sizes < 0, np.abs(sizes)), count)
-    bg = rng.bit_generator
-    state = bg.state
-    held = state["has_uint32"]
-    # g = 1, 3, 5, ... takes a new word's low half, g = 2, 4, ... the high
-    # half of the word before; g = 0 is the half held at the start
-    g = np.arange(bit.sum()) + 1 - held
-    high = g % 2 == 0
-    fetch = ~bit
-    fetch[bit] = ~high
-    word = np.cumsum(fetch)  # index into words, led by the held half
-    words = np.concatenate([[np.uint64(state["uinteger"]) << np.uint64(32)],
-                            bg.random_raw(int(word[-1]))])
-    at = word[bit]
-    at[high] = np.concatenate([[0], at[:-1]])[high]
-    values = np.empty(len(bit))
-    values[~bit] = (words[word[~bit]] >> np.uint64(11)) * 2.0 ** -53
-    values[bit] = (words[at] >> np.where(high, 63, 31).astype(np.uint64)) & np.uint64(1)
-    state = bg.state
-    state["has_uint32"] = int(len(g) + held) % 2
-    if np.any(~high):
-        state["uinteger"] = int(words[at[~high][-1]] >> np.uint64(32))
-    bg.state = state
-    edges = np.cumsum(np.abs(sizes))
-    return np.split(values.reshape(count, edges[-1]), edges[:-1], axis=1)
-
-
-_SIGNS = np.array([-1.0, 1.0])
-
-
-def _states(magnitude, signs, p) -> np.ndarray:
-    """(S, 2N) states, rows (q, p), from the draws of _draw_rows(rng, S,
-    [N, -N, N]): rng.uniform(0.5, 1.5, N) times _SIGNS[rng.integers(0, 2,
-    size=N)] for q, bounded away from zero so that finite-difference stencils
-    never straddle a centrifugal axis, and rng.uniform(-2.0, 2.0, N) for p."""
-    return np.hstack([(0.5 + magnitude) * _SIGNS[signs.astype(int)], -2.0 + 4.0 * p])
+def _states(u: np.ndarray) -> np.ndarray:
+    """(S, 2N) states, rows (q, p), from an (S, 3N) block of rng.random
+    draws, N columns each for |q|, the signs of q and p: q_i = +-(0.5 + u),
+    negative where its sign column is below 0.5, bounded away from zero so
+    that finite-difference stencils never straddle a centrifugal axis, and
+    p_i = -2 + 4u."""
+    magnitude, sign, p = np.split(u, 3, axis=1)
+    return np.hstack([np.where(sign < 0.5, -0.5 - magnitude, 0.5 + magnitude), -2.0 + 4.0 * p])
 
 
 def _charts(u: np.ndarray, n: int, b: tuple = ()) -> np.ndarray:
@@ -651,8 +608,8 @@ def _conserved(systems, q, p, mu2=None, b=None) -> list:
 def _suite_brackets(n: int, seed: int, tol: float | None) -> dict:
     tol = 1e-5 if tol is None else tol
     rng_sl2, rng_son = _spawn(seed, 2)
-    *state, b = _draw_rows(rng_sl2, 100, [n, -n, n, n])
-    states, b = _states(*state), -3.0 + 6.0 * b
+    u = rng_sl2.random((100, 4 * n))
+    states, b = _states(u[:, :3 * n]), -3.0 + 6.0 * u[:, 3 * n:]
     # rows 0, 1, 2 are J-, J3, J+; each state's rows (its 8N stencil rows
     # or its centre row) come together, so its b repeats over them
     gens = lambda q, p: sl2_columns(q, p, _per_row(b, q).T)
@@ -664,7 +621,7 @@ def _suite_brackets(n: int, seed: int, tol: float | None) -> dict:
     checks = [_check_entry("sl2-closure", residuals.ravel(), tol)]
 
     row = {pair: a for a, pair in enumerate(combinations(range(n), 2))}
-    states = _states(*_draw_rows(rng_son, 20, [n, -n, n]))
+    states = _states(rng_son.random((20, 3 * n)))
     m = poisson_bracket(so_n_columns, so_n_columns, states)
     v = _at(so_n_columns, states)
     ij, ik, jk = np.array([(row[i, j], row[i, k], row[j, k])
@@ -687,8 +644,8 @@ def _suite_involution(n: int, seed: int, tol: float | None) -> dict:
     # six states per system, drawn system by system, each with its own mu2
     # and b, which come per row; all 54 go through one centre-value call and
     # one stencil call, each system giving f, U and the domain of its block
-    mu2, b, *state = _draw_rows(rng, 6 * len(systems), [1, n, n, -n, n])
-    mu2, b, states = mu2[:, 0], -2.0 + 4.0 * b, _states(*state)
+    u = rng.random((6 * len(systems), 4 * n + 1))
+    mu2, b, states = u[:, 0], -2.0 + 4.0 * u[:, 1:n + 1], _states(u[:, n + 1:])
     conserved = lambda q, p: _conserved(systems, q, p, _per_row(mu2, q), _per_row(b, q).T)
     size = np.abs(_at(conserved, states))
     m = poisson_bracket(conserved, conserved, states)
@@ -710,7 +667,7 @@ def _suite_independence(n: int, seed: int, tol: float | None) -> dict:
     sys_spec = SystemSpec(metric, kc_potential(metric, 1.0), 0.3,
                           b=rng.uniform(0.5, 2.5, n))
     expected, trials = 2 * n - 2, 20
-    states = _states(*_draw_rows(rng, trials, [n, -n, n]))
+    states = _states(rng.random((trials, 3 * n)))
     full = int(np.sum(independence_rank(partial(_conserved, sys_spec), states)
                       >= expected))
     # every state carries the deficient fraction, so points counts states
@@ -740,8 +697,8 @@ def _suite_coords(n: int, seed: int, tol: float | None) -> dict:
 
     # each check below draws its states first, in the order of one loop over
     # them, then makes one pass over their columns
-    u, *state = _draw_rows(rngs[1], 20, [2 * n, n, -n, n])
-    chart, cart = _charts(u, n), _states(*state).T
+    u = rngs[1].random((20, 5 * n))
+    chart, cart = _charts(u[:, :2 * n], n), _states(u[:, 2 * n:]).T
     x = to_cartesian_columns(list(chart[:n]), list(chart[n:]))
     y = from_cartesian_columns(list(cart[:n]), list(cart[n:]))
     residuals = [np.abs(np.array(from_cartesian_columns(x[:n], x[n:])) - chart),
@@ -845,6 +802,7 @@ _SUITE_RUNNERS = {
     "identities": _suite_identities,
     "green": _suite_green,
 }
+VERIFY_SUITES = tuple(_SUITE_RUNNERS)
 
 
 # --------------------------------------------------------------------------

@@ -526,10 +526,6 @@ class TrajectoryRecord:
     def states(self) -> tuple:
         return tuple(map(PhaseState, self.q, self.p))
 
-    @property
-    def final_state(self) -> PhaseState:
-        return PhaseState(self.q[-1], self.p[-1])
-
 
 def _drift(values: np.ndarray) -> float:
     v0 = values[0]

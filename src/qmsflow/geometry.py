@@ -105,8 +105,6 @@ class MetricSpec:
         whose driver enforces the domain itself."""
         return self._f, self._fp, self._fpp
 
-    _from_catalog = False   # True: f_expr is its catalog entry's f, parsed
-
     @cached_property
     def green_expr(self) -> Expr | None:
         """The catalog's closed-form Green function U(r), parsed once, or None:
@@ -117,7 +115,7 @@ class MetricSpec:
             return None
         names = set(self.params)
         try:
-            if not self._from_catalog and exprlang.parse(entry.f_source, params=names) != self.f_expr:
+            if exprlang.parse(entry.f_source, params=names) != self.f_expr:
                 return None
         except ExprError:
             return None
@@ -313,7 +311,6 @@ def catalog_lookup(id: str, params: Mapping | None = None) -> MetricSpec:
 
     expr = exprlang.parse(entry.f_source, params=set(values))
     metric = MetricSpec(id, expr, params=values, domain=domain)
-    metric._from_catalog = True   # green_expr need not parse f again
     if len(_BUILT) >= 64:
         _BUILT.clear()
     _BUILT[key] = metric

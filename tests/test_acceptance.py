@@ -123,8 +123,8 @@ def test_acceptance_4_conservation_along_flow():
     sys_spec = SystemSpec(metric, kc_potential(metric, 1.0), 0.0, n=3)
     s0 = PhaseState([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
     rec = integrate(sys_spec, s0, 2.0 * math.pi)
-    ret = max(float(np.abs(rec.final_state.q - s0.q).max()),
-              float(np.abs(rec.final_state.p - s0.p).max()))
+    ret = max(float(np.abs(rec.q[-1] - s0.q).max()),
+              float(np.abs(rec.p[-1] - s0.p).max()))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-7 and ret <= 1e-8 and elapsed < 60.0
     _verdict(4, "conservation over t_end=20, 5 named systems", ok,

@@ -726,27 +726,29 @@ def test_verify_at_n2_lists_only_checks_with_points(tmp_path, capsys):
 
 
 # sha256 over the JSON reports of seeds 1..4, each recorded on the code
-# before a change it guards: brackets, independence and involution before
-# the suites pushed all their sampled states through one stencil call,
-# coords and green before the column chart and the kept potential builds,
-# identities before the integrator's tolerances became constants
+# before a change it guards: independence before the suites pushed all
+# their sampled states through one stencil call, green before the column
+# chart and the kept potential builds, identities before the integrator's
+# tolerances became constants; brackets, involution and coords when each
+# of their streams became one plain Generator.random block, which moved
+# their sampled states
 REPORT_PINS = {
-    ("brackets", 2): "bdbc631f8605bd6d2212414e0e9e388cd92f581cab7e39df4a597542f692300f",
-    ("brackets", 3): "b307918e9abff0cdb62dd11dcc41b07a41a53743720f4c1277f68e27854b6ed2",
-    ("brackets", 4): "9363c0dc7e3446101ed1ddb0c478584f201d5bd0b14c4ca21ea330dbb180168f",
-    ("brackets", 5): "3ed3e328749cdd38388af9482c4b5d40981987d1ad38843e76784f178fa42ec2",
+    ("brackets", 2): "d51c9801570b46fffe6468b9755b31086ab64b7b45672b6ae2ce2dcceacbf411",
+    ("brackets", 3): "6028887d9d8373e02e103432d1b04d25b769a562e00b96a28b141b59305eb17f",
+    ("brackets", 4): "b69ec1421f70348647632450adae59b6df472e43a8ea819c47e11d2c0509d386",
+    ("brackets", 5): "8410c9ae20122cada8e019f4ea92f2abcea2a9bc169ee707ef45cb7b110c2364",
     ("independence", 2): "7199158a79681803f7010463969f91ba09df9b49691459fe13f0bb916fc7b18f",
     ("independence", 3): "ece5d0fe21152e76361785d211f0a2959063ccfa07d02767542b46afcc93be19",
     ("independence", 4): "0ecd12546e98cab240cd39667691ca7dfef24f592fb1fd739d121aa2eddbf218",
     ("independence", 5): "8224d49910716c6d3ab9031b91de3dbf91497509f06109ada4d1c476eb6b3603",
-    ("involution", 2): "85777bc0873700e123959903a883f6fa0f49a27dad846d876a1c49b979b71c90",
-    ("involution", 3): "fa0cf7e1a9f91abf1db3a772633014ce536d69e9219bb69f507986227ecce138",
-    ("involution", 4): "9aff38c056558c1dd6f454a2889d1ddd8b410d7301b10385531ecfdd76f511af",
-    ("involution", 5): "5c85247d3eb09d7d8e7573e2a4940434f28cc4cb1667b7a0d7494e847ed19139",
-    ("coords", 2): "7e669c393dd7ce7d35837041f9273d875a407f29901c893f0d8ba3d921c17774",
-    ("coords", 3): "88caa1ac9696675305d282d83d78daac26de8666036366a5d1524c053281937a",
-    ("coords", 4): "78a5b9b47536558f2a9ee9cd9adb668a81c4231c442e437297a9fbb7fee4eb53",
-    ("coords", 5): "6d52b43c849f3ea5f589d40e2654da7a2d3f06cad48265a4a561c317d79270c5",
+    ("involution", 2): "754f57fa32ff2488abc1fb3229f962459142fb6b43d3df44d11a892e23ab837b",
+    ("involution", 3): "b0d6e5bd613fc7ff71b1e99334753377b16dfe596d160576b2ddb384fd63693f",
+    ("involution", 4): "7fac89639be1ba92edd747999abba5c90f52ce3071cbf963cbd5080d82da3768",
+    ("involution", 5): "2c0fe8fa4b657d03e35ea5740ef2072bcc2991bd0f26fac9b531232257d14154",
+    ("coords", 2): "5dee78b6287230515ab6215942482cf87e790c8a5bab2f14faf766c2a23f18db",
+    ("coords", 3): "17679f03bbacde547b760b651ba01edb10e0cff141504ef24e38291e28bd5d67",
+    ("coords", 4): "8059283bc30d30bc6277d10f7cfc972bb2147fbf2ecd7cdde4910a0b04fd05e1",
+    ("coords", 5): "b058b4cd64873dc19d597d53e323cfaed231ff3f65e13a3edfd8640cb4744775",
     ("green", 3): "e49feb8180f5b10cd6acd25eff5a06070c734f4ee4265d14f79d11ba28530d18",
     ("identities", 2): "bf99680d4eeb1d863eb67f43ea3311dc85be50a138cd35ab2532bbd4ae0cc325",
     ("identities", 3): "6d8d86b38718c62f585d474b433f3ba28cfbc18e4c5f6e58c384e8410e33946e",
@@ -775,96 +777,50 @@ def test_reports_do_not_depend_on_kept_metric_builds(monkeypatch):
     assert kept == fresh
 
 
+@pytest.mark.parametrize("seed", [1, 7, 2 ** 63 + 5])
+def test_states_draw_from_one_random_block(seed):
+    # each row of an (S, 3N) random block is one state: columns 0..N-1 give
+    # |q_i| = 0.5 + u, columns N..2N-1 the signs of q (negative exactly below
+    # 0.5), and columns 2N..3N-1 give p_i = -2 + 4u
+    rng = np.random.Generator(np.random.Philox(seed))
+    for n in (1, 2, 3, 6):
+        u = rng.random((50, 3 * n))
+        x = cli._states(u)
+        assert x.shape == (50, 2 * n)
+        q, p = x[:, :n], x[:, n:]
+        assert np.all((0.5 <= abs(q)) & (abs(q) < 1.5))
+        np.testing.assert_array_equal(abs(q), 0.5 + u[:, :n])
+        np.testing.assert_array_equal(q < 0, u[:, n:2 * n] < 0.5)
+        np.testing.assert_array_equal(p, -2.0 + 4.0 * u[:, 2 * n:])
+    below = np.nextafter(0.5, 0.0)
+    assert cli._states(np.array([[0.0, 0.5, 0.25], [0.25, below, 0.75]])).tolist() == \
+        [[0.5, -1.0], [-0.75, 1.0]]
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3, 7, 2 ** 63 + 5])
 def test_random_state_signs_draw_as_generator_choice(seed):
-    # _SIGNS[integers(0, 2)] is the draw Generator.choice makes: the same
-    # signs, and the stream goes on at the same place
+    # the sign rule of _states is the draw Generator.choice makes with
+    # p = (0.5, 0.5), one random() per sign: a block gives, bit for bit, the
+    # states of per-state uniform and choice calls, and the stream goes on at
+    # the same place
     ours, theirs = (np.random.Generator(np.random.Philox(seed)) for _ in range(2))
     for n in (1, 2, 3, 6):
-        for _ in range(20):
-            assert cli._SIGNS[ours.integers(0, 2, size=n)].tolist() == \
-                theirs.choice([-1.0, 1.0], size=n).tolist()
+        for count in (1, 7, 20):
+            got = cli._states(ours.random((count, 3 * n)))
+            want = [[*theirs.uniform(0.5, 1.5, n) * theirs.choice([-1.0, 1.0], n, p=[0.5, 0.5]),
+                     *theirs.uniform(-2.0, 2.0, n)] for _ in range(count)]
+            assert [x.hex() for x in got.ravel()] == [float(x).hex() for x in np.ravel(want)]
             assert ours.uniform() == theirs.uniform()
 
 
-def _state_dump(rng) -> str:
-    return json.dumps(rng.bit_generator.state, sort_keys=True, default=np.ndarray.tolist)
-
-
-def _old_state(rng, n):
-    # the per-state draw of the suites before one raw block per stream
-    q = rng.uniform(0.5, 1.5, n) * cli._SIGNS[rng.integers(0, 2, size=n)]
-    return [*q, *rng.uniform(-2.0, 2.0, n)]
-
-
-# per stream: the layout of _draw_rows, the old loop's draws for one row,
-# and the suite's rows from the segments _draw_rows gives
-DRAW_LAYOUTS = {
-    "brackets-sl2": (lambda n: [n, -n, n, n],
-                     lambda rng, n: [*_old_state(rng, n), *rng.uniform(-3.0, 3.0, n)],
-                     lambda m, s, p, b: np.hstack([cli._states(m, s, p), -3.0 + 6.0 * b])),
-    "states": (lambda n: [n, -n, n], _old_state, cli._states),
-    "involution": (lambda n: [1, n, n, -n, n],
-                   lambda rng, n: [rng.uniform(0.0, 1.0), *rng.uniform(-2.0, 2.0, n),
-                                   *_old_state(rng, n)],
-                   lambda mu2, b, *x: np.hstack([mu2, -2.0 + 4.0 * b, cli._states(*x)])),
-    "coords-round-trip": (lambda n: [2 * n, n, -n, n],
-                          lambda rng, n: [*rng.random(2 * n), *_old_state(rng, n)],
-                          lambda u, *x: np.hstack([u, cli._states(*x)])),
-}
-
-
-@pytest.mark.parametrize("layout", sorted(DRAW_LAYOUTS))
-@pytest.mark.parametrize("seed", [1, 2, 3, 7, 2 ** 63 + 5])
-def test_draw_rows_gives_the_old_per_state_draws(seed, layout):
-    # one raw block gives the rows the per-state loops gave, bit for bit,
-    # and leaves the stream where they left it; an odd N leaves a kept half
-    # to the next row and to the next call
-    sizes, old_row, rows = DRAW_LAYOUTS[layout]
-    ours, theirs = (np.random.Generator(np.random.Philox(seed)) for _ in range(2))
-    for n in range(1, 7):
-        for count in (1, 2, 7, 100):
-            got = rows(*cli._draw_rows(ours, count, sizes(n)))
-            want = [old_row(theirs, n) for _ in range(count)]
-            assert [x.hex() for x in got.ravel()] == [float(x).hex() for x in np.ravel(want)]
-            assert _state_dump(ours) == _state_dump(theirs)
-
-
-@pytest.mark.parametrize("seed", [1, 7, 2 ** 63 + 5])
-@pytest.mark.parametrize("sizes", [[3, -1, -2], [-3, -2], [-1, 2, -3, 1], [4], [-5], [2, -1, 1, -1]])
-def test_draw_rows_is_random_and_integers_row_by_row(seed, sizes):
-    # the generic contract: segment k > 0 is rng.random(k), k < 0 is
-    # rng.integers(0, 2, size=-k), row after row, also from a stream that
-    # holds a half before the call (held) and with two sign segments in a row
-    for held in (0, 1):
-        ours, theirs = (np.random.Generator(np.random.Philox(seed)) for _ in range(2))
-        if held:
-            ours.integers(0, 2), theirs.integers(0, 2)
-        assert ours.bit_generator.state["has_uint32"] == held
-        for count in (1, 2, 7, 100):
-            got = cli._draw_rows(ours, count, sizes)
-            want = [[theirs.random(k) if k > 0 else theirs.integers(0, 2, size=-k) for k in sizes]
-                    for _ in range(count)]
-            for a, segment in enumerate(got):
-                assert segment.shape == (count, abs(sizes[a]))
-                assert [x.hex() for x in segment.ravel()] == \
-                    [float(x).hex() for row in want for x in row[a]]
-            assert _state_dump(ours) == _state_dump(theirs)
-        assert ours.integers(0, 2, size=5).tolist() == theirs.integers(0, 2, size=5).tolist()
-        assert ours.random() == theirs.random()
-
-
 class _CountedDraws:
-    """A Generator, or its bit generator, that notes each method called."""
+    """A Generator that notes each method called."""
 
     def __init__(self, target, calls):
-        object.__setattr__(self, "_target", target)
-        object.__setattr__(self, "_calls", calls)
+        self._target, self._calls = target, calls
 
     def __getattr__(self, name):
         value = getattr(self._target, name)
-        if name == "bit_generator":
-            return _CountedDraws(value, self._calls)
         if not callable(value):
             return value
 
@@ -872,9 +828,6 @@ class _CountedDraws:
             self._calls.append(name)
             return value(*args, **kwargs)
         return counted
-
-    def __setattr__(self, name, value):
-        setattr(self._target, name, value)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -897,10 +850,10 @@ def test_each_verify_stream_makes_one_draw_call(monkeypatch, n):
         streams.clear()
         assert cli._dump_json(cli._SUITE_RUNNERS[suite](n, 3, None)) == plain[suite]
         calls[suite] = [list(c) for c in streams]
-    assert calls == {"brackets": [["random_raw"]] * 2,
-                     "involution": [["random_raw"]],
-                     "independence": [["uniform", "random_raw"]],
-                     "coords": [["random"], ["random_raw"], ["random"], ["random"], ["random"]]}
+    assert calls == {"brackets": [["random"]] * 2,
+                     "involution": [["random"]],
+                     "independence": [["uniform", "random"]],
+                     "coords": [["random"]] * 5}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

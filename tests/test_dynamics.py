@@ -429,8 +429,8 @@ def test_a_stage_outside_the_domain_rejects_the_attempt(monkeypatch):
     assert rec.stats["rejections"] >= len(failed)
     assert max(math.sqrt(sum(x * x for x in y[:3])) for _, err, y in log
                if err is not None) < 2.0
-    assert rec.final_state.radius < 2.0
-    assert rec.final_state.radius == pytest.approx(2.0, abs=1e-6)
+    assert rec.states[-1].radius < 2.0
+    assert rec.states[-1].radius == pytest.approx(2.0, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +444,7 @@ def test_kepler_circular_orbit_returns_after_one_period():
     rec = integrate(sys, s0, 2.0 * math.pi)
     assert rec.halted is None
     assert rec.times[-1] == pytest.approx(2.0 * math.pi, rel=1e-15)
-    end = rec.final_state
+    end = rec.states[-1]
     assert np.max(np.abs(end.q - s0.q)) <= 1e-8
     assert np.max(np.abs(end.p - s0.p)) <= 1e-8
     assert rec.stats["steps"] > 0 and rec.stats["nfev"] > 0
@@ -539,11 +539,11 @@ def test_time_reversal():
     s0 = PhaseState([0.8, 0.7, 0.6], [0.1, -0.3, 0.2])
     fwd = integrate(sys, s0, 10.0)
     assert fwd.halted is None
-    mid = fwd.final_state
+    mid = fwd.states[-1]
     back = integrate(sys, PhaseState(mid.q, -mid.p), 10.0)
     assert back.halted is None
-    assert np.max(np.abs(back.final_state.q - s0.q)) <= 1e-6
-    assert np.max(np.abs(back.final_state.p + s0.p)) <= 1e-6
+    assert np.max(np.abs(back.q[-1] - s0.q)) <= 1e-6
+    assert np.max(np.abs(back.p[-1] + s0.p)) <= 1e-6
 
 
 def test_implicit_midpoint_energy_drift_is_bounded_not_secular():
@@ -565,8 +565,8 @@ def test_midpoint_agrees_with_adaptive():
     s0 = PhaseState([0.9, 0.7, 0.5], [0.2, -0.3, 0.1])
     ada = integrate(sys, s0, 1.0, samples=11)
     mid = integrate(sys, s0, 1.0, method="midpoint", step=1e-3, samples=11)
-    assert np.max(np.abs(ada.final_state.q - mid.final_state.q)) <= 1e-5
-    assert np.max(np.abs(ada.final_state.p - mid.final_state.p)) <= 1e-5
+    assert np.max(np.abs(ada.q[-1] - mid.q[-1])) <= 1e-5
+    assert np.max(np.abs(ada.p[-1] - mid.p[-1])) <= 1e-5
 
 
 def _circular_kepler():
@@ -851,7 +851,7 @@ def test_halt_on_domain_exit():
     rec = integrate(sys, PhaseState(q0, 0.5 * q0 / 1.3), 20.0)
     assert rec.halted == "domain-exit"
     assert rec.times[-1] == pytest.approx(1.4, abs=1e-6)  # (2 - 1.3) / 0.5
-    assert rec.final_state.radius == pytest.approx(2.0, abs=1e-6)
+    assert rec.states[-1].radius == pytest.approx(2.0, abs=1e-6)
     assert conservation_report(rec)["halted"] == "domain-exit"
 
 
@@ -866,8 +866,8 @@ def test_midpoint_halt_on_domain_exit():
     assert rec.halted == "domain-exit"
     assert rec.times[-1] == pytest.approx(1.399, abs=1e-9)
     assert rec.stats["steps"] == 1399   # the 1400th step left and was discarded
-    assert rec.final_state.radius < 2.0
-    assert rec.final_state.radius == pytest.approx(2.0, abs=1e-3)
+    assert rec.states[-1].radius < 2.0
+    assert rec.states[-1].radius == pytest.approx(2.0, abs=1e-3)
 
 
 def test_midpoint_halt_on_singular_axis():
@@ -880,7 +880,7 @@ def test_midpoint_halt_on_singular_axis():
     assert rec.halted == "singular-axis"
     assert rec.times[-1] == pytest.approx(2e-3, rel=1e-12)
     assert rec.stats["steps"] == 2
-    assert rec.final_state.q[0] == pytest.approx(1e-3, rel=1e-9)
+    assert rec.q[-1, 0] == pytest.approx(1e-3, rel=1e-9)
 
 
 @pytest.mark.parametrize("b1", [1e-30, -1e-20])
@@ -956,7 +956,7 @@ def test_midpoint_halts_in_the_first_step(monkeypatch, setup, reason):
     assert rec.stats["steps"] == 0
     assert rec.stats["nfev"] == _FIRST_STEP_NFEV[setup]
     assert rec.stats["max_fp_iterations"] == 0
-    np.testing.assert_array_equal(rec.final_state.q, s0.q)
+    np.testing.assert_array_equal(rec.q[-1], s0.q)
     assert conservation_report(rec)["halted"] == rec.halted
 
 
@@ -989,7 +989,7 @@ def test_darboux4_edge_is_unreachable():
     p0 = 0.5 * metric.f(r0) ** 2 * q0 / r0  # outward radial shove
     rec = integrate(sys, PhaseState(q0, p0), 20.0)
     assert rec.halted is None
-    assert rec.final_state.radius < metric.domain[1]
+    assert rec.states[-1].radius < metric.domain[1]
 
 
 def test_halt_near_centrifugal_axis():
@@ -1001,7 +1001,7 @@ def test_halt_near_centrifugal_axis():
     s0 = PhaseState([1.0, 0.8, 0.6], [-0.6, 0.0, 0.0])
     rec = integrate(sys, s0, 5.0)
     assert rec.halted == "singular-axis" or rec.halted.startswith("step-size underflow")
-    assert abs(rec.final_state.q[0]) < 1e-6
+    assert abs(rec.q[-1, 0]) < 1e-6
     assert rec.times[-1] < 5.0
 
 
@@ -1020,7 +1020,7 @@ def _tiny_record(times):
 
 def test_trajectory_record_validation():
     rec = _tiny_record([0.0, 1.0, 2.0])
-    assert rec.final_state.radius == pytest.approx(math.sqrt(2.0))
+    assert rec.states[-1].radius == pytest.approx(math.sqrt(2.0))
     assert list(rec.series) == ["H", "Cl2", "Cr2"]
     assert rec.q.shape == rec.p.shape == (3, 2)
     assert len(rec.states) == 3 and rec.states is rec.states  # built once
