@@ -96,8 +96,16 @@ def sl2_columns(q: Sequence, p: Sequence, b: Sequence | None = None) -> tuple:
     b = [0.0] * len(q) if b is None else b
     if np.asarray(b).dtype != object:
         _check_b(np.transpose(q), b)
-    jplus = sum((bi / (x * x) for x, bi, nz in zip(q, b, _nonzero(b)) if nz), sum(y * y for y in p))
-    return sum(x * x for x in q), sum(x * y for x, y in zip(q, p)), jplus
+    jplus = _ordered_sum((bi / (x * x) for x, bi, nz in zip(q, b, _nonzero(b)) if nz),
+                         _ordered_sum(y * y for y in p))
+    return _ordered_sum(x * x for x in q), _ordered_sum(x * y for x, y in zip(q, p)), jplus
+
+
+def _ordered_sum(terms, total=0):
+    """sum(terms, total) added in order, as the kernels add (3.12's is compensated)."""
+    for term in terms:
+        total = total + term
+    return total
 
 
 def so_n_columns(q: Sequence, p: Sequence) -> list:

@@ -24,13 +24,13 @@ Integration, sec. VIII.6.1), which puts it O(h^5) from the root, so on a
 smooth orbit most steps converge after one RHS call.
 
 Both integrators run on kernels generated as straight-line Python source
-on plain floats.  Once per system, with the system's constants baked in
-(see _rhs_source): the RHS, and the whole midpoint run -- predictor,
-fixed-point iteration, halt checks and sample stride of every step in one
-call; they match the plain loop form of the chain rule bit for bit.  Once
-per dimension: one DOP853 attempt and its dense-output rows, whose stages
-call the system's RHS (see _make_dop853); the adaptive step loop stays in
-integrate.
+on plain floats, comparing without abs or max.  Once per system, with the
+system's constants baked in (see _rhs_source): rhs(q0, ..., p{N-1}) ->
+ydot, and the whole midpoint run -- predictor, fixed-point iteration, halt
+checks and sample stride of every step in one call; they match the plain
+loop form of the chain rule bit for bit.  Once per dimension: one DOP853
+attempt and its dense-output rows, whose stages pass their points to the
+system's RHS (see _make_dop853); the adaptive step loop stays in integrate.
 
 Integration halts early, recording the reason and the last valid state,
 when a centrifugal axis is approached or crossed (|q_i| < 1e-10 or a sign
@@ -49,9 +49,9 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .algebra import PhaseState, sl2_columns, _check_b, _nonzero, _towers
+from .algebra import PhaseState, sl2_columns, _check_b, _nonzero, _ordered_sum, _towers
 from .algebra import integral_set  # noqa: F401  (perfbench/tracing.py wraps it by this name)
-from .exprlang import to_python
+from .exprlang import to_python_block
 from .geometry import DomainViolation
 from .potentials import QuadratureError
 
@@ -75,7 +75,7 @@ _MIN_RTOL = 100.0 * math.ulp(1.0)
 def _radius(q) -> float:
     """|q| of a sequence of floats, summed in order: the r of the generated
     RHS, of the halt checks and of the audit."""
-    return math.sqrt(sum(x * x for x in q))
+    return math.sqrt(_ordered_sum(x * x for x in q))
 
 
 def _halt_bounds(sys) -> tuple[float, float]:
@@ -106,7 +106,7 @@ def _energy(q, p, r, fr, u, mu2, b):
     mu2 and b, grouped exactly as written in the module docstring.  Each is
     a float, or a numpy column over many states (q, p and b as sequences of
     them); the same float operations run on either."""
-    k = sum(x * x for x in p) + mu2 / (r * r)
+    k = _ordered_sum(x * x for x in p) + mu2 / (r * r)
     for x, bi, nz in zip(q, b, _nonzero(b)):
         if nz:
             k = k + bi / (x * x)
@@ -148,15 +148,15 @@ def _rhs_source(sys):
 
     The system fixes N, mu^2, the b_i, f, f', U' and the metric domain, so
     all of them are baked in: unrolled over N, with terms only for the
-    non-zero b_i, f and f' inlined through exprlang.to_python, U' inlined
-    when the potential has a du_expr (a quadrature-backed U' stays a call to
-    potential.du), and the domain bounds as literals.  The float operations
-    are those of the loop form of the formulas above, in the same order, so
-    the results are bitwise the same.  The only validation is the metric
-    domain check of |q|: out of the domain the code raises the
-    DomainViolation of MetricSpec.check_domain, which the integrators rely on
-    (the adaptive attempt is rejected and the step shrinks; the midpoint rule
-    halts and quotes the message).
+    non-zero b_i, the domain bounds as literals, and f, f' and U' (a call to
+    potential.du if U is quadrature-backed) from one exprlang.to_python_block,
+    which evaluates each value they share once, as the body does q_i^2 and
+    f^2.  The float operations are those of the loop form of the formulas
+    above, in order, so the results and the first exception raised are the
+    same.  The only validation is the metric domain check of |q|: out of the
+    domain the code raises the DomainViolation of MetricSpec.check_domain,
+    which the integrators rely on (the adaptive attempt is rejected and the
+    step shrinks; the midpoint rule halts and quotes the message).
     """
     n = sys.n
     metric, potential = sys.metric, sys.potential
@@ -169,24 +169,23 @@ def _rhs_source(sys):
     def lit(x):
         return f"({x!r})"
 
-    if potential is None:
-        du_term = []
-    elif potential.du_expr is not None:
-        du_term = [f"coef += ({to_python(potential.du_expr, potential.params)}) / r"]
-    else:
-        du_term = ["coef += du(r) / r"]
+    items = [(metric.f_expr, metric.params), (metric.fp_expr, metric.params)]
+    if potential is not None and potential.du_expr is not None:
+        items.append((potential.du_expr, potential.params))
+    f, fp, *du = to_python_block(items)
+    du_term = [] if potential is None else [f"coef += {du[0] if du else 'du(r)'} / r"]
     body = [
-        "r2 = " + " + ".join(f"{x} * {x}" for x in q),
+        "r2 = " + " + ".join(f"(qq{i} := {x} * {x})" if b[i] != 0.0 else f"{x} * {x}"
+                             for i, x in enumerate(q)),
         "r = math.sqrt(r2)",
         f"if not {lo!r} < r < {hi!r}:",
         "    check_domain(r)",
-        f"fr = {to_python(metric.f_expr, metric.params)}",
-        "inv_f2 = 1.0 / (fr * fr)",
+        f"fr = {f}",
+        "f2 = fr * fr",
+        "inv_f2 = 1.0 / f2",
         "k = " + " + ".join([f"{lit(mu2)} / r2"] + [f"{x} * {x}" for x in p]
-                            + [f"{lit(b[i])} / ({q[i]} * {q[i]})"
-                               for i in range(n) if b[i] != 0.0]),
-        f"coef = {lit(-mu2)} / (r2 * r2) * inv_f2 - k * "
-        f"({to_python(metric.fp_expr, metric.params)}) / (fr * fr * fr * r)",
+                            + [f"{lit(b[i])} / qq{i}" for i in range(n) if b[i] != 0.0]),
+        f"coef = {lit(-mu2)} / (r2 * r2) * inv_f2 - k * {fp} / (f2 * fr * r)",
         *du_term,
     ]
     slope = [f"{x} * inv_f2" for x in p] + [
@@ -199,7 +198,7 @@ def _exec(name, lines, label, **env):
     """Compile the generated source of function `name`.  Every float literal
     prints by repr, so inf and nan are bound as names; env binds the calls
     out."""
-    env.update({"math": math, "abs": abs, "max": max, "range": range,
+    env.update({"math": math, "abs": abs, "range": range,
                 "inf": math.inf, "nan": math.nan, "__builtins__": {}})
     exec(compile("\n".join(lines), f"<{label}>", "exec"), env)
     return env[name]
@@ -217,16 +216,14 @@ def _compile(sys, name, lines):
 
 
 def _make_rhs(sys):
-    """Generate rhs(y) for one system: y = (q, p) -> ydot = (dH/dp, -dH/dq)
-    as a list, straight-line code from _rhs_source.  Plain floats, not
-    numpy arrays: on vectors this short numpy's per-call overhead outweighs
-    the arithmetic."""
+    """Generate rhs(q0, ..., p{N-1}) -> ydot = (dH/dp, -dH/dq), a tuple, for
+    one system: straight-line code from _rhs_source on plain floats, as on
+    vectors this short numpy's per-call overhead outweighs the arithmetic."""
     names, body, slope = _rhs_source(sys)
     return _compile(sys, "rhs", [
-        "def rhs(y):",
-        f"    {', '.join(names)} = y",
+        f"def rhs({', '.join(names)}):",
         *("    " + line for line in body),
-        f"    return [{', '.join(slope)}]",
+        f"    return {', '.join(slope)},",
     ])
 
 
@@ -261,18 +258,18 @@ def _make_march(sys):
     sweep = []
     for j in range(m):
         sweep += [f"v = {y[j]} + h * {g[j]}",
-                  f"d = abs(v - {x[j]})",
-                  "if d > delta or d != d:",  # a NaN never converges
-                  "    delta = d",
-                  "if abs(v) > scale:",
-                  "    scale = abs(v)",
+                  f"d = v - {x[j]}",
+                  "if d > delta or -d > delta or d != d:",  # a NaN never converges
+                  "    delta = d if d > 0.0 else -d",
+                  "if v > scale or -v > scale:",
+                  "    scale = v if v > 0.0 else -v",
                   f"{x[j]} = v"]
 
     def predictor(slope):  # x = y + h G, G given over the slope registers
         return [f"            {x[j]} = {y[j]} + h * "
                 + slope.format(g=g[j], f2=f2[j], f3=f3[j], f4=f4[j]) for j in range(m)]
 
-    axes = " or ".join(f"abs({x[i]}) < {_AXIS_EPS!r} or {x[i]} * {y[i]} <= 0.0"
+    axes = " or ".join(f"{-_AXIS_EPS!r} < {x[i]} < {_AXIS_EPS!r} or {x[i]} * {y[i]} <= 0.0"
                        for i, bi in enumerate(sys.b) if bi != 0.0)
     state = f"[{', '.join(y)}]"
     halt = "return kstep, done, nfev, fp_worst, {}, " + state
@@ -372,15 +369,18 @@ def _make_dop853(m):
 
     def stage(s):
         point = ", ".join(f"y{i} + ({combo(tab.A[s, :s], i)}) * h" for i in comps)
-        return [f"k{s} = rhs([{point}])", unpack(s)]
+        return [f"k{s} = rhs({point})", unpack(s)]
 
     n_stages = tab.N_STAGES  # 12; slope 12 is rhs(y_new)
     attempt = [
         f"{y} = y", unpack(0, "f"),
         *(line for s in range(1, n_stages) for line in stage(s)),
         *(f"yn{i} = y{i} + h * ({combo(tab.B, i)})" for i in comps),
-        f"k{n_stages} = rhs([{y_new}])",
-        *(f"sc{i} = atol + max(abs(y{i}), abs(yn{i})) * rtol" for i in comps),
+        f"k{n_stages} = rhs({y_new})",
+        # atol + max(|y_i|, |yn_i|) rtol, with max's choice: b if b > a else a
+        *(line for i in comps for line in (
+            f"a = -y{i} if y{i} < 0.0 else y{i}", f"b = -yn{i} if yn{i} < 0.0 else yn{i}",
+            f"sc{i} = atol + (b if b > a else a) * rtol")),
         *(f"e{i} = ({combo(tab.E5, i)}) / sc{i}" for i in comps),
         *(f"g{i} = ({combo(tab.E3, i)}) / sc{i}" for i in comps),
         "n5 = " + " + ".join(f"e{i} * e{i}" for i in comps),
@@ -444,13 +444,13 @@ def _rhs_or_nan(rhs, y):
     saw it: the step selection goes on, and the attempts from a NaN slope
     are rejected."""
     try:
-        return rhs(y)
+        return rhs(*y)
     except (ValueError, ArithmeticError):
-        return [math.nan] * len(y)
+        return (math.nan,) * len(y)
 
 
 def _rms(values) -> float:
-    return math.sqrt(sum(v * v for v in values)) / len(values) ** 0.5
+    return math.sqrt(_ordered_sum(v * v for v in values)) / len(values) ** 0.5
 
 
 def _initial_step(rhs, y, f, t_end, rtol, atol) -> float:
@@ -474,7 +474,7 @@ def _initial_step(rhs, y, f, t_end, rtol, atol) -> float:
 def gradient(sys, s: PhaseState) -> tuple[np.ndarray, np.ndarray]:
     """Analytic (dH/dq, dH/dp), assembled from f, f' and U'."""
     _validate(sys, s)
-    ydot = np.array(_kernel(sys, _make_rhs)(s.q.tolist() + s.p.tolist()))
+    ydot = np.array(_kernel(sys, _make_rhs)(*s.q.tolist(), *s.p.tolist()))
     return -ydot[sys.n:], ydot[:sys.n]
 
 
@@ -628,7 +628,7 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
             rtol, atol, t_end = max(float(rtol), _MIN_RTOL), float(atol), float(t_end)
             rhs = _kernel(sys, _make_rhs)
             attempt, dense = _dop853(2 * n)
-            sample_ts = np.linspace(0.0, t_end, samples)
+            sample_ts = np.linspace(0.0, t_end, samples).tolist()
             next_i = 1
             t, y = 0.0, y0.tolist()
             nfev = 2  # rhs(y0) and the initial-step probe
@@ -683,7 +683,7 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
                         at = _dense_output(dense, rhs, t_old, h, y_old, y, k)
                         nfev += 3
                     block = sample_ts[first:next_i]
-                    for t_s, y_s in zip(block.tolist(), at(block).tolist()):
+                    for t_s, y_s in zip(block, at(block).tolist()):
                         record(t_s, y_s)
                 if reason is not None:
                     halted = reason

@@ -24,7 +24,9 @@ Functions: sin, cos, tan, exp, ln, sqrt, abs.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
@@ -34,7 +36,7 @@ __all__ = [
     "ExprError", "ExprSyntaxError", "UnknownIdentifierError",
     "NonConstantExponentError",
     "parse", "differentiate", "format_expr", "compile_expr",
-    "to_python", "contains_var",
+    "to_python_block", "contains_var",
 ]
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt", "abs")
@@ -466,44 +468,94 @@ def compile_expr(e: Expr, bindings: Mapping[str, float] | None = None) -> Callab
     themselves (ValueError on e.g. log of a non-positive number, or an
     ArithmeticError), which the spec builders map to their own errors.
     """
-    bindings = bindings or {}
-    src = "lambda r: " + to_python(e, bindings)
+    src = "lambda r: " + to_python_block([(e, bindings or {})])[0]
     env = {"math": math, "abs": abs, "__builtins__": {}}
     return eval(compile(src, "<expr>", "eval"), env)
 
 
-def to_python(e: Expr, bindings: Mapping[str, float]) -> str:
-    """Python source of e in the variable r, parameters baked in as float
-    literals.  It calls only math.* and abs, so any code that binds r,
-    math and abs can inline it; compile_expr and the generated Hamiltonian
-    kernels of dynamics both do.  A non-finite constant or parameter value
-    has no literal and raises ExprError."""
-    if isinstance(e, Const):
-        if not math.isfinite(e.value):
-            raise ExprError(f"constant {e.value} is not finite")
-        return repr(e.value)
-    if isinstance(e, Var):
-        return "r"
-    if isinstance(e, Param):
-        if e.name not in bindings:
-            raise ExprError(f"unbound parameter '{e.name}' at compile time")
-        value = float(bindings[e.name])
-        if not math.isfinite(value):
-            raise ExprError(f"parameter '{e.name}' = {value} is not finite")
-        return repr(value)
-    if isinstance(e, Neg):
-        return f"(-{to_python(e.arg, bindings)})"
-    if isinstance(e, BinOp):
-        return f"({to_python(e.left, bindings)} {e.op} {to_python(e.right, bindings)})"
-    if isinstance(e, Pow):
-        base = to_python(e.base, bindings)
-        if isinstance(e.exponent, Const) and float(e.exponent.value).is_integer() \
-                and abs(e.exponent.value) <= 64:
-            return f"({base} ** {int(e.exponent.value)})"
-        expo = to_python(e.exponent, bindings)
-        return f"math.pow({base}, {expo})"
-    if isinstance(e, Call):
-        arg = to_python(e.arg, bindings)
-        fn = {"ln": "math.log", "abs": "abs"}.get(e.fn, f"math.{e.fn}")
-        return f"{fn}({arg})"
-    raise TypeError(f"not an Expr node: {e!r}")
+_FORMS = {"+": ("({} + {})", operator.add), "-": ("({} - {})", operator.sub),
+          "*": ("({} * {})", operator.mul), "/": ("({} / {})", operator.truediv),
+          "neg": ("(-{})", operator.neg), "ln": ("math.log({})", math.log), "abs": ("abs({})", abs),
+          **{fn: (f"math.{fn}({{}})", getattr(math, fn)) for fn in FUNCTIONS if fn in dir(math)}}
+
+
+def to_python_block(items: Iterable[tuple[Expr, Mapping[str, float]]]) -> list[str]:
+    """Python source in r of each (expression, bindings) item, parameters
+    baked in as float literals, for code that binds r, math and abs and
+    evaluates the texts in order.  A non-finite constant or parameter raises
+    ExprError.  Only rewrites that IEEE 754 makes exact, so values and
+    exceptions are bit for bit those of the plain translation: a literal
+    subtree is folded by the same float operation (unless that raises or
+    overflows); x*1, 1*x, x/1, -(-x) and x^1 are x; and a non-literal
+    subexpression that occurs more than once, in one text or across them,
+    is evaluated where it first occurs, as (cN := ...), and read as cN."""
+    nodes = {}  # text of each non-literal node -> times it was produced
+
+    def lit(v):
+        return f"({v!r})" if math.copysign(1.0, v) < 0.0 else repr(v)
+
+    def make(fmt, fn, texts, values):
+        if None not in values:
+            with contextlib.suppress(ArithmeticError, ValueError):
+                if math.isfinite(v := fn(*values)):
+                    return lit(v), v
+        text = fmt.format(*texts)
+        nodes[text] = nodes.get(text, 0) + 1
+        return text, None
+
+    def translate(e, binds, memo):
+        """(text, value) of e: value is the float of a literal, else None."""
+        key, kind = id(e), type(e)
+        out = memo.get(key)
+        if out is not None:
+            if out[0] in nodes:
+                nodes[out[0]] += 1
+            return out
+        if kind is BinOp:
+            (ta, va), (tb, vb) = translate(e.left, binds, memo), translate(e.right, binds, memo)
+            if va == 1.0 and e.op == "*" or vb == 1.0 and e.op in "*/":  # 1*x, x*1, x/1
+                out = (tb, vb) if va == 1.0 and e.op == "*" else (ta, va)
+            else:
+                out = make(*_FORMS[e.op], (ta, tb), (va, vb))
+        elif kind is Var:
+            return VAR_NAME, None
+        elif kind is Const or kind is Param:
+            if kind is Param and e.name not in binds:
+                raise ExprError(f"unbound parameter '{e.name}' at compile time")
+            v = float(e.value if kind is Const else binds[e.name])
+            if not math.isfinite(v):
+                what = "constant" if kind is Const else f"parameter '{e.name}' ="
+                raise ExprError(f"{what} {v} is not finite")
+            out = lit(v), v
+        elif kind is Pow:
+            tb, vb = translate(e.base, binds, memo)
+            k = e.exponent.value if type(e.exponent) is Const else 0.5
+            if k == 1.0:
+                out = tb, vb
+            elif float(k).is_integer() and abs(k) <= 64:
+                out = make(f"({{}} ** {int(k)})", lambda x: x ** int(k), (tb,), (vb,))
+            else:
+                te, ve = translate(e.exponent, binds, memo)
+                out = make("math.pow({}, {})", math.pow, (tb, te), (vb, ve))
+        elif kind is Neg and type(e.arg) is Neg:
+            out = translate(e.arg.arg, binds, memo)
+        elif kind is Call or kind is Neg:
+            t, v = translate(e.arg, binds, memo)
+            out = make(*_FORMS[e.fn if kind is Call else "neg"], (t,), (v,))
+        else:
+            raise TypeError(f"not an Expr node: {e!r}")
+        memo[key] = out
+        return out
+
+    memos = {}  # id(bindings) -> {id(expr): (text, value)}
+    code = "\n".join(translate(e, binds, memos.setdefault(id(binds), {}))[0]
+                     for e, binds in items)
+    # a node's text starts with "(" or a function name and balances its
+    # parentheses, so it occurs in a text only as that node; outer nodes go
+    # first, so that one read only inside one shared node stays unshared
+    for text in sorted((t for t, n in nodes.items() if n > 1), key=len, reverse=True):
+        head, _, tail = code.partition(text)
+        if text in tail:
+            name = f"c{code.count(' := ')}"
+            code = f"{head}({name} := {text}){tail.replace(text, name)}"
+    return code.split("\n")

@@ -61,6 +61,40 @@ initial:
 t_end: 5.0
 """
 
+DARBOUX3B_MIDPOINT_YAML = """\
+space:
+  id: darboux3b
+potential:
+  kc: {alpha: -1.0}
+mu2: 0.3
+b: [0.05, 0.0, 0.06]
+initial:
+  cartesian:
+    q: [0.6, 0.55, 0.5]
+    p: [0.3, -0.4, 0.25]
+integrator:
+  method: midpoint
+  step: 1.0e-3
+t_end: 1.0
+samples: 51
+"""
+
+TAUB_NUT_N8_YAML = """\
+dimension: 8
+space:
+  id: taub-nut
+potential:
+  oscillator: {beta: 0.5}
+mu2: 0.3
+b: [0.02, 0.03, 0.025, 0.015, 0.035, 0.02, 0.03, 0.025]
+initial:
+  cartesian:
+    q: [0.5, -0.45, 0.4, 0.42, -0.38, 0.35, 0.44, -0.41]
+    p: [0.1, 0.05, -0.08, 0.07, 0.02, -0.06, 0.09, 0.03]
+t_end: 10.0
+samples: 41
+"""
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -621,9 +655,10 @@ def test_simulate_summary_is_byte_deterministic(tmp_path, capsys):
     assert texts[0] == texts[1]
 
 
-# sha256 of trajectory.csv and summary.json, recorded before the
-# integrator's tolerances became constants: the adaptive runs of the README
-# config and of a domain exit (the scipy oracle checks them only to 1e-9)
+# sha256 of trajectory.csv and summary.json: the adaptive runs of the README
+# config and of a domain exit, recorded before the integrator's tolerances
+# became constants (the scipy oracle checks them only to 1e-9), and an N = 8
+# run with every b_i != 0, recorded before the kernels shared subexpressions
 @pytest.mark.parametrize("config, code, csv_digest, json_digest", [
     (lambda: _readme_yaml_blocks()[0], 0,
      "880d2a9a0b244ba4bb03d118543ed6e9f7a3045bfd3f73be65ed40b2f29076ea",
@@ -631,7 +666,10 @@ def test_simulate_summary_is_byte_deterministic(tmp_path, capsys):
     (lambda: STRIP_YAML, 3,
      "f2ca6cd2035532e8e855f4d725addab17d8c15b3cd0b4cec2e0a287b97dab430",
      "aa0bb14779dcad1f448e16f396ab78590d9267f2a0db4f1e20926cb1d79bf3f0"),
-], ids=["readme", "domain-exit"])
+    (lambda: TAUB_NUT_N8_YAML, 0,
+     "2b84bcc570cf1e6b789ab74bfadaf18e68333fef5a99c19cd375f30d4943a3c6",
+     "10e5ba0ee1220bd96b95308cdc365334c9b5117a5247b4938e31084701c65121"),
+], ids=["readme", "domain-exit", "taub-nut-n8"])
 def test_adaptive_simulate_outputs_are_pinned(tmp_path, capsys, config, code,
                                               csv_digest, json_digest):
     path = tmp_path / "run.yaml"
@@ -640,6 +678,19 @@ def test_adaptive_simulate_outputs_are_pinned(tmp_path, capsys, config, code,
     assert run_cli(capsys, "simulate", "--config", str(path), "--out", str(out_dir))[0] == code
     assert hashlib.sha256((out_dir / "trajectory.csv").read_bytes()).hexdigest() == csv_digest
     assert hashlib.sha256((out_dir / "summary.json").read_bytes()).hexdigest() == json_digest
+
+
+def test_midpoint_simulate_output_is_pinned(tmp_path, capsys):
+    # darboux3b with kc and b != 0 at step 1e-3, recorded before the kernels
+    # shared subexpressions
+    path = tmp_path / "run.yaml"
+    path.write_text(DARBOUX3B_MIDPOINT_YAML)
+    out_dir = tmp_path / "run"
+    assert run_cli(capsys, "simulate", "--config", str(path), "--out", str(out_dir))[0] == 0
+    assert hashlib.sha256((out_dir / "trajectory.csv").read_bytes()).hexdigest() == \
+        "ccc2cec4f97466d94856e59c20987720758121d759bf3a54af4184768ee8982d"
+    assert hashlib.sha256((out_dir / "summary.json").read_bytes()).hexdigest() == \
+        "04ef1b15a9f20b72eb8d930addc866a7aeebddd1b1a716244a057346f53afad6"
 
 
 def test_simulate_out_naming_a_file_is_a_config_error(tmp_path, capsys, monkeypatch):

@@ -1,10 +1,12 @@
+import ast
+import builtins
 import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from qmsflow import dynamics
+from qmsflow import algebra, dynamics
 from qmsflow.algebra import (
     PhaseState,
     SingularStateError,
@@ -30,6 +32,7 @@ from qmsflow.geometry import (
 )
 from qmsflow.potentials import (
     NAMED_SYSTEMS,
+    PotentialSpec,
     SystemSpec,
     kc_potential,
     named_system,
@@ -144,6 +147,14 @@ def test_gradient_matches_finite_differences():
         assert np.max(np.abs(dp - fp)) <= 1e-6 * scale
 
 
+def _radius(q):
+    """|q| with the squares added in order, as the generated kernels add."""
+    r2 = 0.0
+    for x in q:
+        r2 += x * x
+    return math.sqrt(r2)
+
+
 def _reference_rhs(sys):
     """Hamilton's RHS as a loop over N with calls to the checked metric
     domain, the compiled f and f' and PotentialSpec.du: the form whose float
@@ -214,7 +225,7 @@ def test_generated_rhs_matches_the_loop_form_bit_for_bit():
         for r in rng.choice(radii, 3):
             u = rng.normal(size=n)
             y = (r * u / np.linalg.norm(u)).tolist() + rng.uniform(-1.5, 1.5, n).tolist()
-            assert [v.hex() for v in new(y)] == [v.hex() for v in ref(y)], (sys, y)
+            assert [v.hex() for v in new(*y)] == [v.hex() for v in ref(y)], (sys, y)
             compared += 1
     assert compared >= 1000
 
@@ -231,8 +242,74 @@ def test_generated_rhs_raises_the_metric_domain_message(mid):
         with pytest.raises(DomainViolation) as want:
             metric.check_domain(r)
         with pytest.raises(DomainViolation) as got:
-            rhs(y)
+            rhs(*y)
         assert str(got.value) == str(want.value)
+
+
+def _kernel_systems():
+    """Every catalog space free, with kc and with an oscillator, and every
+    named system, at N = 3 with two non-zero b_i."""
+    for mid in CATALOG:
+        metric = metric_of(mid)
+        for pot in (None, kc_potential(metric, 0.8), oscillator_potential(metric, 0.6)):
+            yield SystemSpec(metric, pot, mu2=0.3, b=(0.2, 0.0, 0.5))
+    for name in NAMED_SYSTEMS:
+        yield named_system(name, {"centrifugal": (0.2, 0.0, 0.5)})
+
+
+def test_generated_rhs_evaluates_each_subexpression_once():
+    # f, f' and U' share their common subterms, and the chain rule shares
+    # q_i^2 and f^2: no arithmetic or call node occurs twice in the body
+    checked = 0
+    for sys in _kernel_systems():
+        names, body, slope = dynamics._rhs_source(sys)
+        tree = ast.parse("\n".join(body + [f"out = {', '.join(slope)}"]))
+        dumps = [ast.dump(node) for node in ast.walk(tree)
+                 if isinstance(node, (ast.BinOp, ast.Call))]
+        repeated = {d for d in dumps if dumps.count(d) > 1}
+        assert not repeated, (sys.label, sorted(repeated)[:3])
+        checked += 1
+    assert checked == 3 * len(CATALOG) + len(NAMED_SYSTEMS)
+
+
+def test_generated_march_and_attempt_call_no_abs_or_max(monkeypatch):
+    # the convergence sweep, the axis halt and the error scale compare
+    # floats directly; darboux3b's f and kc's U' call no abs
+    sources = []
+    real = dynamics._exec
+    monkeypatch.setattr(dynamics, "_exec", lambda name, lines, *a, **kw:
+                        sources.append("\n".join(lines)) or real(name, lines, *a, **kw))
+    monkeypatch.setattr(dynamics, "_DOP853", {})
+    sys, s0 = _darboux3b_kc_with_b()
+    integrate(sys, s0, 0.01)
+    integrate(sys, s0, 0.01, method="midpoint")
+    assert [src.split("(", 1)[0] for src in sources] == [
+        "def rhs", "def attempt", "def dense", "def march"]
+    for src in sources:
+        assert "abs(" not in src and "max(" not in src
+
+
+def _raising_u_prime():
+    # U' = exp(g) g' + sqrt(h) - r h'/(2 sqrt(h)) with g = 1/(r - 0.75) and
+    # h = 0.75 - r: beyond r = 0.75 the shared sqrt(h) raises ValueError, and
+    # up to r = 0.7514 the exp before it raises OverflowError first
+    pot = PotentialSpec.from_expr("exp(1/(r - 0.75)) + r*sqrt(0.75 - r)", domain=(0.0, 0.75))
+    return SystemSpec(EUCLID, pot, mu2=0.0, n=3)
+
+
+@pytest.mark.parametrize("q1, p1, reason, steps, nfev", [
+    (0.745, 0.3, "math range error", 1, 17),
+    (0.74, 0.4, "math domain error", 2, 27),
+    (0.7, 0.5, "math range error", 8, 90),
+    (0.745, 1.0, "float division by zero", 0, 1),
+])
+def test_midpoint_halts_where_u_prime_raises_with_its_first_exception(q1, p1, reason, steps, nfev):
+    # pinned before f, f' and U' shared subterms: the kernel raises the
+    # exception that the plain evaluation order raises first
+    rec = integrate(_raising_u_prime(), PhaseState([q1, 0.0, 0.0], [p1, 0.0, 0.0]), 1.0,
+                    method="midpoint", step=0.01)
+    assert rec.halted == f"rhs evaluation failed: {reason}"
+    assert (rec.stats["steps"], rec.stats["nfev"]) == (steps, nfev)
 
 
 def test_kernels_are_generated_once_per_system(monkeypatch):
@@ -280,14 +357,14 @@ def _scipy_reference(sys, s0, t_end, samples):
 
     def fun(t, y):
         try:
-            return np.array(kernel(y.tolist()))
+            return np.array(kernel(*y.tolist()))
         except (ValueError, ArithmeticError):
             return np.full(2 * n, np.nan)
 
     rmin, rmax = dynamics._halt_bounds(sys)
 
     def violation(y):
-        if not rmin < math.sqrt(sum(x * x for x in y[:n])) < rmax:
+        if not rmin < _radius(y[:n]) < rmax:
             return "domain-exit"
         if any(bi != 0.0 and abs(x) < 1e-10 for x, bi in zip(y, sys.b)):
             return "singular-axis"
@@ -678,7 +755,7 @@ def _reference_march(sys, s0, t_end, h, order):
             halted = f"rhs evaluation failed: {exc}"
             break
         fp_worst = max(fp_worst, evals)
-        if not rmin < math.sqrt(sum(v * v for v in x[:n])) < rmax:
+        if not rmin < _radius(x[:n]) < rmax:
             halted = "domain-exit"
         elif any(abs(x[i]) < 1e-10 or x[i] * y[i] <= 0.0
                  for i in range(n) if sys.b[i] != 0.0):
@@ -774,6 +851,39 @@ def test_midpoint_run_is_pinned_bit_for_bit(setup, nfev, fp_worst, digest):
     got = hashlib.sha256(rec.q.tobytes() + rec.p.tobytes()
                          + rec.series["H"].tobytes()).hexdigest()
     assert got == digest
+
+
+def _compensated_sum(terms, start=0):
+    """sum() of Python 3.12 and later: compensated (Neumaier) summation once
+    the terms are floats."""
+    terms = list(terms)
+    if not all(type(t) is float for t in terms):
+        return builtins.sum(terms, start)
+    total, comp = float(start), 0.0
+    for t in terms:
+        new = total + t
+        comp += (total - new) + t if abs(total) >= abs(t) else (t - new) + total
+        total = new
+    return total + comp
+
+
+def test_float_sums_do_not_depend_on_the_sum_builtin(monkeypatch):
+    # |q|, H, the audit and the initial step add in order whatever sum()
+    # does, so under 3.12's compensated sum() H and the runs keep their bits:
+    # the midpoint pin above, and an adaptive run (_rms sets its initial
+    # step) recorded with the in-order sum
+    sys, s0 = _darboux3b_kc_with_b()
+    s = PhaseState([0.21, 0.72, 0.32], [-0.2, 0.16, 0.02])
+    for module in (dynamics, algebra):
+        monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
+    assert hamiltonian(sys, s).hex() == "0x1.243b1d5b9758ap+2"
+    for options, digest in [
+            ({"method": "midpoint", "step": 1e-3, "samples": 301, "t_end": 0.3},
+             "976402377ac81b00e15a9e7046e65ba4cdb6b4b57d8a8ea466df68b2184c51c6"),
+            ({"t_end": 5.0}, "387dda3e0f56264eabfbbc8335802042c92d0303cf20d93fb1ea3a6897b3c38d")]:
+        rec = integrate(sys, s0, **options)
+        assert hashlib.sha256(rec.q.tobytes() + rec.p.tobytes()
+                              + rec.series["H"].tobytes()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from qmsflow.exprlang import (
-    BinOp, Call, Const, ExprError, ExprSyntaxError,
+    BinOp, Call, Const, ExprError, ExprSyntaxError, Neg,
     NonConstantExponentError, Param, Pow, UnknownIdentifierError, Var,
-    compile_expr, differentiate, format_expr, parse,
+    compile_expr, differentiate, format_expr, parse, to_python_block,
 )
 from qmsflow.geometry import CATALOG, catalog_lookup, sample_radii
+from qmsflow.potentials import NAMED_SYSTEMS, kc_potential, named_system, oscillator_potential
 
 
 def evaluate(e, r, bindings=None):
@@ -269,3 +270,109 @@ def test_derivative_of_derivative_stays_in_grammar():
     assert math.isfinite(v)
     again = parse(format_expr(d2), params={"a"})
     assert evaluate(again, 2.0, {"a": 2.0}) == pytest.approx(v, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# optimized generation against the plain translation
+# ---------------------------------------------------------------------------
+
+def _plain(e, binds):
+    """The plain translation of e, one Python operation per node, with no
+    folding, identities or sharing."""
+    if isinstance(e, Const):
+        return repr(e.value)
+    if isinstance(e, Var):
+        return "r"
+    if isinstance(e, Param):
+        return repr(float(binds[e.name]))
+    if isinstance(e, Neg):
+        return f"(-{_plain(e.arg, binds)})"
+    if isinstance(e, BinOp):
+        return f"({_plain(e.left, binds)} {e.op} {_plain(e.right, binds)})"
+    if isinstance(e, Pow):
+        if isinstance(e.exponent, Const) and float(e.exponent.value).is_integer() \
+                and abs(e.exponent.value) <= 64:
+            return f"({_plain(e.base, binds)} ** {int(e.exponent.value)})"
+        return f"math.pow({_plain(e.base, binds)}, {_plain(e.exponent, binds)})"
+    fn = {"ln": "math.log", "abs": "abs"}.get(e.fn, f"math.{e.fn}")
+    return f"{fn}({_plain(e.arg, binds)})"
+
+
+def _outcomes(texts, radii):
+    """Per radius, the hex of every text's value evaluated in order in one
+    function, as an inlining kernel does, or the exception it raised."""
+    env = {"math": math, "abs": abs}
+    names = [f"v{i}" for i in range(len(texts))]
+    exec("def run(r):\n" + "".join(f"    {v} = {t}\n" for v, t in zip(names, texts))
+         + f"    return {', '.join(names)},", env)
+    out = []
+    for r in radii:
+        try:
+            out.append([v.hex() for v in env["run"](r)])
+        except (ValueError, ArithmeticError) as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+def _expression_sets():
+    """(label, [(expr, bindings), ...], domain): f, f' and f'' of every
+    catalog space, its kc and oscillator U and U' where they are closed
+    forms, and f, f', U' of every named system, in the order the RHS
+    evaluates them."""
+    for mid in CATALOG:
+        metric = catalog_lookup(mid)
+        yield mid, [(e, metric.params) for e in (metric.f_expr, metric.fp_expr,
+                                                 metric.fpp_expr)], metric.domain
+        for kind, pot in (("kc", kc_potential(metric, 0.7)),
+                          ("oscillator", oscillator_potential(metric, 0.4))):
+            if pot.du_expr is not None:
+                yield f"{mid} {kind}", [(pot.u_expr, pot.params),
+                                        (pot.du_expr, pot.params)], metric.domain
+    for name in NAMED_SYSTEMS:
+        sys = named_system(name)
+        metric, pot = sys.metric, sys.potential
+        yield name, [(metric.f_expr, metric.params), (metric.fp_expr, metric.params),
+                     (pot.du_expr, pot.params)], sys.domain
+
+
+def test_optimized_texts_evaluate_like_the_plain_translation_bit_for_bit():
+    # one block over all of a set's expressions, and each compiled alone,
+    # against the plain text of each node: the same float, or the same
+    # exception, at 64 radii
+    compared = 0
+    for label, items, domain in _expression_sets():
+        radii = sample_radii(domain, 64).tolist()
+        want = _outcomes([_plain(e, binds) for e, binds in items], radii)
+        assert _outcomes(to_python_block(items), radii) == want, label
+        for k, (e, binds) in enumerate(items):
+            alone = _outcomes([_plain(e, binds)], radii)
+            assert _outcomes(to_python_block([(e, binds)]), radii) == alone, (label, k)
+            got = compile_expr(e, binds)
+            assert [[got(r).hex()] for r, v in zip(radii, alone) if isinstance(v, list)] \
+                == [v for v in alone if isinstance(v, list)], (label, k)
+        compared += 1
+    assert compared >= len(CATALOG) + len(NAMED_SYSTEMS)
+
+
+def test_block_folds_drops_identities_and_shares_repeats():
+    e = parse("sqrt(k + r^2)*1 + -(-r) + r^1/1 + 2*3 + 1*sqrt(k + r^2) + sqrt(k)",
+              params={"k"})
+    assert to_python_block([(e, {"k": 4.0})]) == [
+        "((((((c0 := math.sqrt((4.0 + (r ** 2)))) + r) + r) + 6.0) + c0) + 2.0)"]
+    # sharing spans the texts: the first text evaluates, the later ones read
+    f, fp = parse("sqrt(1 + r^2)"), differentiate(parse("sqrt(1 + r^2)"))
+    assert to_python_block([(f, {}), (fp, {})]) == [
+        "(c0 := math.sqrt((1.0 + (r ** 2))))", "((2.0 * r) / (2.0 * c0))"]
+    # a literal subtree that raises or overflows stays, to do so at run time
+    assert to_python_block([(parse("r + 1/0 + exp(1000) + 10^400 + 1e308*10"), {})]) == [
+        "((((r + (1.0 / 0.0)) + math.exp(1000.0)) + math.pow(10.0, 400.0)) + (1e+308 * 10.0))"]
+    # a subexpression read only inside one shared node is not shared itself
+    assert to_python_block([(parse("ln(r*r) + ln(r*r)"), {})]) == [
+        "((c0 := math.log((r * r))) + c0)"]
+
+
+def test_block_rejects_a_non_finite_parameter():
+    with pytest.raises(ExprError, match="parameter 'k' = inf is not finite"):
+        to_python_block([(parse("k*r", params={"k"}), {"k": math.inf})])
+    with pytest.raises(ExprError, match="unbound parameter 'k'"):
+        to_python_block([(parse("r"), {}), (parse("k*r", params={"k"}), {})])
