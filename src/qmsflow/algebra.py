@@ -148,8 +148,8 @@ def _towers(q: Sequence, p: Sequence, b: Sequence) -> IntegralSet:
         C^(m) = C^(m-1) + sum_{i<m} [J_im^2 + b_i q_m^2/q_i^2
                                      + b_m q_i^2/q_m^2] + b_m
 
-    over axes 1..N for the left tower and N..1 for the right one, O(N^2) in
-    all.  C_(N) is taken from C^(N), so the top members agree exactly.  An
+    over axes 1..N for the left tower and N..2 for the right one, O(N^2) in
+    all; C_(N) is taken from C^(N), so the top members agree exactly.  An
     all-zero b_i's terms are skipped (see _nonzero); b is not checked here.
 
     Each q_i, p_i and b_i is a float, or a numpy column holding that value
@@ -157,7 +157,7 @@ def _towers(q: Sequence, p: Sequence, b: Sequence) -> IntegralSet:
     entry of a column result is the value at its state bit for bit.
     """
     nz, out = _nonzero(b), []
-    for q, p, b, nz in ((q, p, b, nz), (q[::-1], p[::-1], b[::-1], nz[::-1])):
+    for q, p, b, nz in ((q, p, b, nz), (q[:0:-1], p[:0:-1], b[:0:-1], nz[:0:-1])):
         sq = [x * x for x in q]
         c, tower = b[0], []
         for m in range(1, len(q)):
@@ -173,8 +173,7 @@ def _towers(q: Sequence, p: Sequence, b: Sequence) -> IntegralSet:
             tower.append(c)
         out.append(tower)
     left, right = out
-    right[-1] = left[-1]
-    return IntegralSet(tuple(left), tuple(right))
+    return IntegralSet(tuple(left), (*right, left[-1]))
 
 
 # ---------------------------------------------------------------------------

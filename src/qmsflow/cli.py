@@ -66,7 +66,7 @@ from .coords import (
 from .coords import angular_chain  # noqa: F401  (perfbench/tracing.py wraps it by this name)
 from .coords import from_cartesian  # noqa: F401  (perfbench/tracing.py wraps it by this name)
 from .coords import spherical_casimir  # noqa: F401  (perfbench/tracing.py wraps it by this name)
-from .dynamics import _audit, _check_domain, conservation_report, hamiltonian, integrate
+from .dynamics import _audit, _f_and_u, conservation_report, hamiltonian, integrate
 from .exprlang import ExprError
 from .geometry import (
     CATALOG,
@@ -466,6 +466,9 @@ def load_config(path: str) -> RunConfig:
 # output helpers
 # --------------------------------------------------------------------------
 
+_CSV_BLOCK = 256  # trajectory.csv rows formatted by one % operation
+
+
 def _json_default(obj):
     if isinstance(obj, np.floating):
         return float(obj)
@@ -519,7 +522,8 @@ def _write_trajectory_csv(path: str, record, n: int) -> None:
     row = ",".join(["%.17g"] * len(names)) + "\n"
     with _output(path) as handle:
         handle.write(",".join(names) + "\n")
-        handle.writelines(row % tuple(values) for values in table.tolist())
+        for block in np.split(table, range(_CSV_BLOCK, len(table), _CSV_BLOCK)):
+            handle.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 # --------------------------------------------------------------------------
@@ -584,21 +588,20 @@ def _conserved(systems, q, p, mu2=None, b=None) -> list:
     """H, C^(2)..C^(N) from the left family and C_(2)..C_(N-1) from the
     right one (the top right member coincides with the top left one), as
     columns over the states in the N columns q and p, for one SystemSpec or
-    a list of them, each owning an equal block of rows in order: its domain
-    is checked once, then its f and U run row by row (u = 0.0 where it has no
-    U and another has).  mu2 and b are the first system's, or columns."""
+    a list of them, each owning an equal block of rows in order, with its f
+    and U per row as in _f_and_u (u = 0.0 where it has no U and another
+    has).  mu2 and b are the first system's, or columns."""
     systems = [systems] if isinstance(systems, SystemSpec) else systems
     if len(q) != systems[0].n:
         raise ValueError(f"state has dimension {len(q)}, system expects {systems[0].n}")
     r = np.sqrt(sum(x * x for x in q))
     fr, u = [], []
     for sys_spec, block in zip(systems, np.split(r, len(systems))):
-        lo, hi = domain = sys_spec.domain
-        for x in block[~((lo < block) & (block < hi))][:1].tolist():  # the first row out
-            _check_domain(domain, x)
-        f, pot, rows = sys_spec.metric.compiled()[0], sys_spec.potential, block.tolist()
-        fr += [f(x) for x in rows]
-        u += [0.0] * len(rows) if pot is None else [pot.u(x) for x in rows]
+        pot = sys_spec.potential
+        _f_and_u(sys_spec.domain, sys_spec.metric.compiled()[0],
+                 None if pot is None else pot.u, block, fr, u)
+        if pot is None:
+            u += [0.0] * len(block)
     u = np.array(u) if any(x.potential is not None for x in systems) else None
     series = _audit(np.transpose(q), np.transpose(p), r, np.array(fr), u,
                     systems[0].mu2 if mu2 is None else mu2, systems[0].b if b is None else b)

@@ -65,6 +65,7 @@ _EDGE_EPS = 1e-10   # margin for domain-exit detection
 _FP_TOL = 1e-13     # midpoint fixed-point tolerance, relative to 1 + max|y|
 _MAX_FP_ITER = 100  # fixed-point passes per midpoint step before a stall
 _DRIFT_TOL = 1e-7   # conservation_report passes a drift up to this
+_QUEUE = 512        # samples integrate queues before a column pass over them
 
 # DOP853 step control, as in scipy.integrate: the error estimate is of
 # order 7, so a step scales by err^(-1/8) within [0.2, 10]
@@ -90,6 +91,23 @@ def _check_domain(domain, r: float) -> None:
     lo, hi = domain
     if not lo < r < hi:
         raise DomainViolation(f"|q| = {r:.6g} outside the system domain ({lo:.6g}, {hi:.6g})")
+
+
+def _f_and_u(domain, f, u, r, frs, us) -> None:
+    """Append f(x) to frs and U(x) to us (u None: no U) for each x of the
+    column r of |q| up to its first entry outside domain, then raise that
+    one's DomainViolation; a row whose f or U raises appends neither.  The
+    system domain lies inside the metric's, so f needs no check of its own."""
+    lo, hi = domain
+    out = ~((lo < r) & (r < hi))
+    stop = int(out.argmax()) if out.any() else len(r)
+    for x in r[:stop].tolist():
+        fr = f(x)
+        if u is not None:
+            us.append(u(x))
+        frs.append(fr)
+    if stop < len(r):
+        _check_domain(domain, float(r[stop]))
 
 
 def _validate(sys, s: PhaseState) -> float:
@@ -352,7 +370,7 @@ def _make_dop853(m):
     3rd-order estimates, each component scaled by atol + max(|y|, |y_new|)
     rtol), the 8th-order solution and the 13 stage slopes, the last of them
     rhs(y_new).  dense(rhs, y, y_new, k, h) evaluates the 3 extra stages and
-    returns the 7 rows of the step's interpolant (see _dense_output).  A
+    returns the 7 rows of the step's interpolant (see _interpolate).  A
     stage raises whatever rhs raises.
     """
     from scipy.integrate._ivp import dop853_coefficients as tab
@@ -420,23 +438,17 @@ def _dop853(m):
     return _DOP853[m]
 
 
-def _dense_output(dense, rhs, t_old, h, y_old, y_new, k):
-    """The interpolant of one accepted step as a function at(ts): the states
-    at the times ts, one row per time.  It is scipy's Dop853DenseOutput: the
-    7 rows F from the generated dense, summed by Horner's rule in
-    x = (t - t_old)/h over numpy columns, each factor x or 1 - x in turn."""
-    rows = np.array(dense(rhs, y_old, y_new, k, h))[::-1]
-    y_old = np.array(y_old)
-
-    def at(ts):
-        x = ((np.asarray(ts) - t_old) / h)[:, None]
-        y = np.zeros((x.size, y_old.size))
-        for i, row in enumerate(rows):
-            y += row
-            y *= x if i % 2 == 0 else 1.0 - x
-        return y + y_old
-
-    return at
+def _interpolate(rows, x, y_old):
+    """States on accepted steps' interpolants, one per entry of the (S, 1)
+    column x = (t - t_old)/h: scipy's Dop853DenseOutput, y_old plus the 7
+    rows of the generated dense in reverse order, (7, m) for one step or
+    (S, 7, m) for a step per entry, summed by Horner's rule over numpy
+    columns, each factor x or 1 - x in turn."""
+    y = np.zeros(np.broadcast_shapes(x.shape, y_old.shape))
+    for i in range(rows.shape[-2]):
+        y += rows[..., i, :]
+        y *= x if i % 2 == 0 else 1.0 - x
+    return y + y_old
 
 
 def _rhs_or_nan(rhs, y):
@@ -570,7 +582,16 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
     stats["nfev"] counts the step-1 Euler call plus every fixed-point call
     that completed, also on a halt.  The whole midpoint run is one call of
     the system's generated kernel (_make_march), which calls back here only
-    to record a sample.
+    to queue a sample.
+
+    Samples are queued -- a step's times with its interpolant rows, or a
+    given state -- and flushed in one column pass (_interpolate over the
+    stacked rows, |q|, then _f_and_u) at _QUEUE samples, at the end of the
+    run and, for a U without a compiled expression, after every step: a
+    QuadratureError of U halts the run at that step, the samples before it
+    kept.  Any other error of f or U at a sample, or a sample outside the
+    domain, is raised at the flush: the same exception, for the same
+    sample.  H and both towers are audited over whole columns at the end.
     """
     if not t_end > 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
@@ -594,28 +615,42 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
                 return "singular-axis"
         return None
 
-    # per sample, only what can fail there: a QuadratureError from U halts
-    # the run with the samples before it kept; the rest of the audit runs
-    # over whole columns once the run ends.  The system domain lies inside
-    # the metric's, so f needs no domain check of its own.
-    domain = sys.domain
+    # the queue: per piece (t_old, h, y_old, rows), a step's interpolant or
+    # a given state y_old (rows no_rows), and per sample its piece
     f = sys.metric.compiled()[0]
     u = sys.potential.u if sys.potential is not None else None
-    ts, rows, rs, frs, us = [], [], [], [], []
+    eager = u is not None and sys.potential.u_expr is None
+    ts, ys, rs, frs, us = [], [], [], [], []
+    pieces, owner, no_rows = [], [], np.zeros((7, 2 * n))
 
-    def record(t, y):
-        r = _radius(y[:n])
-        _check_domain(domain, r)
-        fr = f(r)
-        if u is not None:
-            us.append(u(r))
-        ts.append(float(t))
-        rows.append(y)
-        rs.append(r)
-        frs.append(fr)
+    def queue(times, y_old, rows=None, t_old=0.0, h=1.0):
+        owner.extend([len(pieces)] * len(times))
+        pieces.append((t_old, h, y_old, no_rows if rows is None else rows))
+        ts.extend(times)
+        if eager or len(owner) >= _QUEUE:
+            flush()
+
+    def flush():
+        if not owner:
+            return
+        k = np.array(owner)
+        t_old, h, y_old, rows = (np.array(v)[k] for v in zip(*pieces))
+        x = ((np.array(ts[-k.size:]) - t_old) / h)[:, None]
+        # a given state is kept as given: 0.0 + y_old turns -0.0 into 0.0
+        given = np.array([p[3] is no_rows for p in pieces])[k, None]
+        y = np.where(given, y_old, _interpolate(rows[:, ::-1], x, y_old))
+        r = np.sqrt(_ordered_sum(c * c for c in y.T[:n]))  # _radius, by columns
+        before = len(frs)
+        try:
+            _f_and_u(sys.domain, f, u, r, frs, us)
+        finally:
+            done = len(frs) - before
+            ys.append(y[:done])
+            rs.append(r[:done])
+            del ts[len(ts) - k.size + done:], pieces[:], owner[:]
 
     y0 = np.concatenate([s0.q, s0.p])
-    record(0.0, y0.tolist())
+    queue([0.0], y0.tolist())
     steps = nfev = rejections = fp_worst = 0
     # on a halt: the reason, and the last valid (t, y), recorded unless
     # within 1e-12 (relative) of the last sample or the halt is a quadrature's
@@ -661,16 +696,18 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
                 h_abs = h * (min(1.0, factor) if rejected else factor)
                 t_old, y_old, t, y, ydot = t, y, t_new, y_new, k[-1]
                 steps += 1
-                at = None
+                rows = None
                 t_hi = t
                 reason = violation(y, y_old)
                 if reason is not None:
-                    at = _dense_output(dense, rhs, t_old, h, y_old, y, k)
+                    rows = dense(rhs, y_old, y, k, h)
                     nfev += 3
+                    back, start = np.array(rows)[::-1], np.array(y_old)
+                    at = lambda t_s: _interpolate(back, np.array([[(t_s - t_old) / h]]), start)[0]
                     a, c = t_old, t
                     for _ in range(80):  # bisect the crossing time
                         mid = 0.5 * (a + c)
-                        if violation(at([mid])[0], y_old) is None:
+                        if violation(at(mid), y_old) is None:
                             a = mid
                         else:
                             c = mid
@@ -679,15 +716,13 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
                 while next_i < samples and sample_ts[next_i] <= t_hi + 1e-12 * max(1.0, t_hi):
                     next_i += 1
                 if next_i > first:
-                    if at is None:
-                        at = _dense_output(dense, rhs, t_old, h, y_old, y, k)
+                    if rows is None:
+                        rows = dense(rhs, y_old, y, k, h)
                         nfev += 3
-                    block = sample_ts[first:next_i]
-                    for t_s, y_s in zip(block, at(block).tolist()):
-                        record(t_s, y_s)
+                    queue(sample_ts[first:next_i], y_old, rows, t_old, h)
                 if reason is not None:
                     halted = reason
-                    last = t_hi, at([t_hi])[0].tolist()
+                    last = t_hi, at(t_hi).tolist()
                     break
         else:
             if not step > 0:
@@ -695,23 +730,25 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
             nsteps = max(1, round(t_end / step))
             h = t_end / nsteps
             kstep, steps, nfev, fp_worst, halted, exc, y = _kernel(sys, _make_march)(
-                y0.tolist(), h, nsteps, max(1, nsteps // (samples - 1)), record)
+                y0.tolist(), h, nsteps, max(1, nsteps // (samples - 1)),
+                lambda t_s, y_s: queue([t_s], y_s))
             if isinstance(exc, QuadratureError):
                 raise exc
             if exc is not None:
                 halted = f"rhs evaluation failed: {exc}"
             last = (kstep - 1) * h, y
         if halted is not None and last[0] > ts[-1] + 1e-12 * max(1.0, last[0]):
-            record(*last)
+            queue([last[0]], last[1])
+        flush()
     except QuadratureError as exc:
         halted = f"quadrature failed: {exc}"
     stats = {"steps": steps, "nfev": nfev, "rejections": rejections}
     if method == "midpoint":
         stats["max_fp_iterations"] = fp_worst
 
-    y = np.array(rows)
+    y = np.concatenate(ys)
     q, p = y[:, :n], y[:, n:]
-    series = _audit(q, p, np.array(rs), np.array(frs),
+    series = _audit(q, p, np.concatenate(rs), np.array(frs),
                     np.array(us) if u is not None else None, sys.mu2, sys.b)
     drift = {name: _drift(vals) for name, vals in series.items()}
     return TrajectoryRecord(np.array(ts), q, p, series, drift, stats, method,

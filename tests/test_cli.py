@@ -657,8 +657,11 @@ def test_simulate_summary_is_byte_deterministic(tmp_path, capsys):
 
 # sha256 of trajectory.csv and summary.json: the adaptive runs of the README
 # config and of a domain exit, recorded before the integrator's tolerances
-# became constants (the scipy oracle checks them only to 1e-9), and an N = 8
-# run with every b_i != 0, recorded before the kernels shared subexpressions
+# became constants (the scipy oracle checks them only to 1e-9), an N = 8
+# run with every b_i != 0, recorded before the kernels shared subexpressions,
+# and, recorded before samples were queued and the CSV written in blocks of
+# rows, the N = 8 run with 601 samples in a few steps and the domain exit
+# with 841 samples before its halt
 @pytest.mark.parametrize("config, code, csv_digest, json_digest", [
     (lambda: _readme_yaml_blocks()[0], 0,
      "880d2a9a0b244ba4bb03d118543ed6e9f7a3045bfd3f73be65ed40b2f29076ea",
@@ -669,7 +672,13 @@ def test_simulate_summary_is_byte_deterministic(tmp_path, capsys):
     (lambda: TAUB_NUT_N8_YAML, 0,
      "2b84bcc570cf1e6b789ab74bfadaf18e68333fef5a99c19cd375f30d4943a3c6",
      "10e5ba0ee1220bd96b95308cdc365334c9b5117a5247b4938e31084701c65121"),
-], ids=["readme", "domain-exit", "taub-nut-n8"])
+    (lambda: TAUB_NUT_N8_YAML.replace("t_end: 10.0\nsamples: 41", "t_end: 0.5\nsamples: 601"), 0,
+     "d63597e387f378849b52ea35d3f1b64ca049cb9331e054c649385ce675f413b7",
+     "9463e3679a0e9f97773b174287679a58b5b271fcfd1686293620c521bd36b000"),
+    (lambda: STRIP_YAML + "samples: 3001\n", 3,
+     "bcf6c79f2f66e67e5daae9bfee8cae4f725698b6c468fd5193b9129678b50578",
+     "1c51601c6d26f5551e05de2098fd60cc4dc9a931239ff91346437d2fa706bb5a"),
+], ids=["readme", "domain-exit", "taub-nut-n8", "taub-nut-n8-dense", "domain-exit-dense"])
 def test_adaptive_simulate_outputs_are_pinned(tmp_path, capsys, config, code,
                                               csv_digest, json_digest):
     path = tmp_path / "run.yaml"
@@ -691,6 +700,19 @@ def test_midpoint_simulate_output_is_pinned(tmp_path, capsys):
         "ccc2cec4f97466d94856e59c20987720758121d759bf3a54af4184768ee8982d"
     assert hashlib.sha256((out_dir / "summary.json").read_bytes()).hexdigest() == \
         "04ef1b15a9f20b72eb8d930addc866a7aeebddd1b1a716244a057346f53afad6"
+
+
+def test_midpoint_simulate_output_of_every_step_is_pinned(tmp_path, capsys):
+    # the same run sampled at all 1000 steps, more samples than one column
+    # pass takes, recorded before samples were queued
+    path = tmp_path / "run.yaml"
+    path.write_text(DARBOUX3B_MIDPOINT_YAML.replace("samples: 51", "samples: 1001"))
+    out_dir = tmp_path / "run"
+    assert run_cli(capsys, "simulate", "--config", str(path), "--out", str(out_dir))[0] == 0
+    assert hashlib.sha256((out_dir / "trajectory.csv").read_bytes()).hexdigest() == \
+        "88b12e3f85692bee42c8e8b95d50bacbed23b76177903cabed7d12044cc343f8"
+    assert hashlib.sha256((out_dir / "summary.json").read_bytes()).hexdigest() == \
+        "fb7d7c615f87905ed4eb91a7aa6d4efa5dcae231021de6dbf0b280185e967ac2"
 
 
 def test_simulate_out_naming_a_file_is_a_config_error(tmp_path, capsys, monkeypatch):
@@ -952,6 +974,36 @@ def test_charts_draw_as_per_point_uniform_calls(seed):
                 want += theirs.uniform(*b, n).tolist() if b else []
                 assert x[:, k].tolist() == want
             assert ours.uniform() == theirs.uniform()
+
+
+@pytest.mark.parametrize("counts", [[1], [1, 1, 1, 1], [40], [3, 1, 17, 1, 60]])
+def test_batched_interpolant_equals_per_sample_horner_sums(counts):
+    # integrate evaluates the queued samples of many steps on their stacked
+    # interpolant rows at once: each state is, bit for bit, the Horner sum
+    # of scipy's Dop853DenseOutput in Python floats for its own step
+    rng = np.random.Generator(np.random.Philox(5))
+    m = 6
+    rows = rng.normal(size=(len(counts), 7, m)) * 10.0 ** rng.integers(-8, 3, (len(counts), 7, 1))
+    rows[0, 3, 0] = rows[-1, 0, 1] = -0.0
+    y_old = rng.normal(size=(len(counts), m))
+    t_old = np.cumsum(rng.random(len(counts)))
+    h = rng.random(len(counts)) + 0.1
+    k = np.repeat(np.arange(len(counts)), counts)
+    t = t_old[k] + h[k] * np.concatenate([np.sort(rng.random(c)) for c in counts])
+    t[0] = t_old[0]  # a sample at the step's start: x = 0
+    x = ((t - t_old[k]) / h[k])[:, None]
+    got = dynamics._interpolate(rows[k][:, ::-1], x, y_old[k])
+    for j, step in enumerate(k.tolist()):
+        xj = (t[j].item() - t_old[step].item()) / h[step].item()
+        want = []
+        for c in range(m):
+            y = 0.0
+            for i, row in enumerate(rows[step][::-1].tolist()):
+                y = (y + row[c]) * (xj if i % 2 == 0 else 1.0 - xj)
+            want.append(y + y_old[step, c].item())
+        assert [v.hex() for v in got[j].tolist()] == [v.hex() for v in want]
+        one = dynamics._interpolate(rows[step][::-1], x[j:j + 1], y_old[step])
+        assert one.tobytes() == got[j:j + 1].tobytes()
 
 
 def test_verify_reports_are_byte_deterministic(tmp_path, capsys):
