@@ -75,14 +75,14 @@ class PhaseState:
 def _check_b(q: np.ndarray, b) -> np.ndarray:
     """b as a float array (zeros for None) or one column per axis (shape
     q.T), checked against q, one state or one state per row: the first
-    q_i = 0 with b_i != 0, row by row, raises SingularStateError."""
+    q_i = 0 with b_i != 0 (i from 1), row by row, raises SingularStateError."""
     n = q.shape[-1]
     b = np.zeros(n) if b is None else np.asarray(b, dtype=float)
     if b.shape not in ((n,), q.T.shape):
         raise ValueError(f"b must have length {n}, got shape {b.shape}")
     hit = (b.T != 0.0) & (q == 0.0)
     if np.any(hit):
-        i, bi = int(np.argmax(hit)) % n, np.broadcast_to(b.T, hit.shape)[hit][0]
+        i, bi = int(np.argmax(hit)) % n + 1, np.broadcast_to(b.T, hit.shape)[hit][0]
         raise SingularStateError(f"q_{i} = 0 with b_{i} = {bi} != 0")
     return b
 

@@ -1,15 +1,16 @@
 """Central potentials on spherically symmetric metrics.
 
+A potential is U(r), U'(r) and the interval where U is defined (PotentialSpec).
 The radial Green function
 
     U(r) = int^r dr' / (r'^2 f(r')),
 
-defined up to affine constants, generates the two distinguished potentials on
-any of these spaces: the intrinsic Kepler-Coulomb potential alpha*U and the
-intrinsic oscillator beta/U^2.  Catalog metrics carry closed forms
-(MetricSpec.green_expr, constants absorbed); everything else falls back to
-adaptive quadrature anchored at U(r0) = 0, r0 the domain midpoint.  The two
-conventions differ by an affine map, which the coupling constants absorb.
+defined up to affine constants, gives the two distinguished choices on any of
+these spaces: the intrinsic Kepler-Coulomb potential alpha*U and the intrinsic
+oscillator beta/U^2.  Catalog metrics carry closed forms (MetricSpec.green_expr,
+constants absorbed); everything else falls back to adaptive quadrature
+anchored at U(r0) = 0, r0 the domain midpoint.  The two conventions differ by
+an affine map, which alpha, beta and the oscillator's shift absorb.
 
 Also here: assembled named systems (MIC-Kepler flat/curved, Taub-NUT,
 multifold Kepler) and numerical checks of the algebraic identities that the
@@ -46,7 +47,6 @@ class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to converge to the requested tolerance."""
 
 
-_PROVENANCES = ("closed-form-catalog", "quadrature-backed", "user-supplied")
 _FD_POINTS = 8
 
 
@@ -63,7 +63,7 @@ def _anchor(domain) -> float:
     return 1.0 if lo == 0.0 else lo * math.e
 
 
-def _fd_consistency(u: Callable, du: Callable, domain, what: str):
+def _fd_consistency(u: Callable, du: Callable, domain):
     # finite-difference spot check, one Richardson level, at _FD_POINTS = 8 radii,
     # on Python floats, so that a pole or an overflow raises instead of warning
     grid = sample_radii(domain, 4 * _FD_POINTS + 1)
@@ -74,50 +74,41 @@ def _fd_consistency(u: Callable, du: Callable, domain, what: str):
             fine = (u(r + 0.5 * h) - u(r - 0.5 * h)) / h
             ref = du(r)
         except (ValueError, ArithmeticError) as exc:
-            raise PotentialError(f"{what}: not evaluable near r={r}: {exc}") from None
+            raise PotentialError(f"potential: not evaluable near r={r}: {exc}") from None
         fd = (4.0 * fine - coarse) / 3.0
         if not abs(fd - ref) <= 1e-6 * max(1.0, abs(ref)):
             raise PotentialError(
-                f"{what}: derivative inconsistent with value at r={r}: "
+                f"potential: derivative inconsistent with value at r={r}: "
                 f"finite difference {fd!r} vs declared {ref!r}")
 
 
 class PotentialSpec:
-    """A central potential U(r) together with a consistent derivative.
+    """A central potential U(r), its derivative U'(r) and the interval of r
+    it is defined on: all that the Hamiltonian takes from a potential.
 
-    `provenance` records where the function came from: a registered catalog
-    closed form, an anchored quadrature, or a user-supplied expression.  The
-    coupling constants alpha (KC strength), beta (oscillator strength) and
-    gamma (additive shift) are bookkeeping for constructors that know them.
-    `params` binds the parameters of u_expr/du_expr; with du_expr set, the
-    generated Hamiltonian kernels inline du_expr instead of calling du.
+    `u` and `du` are the callables themselves, on floats.  A U built from an
+    expression keeps u_expr and du_expr, and `params` binds their parameters;
+    the generated Hamiltonian kernels then inline du_expr instead of calling
+    du.  u_expr is None for a U backed by quadrature.
     """
 
-    def __init__(self, u: Callable, du: Callable, provenance: str,
-                 u_expr: Expr | None = None, du_expr: Expr | None = None,
-                 params: Mapping | None = None,
-                 alpha: float = 0.0, beta: float = 0.0, gamma: float = 0.0,
+    def __init__(self, u: Callable, du: Callable, u_expr: Expr | None = None,
+                 du_expr: Expr | None = None, params: Mapping | None = None,
                  domain=(0.0, math.inf)):
-        if provenance not in _PROVENANCES:
-            raise PotentialError(f"unknown provenance {provenance!r}")
         lo, hi = float(domain[0]), float(domain[1])
         if not (lo >= 0.0 and lo < hi):
             raise PotentialError(f"invalid potential domain ({lo}, {hi})")
-        self._u = u
-        self._du = du
+        self.u = u
+        self.du = du
         self.u_expr = u_expr
         self.du_expr = du_expr
         self.params = dict(params or {})
-        self.provenance = provenance
-        self.alpha = float(alpha)
-        self.beta = float(beta)
-        self.gamma = float(gamma)
         self.domain = (lo, hi)
-        _fd_consistency(self._u, self._du, self.domain, f"potential ({provenance})")
+        _fd_consistency(u, du, self.domain)
 
     @classmethod
     def from_expr(cls, expr, params: Mapping | None = None,
-                  provenance: str = "user-supplied", **kw) -> "PotentialSpec":
+                  domain=(0.0, math.inf)) -> "PotentialSpec":
         """Build from an expression tree or source string; the derivative is
         obtained symbolically."""
         binds = {k: float(v) for k, v in (params or {}).items()}
@@ -125,17 +116,11 @@ class PotentialSpec:
             expr = exprlang.parse(expr, params=set(binds))
         dexpr = differentiate(expr)
         return cls(compile_expr(expr, binds), compile_expr(dexpr, binds),
-                   provenance, u_expr=expr, du_expr=dexpr, params=binds, **kw)
-
-    def u(self, r: float) -> float:
-        return float(self._u(r))
-
-    def du(self, r: float) -> float:
-        return float(self._du(r))
+                   u_expr=expr, du_expr=dexpr, params=binds, domain=domain)
 
     def __repr__(self):
         body = format_expr(self.u_expr) if self.u_expr is not None else "<numeric>"
-        return f"PotentialSpec({body}, {self.provenance}, domain={self.domain})"
+        return f"PotentialSpec({body}, domain={self.domain})"
 
 
 # ---------------------------------------------------------------------------
@@ -187,12 +172,10 @@ def kc_potential(metric: MetricSpec, alpha: float) -> PotentialSpec:
     alpha = float(alpha)
     if expr is not None:
         out = BinOp("*", Const(alpha), expr) if alpha != 1.0 else expr
-        return PotentialSpec.from_expr(out, params=metric.params,
-                                       provenance="closed-form-catalog", alpha=alpha,
-                                       domain=metric.domain)
+        return PotentialSpec.from_expr(out, params=metric.params, domain=metric.domain)
     u, du = _quadrature_pair(metric)
     return PotentialSpec(lambda r: alpha * u(r), lambda r: alpha * du(r),
-                         "quadrature-backed", alpha=alpha, domain=metric.domain)
+                         domain=metric.domain)
 
 
 def _positive_subdomain(u: Callable, domain, label: str):
@@ -247,12 +230,9 @@ def oscillator_potential(metric: MetricSpec, beta: float, gamma: float = 0.0) ->
         out = BinOp("/", Const(beta), Pow(expr, Const(2.0)))
         if gamma != 0.0:
             out = BinOp("+", out, Const(gamma))
-        return PotentialSpec.from_expr(out, params=metric.params,
-                                       provenance="closed-form-catalog", beta=beta,
-                                       gamma=gamma, domain=sub)
+        return PotentialSpec.from_expr(out, params=metric.params, domain=sub)
     return PotentialSpec(lambda r: beta / u(r) ** 2 + gamma,
-                         lambda r: -2.0 * beta * du(r) / u(r) ** 3,
-                         "quadrature-backed", beta=beta, gamma=gamma, domain=sub)
+                         lambda r: -2.0 * beta * du(r) / u(r) ** 3, domain=sub)
 
 
 # ---------------------------------------------------------------------------
@@ -284,16 +264,12 @@ class SystemSpec:
         self.b = b
         self.n = n
         self.label = label or metric.id
-
-    @property
-    def domain(self):
-        lo, hi = self.metric.domain
-        if self.potential is not None:
-            lo = max(lo, self.potential.domain[0])
-            hi = min(hi, self.potential.domain[1])
+        lo, hi = metric.domain
+        if potential is not None:
+            lo, hi = max(lo, potential.domain[0]), min(hi, potential.domain[1])
         if not lo < hi:
             raise PotentialError("metric and potential domains do not overlap")
-        return (lo, hi)
+        self.domain = (lo, hi)
 
     def __repr__(self):
         return (f"SystemSpec({self.label!r}, n={self.n}, mu2={self.mu2}, "
@@ -343,12 +319,7 @@ def _build_multifold(nu, a, b, c, d, mu2, n, centrifugal, label) -> SystemSpec:
     a, b, c, d = float(a), float(b), float(c), float(d)
     metric = _multifold_metric(nu, a, b)
     u_expr = _multifold_potential_expr(nu, a, b, c, d, float(mu2))
-    if a != 0.0:
-        couplings = {"beta": mu2 * d / 2.0, "gamma": mu2 * c / (2.0 * a)}
-    else:
-        couplings = {"alpha": -mu2 * c / 2.0, "gamma": mu2 * d / (2.0 * b)}
-    pot = PotentialSpec.from_expr(u_expr, provenance="closed-form-catalog",
-                                  domain=metric.domain, **couplings)
+    pot = PotentialSpec.from_expr(u_expr, domain=metric.domain)
     return SystemSpec(metric, pot, mu2=mu2, b=centrifugal, n=n, label=label)
 
 
@@ -367,9 +338,7 @@ def _mic_kepler_family(which: str, alpha: float, mu2: float, n, centrifugal) -> 
                                         id="mic-kepler-hyperbolic")
         u_src = "-alpha*(r^2 + 1)/r"
         label = "mic-kepler-hyperbolic"
-    pot = PotentialSpec.from_expr(u_src, params={"alpha": alpha},
-                                  provenance="closed-form-catalog",
-                                  alpha=alpha, domain=metric.domain)
+    pot = PotentialSpec.from_expr(u_src, params={"alpha": alpha}, domain=metric.domain)
     return SystemSpec(metric, pot, mu2=mu2, b=centrifugal, n=n, label=label)
 
 

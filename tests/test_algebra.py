@@ -355,12 +355,12 @@ def test_batched_stencil_matches_the_per_state_loop_bit_for_bit(n):
 def test_bracket_stencil_failures_propagate():
     metric = catalog_lookup("euclidean")
     pot = kc_potential(metric, 1.0)
-    # q_2 = h/2: the -h/2 stencil state of q_2 lies on that axis
+    # q_3 = h/2: the -h/2 stencil state of q_3 lies on that axis
     s = PhaseState([0.8, 0.6, 5e-7], [0.1, 0.2, 0.3])
     free = partial(_conserved, SystemSpec(metric, pot, 0.3, b=[1.0, 0.0, 0.0]))
     assert np.all(np.isfinite(poisson_bracket(free, free, s)))
     walled = partial(_conserved, SystemSpec(metric, pot, 0.3, b=[1.0, 0.0, 2.0]))
-    with pytest.raises(SingularStateError, match="q_2 = 0 with b_2 = 2.0"):
+    with pytest.raises(SingularStateError, match="q_3 = 0 with b_3 = 2.0"):
         poisson_bracket(walled, walled, s)
 
     # the +h stencil state of q_0 leaves the unit ball of the hyperbolic space
@@ -439,17 +439,17 @@ def test_stacked_stencil_failures_propagate():
     metric = catalog_lookup("euclidean")
     pot = kc_potential(metric, 1.0)
     clear = PhaseState([0.8, 0.6, 0.5], [0.1, 0.2, 0.3])
-    # q_2 = h/2: the -h/2 stencil state of q_2 lies on that axis
+    # q_3 = h/2: the -h/2 stencil state of q_3 lies on that axis
     on_axis = PhaseState([0.8, 0.6, 5e-7], [0.1, 0.2, 0.3])
     walled = partial(_conserved, SystemSpec(metric, pot, 0.3, b=[1.0, 0.0, 2.0]))
     assert np.all(np.isfinite(poisson_bracket(walled, walled, [clear, clear])))
-    with pytest.raises(SingularStateError, match="q_2 = 0 with b_2 = 2.0"):
+    with pytest.raises(SingularStateError, match="q_3 = 0 with b_3 = 2.0"):
         poisson_bracket(walled, walled, [clear, on_axis, clear])
-    with pytest.raises(SingularStateError, match="q_2 = 0 with b_2 = 2.0"):
+    with pytest.raises(SingularStateError, match="q_3 = 0 with b_3 = 2.0"):
         independence_rank(walled, [clear, on_axis])
     b = np.array([[1.0, 0.0, 0.5], [1.0, 0.0, 2.5]])
     gens = lambda q, p: sl2_columns(q, p, np.repeat(b, 24, axis=0).T)
-    with pytest.raises(SingularStateError, match="q_2 = 0 with b_2 = 2.5"):
+    with pytest.raises(SingularStateError, match="q_3 = 0 with b_3 = 2.5"):
         fd_gradient(gens, [clear, on_axis])
 
     # the +h stencil state of q_0 leaves the unit ball of the hyperbolic space

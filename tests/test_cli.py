@@ -178,13 +178,16 @@ def test_config_requires_exactly_one_potential_clause():
 
 
 def test_config_potential_clauses_build_the_right_objects():
+    # on the euclidean space the Green function is U = -1/r
+    radii = (0.5, 1.0, 2.0)
     cfg = build_config(base_config(potential={"kc": {"alpha": 2.0}}))
-    assert cfg.system.potential.alpha == 2.0
+    assert [cfg.system.potential.u(r) for r in radii] == [-4.0, -2.0, -1.0]
     cfg = build_config(base_config(potential={"oscillator": {"beta": 0.5}}))
-    assert cfg.system.potential.beta == 0.5
+    assert [cfg.system.potential.u(r) for r in radii] == [0.125, 0.5, 2.0]
     cfg = build_config(base_config(
         potential={"shifted-oscillator": {"beta": 0.5, "gamma": 0.3}}))
-    assert cfg.system.potential.gamma == 0.3
+    assert [cfg.system.potential.u(r) for r in radii] == pytest.approx([0.425, 0.8, 2.3],
+                                                                      rel=1e-15)
     cfg = build_config(base_config(
         potential={"custom": {"u": "w*r^2", "params": {"w": 0.25}}}))
     assert cfg.system.potential.u(2.0) == pytest.approx(1.0)
@@ -230,7 +233,9 @@ def test_readme_yaml_examples_build():
         del config[key]
     cfg = build_config({**config, **named})
     assert cfg.system.label == "mic-kepler"
-    assert (cfg.system.potential.alpha, cfg.system.mu2) == (2.0, 0.5)
+    # U = -alpha/r with alpha = 2.0
+    assert [cfg.system.potential.u(r) for r in (0.5, 4.0)] == [-4.0, -0.5]
+    assert cfg.system.mu2 == 0.5
 
 
 def test_config_rejects_singular_initial_state():
@@ -242,6 +247,38 @@ def test_config_rejects_singular_initial_state():
         build_config(cfg)
     with pytest.raises(ConfigError, match="initial state invalid"):
         build_config(base_config(space={"id": "hyperbolic"}))  # |q| > 1
+
+
+def test_simulate_names_the_axis_of_a_singular_initial_state(tmp_path, capsys):
+    # axes count from 1, as in the trajectory.csv header q1..qN
+    config = tmp_path / "run.yaml"
+    config.write_text("space: {id: euclidean}\n"
+                      "potential: none\n"
+                      "b: [0.0, 0.5, 0.0]\n"
+                      "initial:\n"
+                      "  cartesian: {q: [1.0, 0.0, 0.4], p: [0.1, 0.2, 0.3]}\n"
+                      "t_end: 1.0\n")
+    code, _, err = run_cli(capsys, "simulate", "--config", str(config),
+                           "--out", str(tmp_path / "run"))
+    assert code == 2
+    assert err == "config error: initial state invalid: q_2 = 0 with b_2 = 0.5 != 0\n"
+
+
+def test_simulate_rejects_disjoint_space_and_potential_domains(tmp_path, capsys):
+    # the hyperbolic space lives on (0, 1), the potential on (2, 3): the
+    # system is at fault, not the initial state
+    config = tmp_path / "run.yaml"
+    config.write_text("space: {id: hyperbolic}\n"
+                      "potential: {custom: {u: \"r\", domain: [2.0, 3.0]}}\n"
+                      "initial:\n"
+                      "  cartesian: {q: [0.5, 0.0, 0.0], p: [0.0, 0.5, 0.0]}\n"
+                      "t_end: 1.0\n")
+    out_dir = tmp_path / "run"
+    code, _, err = run_cli(capsys, "simulate", "--config", str(config),
+                           "--out", str(out_dir))
+    assert code == 2
+    assert err == "config error: metric and potential domains do not overlap\n"
+    assert not out_dir.exists()
 
 
 def test_config_accepts_dotless_exponent_strings():
@@ -329,7 +366,7 @@ def test_catalog_id_on_a_custom_f_gets_the_quadrature_green_function():
         space={"f": "2/(1+r^2)", "id": "euclidean"},
         potential={"kc": {"alpha": 1}}))
     pot, metric = cfg.system.potential, cfg.system.metric
-    assert pot.provenance == "quadrature-backed"
+    assert pot.u_expr is None  # backed by quadrature
     # U' = 1/(r^2 f) = (1 + r^2)/(2 r^2), so U(3) - U(2) = 7/12
     assert pot.u(3.0) - pot.u(2.0) == pytest.approx(7.0 / 12.0, rel=1e-9)
     for r0, r1 in ((0.5, 1.0), (1.0, 4.0)):
@@ -338,11 +375,13 @@ def test_catalog_id_on_a_custom_f_gets_the_quadrature_green_function():
         assert pot.u(r1) - pot.u(r0) == pytest.approx(quad, rel=1e-9)
     # catalog spaces, and their own f under their own id, keep the closed form
     for mid in CATALOG:
-        assert kc_potential(catalog_lookup(mid), 1.0).provenance \
-            == "closed-form-catalog"
+        metric = catalog_lookup(mid)
+        assert metric.green_expr is not None
+        assert kc_potential(metric, 1.0).u_expr == metric.green_expr
     cfg = build_config(base_config(space={"f": "2/(1 + r^2)", "id": "spherical"},
                                    potential={"kc": {"alpha": 1}}))
-    assert cfg.system.potential.provenance == "closed-form-catalog"
+    assert cfg.system.metric.green_expr is not None
+    assert cfg.system.potential.u_expr == cfg.system.metric.green_expr
 
 
 def test_load_config_errors(tmp_path):
@@ -475,11 +514,11 @@ def test_simulate_oscillator_at_its_anchor_is_a_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("potential, q0, expected", [
     # U overflows at the radii its derivative is spot-checked at
-    ('{u: "exp(exp(r))"}', 1.0, "potential.custom: potential (user-supplied): not evaluable"),
+    ('{u: "exp(exp(r))"}', 1.0, "potential.custom: potential: not evaluable"),
     # U is fine at the spot checks but overflows at the initial |q| = 6.65
     ('{u: "exp(exp(r))", domain: [0.0, 6.7]}', 6.65, "initial state invalid: "),
     # U divides by zero everywhere
-    ('{u: "1/(r-r)"}', 1.0, "potential.custom: potential (user-supplied): not evaluable"),
+    ('{u: "1/(r-r)"}', 1.0, "potential.custom: potential: not evaluable"),
 ], ids=["overflow-at-spot-check", "overflow-at-initial-state", "pole-everywhere"])
 def test_simulate_custom_potential_arithmetic_error_is_a_config_error(
         tmp_path, capsys, potential, q0, expected):

@@ -1211,12 +1211,12 @@ def test_singular_state_check_names_the_first_offending_state():
     s0 = PhaseState([1.0, 0.0, 0.5], [0.1, 0.2, 0.3])
     for call in (lambda: hamiltonian(sys, s0), lambda: integral_set(s0, sys.b),
                  lambda: integrate(sys, s0, 1.0)):
-        with pytest.raises(SingularStateError, match="q_1 = 0 with b_1 = 0.5"):
+        with pytest.raises(SingularStateError, match="q_2 = 0 with b_2 = 0.5"):
             call()
     # one state per row, as integrate checks its samples: the first row
     # with a hit decides, not the lowest axis index
     rows = np.array([[0.0, 1.0, 1.0], [1.0, 2.0, 0.0], [1.0, 0.0, 1.0]])
-    with pytest.raises(SingularStateError, match="q_2 = 0 with b_2 = 0.3"):
+    with pytest.raises(SingularStateError, match="q_3 = 0 with b_3 = 0.3"):
         dynamics._check_b(rows, sys.b)
     np.testing.assert_array_equal(dynamics._check_b(rows[:1], sys.b), sys.b)
 

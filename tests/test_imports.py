@@ -1,7 +1,8 @@
 """Every imported name is read somewhere in its module, every private
-module-level name of the package is read by some module, every name in a
-module's ``__all__`` is bound there, every name the benchmark traces
-resolves, and the command line starts without scipy.
+module-level name of the package is read by some module, so is every public
+attribute of a public class, every name in a module's ``__all__`` is bound
+there, every name the benchmark traces resolves, and the command line starts
+without scipy.
 
 No linter is required to run the tests, so these AST scans keep refactors
 from leaving dead imports and dead helpers behind.  A name listed in
@@ -93,6 +94,47 @@ def test_the_scan_sees_an_unread_private_name(tmp_path):
     (tmp_path / "b.py").write_text("from . import a\nfrom .a import _IMPORTED\n"
                                    "print(_IMPORTED, a._ATTRIBUTE)\n", encoding="utf-8")
     assert _unread_private_names(tmp_path) == ["a.py:4: _DEAD", "a.py:11: _Unused"]
+
+
+# an error detail kept for callers that the package itself never reads
+_KEPT_ATTRIBUTES = {"ExprSyntaxError.offset"}
+
+
+def _unread_public_attributes(root: Path) -> list:
+    """The public fields (class-level annotations) and public self.x
+    attributes of the public classes of the modules in root that no module
+    there reads as an attribute, by name, whatever the object."""
+    defined, read = [], set()
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            defined += [(path, cls.name, node.target.id, node.lineno) for node in cls.body
+                        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+            defined += [(path, cls.name, node.attr, node.lineno) for node in ast.walk(cls)
+                        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name) and node.value.id == "self"]
+        read.update(node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    return [f"{path.relative_to(root)}:{line}: {cls}.{name}" for path, cls, name, line in defined
+            if not name.startswith("_") and name not in read
+            and f"{cls}.{name}" not in _KEPT_ATTRIBUTES]
+
+
+def test_no_public_attribute_of_the_package_is_left_unread():
+    assert _unread_public_attributes(ROOT / "src" / "qmsflow") == []
+
+
+def test_the_scan_sees_an_unread_public_attribute(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class Spec:\n    size: int\n    tag: str\n\n"
+        "    def __init__(self):\n        self.value = 1\n        self.label = 2\n"
+        "        self._own = 3\n\n    def twice(self):\n        return 2 * self._own\n\n\n"
+        "class _Hidden:\n    def __init__(self):\n        self.dead = 4\n", encoding="utf-8")
+    (tmp_path / "b.py").write_text("from .a import Spec\n\n"
+                                   "print(Spec().value, Spec().size)\n", encoding="utf-8")
+    assert _unread_public_attributes(tmp_path) == ["a.py:3: Spec.tag", "a.py:7: Spec.label"]
 
 
 def test_every_name_in_all_is_bound():

@@ -80,7 +80,7 @@ def test_green_expr_follows_the_metric_parameters():
     # without a parameter named k the catalog f does not parse: no closed form
     metric = MetricSpec.from_source("sqrt(2+r^2)", id="darboux3b")
     assert metric.green_expr is None
-    assert kc_potential(metric, 1.0).provenance == "quadrature-backed"
+    assert kc_potential(metric, 1.0).u_expr is None  # backed by quadrature
 
 
 def test_green_function_parses_the_green_source_once_per_metric(monkeypatch):
@@ -127,10 +127,15 @@ def test_green_function_quadrature_matches_closed_form_affinely():
 def test_kc_potential_examples():
     assert kc_potential(metric_of("euclidean"), 1.0).u(2.0) == -0.5
     assert kc_potential(metric_of("hyperbolic"), 1.0).u(0.5) == pytest.approx(-2.5)
-    p = kc_potential(catalog_lookup("nu-fold-a0", {"nu": 2}), 1.0)
+    metric = catalog_lookup("nu-fold-a0", {"nu": 2})
+    p = kc_potential(metric, 1.0)
     assert p.u(4.0) == pytest.approx(-0.5)  # -r^(-1/2)
-    assert p.provenance == "closed-form-catalog"
-    assert p.alpha == 1.0
+    assert metric.green_expr is not None
+    assert p.u_expr == metric.green_expr  # the catalog's closed form
+    # alpha scales U: -alpha r^(-1/2) with alpha = 2.5
+    p = kc_potential(metric, 2.5)
+    assert [p.u(r) for r in (0.25, 4.0, 16.0)] == pytest.approx([-5.0, -1.25, -0.625],
+                                                                 rel=1e-15)
 
 
 def test_potential_builds_are_kept_per_metric_and_arguments():
@@ -154,7 +159,11 @@ def test_oscillator_potential_examples():
     assert p.u(r) == pytest.approx(1.0 / (1.0 + math.log(r) ** 2), rel=1e-14)
     p = oscillator_potential(metric_of("taub-nut"), 1.0)
     assert p.u(2.0) == pytest.approx(2.0 / 6.0, rel=1e-14)
-    assert p.beta == 1.0
+    # beta scales U and gamma shifts it: beta r / (r + 4) + gamma on taub-nut
+    beta, gamma = 0.75, -0.2
+    p = oscillator_potential(metric_of("taub-nut"), beta, gamma)
+    for r in (0.5, 2.0, 8.0):
+        assert p.u(r) == pytest.approx(beta * r / (r + 4.0) + gamma, rel=1e-14)
 
 
 def test_oscillator_domain_restriction_on_sphere():
@@ -171,7 +180,7 @@ def test_quadrature_oscillator_domain_excludes_the_anchor():
     # the quadrature-backed U is anchored to vanish at r0 = 1 exactly, and
     # the root brentq finds there may sit an ulp above r0
     p = oscillator_potential(MetricSpec.from_source("1/(1 + 0.2*r^2)"), 0.01)
-    assert p.provenance == "quadrature-backed"
+    assert p.u_expr is None  # backed by quadrature
     lo, hi = p.domain
     assert lo == 0.0 and hi <= 1.0
     assert hi == pytest.approx(1.0, rel=1e-12)
@@ -195,22 +204,19 @@ def test_catalog_kc_and_oscillator_columns():
 
 
 def test_potential_spec_rejects_inconsistent_derivative():
-    with pytest.raises(PotentialError):
-        PotentialSpec(lambda r: r * r, lambda r: 3.0 * r, "user-supplied",
-                      domain=(0.1, 10.0))
-    with pytest.raises(PotentialError):
-        PotentialSpec(lambda r: r, lambda r: 1.0, "nonsense", domain=(0.1, 10.0))
+    with pytest.raises(PotentialError, match="potential: derivative inconsistent"):
+        PotentialSpec(lambda r: r * r, lambda r: 3.0 * r, domain=(0.1, 10.0))
     # an overflow, a pole and a log off its domain at the spot-check radii,
     # which run on Python floats, so that none only warns
     for source in ("exp(exp(r))", "1/(r-r)", "ln(r-2)"):
-        with pytest.raises(PotentialError, match="not evaluable near r="):
+        with pytest.raises(PotentialError, match="potential: not evaluable near r="):
             PotentialSpec.from_expr(source)
 
 
 def test_user_supplied_potential_from_source():
     p = PotentialSpec.from_expr("w/(1 + r^2)", params={"w": 2.0},
                                 domain=(0.0, math.inf))
-    assert p.provenance == "user-supplied"
+    assert p.u_expr is not None and p.params == {"w": 2.0}
     assert p.u(1.0) == 1.0
     assert p.du(1.0) == pytest.approx(-1.0)
     assert "w" in format_expr(p.u_expr)
@@ -280,16 +286,20 @@ def test_named_system_taub_nut_compact_form():
     ours = (p2 + mu2 / q2) / (2 * f * f) + sys.potential.u(r)
     compact = p2 / (2 * (1 + 4 / r)) + (mu2 / 32.0) * (1 + 4 / r)
     assert ours == pytest.approx(compact, rel=1e-12)
-    assert sys.potential.beta == pytest.approx(mu2 / 32.0)
-    assert sys.potential.gamma == pytest.approx(mu2 / 16.0)
+    # U = beta/(4m/r + 1) + gamma 4m/(4m + r), beta = mu2/32, gamma = mu2/16 (m = 1)
+    beta, gamma = mu2 / 32.0, mu2 / 16.0
+    for r in (0.5, 2.0, 8.0):
+        assert sys.potential.u(r) == pytest.approx(
+            beta / (4.0 / r + 1.0) + gamma * 4.0 / (4.0 + r), rel=1e-14)
 
 
 def test_named_system_multifold_reduces_to_mic_kepler():
     mf = named_system("multifold-kepler",
                       {"nu": 1, "a": 0.0, "b": 1.0, "c": -2.0, "d": 0.0, "mu2": 1.0})
     mic = named_system("mic-kepler", {"alpha": 1.0, "mu2": 1.0})
-    assert mf.potential.alpha == 1.0
     for r in (0.4, 1.0, 3.3, 9.0):
+        # U = -alpha/r with alpha = -mu2 c / 2 = 1 and no shift (d = 0)
+        assert mf.potential.u(r) == pytest.approx(-1.0 / r, rel=1e-14)
         assert mf.metric.f(r) == pytest.approx(mic.metric.f(r), rel=1e-14)
         assert mf.potential.u(r) == pytest.approx(mic.potential.u(r), rel=1e-14)
     assert mf.mu2 == mic.mu2
@@ -340,6 +350,16 @@ def test_system_spec_validation():
         SystemSpec(metric, None)
     s = SystemSpec(metric, None, b=[1.0, 2.0, 3.0])
     assert s.n == 3 and s.mu2 == 0.0
+
+
+def test_system_spec_rejects_disjoint_domains_when_built():
+    # the system domain is the overlap of the metric's and the potential's,
+    # fixed once when the system is built
+    pot = PotentialSpec.from_expr("r", domain=(2.0, 3.0))
+    with pytest.raises(PotentialError, match="domains do not overlap"):
+        SystemSpec(metric_of("hyperbolic"), pot, n=3)
+    s = SystemSpec(metric_of("euclidean"), pot, n=3)
+    assert s.domain == (2.0, 3.0) and vars(s)["domain"] == s.domain
 
 
 # ---------------------------------------------------------------------------
