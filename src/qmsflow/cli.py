@@ -469,21 +469,8 @@ def load_config(path: str) -> RunConfig:
 _CSV_BLOCK = 256  # trajectory.csv rows formatted by one % operation
 
 
-def _json_default(obj):
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True,
-                      default=_json_default) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _trajectory_columns(n: int) -> list:

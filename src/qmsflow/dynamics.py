@@ -24,13 +24,14 @@ Integration, sec. VIII.6.1), which puts it O(h^5) from the root, so on a
 smooth orbit most steps converge after one RHS call.
 
 Both integrators run on kernels generated as straight-line Python source
-on plain floats, comparing without abs or max.  Once per system, with the
-system's constants baked in (see _rhs_source): rhs(q0, ..., p{N-1}) ->
-ydot, and the whole midpoint run -- predictor, fixed-point iteration, halt
-checks and sample stride of every step in one call; they match the plain
-loop form of the chain rule bit for bit.  Once per dimension: one DOP853
-attempt and its dense-output rows, whose stages pass their points to the
-system's RHS (see _make_dop853); the adaptive step loop stays in integrate.
+on plain floats, comparing without abs or max, and compiled once per
+distinct source (see _exec).  From a system's constants, baked in as
+literals (see _rhs_source): rhs(q0, ..., p{N-1}) -> ydot, and the whole
+midpoint run -- predictor, fixed-point iteration, halt checks and sample
+stride of every step in one call; they match the plain loop form of the
+chain rule bit for bit.  From the dimension alone: one DOP853 attempt and
+its dense-output rows, whose stages pass their points to the system's RHS
+(see _make_dop853); the adaptive step loop stays in integrate.
 
 Integration halts early, recording the reason and the last valid state,
 when a centrifugal axis is approached or crossed (|q_i| < 1e-10 or a sign
@@ -42,9 +43,8 @@ near a singular set, or when a quadrature-backed U fails to evaluate.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -212,44 +212,49 @@ def _rhs_source(sys):
     return q + p, body, slope
 
 
-def _exec(name, lines, label, **env):
-    """Compile the generated source of function `name`.  Every float literal
-    prints by repr, so inf and nan are bound as names; env binds the calls
-    out."""
-    env.update({"math": math, "abs": abs, "range": range,
-                "inf": math.inf, "nan": math.nan, "__builtins__": {}})
-    exec(compile("\n".join(lines), f"<{label}>", "exec"), env)
-    return env[name]
+@lru_cache(maxsize=64)
+def _exec(source, check_domain=None, du=None):
+    """Compile generated source and return its namespace.  Every float
+    literal prints by repr, so inf and nan are bound as names; check_domain
+    and du are the only calls out.  A kernel reads nothing else, so the
+    source and the two calls are its whole key: systems whose kernels print
+    alike share one compile."""
+    env = {"math": math, "abs": abs, "range": range, "inf": math.inf, "nan": math.nan,
+           "ValueError": ValueError, "ArithmeticError": ArithmeticError, "du": du,
+           "QuadratureError": QuadratureError, "check_domain": check_domain, "__builtins__": {}}
+    exec(compile(source, "<generated kernel>", "exec"), env)
+    return env
 
 
-def _compile(sys, name, lines):
-    """_exec for one system's kernel: the metric domain check and U' are its
-    only calls out."""
+def _compile(sys, lines):
+    """_exec of one system's kernel source.  Its calls out are the metric
+    domain check, and U' only where U is quadrature-backed: any other U'
+    is in the text.  Each kernel is made only by the runs that use it, as
+    compiling the midpoint run costs several times more than the RHS."""
     potential = sys.potential
-    return _exec(name, lines, f"kernel of {sys.label}",
-                 check_domain=sys.metric.check_domain,
-                 du=potential.du if potential is not None else None,
-                 ValueError=ValueError, ArithmeticError=ArithmeticError,
-                 QuadratureError=QuadratureError)
+    du = potential.du if potential is not None and potential.du_expr is None else None
+    return _exec("\n".join(lines), sys.metric.check_domain, du)
 
 
 def _make_rhs(sys):
     """Generate rhs(q0, ..., p{N-1}) -> ydot = (dH/dp, -dH/dq), a tuple, for
     one system: straight-line code from _rhs_source on plain floats, as on
-    vectors this short numpy's per-call overhead outweighs the arithmetic."""
+    vectors this short numpy's per-call overhead outweighs the arithmetic;
+    compiled once per distinct source."""
     names, body, slope = _rhs_source(sys)
-    return _compile(sys, "rhs", [
+    return _compile(sys, [
         f"def rhs({', '.join(names)}):",
         *("    " + line for line in body),
         f"    return {', '.join(slope)},",
-    ])
+    ])["rhs"]
 
 
 def _make_march(sys):
     """Generate march(y, h, nsteps, stride, record) for one system: the
     whole implicit-midpoint run from the state y, as described in integrate,
     with the RHS of _rhs_source inlined, the sweep unrolled over 2N, and the
-    halt checks, _FP_TOL and _MAX_FP_ITER baked in.
+    halt checks, _FP_TOL and _MAX_FP_ITER baked in; compiled once per
+    distinct source.
 
     Each fixed-point pass evaluates the RHS at w = (y + x)/2 and sweeps x to
     y + h rhs(w).  Step 1 opens with one pass at x = y, where w = y exactly:
@@ -291,7 +296,7 @@ def _make_march(sys):
                        for i, bi in enumerate(sys.b) if bi != 0.0)
     state = f"[{', '.join(y)}]"
     halt = "return kstep, done, nfev, fp_worst, {}, " + state
-    return _compile(sys, "march", [
+    return _compile(sys, [
         "def march(y, h, nsteps, stride, record):",
         f"    {', '.join(y)} = y",
         f"    {' = '.join(', '.join(v) for v in (x, f2, f3, f4))} = y",
@@ -335,25 +340,10 @@ def _make_march(sys):
         *predictor("{g}"),
         f"        {', '.join(f4 + f3 + f2)} = {', '.join(f3 + f2 + g)}",
         "    return nsteps, done, nfev, fp_worst, None, None, None",
-    ])
+    ])["march"]
 
 
-_KERNELS = weakref.WeakKeyDictionary()
-
-
-def _kernel(sys, make):
-    """The kernel that make (_make_rhs or _make_march) generates for sys,
-    generated on first use: a system is fixed once built, so its kernels
-    are too.  Each is generated only for the runs that use it, since
-    compiling the midpoint run costs several times more than compiling the
-    RHS.  The adaptive integrator's kernel depends on the dimension alone
-    and is kept per dimension instead (_dop853)."""
-    kernels = _KERNELS.setdefault(sys, {})
-    if make not in kernels:
-        kernels[make] = make(sys)
-    return kernels[make]
-
-
+@cache
 def _make_dop853(m):
     """Generate (attempt, dense) for states of m floats: one attempted step
     of the explicit Runge-Kutta 8(5,3) pair DOP853 (Hairer, Norsett and
@@ -361,9 +351,9 @@ def _make_dop853(m):
     Both are straight-line code unrolled over the stages and the m
     components, with the tableau of scipy.integrate's DOP853 as literals,
     read from the installed scipy.integrate._ivp.dop853_coefficients (zero
-    entries dropped).  Each stage calls the system's rhs, passed in, so one
-    kernel serves every system of dimension m/2; inlining the RHS would cost
-    a compile per system.
+    entries dropped), compiled as one source once per m.  Each stage calls
+    the system's rhs, passed in, so one kernel serves every system of
+    dimension m/2.
 
     attempt(rhs, y, f, h, rtol, atol) steps from y, f = rhs(y), by h > 0 and
     returns (err, y_new, k): scipy's DOP853 error norm (the 5th- and
@@ -421,21 +411,11 @@ def _make_dop853(m):
           for row in tab.D),
         "        ]",
     ]
-    label = f"DOP853 kernel for m = {m}"
-    return (_exec("attempt", ["def attempt(rhs, y, f, h, rtol, atol):",
-                              *("    " + line for line in attempt)], label),
-            _exec("dense", ["def dense(rhs, y, y_new, k, h):",
-                            *("    " + line for line in dense)], label))
-
-
-_DOP853 = {}
-
-
-def _dop853(m):
-    """(attempt, dense) of _make_dop853 for dimension m, generated once."""
-    if m not in _DOP853:
-        _DOP853[m] = _make_dop853(m)
-    return _DOP853[m]
+    env = _exec("\n".join(["def attempt(rhs, y, f, h, rtol, atol):",
+                           *("    " + line for line in attempt),
+                           "def dense(rhs, y, y_new, k, h):",
+                           *("    " + line for line in dense)]))
+    return env["attempt"], env["dense"]
 
 
 def _interpolate(rows, x, y_old):
@@ -486,7 +466,7 @@ def _initial_step(rhs, y, f, t_end, rtol, atol) -> float:
 def gradient(sys, s: PhaseState) -> tuple[np.ndarray, np.ndarray]:
     """Analytic (dH/dq, dH/dp), assembled from f, f' and U'."""
     _validate(sys, s)
-    ydot = np.array(_kernel(sys, _make_rhs)(*s.q.tolist(), *s.p.tolist()))
+    ydot = np.array(_make_rhs(sys)(*s.q.tolist(), *s.p.tolist()))
     return -ydot[sys.n:], ydot[:sys.n]
 
 
@@ -661,8 +641,8 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
                 raise ValueError(f"atol must be positive, got {atol}")
             # Python floats throughout: a numpy scalar would slow every attempt
             rtol, atol, t_end = max(float(rtol), _MIN_RTOL), float(atol), float(t_end)
-            rhs = _kernel(sys, _make_rhs)
-            attempt, dense = _dop853(2 * n)
+            rhs = _make_rhs(sys)
+            attempt, dense = _make_dop853(2 * n)
             sample_ts = np.linspace(0.0, t_end, samples).tolist()
             next_i = 1
             t, y = 0.0, y0.tolist()
@@ -729,7 +709,7 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
                 raise ValueError(f"step must be positive, got {step}")
             nsteps = max(1, round(t_end / step))
             h = t_end / nsteps
-            kstep, steps, nfev, fp_worst, halted, exc, y = _kernel(sys, _make_march)(
+            kstep, steps, nfev, fp_worst, halted, exc, y = _make_march(sys)(
                 y0.tolist(), h, nsteps, max(1, nsteps // (samples - 1)),
                 lambda t_s, y_s: queue([t_s], y_s))
             if isinstance(exc, QuadratureError):

@@ -207,7 +207,11 @@ def _as_fraction(v) -> Fraction:
         return Fraction(v)
     if isinstance(v, float):
         # rational parameter supplied as a float: snap to a small denominator
-        return Fraction(v).limit_denominator(1_000_000)
+        out = Fraction(v).limit_denominator(1_000_000)
+        if v and not out:
+            raise MetricError(f"cannot interpret {v!r} as a rational number: "
+                              f"it rounds to 0 at denominators up to 10^6")
+        return out
     raise MetricError(f"cannot interpret {v!r} as a rational number")
 
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import builtins
 import hashlib
 import json
 import math
@@ -279,6 +280,41 @@ def test_simulate_rejects_disjoint_space_and_potential_domains(tmp_path, capsys)
     assert code == 2
     assert err == "config error: metric and potential domains do not overlap\n"
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("system", [
+    "space: {id: nu-fold, params: {nu: 3.0e-7}}\npotential: none\n",
+    "potential:\n  named-system: {id: multifold-kepler, nu: 3.0e-7}\n",
+])
+def test_a_tiny_float_nu_is_an_error_that_names_it(system, tmp_path, capsys):
+    # nu is snapped to a rational of denominator <= 10^6, which turns 3e-7
+    # into 0: the error quotes the value given, not the 0
+    config = tmp_path / "run.yaml"
+    config.write_text(system + "initial:\n"
+                      "  cartesian: {q: [1.0, 0.2, 0.3], p: [0.1, -0.2, 0.4]}\n"
+                      "t_end: 1.0\n")
+    code, _, err = run_cli(capsys, "simulate", "--config", str(config),
+                           "--out", str(tmp_path / "run"))
+    assert code == 2
+    assert err == ("config error: cannot interpret 3e-07 as a rational number: "
+                   "it rounds to 0 at denominators up to 10^6\n")
+
+
+def test_repeated_simulate_of_one_config_compiles_one_kernel(tmp_path, capsys, monkeypatch):
+    # each simulate builds its system anew from the config; the midpoint
+    # run it generates prints the same, so it is compiled once
+    compiled = []
+    monkeypatch.setattr(dynamics, "compile", lambda *a: compiled.append(a) or builtins.compile(*a),
+                        raising=False)
+    config = tmp_path / "run.yaml"
+    config.write_text(DARBOUX3B_MIDPOINT_YAML.replace("mu2: 0.3", "mu2: 0.37")
+                      .replace("t_end: 1.0", "t_end: 0.1"))
+    for k in range(4):
+        code, _, _ = run_cli(capsys, "simulate", "--config", str(config),
+                             "--out", str(tmp_path / f"run{k}"))
+        assert code == 0
+    assert len(compiled) == 1
+    assert len({(tmp_path / f"run{k}" / "trajectory.csv").read_bytes() for k in range(4)}) == 1
 
 
 def test_config_accepts_dotless_exponent_strings():

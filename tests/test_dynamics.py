@@ -1,7 +1,10 @@
 import ast
 import builtins
+import dis
+import functools
 import hashlib
 import math
+import types
 
 import numpy as np
 import pytest
@@ -277,14 +280,14 @@ def test_generated_march_and_attempt_call_no_abs_or_max(monkeypatch):
     # floats directly; darboux3b's f and kc's U' call no abs
     sources = []
     real = dynamics._exec
-    monkeypatch.setattr(dynamics, "_exec", lambda name, lines, *a, **kw:
-                        sources.append("\n".join(lines)) or real(name, lines, *a, **kw))
-    monkeypatch.setattr(dynamics, "_DOP853", {})
+    monkeypatch.setattr(dynamics, "_exec", lambda source, *a:
+                        sources.append(source) or real(source, *a))
+    monkeypatch.setattr(dynamics, "_make_dop853", functools.cache(dynamics._make_dop853.__wrapped__))
     sys, s0 = _darboux3b_kc_with_b()
     integrate(sys, s0, 0.01)
     integrate(sys, s0, 0.01, method="midpoint")
-    assert [src.split("(", 1)[0] for src in sources] == [
-        "def rhs", "def attempt", "def dense", "def march"]
+    assert [src.split("(", 1)[0] for src in sources] == ["def rhs", "def attempt", "def march"]
+    assert "\ndef dense(" in sources[1]
     for src in sources:
         assert "abs(" not in src and "max(" not in src
 
@@ -312,31 +315,105 @@ def test_midpoint_halts_where_u_prime_raises_with_its_first_exception(q1, p1, re
     assert (rec.stats["steps"], rec.stats["nfev"]) == (steps, nfev)
 
 
-def test_kernels_are_generated_once_per_system(monkeypatch):
-    made = []
-    for name in ("_make_rhs", "_make_march", "_make_dop853"):
-        real = getattr(dynamics, name)
-        monkeypatch.setattr(dynamics, name,
-                            lambda arg, name=name, real=real: made.append(name) or real(arg))
-    monkeypatch.setattr(dynamics, "_DOP853", {})
-    sys = SystemSpec(EUCLID, kc_potential(EUCLID, 1.0), n=3)
-    s = PhaseState([1.0, 2.0, 2.0], [0.2, -0.1, 0.4])
-    for _ in range(3):
-        gradient(sys, s)
-    integrate(sys, s, 0.1)
-    # an adaptive run compiles no midpoint run
-    assert made == ["_make_rhs", "_make_dop853"]
-    for _ in range(2):
+def test_kernels_are_compiled_once_per_distinct_source(monkeypatch):
+    monkeypatch.setattr(dynamics, "_make_dop853", functools.cache(dynamics._make_dop853.__wrapped__))
+    dynamics._exec.cache_clear()
+
+    def compiles():
+        return dynamics._exec.cache_info().misses
+
+    def build(mu2=0.3, b=(0.2, 0.0, 0.5)):
+        metric = metric_of("darboux3b")
+        return SystemSpec(metric, kc_potential(metric, 1.0), mu2=mu2, b=b)
+
+    s = PhaseState([0.9, 0.7, 0.5], [0.2, -0.3, 0.1])
+    first, twin = build(), build()
+    assert twin is not first
+    integrate(first, s, 0.1)
+    # an adaptive run compiles its RHS and the DOP853 kernel, no midpoint run
+    assert compiles() == 2
+    # a system built alike shares both; its midpoint run is compiled once
+    gradient(twin, s)
+    integrate(twin, s, 0.1)
+    assert compiles() == 2
+    for sys in (first, twin, first):
         integrate(sys, s, 0.1, method="midpoint")
-    assert made == ["_make_rhs", "_make_dop853", "_make_march"]
-    # the DOP853 kernel is one per dimension: a second system of the same
-    # dimension reuses it, a system of another dimension makes its own
-    for other in (SystemSpec(EUCLID, None, n=3), SystemSpec(EUCLID, None, n=4)):
-        for _ in range(2):
-            integrate(other, PhaseState([1.0, 2.0] + [1.0] * (other.n - 2),
-                                        [0.2, -0.1] + [0.1] * (other.n - 2)), 0.1)
-    assert made == ["_make_rhs", "_make_dop853", "_make_march", "_make_rhs",
-                    "_make_rhs", "_make_dop853"]
+    assert compiles() == 3
+    assert dynamics._make_rhs(first) is dynamics._make_rhs(twin)
+    assert dynamics._make_march(first) is dynamics._make_march(twin)
+    # one b_i or mu2 apart, a system compiles its own RHS and midpoint run
+    for other in (build(b=(0.2, 0.0, 0.51)), build(mu2=0.31)):
+        integrate(other, s, 0.1)
+        integrate(other, s, 0.1, method="midpoint")
+        assert dynamics._make_rhs(other) is not dynamics._make_rhs(first)
+    assert compiles() == 7
+    # the DOP853 kernel is one per dimension
+    for n in (3, 4, 4):
+        integrate(SystemSpec(EUCLID, None, n=n),
+                  PhaseState([1.0, 2.0] + [1.0] * (n - 2), [0.2, -0.1] + [0.1] * (n - 2)), 0.1)
+    assert dynamics._make_dop853.cache_info().misses == 2
+    assert compiles() == 10
+
+
+def test_a_quadrature_backed_u_prime_is_part_of_the_kernel_key():
+    # kc on a metric without a closed-form U: alpha enters only through
+    # potential.du, so both RHS texts are the same and only du tells them apart
+    metric = MetricSpec.from_source("1/(1 + 0.2*r^2)", id="custom")
+    systems = [SystemSpec(metric, kc_potential(metric, alpha), mu2=0.1, n=3)
+               for alpha in (0.5, 0.7)]
+    s0 = PhaseState([1.0, 0.2, 0.3], [0.1, 0.6, 0.4])
+    assert dynamics._rhs_source(systems[0]) == dynamics._rhs_source(systems[1])
+    assert dynamics._make_rhs(systems[0]) is not dynamics._make_rhs(systems[1])
+    for method in ("adaptive", "midpoint"):
+        shared = [integrate(sys, s0, 0.5, method=method, samples=6) for sys in systems]
+        assert not np.array_equal(shared[0].p, shared[1].p)
+        for sys, rec in zip(systems, shared):
+            dynamics._exec.cache_clear()
+            fresh = integrate(sys, s0, 0.5, method=method, samples=6)
+            assert np.array_equal(np.hstack([rec.q, rec.p]), np.hstack([fresh.q, fresh.p]))
+            assert rec.stats == fresh.stats
+
+
+def _global_names(code):
+    """The names code and the code objects nested in it load as globals."""
+    names = {i.argval for i in dis.get_instructions(code) if i.opname == "LOAD_GLOBAL"}
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _global_names(const)
+    return names
+
+
+def test_kernels_read_nothing_but_their_source_and_key(monkeypatch):
+    # kernels are shared by source text, the domain check and a quadrature
+    # U': a kernel that read any other per-system value would hand one
+    # system's value to another that prints alike
+    sources = []
+    real = dynamics._exec
+    monkeypatch.setattr(dynamics, "_exec", lambda source, *a:
+                        sources.append(source) or real(source, *a))
+    namespace = set(real("pass"))
+
+    def kernels(sys):
+        del sources[:]
+        made = dynamics._make_rhs(sys), dynamics._make_march(sys)
+        return made, list(sources)
+
+    def with_quadrature_u():
+        metric = MetricSpec.from_source("1/(1 + 0.2*r^2)", id="custom")
+        return SystemSpec(metric, kc_potential(metric, 0.8), mu2=0.3, b=(0.2, 0.0, 0.5))
+
+    pairs = list(zip(_kernel_systems(), _kernel_systems()))
+    pairs.append((with_quadrature_u(), with_quadrature_u()))
+    for sys, twin in pairs:
+        made, text = kernels(sys)
+        assert kernels(twin)[1] == text, sys.label
+        for kernel in made:
+            assert _global_names(kernel.__code__) <= namespace, sys.label
+    attempt, dense = dynamics._make_dop853.__wrapped__(6)
+    assert dynamics._make_dop853.__wrapped__(6) == (attempt, dense)
+    for kernel in (attempt, dense):
+        assert _global_names(kernel.__code__) <= namespace
+    assert len(pairs) == 3 * len(CATALOG) + len(NAMED_SYSTEMS) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +430,7 @@ def _scipy_reference(sys, s0, t_end, samples):
     from scipy.integrate import DOP853
 
     n = sys.n
-    kernel = dynamics._kernel(sys, dynamics._make_rhs)
+    kernel = dynamics._make_rhs(sys)
 
     def fun(t, y):
         try:
@@ -481,7 +558,7 @@ def test_a_stage_outside_the_domain_rejects_the_attempt(monkeypatch):
     # raises the metric's DomainViolation, which rejects the attempt and
     # cuts h by 0.2; every state a returned attempt reached lies inside the
     # strip, so the run leaves it only through the bisection of a step
-    attempt, dense = dynamics._dop853(6)
+    attempt, dense = dynamics._make_dop853(6)
     log = []
 
     def spy(rhs, y, f, h, rtol, atol):
@@ -493,7 +570,7 @@ def test_a_stage_outside_the_domain_rejects_the_attempt(monkeypatch):
         log.append((h, err, y_new))
         return err, y_new, k
 
-    monkeypatch.setitem(dynamics._DOP853, 6, (spy, dense))
+    monkeypatch.setattr(dynamics, "_make_dop853", lambda m: (spy, dense))
     metric = MetricSpec.from_source("1", id="flat-strip", domain=(0.5, 2.0))
     sys = SystemSpec(metric, None, mu2=0.0, n=3)
     q0 = np.array([1.2, 0.3, 0.4])
