@@ -425,6 +425,8 @@ def build_config(data) -> RunConfig:
                         ("integrator.step", step), ("t_end", t_end)):
         if not value > 0.0:
             raise ConfigError(f"{name} must be positive, got {value}")
+    if method == "midpoint" and math.isinf(t_end / step):
+        raise ConfigError(f"t_end / integrator.step must be finite, got {t_end} / {step}")
     if samples < 2:
         raise ConfigError(f"samples must be >= 2, got {samples}")
     _check_seed(seed)

@@ -24,14 +24,15 @@ Integration, sec. VIII.6.1), which puts it O(h^5) from the root, so on a
 smooth orbit most steps converge after one RHS call.
 
 Both integrators run on kernels generated as straight-line Python source
-on plain floats, comparing without abs or max, and compiled once per
-distinct source (see _exec).  From a system's constants, baked in as
-literals (see _rhs_source): rhs(q0, ..., p{N-1}) -> ydot, and the whole
-midpoint run -- predictor, fixed-point iteration, halt checks and sample
-stride of every step in one call; they match the plain loop form of the
-chain rule bit for bit.  From the dimension alone: one DOP853 attempt and
-its dense-output rows, whose stages pass their points to the system's RHS
-(see _make_dop853); the adaptive step loop stays in integrate.
+on plain floats, comparing without abs or max; a kernel is its text, plus
+U' where U is quadrature-backed, and compiles once per key (see _exec).
+From a system's constants and its metric's domain check, as literals (see
+_rhs_source): rhs(q0, ..., p{N-1}) -> ydot, and the whole midpoint run --
+predictor, fixed-point iteration, halt checks and sample stride of every
+step in one call; they match the plain loop form of the chain rule bit for
+bit.  From the dimension alone: one DOP853 attempt and its dense-output
+rows, whose stages pass their points to the system's RHS (see
+_make_dop853); the adaptive step loop stays in integrate.
 
 Integration halts early, recording the reason and the last valid state,
 when a centrifugal axis is approached or crossed (|q_i| < 1e-10 or a sign
@@ -52,7 +53,7 @@ import numpy as np
 from .algebra import PhaseState, sl2_columns, _check_b, _nonzero, _ordered_sum, _towers
 from .algebra import integral_set  # noqa: F401  (perfbench/tracing.py wraps it by this name)
 from .exprlang import to_python_block
-from .geometry import DomainViolation
+from .geometry import DomainViolation, _outside_domain
 from .potentials import QuadratureError
 
 __all__ = [
@@ -164,9 +165,9 @@ def _rhs_source(sys):
         dH/dp_i = p_i / f^2
         dH/dq_i = [-mu^2 q_i/r^4 - b_i/q_i^3]/f^2 - K f' q_i/(f^3 r) + U' q_i/r
 
-    The system fixes N, mu^2, the b_i, f, f', U' and the metric domain, so
-    all of them are baked in: unrolled over N, with terms only for the
-    non-zero b_i, the domain bounds as literals, and f, f' and U' (a call to
+    The system fixes N, mu^2, the b_i, f, f', U' and the metric's domain and
+    id, so all are baked in: unrolled over N, with terms only for the
+    non-zero b_i, the domain check as literals, and f, f' and U' (a call to
     potential.du if U is quadrature-backed) from one exprlang.to_python_block,
     which evaluates each value they share once, as the body does q_i^2 and
     f^2.  The float operations are those of the loop form of the formulas
@@ -197,7 +198,7 @@ def _rhs_source(sys):
                              for i, x in enumerate(q)),
         "r = math.sqrt(r2)",
         f"if not {lo!r} < r < {hi!r}:",
-        "    check_domain(r)",
+        f"    outside_domain(r, {lo!r}, {hi!r}, {metric.id!r})",
         f"fr = {f}",
         "f2 = fr * fr",
         "inv_f2 = 1.0 / f2",
@@ -213,27 +214,27 @@ def _rhs_source(sys):
 
 
 @lru_cache(maxsize=64)
-def _exec(source, check_domain=None, du=None):
+def _exec(source, du=None):
     """Compile generated source and return its namespace.  Every float
-    literal prints by repr, so inf and nan are bound as names; check_domain
-    and du are the only calls out.  A kernel reads nothing else, so the
-    source and the two calls are its whole key: systems whose kernels print
-    alike share one compile."""
+    literal prints by repr, so inf and nan are bound as names; du, a
+    quadrature-backed U', is the only call out that is not fixed.  A kernel
+    reads nothing else, so its text, plus du, is its whole key: systems
+    whose kernels print alike share one compile."""
     env = {"math": math, "abs": abs, "range": range, "inf": math.inf, "nan": math.nan,
-           "ValueError": ValueError, "ArithmeticError": ArithmeticError, "du": du,
-           "QuadratureError": QuadratureError, "check_domain": check_domain, "__builtins__": {}}
+           "ValueError": ValueError, "ArithmeticError": ArithmeticError, "__builtins__": {},
+           "QuadratureError": QuadratureError, "outside_domain": _outside_domain, "du": du}
     exec(compile(source, "<generated kernel>", "exec"), env)
     return env
 
 
 def _compile(sys, lines):
-    """_exec of one system's kernel source.  Its calls out are the metric
-    domain check, and U' only where U is quadrature-backed: any other U'
-    is in the text.  Each kernel is made only by the runs that use it, as
-    compiling the midpoint run costs several times more than the RHS."""
+    """_exec of one system's kernel source, with U' only where U is
+    quadrature-backed: any other U' is in the text.  Each kernel is made
+    only by the runs that use it, as compiling the midpoint run costs
+    several times more than the RHS."""
     potential = sys.potential
     du = potential.du if potential is not None and potential.du_expr is None else None
-    return _exec("\n".join(lines), sys.metric.check_domain, du)
+    return _exec("\n".join(lines), du)
 
 
 def _make_rhs(sys):
@@ -705,8 +706,8 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
                     last = t_hi, at(t_hi).tolist()
                     break
         else:
-            if not step > 0:
-                raise ValueError(f"step must be positive, got {step}")
+            if not step > 0 or math.isinf(t_end / step):
+                raise ValueError(f"need step > 0 and t_end / step finite, got {t_end} / {step}")
             nsteps = max(1, round(t_end / step))
             h = t_end / nsteps
             kstep, steps, nfev, fp_worst, halted, exc, y = _make_march(sys)(

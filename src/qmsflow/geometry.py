@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NoReturn
 
 import numpy as np
 
@@ -35,6 +35,12 @@ class DomainViolation(ValueError):
 
 
 _MARGIN = 1e-3
+_BUILT: dict = {}   # MetricSpec.from_source's key -> MetricSpec, <= 64
+
+
+def _outside_domain(r: float, lo: float, hi: float, id: str) -> NoReturn:
+    """The DomainViolation of MetricSpec.check_domain and generated kernels."""
+    raise DomainViolation(f"r = {r} outside domain ({lo}, {hi}) of metric '{id}'")
 
 
 def sample_radii(domain: tuple[float, float], n: int = 64) -> np.ndarray:
@@ -85,16 +91,25 @@ class MetricSpec:
     def from_source(cls, source: str, params: Mapping | None = None,
                     domain: tuple[float, float] = (0.0, math.inf),
                     id: str = "custom") -> "MetricSpec":
-        expr = exprlang.parse(source, params=set(params or {}))
-        return cls(id, expr, params=params, domain=domain)
+        """The metric of f given as source text.  A MetricSpec is immutable,
+        so builds are kept by value: source, reprs of the sorted parameters
+        and of the domain, and id."""
+        key = (source, repr(sorted((params or {}).items())), repr(domain), id)
+        metric = _BUILT.get(key)
+        if metric is None:
+            expr = exprlang.parse(source, params=set(params or {}))
+            metric = cls(id, expr, params=params, domain=domain)
+            if len(_BUILT) >= 64:
+                _BUILT.clear()
+            _BUILT[key] = metric
+        return metric
 
     # -- evaluation ---------------------------------------------------------
 
     def check_domain(self, r: float) -> None:
         lo, hi = self.domain
         if not (lo < r < hi):
-            raise DomainViolation(
-                f"r = {r} outside domain ({lo}, {hi}) of metric '{self.id}'")
+            _outside_domain(r, lo, hi, self.id)
 
     def f(self, r: float) -> float:
         self.check_domain(r)
@@ -266,28 +281,20 @@ def _nu_fold_domain(a: float, b: float, nu: Fraction) -> tuple[float, float]:
     raise MetricError(f"nu-fold: empty domain for a = {a}, b = {b}")
 
 
-_BUILT: dict = {}   # (id, repr of the merged parameters) -> MetricSpec, <= 64
-
-
 def catalog_lookup(id: str, params: Mapping | None = None) -> MetricSpec:
     """The MetricSpec for a catalog id.
 
     Missing parameters take the entry's defaults.  Unknown ids and
-    out-of-range parameters raise MetricError.  A MetricSpec is immutable,
-    so builds are kept and reused.
+    out-of-range parameters raise MetricError.  The build itself is
+    MetricSpec.from_source's, kept by value there.
     """
     if id not in CATALOG:
         raise MetricError(f"unknown space id '{id}' (known: {', '.join(CATALOG)})")
     entry = CATALOG[id]
-    given = dict(params or {})
-    unknown = set(given) - set(entry.defaults)
+    values = {**entry.defaults, **(params or {})}
+    unknown = set(values) - set(entry.defaults)
     if unknown:
         raise MetricError(f"space '{id}' takes no parameter(s) {sorted(unknown)}")
-    values = dict(entry.defaults)
-    values.update(given)
-    key = (id, repr(sorted(values.items())))
-    if key in _BUILT:
-        return _BUILT[key]
 
     if "nu" in values:
         nu = _as_fraction(values["nu"])
@@ -313,9 +320,4 @@ def catalog_lookup(id: str, params: Mapping | None = None) -> MetricSpec:
             raise MetricError("nu-fold requires a != 0; use 'nu-fold-a0' for a = 0")
         domain = _nu_fold_domain(float(values["a"]), float(values["b"]), values["nu"])
 
-    expr = exprlang.parse(entry.f_source, params=set(values))
-    metric = MetricSpec(id, expr, params=values, domain=domain)
-    if len(_BUILT) >= 64:
-        _BUILT.clear()
-    _BUILT[key] = metric
-    return metric
+    return MetricSpec.from_source(entry.f_source, params=values, domain=domain, id=id)

@@ -164,7 +164,7 @@ def _quadrature_pair(metric: MetricSpec):
     return (lambda r: _quad_green(metric, r, r0)), (lambda r: 1.0 / (r * r * f(r)))
 
 
-# a PotentialSpec is not changed once built, so builds are kept, as in catalog_lookup
+# a PotentialSpec is not changed once built, so builds are kept, as metrics are
 @functools.lru_cache(maxsize=64)
 def kc_potential(metric: MetricSpec, alpha: float) -> PotentialSpec:
     """Intrinsic Kepler-Coulomb potential alpha * U(r)."""
@@ -323,23 +323,18 @@ def _build_multifold(nu, a, b, c, d, mu2, n, centrifugal, label) -> SystemSpec:
     return SystemSpec(metric, pot, mu2=mu2, b=centrifugal, n=n, label=label)
 
 
-def _mic_kepler_family(which: str, alpha: float, mu2: float, n, centrifugal) -> SystemSpec:
-    alpha = float(alpha)
-    if which == "flat":
+def _mic_kepler_family(id: str, alpha: float, mu2: float, n, centrifugal) -> SystemSpec:
+    if id == "mic-kepler":
         metric = catalog_lookup("euclidean")
         u_src = "-alpha/r" if alpha != 0.0 else "0"
-        label = "mic-kepler"
-    elif which == "spherical":
-        metric = MetricSpec.from_source("1/(1 + r^2)", id="mic-kepler-spherical")
+    elif id == "mic-kepler-spherical":
+        metric = MetricSpec.from_source("1/(1 + r^2)", id=id)
         u_src = "alpha*(r^2 - 1)/r"
-        label = "mic-kepler-spherical"
     else:
-        metric = MetricSpec.from_source("1/(1 - r^2)", domain=(0.0, 1.0),
-                                        id="mic-kepler-hyperbolic")
+        metric = MetricSpec.from_source("1/(1 - r^2)", domain=(0.0, 1.0), id=id)
         u_src = "-alpha*(r^2 + 1)/r"
-        label = "mic-kepler-hyperbolic"
     pot = PotentialSpec.from_expr(u_src, params={"alpha": alpha}, domain=metric.domain)
-    return SystemSpec(metric, pot, mu2=mu2, b=centrifugal, n=n, label=label)
+    return SystemSpec(metric, pot, mu2=mu2, b=centrifugal, n=n, label=id)
 
 
 NAMED_SYSTEMS = ("mic-kepler", "mic-kepler-spherical", "mic-kepler-hyperbolic",
@@ -374,9 +369,7 @@ def named_system(id: str, params: Mapping | None = None) -> SystemSpec:
 
     if id in ("mic-kepler", "mic-kepler-spherical", "mic-kepler-hyperbolic"):
         alpha = float(params.pop("alpha", 1.0))
-        which = {"mic-kepler": "flat", "mic-kepler-spherical": "spherical",
-                 "mic-kepler-hyperbolic": "hyperbolic"}[id]
-        return _mic_kepler_family(which, alpha, mu2, n, centrifugal)
+        return _mic_kepler_family(id, alpha, mu2, n, centrifugal)
 
     if id == "taub-nut-system":
         m = float(params.pop("m", 1.0))

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import builtins
+import functools
 import hashlib
 import json
 import math
@@ -300,20 +301,80 @@ def test_a_tiny_float_nu_is_an_error_that_names_it(system, tmp_path, capsys):
                    "it rounds to 0 at denominators up to 10^6\n")
 
 
-def test_repeated_simulate_of_one_config_compiles_one_kernel(tmp_path, capsys, monkeypatch):
-    # each simulate builds its system anew from the config; the midpoint
-    # run it generates prints the same, so it is compiled once
+@pytest.mark.parametrize("t_end, step, shown", [("1.0e306", "1.0e-3", "1e+306 / 0.001"),
+                                                 ("1.0", "1.0e-320", "1.0 / 1e-320")])
+def test_a_midpoint_step_count_that_overflows_is_a_config_error(t_end, step, shown, tmp_path,
+                                                                 capsys):
+    # round(t_end / step) of an infinite quotient would raise OverflowError
+    config = tmp_path / "run.yaml"
+    config.write_text(KEPLER_YAML.replace("method: adaptive", f"method: midpoint\n  step: {step}")
+                      .replace("t_end: 6.283185307179586", f"t_end: {t_end}"))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(config),
+                             "--out", str(tmp_path / "run"))
+    assert (code, out) == (2, "")
+    assert err == f"config error: t_end / integrator.step must be finite, got {shown}\n"
+    assert not (tmp_path / "run").exists()
+
+
+_CUSTOM_F_YAML = """\
+space:
+  f: "1/(1 + 0.2*r^2)"
+potential:
+  {potential}
+mu2: 0.21
+b: [0.05, 0.0, 0.06]
+initial:
+  cartesian:
+    q: [0.9, 0.55, 0.5]
+    p: [0.3, -0.4, 0.25]
+integrator:
+  method: {method}
+t_end: 0.1
+samples: 6
+"""
+
+_NAMED_YAML = """\
+potential:
+  named-system: {{id: {id}, alpha: 0.8, mu2: 0.23, centrifugal: [0.05, 0.0, 0.06]}}
+initial:
+  cartesian:
+    q: [0.4, 0.3, 0.25]
+    p: [0.3, -0.4, 0.25]
+integrator:
+  method: {method}
+t_end: 0.1
+samples: 6
+"""
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(DARBOUX3B_MIDPOINT_YAML.replace("mu2: 0.3", "mu2: 0.37")
+                 .replace("t_end: 1.0", "t_end: 0.1"), id="darboux3b-kc"),
+    pytest.param(_CUSTOM_F_YAML.format(potential='custom: {u: "-1/r + 0.1*r^2"}',
+                                       method="adaptive"), id="custom-f-custom-u"),
+    pytest.param(_CUSTOM_F_YAML.format(potential="kc: {alpha: 0.9}", method="midpoint"),
+                 id="custom-f-kc"),
+    pytest.param(_NAMED_YAML.format(id="mic-kepler-spherical", method="adaptive"),
+                 id="mic-kepler-spherical"),
+    pytest.param(_NAMED_YAML.format(id="mic-kepler-hyperbolic", method="midpoint"),
+                 id="mic-kepler-hyperbolic"),
+])
+def test_repeated_simulate_of_one_config_compiles_one_kernel(text, tmp_path, capsys, monkeypatch):
+    # each simulate builds its system anew from the config; its metric and
+    # potential are kept builds and its kernels print the same, so each is
+    # compiled once: the midpoint run, or the RHS and the DOP853 kernel
     compiled = []
     monkeypatch.setattr(dynamics, "compile", lambda *a: compiled.append(a) or builtins.compile(*a),
                         raising=False)
+    monkeypatch.setattr(dynamics, "_make_dop853", functools.cache(dynamics._make_dop853.__wrapped__))
+    dynamics._exec.cache_clear()
     config = tmp_path / "run.yaml"
-    config.write_text(DARBOUX3B_MIDPOINT_YAML.replace("mu2: 0.3", "mu2: 0.37")
-                      .replace("t_end: 1.0", "t_end: 0.1"))
+    config.write_text(text)
     for k in range(4):
         code, _, _ = run_cli(capsys, "simulate", "--config", str(config),
                              "--out", str(tmp_path / f"run{k}"))
         assert code == 0
-    assert len(compiled) == 1
+    assert len(compiled) == (1 if "method: midpoint" in text else 2)
     assert len({(tmp_path / f"run{k}" / "trajectory.csv").read_bytes() for k in range(4)}) == 1
 
 

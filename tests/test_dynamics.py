@@ -233,9 +233,16 @@ def test_generated_rhs_matches_the_loop_form_bit_for_bit():
     assert compared >= 1000
 
 
-@pytest.mark.parametrize("mid", ["euclidean", "hyperbolic", "darboux1", "darboux4"])
+# a space id with both quotes, a format field, a backslash and a newline:
+# the kernel text carries it as a literal, which must print it back verbatim
+HOSTILE_ID = 'it\'s "{r}" \\ a\nb'
+
+
+@pytest.mark.parametrize("mid", ["euclidean", "hyperbolic", "darboux1", "darboux4",
+                                 pytest.param(HOSTILE_ID, id="custom")])
 def test_generated_rhs_raises_the_metric_domain_message(mid):
-    metric = metric_of(mid)
+    metric = (metric_of(mid) if mid in CATALOG else
+              MetricSpec.from_source("1/(1 + 0.2*r^2)", domain=(0.5, 2.0), id=mid))
     sys = SystemSpec(metric, kc_potential(metric, 0.8), mu2=0.3, b=(0.5, 0.0, 0.2))
     lo, hi = metric.domain
     rhs = dynamics._make_rhs(sys)
@@ -247,6 +254,16 @@ def test_generated_rhs_raises_the_metric_domain_message(mid):
         with pytest.raises(DomainViolation) as got:
             rhs(*y)
         assert str(got.value) == str(want.value)
+    if mid == HOSTILE_ID:
+        # the Euler pass of a wide midpoint step lands far beyond hi, so the
+        # next pass evaluates the RHS out of the domain and the run quotes it
+        rec = integrate(sys, PhaseState([1.5, 0.3, 0.3], [20.0, 0.0, 0.0]), 1.0,
+                        method="midpoint", step=0.5)
+        assert rec.halted.startswith("rhs evaluation failed: r = ")
+        with pytest.raises(DomainViolation) as want:
+            metric.check_domain(float(rec.halted.split()[5]))
+        assert rec.halted == f"rhs evaluation failed: {want.value}"
+        assert HOSTILE_ID in rec.halted
 
 
 def _kernel_systems():
@@ -384,9 +401,9 @@ def _global_names(code):
 
 
 def test_kernels_read_nothing_but_their_source_and_key(monkeypatch):
-    # kernels are shared by source text, the domain check and a quadrature
-    # U': a kernel that read any other per-system value would hand one
-    # system's value to another that prints alike
+    # kernels are shared by source text and a quadrature U': a kernel that
+    # read any other per-system value would hand one system's value to
+    # another that prints alike
     sources = []
     real = dynamics._exec
     monkeypatch.setattr(dynamics, "_exec", lambda source, *a:
@@ -711,6 +728,24 @@ def test_implicit_midpoint_energy_drift_is_bounded_not_secular():
     # oscillatory, not secular: |H(t) - H(0)| must not grow linearly
     slope = np.polyfit(rec.times, np.abs(rec.series["H"] - rec.series["H"][0]), 1)[0]
     assert abs(slope) <= 1e-9
+
+
+@pytest.mark.parametrize("t_end, step, samples, rows", [(4.0, 1e-3, 7, 8), (0.05, 0.01, 11, 6)])
+def test_midpoint_rows_are_every_stride_th_step_and_the_last(t_end, step, samples, rows):
+    # round(t_end/step) steps, stride = max(1, steps // (samples - 1)): 4000
+    # steps at stride 666 give t = 0, six multiples of 666 h and the last;
+    # 5 steps at stride 1 give t = 0 and all five
+    sys, s0 = _circular_kepler()
+    rec = integrate(sys, s0, t_end, method="midpoint", step=step, samples=samples)
+    assert rec.halted is None and len(rec.times) == rows
+    assert rec.times[-1] == pytest.approx(t_end, rel=1e-12)
+
+
+@pytest.mark.parametrize("t_end, step", [(1.0e306, 1e-3), (1.0, 1e-320)])
+def test_midpoint_rejects_a_step_count_that_overflows(t_end, step):
+    sys, s0 = _circular_kepler()
+    with pytest.raises(ValueError, match=r"t_end / step finite, got .* / "):
+        integrate(sys, s0, t_end, method="midpoint", step=step)
 
 
 def test_midpoint_agrees_with_adaptive():

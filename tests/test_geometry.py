@@ -104,6 +104,27 @@ def test_a_repeated_lookup_returns_the_kept_build():
             catalog_lookup("nu-fold", {"a": 1, "b": 1, "nu": -2})
 
 
+def test_a_repeated_custom_build_returns_the_kept_build():
+    def build(params=None, domain=(0.0, math.inf), id="kept"):
+        return MetricSpec.from_source("sqrt(k+r^2)", params=params or {"k": 2.0},
+                                      domain=domain, id=id)
+
+    m = build()
+    assert build() is m and build({"k": 2.0}, (0.0, math.inf), "kept") is m
+    # another id, and equal parameters of another type or sign, build anew
+    assert build(id="other") is not m
+    two = build({"k": 2})
+    assert two is not m and repr(two.params["k"]) == "2"
+    assert build({"k": -0.0}) is not build({"k": 0.0})
+    # a catalog lookup is a build like any other, so equal values share it
+    catalog = catalog_lookup("darboux3b", {"k": 2.0})
+    assert build(id="darboux3b") is catalog
+    # a failed build is not kept
+    for _ in range(2):
+        with pytest.raises(MetricError):
+            MetricSpec.from_source("ln(r)", domain=(0.1, math.inf), id="kept")
+
+
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_construction_rejects_a_non_finite_parameter(value):
     with pytest.raises(ValueError, match="parameter 'w'.*not finite"):
