@@ -66,7 +66,7 @@ from .coords import (
 from .coords import angular_chain  # noqa: F401  (perfbench/tracing.py wraps it by this name)
 from .coords import from_cartesian  # noqa: F401  (perfbench/tracing.py wraps it by this name)
 from .coords import spherical_casimir  # noqa: F401  (perfbench/tracing.py wraps it by this name)
-from .dynamics import _audit, _f_and_u, conservation_report, hamiltonian, integrate
+from .dynamics import _MAX_STEPS, _audit, _f_and_u, conservation_report, hamiltonian, integrate
 from .exprlang import ExprError
 from .geometry import (
     CATALOG,
@@ -425,8 +425,9 @@ def build_config(data) -> RunConfig:
                         ("integrator.step", step), ("t_end", t_end)):
         if not value > 0.0:
             raise ConfigError(f"{name} must be positive, got {value}")
-    if method == "midpoint" and math.isinf(t_end / step):
-        raise ConfigError(f"t_end / integrator.step must be finite, got {t_end} / {step}")
+    if method == "midpoint" and not t_end / step <= _MAX_STEPS:
+        bound = "finite" if math.isinf(t_end / step) else f"at most {_MAX_STEPS}"
+        raise ConfigError(f"t_end / integrator.step must be {bound}, got {t_end} / {step}")
     if samples < 2:
         raise ConfigError(f"samples must be >= 2, got {samples}")
     _check_seed(seed)

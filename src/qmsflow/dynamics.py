@@ -27,12 +27,14 @@ Both integrators run on kernels generated as straight-line Python source
 on plain floats, comparing without abs or max; a kernel is its text, plus
 U' where U is quadrature-backed, and compiles once per key (see _exec).
 From a system's constants and its metric's domain check, as literals (see
-_rhs_source): rhs(q0, ..., p{N-1}) -> ydot, and the whole midpoint run --
-predictor, fixed-point iteration, halt checks and sample stride of every
-step in one call; they match the plain loop form of the chain rule bit for
-bit.  From the dimension alone: one DOP853 attempt and its dense-output
-rows, whose stages pass their points to the system's RHS (see
-_make_dop853); the adaptive step loop stays in integrate.
+_rhs_source): rhs(q0, ..., p{N-1}) -> ydot with the halt rule halt(x, y)
+in the same source, and the whole midpoint run -- predictor, fixed-point
+iteration, halt checks and sample stride of every step in one call; they
+match the plain loop form of the chain rule bit for bit, and both take
+their halt checks from one generator (_halt_lines).  From the dimension
+alone: one DOP853 attempt and its dense-output rows, whose stages pass
+their points to the system's RHS (see _make_dop853); the adaptive step
+loop stays in integrate.
 
 Integration halts early, recording the reason and the last valid state,
 when a centrifugal axis is approached or crossed (|q_i| < 1e-10 or a sign
@@ -65,6 +67,7 @@ _AXIS_EPS = 1e-10   # |q_i| below this with b_i != 0 counts as singular
 _EDGE_EPS = 1e-10   # margin for domain-exit detection
 _FP_TOL = 1e-13     # midpoint fixed-point tolerance, relative to 1 + max|y|
 _MAX_FP_ITER = 100  # fixed-point passes per midpoint step before a stall
+_MAX_STEPS = 10**9  # most midpoint steps a run may take
 _DRIFT_TOL = 1e-7   # conservation_report passes a drift up to this
 _QUEUE = 512        # samples integrate queues before a column pass over them
 
@@ -72,12 +75,6 @@ _QUEUE = 512        # samples integrate queues before a column pass over them
 # order 7, so a step scales by err^(-1/8) within [0.2, 10]
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ERR_EXPONENT = 0.9, 0.2, 10.0, -1.0 / 8.0
 _MIN_RTOL = 100.0 * math.ulp(1.0)
-
-
-def _radius(q) -> float:
-    """|q| of a sequence of floats, summed in order: the r of the generated
-    RHS, of the halt checks and of the audit."""
-    return math.sqrt(_ordered_sum(x * x for x in q))
 
 
 def _halt_bounds(sys) -> tuple[float, float]:
@@ -115,7 +112,7 @@ def _validate(sys, s: PhaseState) -> float:
     if s.n != sys.n:
         raise ValueError(f"state has dimension {s.n}, system expects {sys.n}")
     _check_b(s.q, sys.b)
-    r = _radius(s.q.tolist())
+    r = math.sqrt(_ordered_sum(x * x for x in s.q.tolist()))  # as the kernels sum |q|
     _check_domain(sys.domain, r)
     return r
 
@@ -237,16 +234,41 @@ def _compile(sys, lines):
     return _exec("\n".join(lines), du)
 
 
+def _halt_lines(sys, x, y, stop):
+    """The halt rule of a step from the state y to x, given the names of
+    their 2N components: lines that run stop, a statement with {} for the
+    reason's literal, for the first halt that applies.  |q| of x outside
+    (rmin, rmax) (a NaN too) is "domain-exit"; for each b_i != 0,
+    |x_i| < _AXIS_EPS or x_i y_i <= 0 (q_i changed sign) is
+    "singular-axis".  Both integrators halt by these lines (see _make_rhs
+    and _make_march)."""
+    rmin, rmax = _halt_bounds(sys)
+    r2 = " + ".join(f"{v} * {v}" for v in x[:sys.n])
+    axes = " or ".join(f"{-_AXIS_EPS!r} < {x[i]} < {_AXIS_EPS!r} or {x[i]} * {y[i]} <= 0.0"
+                       for i, bi in enumerate(sys.b) if bi != 0.0)
+    lines = [f"if not {rmin!r} < math.sqrt({r2}) < {rmax!r}:",
+             "    " + stop.format("'domain-exit'")]
+    if axes:
+        lines += [f"if {axes}:", "    " + stop.format("'singular-axis'")]
+    return lines
+
+
 def _make_rhs(sys):
     """Generate rhs(q0, ..., p{N-1}) -> ydot = (dH/dp, -dH/dq), a tuple, for
     one system: straight-line code from _rhs_source on plain floats, as on
     vectors this short numpy's per-call overhead outweighs the arithmetic;
-    compiled once per distinct source."""
+    compiled once per distinct source.  The same source defines halt(x, y),
+    the halt reason of a step from y to x (sequences of 2N floats) by
+    _halt_lines, or None; it is rhs.__globals__["halt"]."""
     names, body, slope = _rhs_source(sys)
+    m = len(names)
     return _compile(sys, [
         f"def rhs({', '.join(names)}):",
         *("    " + line for line in body),
         f"    return {', '.join(slope)},",
+        "def halt(x, y):",
+        *("    " + line for line in _halt_lines(
+            sys, [f"x[{j}]" for j in range(m)], [f"y[{j}]" for j in range(m)], "return {}")),
     ])["rhs"]
 
 
@@ -257,15 +279,20 @@ def _make_march(sys):
     halt checks, _FP_TOL and _MAX_FP_ITER baked in; compiled once per
     distinct source.
 
-    Each fixed-point pass evaluates the RHS at w = (y + x)/2 and sweeps x to
-    y + h rhs(w).  Step 1 opens with one pass at x = y, where w = y exactly:
-    that is the Euler call, its sweep sets the Euler predictor, and it takes
-    no convergence test.  Every later step starts from x = y + h G, G
-    extrapolated from the converged slopes g of the steps before (the
-    registers F2, F3 and F4 hold the three before g): a converged step that
-    leaves (rmin, rmax), comes within _AXIS_EPS of an axis with b_i != 0 or
-    changes the sign of such a q_i halts the run; otherwise it is accepted,
-    and record(t, y) gets every stride-th state and the last.
+    Each fixed-point pass evaluates the RHS at w = (y + x)/2 and forms the
+    new iterates v = y + h rhs(w).  A pass with every -_FP_TOL <= v_j - x_j
+    <= _FP_TOL has converged, whatever the scale: fl(1 + scale) >= 1 and
+    rounding is monotone, so integrate's stopping rule holds too.  That
+    exact fast test stops the step at once; any other pass sweeps x to v
+    for delta and scale and takes the stopping rule itself, so every pass
+    count and state is the same as with the sweep alone.  Step 1 opens
+    with one pass at x = y, where w = y exactly: that is the Euler call, it
+    sets the Euler predictor, and it takes no convergence test.  Every
+    later step starts from x = y + h G, G extrapolated from the converged
+    slopes g of the steps before (the registers F2, F3 and F4 hold the
+    three before g).  A converged step from y to v that _halt_lines stops
+    halts the run; otherwise it is accepted, and record(t, y) gets every
+    stride-th state and the last.
     It returns (kstep, done, nfev, fp_worst, reason, exc, y): the step
     reached, the steps accepted, the RHS evaluations that completed, the
     most fixed-point passes a step took, the halt reason or None, the
@@ -274,27 +301,21 @@ def _make_march(sys):
     """
     names, body, slope = _rhs_source(sys)
     m = len(names)
-    rmin, rmax = _halt_bounds(sys)
-    y = [f"y{j}" for j in range(m)]
-    x = [f"x{j}" for j in range(m)]
-    g = [f"g{j}" for j in range(m)]
+    y, x, g, v = ([f"{c}{j}" for j in range(m)] for c in "yxgv")
     f2, f3, f4 = ([f"F{k}_{j}" for j in range(m)] for k in (2, 3, 4))
     sweep = []
     for j in range(m):
-        sweep += [f"v = {y[j]} + h * {g[j]}",
-                  f"d = v - {x[j]}",
+        sweep += [f"d = {v[j]} - {x[j]}",
                   "if d > delta or -d > delta or d != d:",  # a NaN never converges
                   "    delta = d if d > 0.0 else -d",
-                  "if v > scale or -v > scale:",
-                  "    scale = v if v > 0.0 else -v",
-                  f"{x[j]} = v"]
+                  f"if {v[j]} > scale or -{v[j]} > scale:",
+                  f"    scale = {v[j]} if {v[j]} > 0.0 else -{v[j]}"]
+    band = " and ".join(f"{-_FP_TOL!r} <= {v[j]} - {x[j]} <= {_FP_TOL!r}" for j in range(m))
 
     def predictor(slope):  # x = y + h G, G given over the slope registers
         return [f"            {x[j]} = {y[j]} + h * "
                 + slope.format(g=g[j], f2=f2[j], f3=f3[j], f4=f4[j]) for j in range(m)]
 
-    axes = " or ".join(f"{-_AXIS_EPS!r} < {x[i]} < {_AXIS_EPS!r} or {x[i]} * {y[i]} <= 0.0"
-                       for i, bi in enumerate(sys.b) if bi != 0.0)
     state = f"[{', '.join(y)}]"
     halt = "return kstep, done, nfev, fp_worst, {}, " + state
     return _compile(sys, [
@@ -309,8 +330,12 @@ def _make_march(sys):
         *("                " + line for line in body),
         *(f"                {g[j]} = {e}" for j, e in enumerate(slope)),
         "                nfev += 1",
+        *(f"                {v[j]} = {y[j]} + h * {g[j]}" for j in range(m)),
+        f"                if evals and {band}:",
+        "                    break",
         "                delta = scale = 0.0",
         *("                " + line for line in sweep),
+        f"                {', '.join(x)} = {', '.join(v)}",
         f"                if delta <= {_FP_TOL!r} * (1.0 + scale) and evals:",
         "                    break",
         "            else:",
@@ -319,13 +344,9 @@ def _make_march(sys):
         "            " + halt.format("None, exc"),
         "        if evals > fp_worst:",
         "            fp_worst = evals",
-        "        if not {!r} < math.sqrt({}) < {!r}:".format(
-            rmin, " + ".join(f"{v} * {v}" for v in x[:m // 2]), rmax),
-        "            " + halt.format('"domain-exit", None'),
-        *([f"        if {axes}:", "            " + halt.format('"singular-axis", None')]
-          if axes else []),
+        *("        " + line for line in _halt_lines(sys, v, y, halt.format("{}, None"))),
         "        done = kstep",
-        f"        {', '.join(y)} = {', '.join(x)}",
+        f"        {', '.join(y)} = {', '.join(v)}",
         "        if kstep % stride == 0 or kstep == nsteps:",
         "            try:",
         f"                record(kstep * h, {state})",
@@ -539,9 +560,11 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
     and the step-size underflow below 10 ulps of t.  An attempt whose stage
     raises ValueError or ArithmeticError (a stage outside the metric domain)
     is rejected with factor 0.2.  Samples, and the bisected crossing of a
-    halt, come from the interpolant of the step that spans them; a step
-    across a singular plane q_i = 0 with b_i != 0 (q_i changes sign) halts
-    like one that ends within _AXIS_EPS of it.
+    halt, come from the interpolant of the step that spans them; an
+    accepted step halts by the generated halt(x, y) of _make_rhs, the rule
+    of _halt_lines that the midpoint run inlines, so a step across a
+    singular plane q_i = 0 with b_i != 0 (q_i changes sign) halts like one
+    that ends within _AXIS_EPS of it.
     stats["nfev"] counts as scipy did: 2 for the initial slope and step, 12
     per attempt and 3 per interpolant; stats["rejections"] counts the
     rejected attempts.
@@ -555,7 +578,10 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
     4 (F_1 + F_3) - 6 F_2 - F_4 from step 5 on, which starts O(h^5) from the
     root.  Each iteration costs one RHS call; it stops once the update
     delta = max|y_new - y_old| satisfies delta <= _FP_TOL (1 + max|y_new|),
-    and the run halts after _MAX_FP_ITER iterations without that.  A step
+    which an exact fast test of every |y_new - y_old| <= _FP_TOL decides
+    first (see _make_march), and the run halts after _MAX_FP_ITER
+    iterations without that.  At most _MAX_STEPS steps run: t_end / step
+    above it raises ValueError, as one that overflows does.  A step
     accepted after one iteration is off the root by about h L/2 times the
     predictor's error (L a Lipschitz constant of rhs), far below _FP_TOL, but
     not zero: on long runs H drifts slowly, about 1e-15 per unit time on
@@ -582,20 +608,6 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
         raise ValueError(f"unknown method {method!r} (adaptive | midpoint)")
     hamiltonian(sys, s0)  # validates dimension, domain, centrifugal axes
     n = sys.n
-    rmin, rmax = _halt_bounds(sys)
-    b_idx = [i for i, bi in enumerate(sys.b) if bi != 0.0]
-
-    def violation(y, y_old):
-        """The halt reason of a state y reached from the accepted y_old, or
-        None: a singular plane q_i = 0 with b_i != 0 is also reached when
-        q_i changes sign."""
-        if not rmin < _radius(y[:n]) < rmax:
-            return "domain-exit"
-        for i in b_idx:
-            if abs(y[i]) < _AXIS_EPS or y[i] * y_old[i] <= 0.0:
-                return "singular-axis"
-        return None
-
     # the queue: per piece (t_old, h, y_old, rows), a step's interpolant or
     # a given state y_old (rows no_rows), and per sample its piece
     f = sys.metric.compiled()[0]
@@ -620,7 +632,7 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
         # a given state is kept as given: 0.0 + y_old turns -0.0 into 0.0
         given = np.array([p[3] is no_rows for p in pieces])[k, None]
         y = np.where(given, y_old, _interpolate(rows[:, ::-1], x, y_old))
-        r = np.sqrt(_ordered_sum(c * c for c in y.T[:n]))  # _radius, by columns
+        r = np.sqrt(_ordered_sum(c * c for c in y.T[:n]))  # |q| as _validate sums it
         before = len(frs)
         try:
             _f_and_u(sys.domain, f, u, r, frs, us)
@@ -643,6 +655,7 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
             # Python floats throughout: a numpy scalar would slow every attempt
             rtol, atol, t_end = max(float(rtol), _MIN_RTOL), float(atol), float(t_end)
             rhs = _make_rhs(sys)
+            halt = rhs.__globals__["halt"]  # compiled in the same source
             attempt, dense = _make_dop853(2 * n)
             sample_ts = np.linspace(0.0, t_end, samples).tolist()
             next_i = 1
@@ -679,7 +692,7 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
                 steps += 1
                 rows = None
                 t_hi = t
-                reason = violation(y, y_old)
+                reason = halt(y, y_old)
                 if reason is not None:
                     rows = dense(rhs, y_old, y, k, h)
                     nfev += 3
@@ -688,7 +701,7 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
                     a, c = t_old, t
                     for _ in range(80):  # bisect the crossing time
                         mid = 0.5 * (a + c)
-                        if violation(at(mid), y_old) is None:
+                        if halt(at(mid), y_old) is None:
                             a = mid
                         else:
                             c = mid
@@ -708,6 +721,8 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
         else:
             if not step > 0 or math.isinf(t_end / step):
                 raise ValueError(f"need step > 0 and t_end / step finite, got {t_end} / {step}")
+            if t_end / step > _MAX_STEPS:
+                raise ValueError(f"need t_end / step <= {_MAX_STEPS}, got {t_end} / {step}")
             nsteps = max(1, round(t_end / step))
             h = t_end / nsteps
             kstep, steps, nfev, fp_worst, halted, exc, y = _make_march(sys)(

@@ -316,6 +316,20 @@ def test_a_midpoint_step_count_that_overflows_is_a_config_error(t_end, step, sho
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command", [["simulate"], ["verify", "identities"]])
+def test_a_midpoint_step_count_beyond_the_cap_is_a_config_error(command, tmp_path, capsys):
+    # 10^15 steps are finite but would run without end
+    config = tmp_path / "run.yaml"
+    config.write_text(KEPLER_YAML.replace("method: adaptive", "method: midpoint\n  step: 1.0e-12")
+                      .replace("t_end: 6.283185307179586", "t_end: 1000.0"))
+    code, out, err = run_cli(capsys, *command, "--config", str(config),
+                             "--out", str(tmp_path / "run"))
+    assert (code, out) == (2, "")
+    assert err == ("config error: t_end / integrator.step must be at most 1000000000, "
+                   "got 1000.0 / 1e-12\n")
+    assert not (tmp_path / "run").exists()
+
+
 _CUSTOM_F_YAML = """\
 space:
   f: "1/(1 + 0.2*r^2)"

@@ -748,6 +748,18 @@ def test_midpoint_rejects_a_step_count_that_overflows(t_end, step):
         integrate(sys, s0, t_end, method="midpoint", step=step)
 
 
+def test_midpoint_rejects_more_steps_than_the_cap(monkeypatch):
+    # 10^15 steps are finite but would run without end
+    sys, s0 = _circular_kepler()
+    with pytest.raises(ValueError, match=r"^need t_end / step <= 1000000000, got 1000.0 / 1e-12$"):
+        integrate(sys, s0, 1000.0, method="midpoint", step=1e-12)
+    # at a smaller cap: as many steps as the cap run, one more does not
+    monkeypatch.setattr(dynamics, "_MAX_STEPS", 100)
+    assert integrate(sys, s0, 0.1, method="midpoint", step=1e-3).stats["steps"] == 100
+    with pytest.raises(ValueError, match=r"^need t_end / step <= 100, got 0.101 / 0.001$"):
+        integrate(sys, s0, 0.101, method="midpoint", step=1e-3)
+
+
 def test_midpoint_agrees_with_adaptive():
     metric = metric_of("taub-nut")
     sys = SystemSpec(metric, kc_potential(metric, 0.5), mu2=0.4, b=(0.1, 0.2, 0.3))
@@ -829,7 +841,7 @@ def _extrapolate(slopes, order):
 
 def _reference_march(sys, s0, t_end, h, order):
     """The implicit-midpoint run of integrate as a per-step Python loop on
-    _reference_rhs, at stride 1: (times, states, halted, stats).  Step 1
+    _reference_rhs, at stride 1: (times, states, halted, stats, slow).  Step 1
     opens with the Euler call (no convergence test); every later step starts
     from y + h G, G extrapolated to the given order from the converged
     slopes.  A pass evaluates F = rhs((y + x)/2) and moves x to y + h F; at
@@ -838,14 +850,16 @@ def _reference_march(sys, s0, t_end, h, order):
     never does) and stalls after _MAX_FP_ITER passes besides the Euler call.  A
     converged state outside the halt bounds, within 1e-10 of a plane q_i = 0
     with b_i != 0 or across one halts the run, keeping the state before it;
-    stats["steps"] counts the steps kept."""
+    stats["steps"] counts the steps kept.  slow counts the passes that
+    converged only relative to the scale, _FP_TOL < max|x_new - x|: those
+    the generated run decides by its full sweep, not by its fast test."""
     rhs = _reference_rhs(sys)
     rmin, rmax = dynamics._halt_bounds(sys)
     n, nsteps = sys.n, round(t_end / h)
     h = t_end / nsteps
     y = s0.q.tolist() + s0.p.tolist()
     times, states, slopes = [0.0], [y], []
-    nfev = fp_worst = 0
+    nfev = fp_worst = slow = 0
     halted = None
     for kstep in range(1, nsteps + 1):
         x = list(y) if kstep == 1 else [a + h * g for a, g in zip(y, _extrapolate(slopes, order))]
@@ -859,6 +873,7 @@ def _reference_march(sys, s0, t_end, h, order):
                 scale = max(abs(v) for v in x_new)
                 x = x_new
                 if evals and delta <= 1e-13 * (1.0 + scale):
+                    slow += delta > 1e-13
                     break
             else:
                 halted = "fixed-point iteration stalled"
@@ -879,7 +894,7 @@ def _reference_march(sys, s0, t_end, h, order):
         times.append(kstep * h)
         states.append(y)
     return times, states, halted, {"steps": kstep - (halted is not None),
-                                   "nfev": nfev, "max_fp_iterations": fp_worst}
+                                   "nfev": nfev, "max_fp_iterations": fp_worst}, slow
 
 
 def _digest(sys, states):
@@ -903,7 +918,7 @@ def test_reference_loop_reproduces_the_linear_predictor_pins(setup, nfev, fp_wor
     # extrapolation (2 F_1 - F_2): the reference loop, at that order, gives
     # the same states, H and counts, so it is a sound oracle for the kernel
     sys, s0 = setup()
-    times, states, halted, stats = _reference_march(sys, s0, 0.3, 1e-3, order=1)
+    times, states, halted, stats, _ = _reference_march(sys, s0, 0.3, 1e-3, order=1)
     assert halted is None and len(states) == 301
     assert stats == {"steps": 300, "nfev": nfev, "max_fp_iterations": fp_worst}
     assert _digest(sys, states) == digest
@@ -932,15 +947,45 @@ def _across_a_singular_plane():
 ])
 def test_midpoint_run_matches_the_reference_loop_bit_for_bit(setup, t_end, halted):
     sys, s0 = setup()
-    h = 1e-3
+    assert _run_against_reference(sys, s0, t_end, 1e-3)[0] == halted
+
+
+def _run_against_reference(sys, s0, t_end, h):
+    """Assert that the midpoint run at stride 1 is _reference_march's at
+    cubic order, bit for bit; return its halt and the reference's slow."""
     nsteps = round(t_end / h)
     rec = integrate(sys, s0, t_end, method="midpoint", step=h, samples=nsteps + 1)
-    times, states, want_halted, stats = _reference_march(sys, s0, t_end, h, order=3)
-    assert rec.halted == want_halted == halted
+    times, states, halted, stats, slow = _reference_march(sys, s0, t_end, h, order=3)
+    assert rec.halted == halted
     assert rec.stats == {**stats, "rejections": 0}
     assert rec.times.tolist() == times
     assert [st.q.tolist() + st.p.tolist() for st in rec.states] == states
     assert rec.series["H"].tolist() == [hamiltonian(sys, st) for st in rec.states]
+    return halted, slow
+
+
+def _kc_circular(alpha, q, b):
+    """kc with coupling alpha on flat space from q, b_i != 0, with the
+    circular speed sqrt(alpha/|q|) along (1, -1, 0)/sqrt(2)."""
+    v = math.sqrt(alpha / _radius(q)) / math.sqrt(2.0)
+    return (SystemSpec(EUCLID, kc_potential(EUCLID, alpha), mu2=0.0, b=b),
+            PhaseState(q, [v, -v, 0.0]))
+
+
+@pytest.mark.parametrize("alpha, q, b, h", [
+    # |q| about 19: a pass converges up to max|x_new - x| of about 2e-12
+    pytest.param(20.0, [11.0, 11.0, 11.0], (0.1, 0.2, 0.3), 0.02, id="wide-orbit"),
+    # every |y_j| stays below 0.8: a pass converges up to less than 2e-13
+    pytest.param(0.2, [0.4, 0.4, 0.4], (0.001, 0.002, 0.003), 0.02, id="small-orbit"),
+])
+def test_midpoint_passes_that_converge_relative_to_the_scale_match_the_reference(alpha, q, b, h):
+    # the generated run accepts a pass at once where every |x_new - x| <=
+    # _FP_TOL; a pass with _FP_TOL < max|x_new - x| <= _FP_TOL (1 + max|x_new|)
+    # converges through the full sweep, and both must decide as the
+    # reference does, pass for pass
+    sys, s0 = _kc_circular(alpha, q, b)
+    halted, slow = _run_against_reference(sys, s0, 2000 * h, h)
+    assert halted is None and slow > 0
 
 
 @pytest.mark.parametrize("setup, nfev, fp_worst, digest", [
@@ -1246,6 +1291,67 @@ def test_halt_near_centrifugal_axis():
     assert rec.halted == "singular-axis" or rec.halted.startswith("step-size underflow")
     assert abs(rec.q[-1, 0]) < 1e-6
     assert rec.times[-1] < 5.0
+
+
+def _plain_halt(sys, x, y):
+    """The halt rule of a step from y to x, stated plainly: |q| outside the
+    halt bounds is a domain exit; q_i within 1e-10 of 0, or of another sign
+    than before, with b_i != 0 is a singular axis."""
+    rmin, rmax = dynamics._halt_bounds(sys)
+    if not rmin < _radius(x[:sys.n]) < rmax:
+        return "domain-exit"
+    for i in range(sys.n):
+        if sys.b[i] != 0.0 and (abs(x[i]) < 1e-10 or x[i] * y[i] <= 0.0):
+            return "singular-axis"
+    return None
+
+
+def _at_radius(r, z):
+    """q = (x, 0, z) whose |q|, summed in order, is exactly r."""
+    x0 = math.sqrt(r * r - z * z)
+    for k in range(200):
+        x = x0
+        for _ in range(k // 2):
+            x = math.nextafter(x, math.inf if k % 2 else -math.inf)
+        if _radius([x, 0.0, z]) == r:
+            return [x, 0.0, z]
+    raise AssertionError(f"no x puts |q| at {r!r}")
+
+
+def test_generated_halt_matches_the_plain_rule_at_its_edges():
+    # b_2 = 0: only q_1 and q_3 have singular planes
+    metric = MetricSpec.from_source("1", id="flat-strip", domain=(0.5, 2.0))
+    sys = SystemSpec(metric, None, mu2=0.0, b=(0.2, 0.0, 0.5))
+    halt = dynamics._make_rhs(sys).__globals__["halt"]
+    rmin, rmax = dynamics._halt_bounds(sys)
+    up, down, eps = math.inf, -math.inf, 1e-10
+    p = [0.1, -0.2, 0.3]
+    y = [1.0, 0.2, 0.3] + p
+    cases = []
+    for r in (rmin, rmax):
+        for radius in (math.nextafter(r, down), r, math.nextafter(r, up)):
+            cases.append(_at_radius(radius, 0.3) + p)
+    for q1 in (eps, math.nextafter(eps, 0.0), -eps, math.nextafter(-eps, 0.0)):
+        cases += [[q1, 1.0, 0.3] + p, [0.3, 1.0, q1] + p]
+    cases += [
+        [-0.3, 1.0, 0.3] + p, [0.3, -1.0, 0.3] + p,  # a sign change, on q_2 no halt
+        [-0.0, 1.0, 0.3] + p, [0.3, 1.0, -0.0] + p, [0.3, -0.0, 0.3] + p,
+        [math.nan, 1.0, 0.3] + p, [0.3, math.nan, 0.3] + p, [0.3, 1.0, 0.3] + [math.nan] * 3,
+        [math.inf, 1.0, 0.3] + p, [math.nan] * 6,
+    ]
+    # a previous q_i of either sign, and of either signed zero
+    previous = [y, [-1.0, 0.2, -0.3] + p, [-0.0, 0.2, 0.3] + p, [1.0, 0.2, 0.0] + p]
+    reasons = []
+    for x in cases:
+        for before in previous:
+            want = _plain_halt(sys, x, before)
+            assert halt(x, before) == want, (x, before)
+            reasons.append(want)
+    # numpy rows, as the crossing bisection passes them, decide alike
+    assert [halt(np.array(x), before) for x in cases for before in previous] == reasons
+    assert {None, "domain-exit", "singular-axis"} <= set(reasons)
+    edges = [reasons[len(previous) * k] for k in range(6)]
+    assert edges == ["domain-exit", "domain-exit", None, None, "domain-exit", "domain-exit"]
 
 
 # ---------------------------------------------------------------------------
