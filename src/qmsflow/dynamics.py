@@ -285,24 +285,26 @@ def _make_march(sys):
     rounding is monotone, so integrate's stopping rule holds too.  That
     exact fast test stops the step at once; any other pass sweeps x to v
     for delta and scale and takes the stopping rule itself, so every pass
-    count and state is the same as with the sweep alone.  Step 1 opens
-    with one pass at x = y, where w = y exactly: that is the Euler call, it
-    sets the Euler predictor, and it takes no convergence test.  Every
-    later step starts from x = y + h G, G extrapolated from the converged
-    slopes g of the steps before (the registers F2, F3 and F4 hold the
-    three before g).  A converged step from y to v that _halt_lines stops
-    halts the run; otherwise it is accepted, and record(t, y) gets every
-    stride-th state and the last.
-    It returns (kstep, done, nfev, fp_worst, reason, exc, y): the step
-    reached, the steps accepted, the RHS evaluations that completed, the
-    most fixed-point passes a step took, the halt reason or None, the
-    exception that an RHS evaluation or record raised, if any, and the last
-    accepted state.
+    count and state is the same as with the sweep alone.  Step 1's Euler
+    call, one pass at x = y (so w = y exactly) before the step loop, sets
+    the Euler predictor x = v untested.  Every later step starts from x =
+    y + h G, G extrapolated from the converged slopes g of the steps before
+    (the registers F2, F3 and F4 hold the three before g).  A step runs its
+    passes in one while loop and moves each register by one assignment, so
+    it builds no iterator and no tuple.  A converged step from y to v that
+    _halt_lines stops halts the run; otherwise it is accepted, and record(t,
+    y) gets every stride-th state and the last.
+    It returns (steps, nfev, fp_worst, reason, exc, y): the steps accepted,
+    the RHS evaluations that completed, the most fixed-point passes a step
+    took, the halt reason or None, the exception that an RHS evaluation or
+    record raised, if any, and the last accepted state.
     """
     names, body, slope = _rhs_source(sys)
     m = len(names)
     y, x, g, v = ([f"{c}{j}" for j in range(m)] for c in "yxgv")
     f2, f3, f4 = ([f"F{k}_{j}" for j in range(m)] for k in (2, 3, 4))
+    rhs = [*(f"{w} = 0.5 * ({y[j]} + {x[j]})" for j, w in enumerate(names)), *body,
+           *(f"{g[j]} = {e}" for j, e in enumerate(slope)), "nfev += 1"]
     sweep = []
     for j in range(m):
         sweep += [f"d = {v[j]} - {x[j]}",
@@ -312,56 +314,61 @@ def _make_march(sys):
                   f"    scale = {v[j]} if {v[j]} > 0.0 else -{v[j]}"]
     band = " and ".join(f"{-_FP_TOL!r} <= {v[j]} - {x[j]} <= {_FP_TOL!r}" for j in range(m))
 
+    def moves(dst, src):  # dst = src, one register at a time
+        return [f"{a} = {b}" for a, b in zip(dst, src)]
+
     def predictor(slope):  # x = y + h G, G given over the slope registers
-        return [f"            {x[j]} = {y[j]} + h * "
+        return [f"{x[j]} = {y[j]} + h * "
                 + slope.format(g=g[j], f2=f2[j], f3=f3[j], f4=f4[j]) for j in range(m)]
 
     state = f"[{', '.join(y)}]"
-    halt = "return kstep, done, nfev, fp_worst, {}, " + state
+    stop = "return {}, nfev, fp_worst, {}, " + state
     return _compile(sys, [
         "def march(y, h, nsteps, stride, record):",
         f"    {', '.join(y)} = y",
-        f"    {' = '.join(', '.join(v) for v in (x, f2, f3, f4))} = y",
-        "    done = nfev = fp_worst = 0",
+        *("    " + line for line in moves(x, y)),
+        f"    {' = '.join(f2 + f3)} = 0.0",  # no predictor reads them before steps fill them
+        "    nfev = fp_worst = 0",
+        "    try:",
+        *("        " + line for line in rhs + predictor("{g}")),
+        "    except (ValueError, ArithmeticError, QuadratureError) as exc:",
+        "        " + stop.format(0, "None, exc"),
         "    for kstep in range(1, nsteps + 1):",
+        "        evals = 1",
         "        try:",
-        f"            for evals in range(kstep > 1, {_MAX_FP_ITER + 1}):",  # pass 0: Euler
-        *(f"                {w} = 0.5 * ({y[j]} + {x[j]})" for j, w in enumerate(names)),
-        *("                " + line for line in body),
-        *(f"                {g[j]} = {e}" for j, e in enumerate(slope)),
-        "                nfev += 1",
+        "            while True:",
+        *("                " + line for line in rhs),
         *(f"                {v[j]} = {y[j]} + h * {g[j]}" for j in range(m)),
-        f"                if evals and {band}:",
+        f"                if {band}:",
         "                    break",
         "                delta = scale = 0.0",
-        *("                " + line for line in sweep),
-        f"                {', '.join(x)} = {', '.join(v)}",
-        f"                if delta <= {_FP_TOL!r} * (1.0 + scale) and evals:",
+        *("                " + line for line in sweep + moves(x, v)),
+        f"                if delta <= {_FP_TOL!r} * (1.0 + scale):",
         "                    break",
-        "            else:",
-        "                " + halt.format('"fixed-point iteration stalled", None'),
+        f"                if evals == {_MAX_FP_ITER}:",
+        "                    " + stop.format("kstep - 1", '"fixed-point iteration stalled", None'),
+        "                evals += 1",
         "        except (ValueError, ArithmeticError, QuadratureError) as exc:",
-        "            " + halt.format("None, exc"),
+        "            " + stop.format("kstep - 1", "None, exc"),
         "        if evals > fp_worst:",
         "            fp_worst = evals",
-        *("        " + line for line in _halt_lines(sys, v, y, halt.format("{}, None"))),
-        "        done = kstep",
-        f"        {', '.join(y)} = {', '.join(v)}",
+        *("        " + line for line in _halt_lines(sys, v, y, stop.format("kstep - 1", "{}, None"))
+          + moves(y, v)),
         "        if kstep % stride == 0 or kstep == nsteps:",
         "            try:",
         f"                record(kstep * h, {state})",
         "            except QuadratureError as exc:",
-        "                " + halt.format("None, exc"),
+        "                " + stop.format("kstep", "None, exc"),
         "        if kstep > 3:",
-        *predictor("(4.0 * ({g} + {f3}) - 6.0 * {f2} - {f4})"),
+        *("            " + line for line in predictor("(4.0 * ({g} + {f3}) - 6.0 * {f2} - {f4})")),
         "        elif kstep == 3:",
-        *predictor("(3.0 * ({g} - {f2}) + {f3})"),
+        *("            " + line for line in predictor("(3.0 * ({g} - {f2}) + {f3})")),
         "        elif kstep == 2:",
-        *predictor("(2.0 * {g} - {f2})"),
+        *("            " + line for line in predictor("(2.0 * {g} - {f2})")),
         "        else:",
-        *predictor("{g}"),
-        f"        {', '.join(f4 + f3 + f2)} = {', '.join(f3 + f2 + g)}",
-        "    return nsteps, done, nfev, fp_worst, None, None, None",
+        *("            " + line for line in predictor("{g}")),
+        *("        " + line for line in moves(f4, f3) + moves(f3, f2) + moves(f2, g)),
+        "    return nsteps, nfev, fp_worst, None, None, None",
     ])["march"]
 
 
@@ -725,14 +732,14 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
                 raise ValueError(f"need t_end / step <= {_MAX_STEPS}, got {t_end} / {step}")
             nsteps = max(1, round(t_end / step))
             h = t_end / nsteps
-            kstep, steps, nfev, fp_worst, halted, exc, y = _make_march(sys)(
+            steps, nfev, fp_worst, halted, exc, y = _make_march(sys)(
                 y0.tolist(), h, nsteps, max(1, nsteps // (samples - 1)),
                 lambda t_s, y_s: queue([t_s], y_s))
             if isinstance(exc, QuadratureError):
                 raise exc
             if exc is not None:
                 halted = f"rhs evaluation failed: {exc}"
-            last = (kstep - 1) * h, y
+            last = steps * h, y
         if halted is not None and last[0] > ts[-1] + 1e-12 * max(1.0, last[0]):
             queue([last[0]], last[1])
         flush()

@@ -95,14 +95,12 @@ class MetricSpec:
         so builds are kept by value: source, reprs of the sorted parameters
         and of the domain, and id."""
         key = (source, repr(sorted((params or {}).items())), repr(domain), id)
-        metric = _BUILT.get(key)
-        if metric is None:
-            expr = exprlang.parse(source, params=set(params or {}))
-            metric = cls(id, expr, params=params, domain=domain)
+        if key not in _BUILT:
             if len(_BUILT) >= 64:
                 _BUILT.clear()
-            _BUILT[key] = metric
-        return metric
+            _BUILT[key] = cls(id, exprlang.parse(source, params=set(params or {})),
+                              params=params, domain=domain)
+        return _BUILT[key]
 
     # -- evaluation ---------------------------------------------------------
 

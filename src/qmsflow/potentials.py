@@ -48,6 +48,7 @@ class QuadratureError(RuntimeError):
 
 
 _FD_POINTS = 8
+_BUILT: dict = {}   # PotentialSpec.from_expr's key -> PotentialSpec, <= 64
 
 
 def _metric_bindings(metric: MetricSpec) -> dict:
@@ -110,13 +111,20 @@ class PotentialSpec:
     def from_expr(cls, expr, params: Mapping | None = None,
                   domain=(0.0, math.inf)) -> "PotentialSpec":
         """Build from an expression tree or source string; the derivative is
-        obtained symbolically."""
-        binds = {k: float(v) for k, v in (params or {}).items()}
-        if isinstance(expr, str):
-            expr = exprlang.parse(expr, params=set(binds))
-        dexpr = differentiate(expr)
-        return cls(compile_expr(expr, binds), compile_expr(dexpr, binds),
-                   u_expr=expr, du_expr=dexpr, params=binds, domain=domain)
+        obtained symbolically.  Builds are kept by value, as metrics are:
+        reprs of the source or tree (Const(0.0) == Const(-0.0), but they
+        print apart in a kernel), of the sorted parameters and of the domain."""
+        key = (repr(expr), repr(sorted((params or {}).items())), repr(domain))
+        if key not in _BUILT:
+            binds = {k: float(v) for k, v in (params or {}).items()}
+            if isinstance(expr, str):
+                expr = exprlang.parse(expr, params=set(binds))
+            dexpr = differentiate(expr)
+            if len(_BUILT) >= 64:
+                _BUILT.clear()
+            _BUILT[key] = cls(compile_expr(expr, binds), compile_expr(dexpr, binds),
+                              u_expr=expr, du_expr=dexpr, params=binds, domain=domain)
+        return _BUILT[key]
 
     def __repr__(self):
         body = format_expr(self.u_expr) if self.u_expr is not None else "<numeric>"

@@ -554,6 +554,25 @@ def test_simulate_named_system_conserves_everything(tmp_path, capsys):
     assert max(drifts) <= 1e-8
 
 
+def test_named_system_potential_is_built_once_for_repeated_runs(tmp_path, capsys, monkeypatch):
+    # PotentialSpec.from_expr keeps its builds by value, so runs of one
+    # config differentiate U once and write the same output
+    monkeypatch.setattr(potentials, "_BUILT", {})
+    calls = []
+    differentiate = potentials.differentiate
+    monkeypatch.setattr(potentials, "differentiate",
+                        lambda expr: calls.append(expr) or differentiate(expr))
+    config = tmp_path / "mic.yaml"
+    config.write_text(MIC_KEPLER_YAML.replace("t_end: 20.0", "t_end: 0.5"))
+    summaries = []
+    for k in range(4):
+        out_dir = tmp_path / f"run{k}"
+        assert run_cli(capsys, "simulate", "--config", str(config), "--out", str(out_dir))[0] == 0
+        summaries.append((out_dir / "summary.json").read_bytes())
+    assert len(calls) == 1
+    assert summaries == summaries[:1] * 4
+
+
 def test_simulate_singular_axis_is_a_config_error(tmp_path, capsys):
     config = tmp_path / "bad.yaml"
     config.write_text(

@@ -400,6 +400,17 @@ def _global_names(code):
     return names
 
 
+def test_midpoint_steps_build_no_iterator_and_unpack_no_tuple():
+    # the step loop is the only for loop: a step runs its fixed-point passes
+    # in a while loop and moves its registers by plain assignments
+    for setup in (_darboux3b_kc_with_b, _custom_f_oscillator):
+        code = list(dis.get_instructions(dynamics._make_march(setup()[0])))
+        assert sum(i.opname == "LOAD_GLOBAL" and i.argval == "range" for i in code) == 1
+        loops = [k for k, i in enumerate(code) if i.opname == "FOR_ITER"]
+        assert len(loops) == 1
+        assert not any(i.opname == "UNPACK_SEQUENCE" for i in code[loops[0]:])
+
+
 def test_kernels_read_nothing_but_their_source_and_key(monkeypatch):
     # kernels are shared by source text and a quadrature U': a kernel that
     # read any other per-system value would hand one system's value to
@@ -839,15 +850,15 @@ def _extrapolate(slopes, order):
     return [4.0 * (a + c) - 6.0 * b - d for a, b, c, d in zip(*F)]
 
 
-def _reference_march(sys, s0, t_end, h, order):
+def _reference_march(sys, s0, t_end, h, order, limit=100):
     """The implicit-midpoint run of integrate as a per-step Python loop on
     _reference_rhs, at stride 1: (times, states, halted, stats, slow).  Step 1
     opens with the Euler call (no convergence test); every later step starts
     from y + h G, G extrapolated to the given order from the converged
     slopes.  A pass evaluates F = rhs((y + x)/2) and moves x to y + h F; at
-    integrate's constants _FP_TOL = 1e-13 and _MAX_FP_ITER = 100, the step
-    has converged once max|x_new - x| <= _FP_TOL (1 + max|x_new|) (a NaN
-    never does) and stalls after _MAX_FP_ITER passes besides the Euler call.  A
+    integrate's _FP_TOL = 1e-13, the step has converged once max|x_new - x|
+    <= _FP_TOL (1 + max|x_new|) (a NaN never does) and stalls after limit
+    passes (integrate's _MAX_FP_ITER, 100) besides the Euler call.  A
     converged state outside the halt bounds, within 1e-10 of a plane q_i = 0
     with b_i != 0 or across one halts the run, keeping the state before it;
     stats["steps"] counts the steps kept.  slow counts the passes that
@@ -864,7 +875,7 @@ def _reference_march(sys, s0, t_end, h, order):
     for kstep in range(1, nsteps + 1):
         x = list(y) if kstep == 1 else [a + h * g for a, g in zip(y, _extrapolate(slopes, order))]
         try:
-            for evals in range(kstep > 1, 101):
+            for evals in range(kstep > 1, limit + 1):
                 F = rhs([0.5 * (a + b) for a, b in zip(y, x)])
                 nfev += 1
                 x_new = [a + h * g for a, g in zip(y, F)]
@@ -938,24 +949,35 @@ def _across_a_singular_plane():
         PhaseState([1.0, 0.8, 0.6], [-0.6, 0.0, 0.0])
 
 
-@pytest.mark.parametrize("setup, t_end, halted", [
-    (_darboux3b_kc_with_b, 0.3, None),
-    (_custom_f_oscillator, 0.3, None),
-    (_free_particle_at_rest, 0.3, None),
-    (_strip_radial_escape, 2.0, "domain-exit"),
-    (_across_a_singular_plane, 2.0, "singular-axis"),
+@pytest.mark.parametrize("setup, t_end, limit, halted", [
+    (_darboux3b_kc_with_b, 0.3, 100, None),
+    (_custom_f_oscillator, 0.3, 100, None),
+    (_free_particle_at_rest, 0.3, 100, None),
+    (_strip_radial_escape, 2.0, 100, "domain-exit"),
+    (_across_a_singular_plane, 2.0, 100, "singular-axis"),
+    # the pass limit after step 1: step 203 needs a 7th pass, so at 6 passes
+    # the run stalls there (202 steps kept, nfev 625, max_fp_iterations 6),
+    # and at 7 it converges on exactly its last allowed pass (300 steps,
+    # nfev 1080, max_fp_iterations 7)
+    (_custom_f_oscillator, 0.3, 6, "fixed-point iteration stalled"),
+    (_custom_f_oscillator, 0.3, 7, None),
 ])
-def test_midpoint_run_matches_the_reference_loop_bit_for_bit(setup, t_end, halted):
+def test_midpoint_run_matches_the_reference_loop_bit_for_bit(monkeypatch, setup, t_end,
+                                                             limit, halted):
+    # the limit is baked into the kernel text, which the run generates
+    monkeypatch.setattr(dynamics, "_MAX_FP_ITER", limit)
     sys, s0 = setup()
-    assert _run_against_reference(sys, s0, t_end, 1e-3)[0] == halted
+    assert _run_against_reference(sys, s0, t_end, 1e-3, limit)[0] == halted
 
 
-def _run_against_reference(sys, s0, t_end, h):
+def _run_against_reference(sys, s0, t_end, h, limit=100):
     """Assert that the midpoint run at stride 1 is _reference_march's at
-    cubic order, bit for bit; return its halt and the reference's slow."""
+    cubic order and the given pass limit, bit for bit; return its halt and
+    the reference's slow."""
     nsteps = round(t_end / h)
     rec = integrate(sys, s0, t_end, method="midpoint", step=h, samples=nsteps + 1)
-    times, states, halted, stats, slow = _reference_march(sys, s0, t_end, h, order=3)
+    times, states, halted, stats, slow = _reference_march(sys, s0, t_end, h, order=3,
+                                                          limit=limit)
     assert rec.halted == halted
     assert rec.stats == {**stats, "rejections": 0}
     assert rec.times.tolist() == times
