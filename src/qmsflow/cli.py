@@ -739,7 +739,7 @@ def _suite_identities(n: int, seed: int, tol: float | None) -> dict:
         direction /= np.linalg.norm(direction)
         point = PhaseState(r * direction, rng.uniform(-2.0, 2.0, n))
         out = decomposition_identities(point, {
-            "nu": float(rng.choice([0.5, 1.0, 1.5, 2.0, 3.0])),
+            "nu": [0.5, 1.0, 1.5, 2.0, 3.0][rng.integers(5)],  # as rng.choice draws it
             "a": rng.uniform(0.5, 2.0), "b": rng.uniform(0.5, 2.0),
             "c": rng.uniform(-1.0, 1.0), "d": rng.uniform(-1.0, 1.0),
             "m": rng.uniform(0.5, 2.0), "mu2": rng.uniform(0.0, 2.0),

@@ -24,17 +24,17 @@ Integration, sec. VIII.6.1), which puts it O(h^5) from the root, so on a
 smooth orbit most steps converge after one RHS call.
 
 Both integrators run on kernels generated as straight-line Python source
-on plain floats, comparing without abs or max; a kernel is its text, plus
-U' where U is quadrature-backed, and compiles once per key (see _exec).
-From a system's constants and its metric's domain check, as literals (see
-_rhs_source): rhs(q0, ..., p{N-1}) -> ydot with the halt rule halt(x, y)
-in the same source, and the whole midpoint run -- predictor, fixed-point
-iteration, halt checks and sample stride of every step in one call; they
-match the plain loop form of the chain rule bit for bit, and both take
-their halt checks from one generator (_halt_lines).  From the dimension
-alone: one DOP853 attempt and its dense-output rows, whose stages pass
-their points to the system's RHS (see _make_dop853); the adaptive step
-loop stays in integrate.
+on plain floats, comparing without abs, max or min, from a system's
+constants and its metric's domain check, as literals (see _rhs_source),
+with the RHS inlined: rhs(q0, ..., p{N-1}) -> ydot with the halt rule
+halt(x, y) in the same source; the whole adaptive run -- DOP853 stages,
+error norm, step control, halt checks and samples of every attempt in one
+call -- and its dense-output rows; and the whole midpoint run --
+predictor, fixed-point iteration, halt checks and sample stride of every
+step.  They match the plain loop forms bit for bit and take their halt
+checks from one generator (_halt_lines).  A kernel is its text, plus U'
+where U is quadrature-backed, and compiles once per key (see _exec); a
+system's kernels are kept by its value (see _kernel).
 
 Integration halts early, recording the reason and the last valid state,
 when a centrifugal axis is approached or crossed (|q_i| < 1e-10 or a sign
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -226,9 +226,7 @@ def _exec(source, du=None):
 
 def _compile(sys, lines):
     """_exec of one system's kernel source, with U' only where U is
-    quadrature-backed: any other U' is in the text.  Each kernel is made
-    only by the runs that use it, as compiling the midpoint run costs
-    several times more than the RHS."""
+    quadrature-backed: any other U' is in the text."""
     potential = sys.potential
     du = potential.du if potential is not None and potential.du_expr is None else None
     return _exec("\n".join(lines), du)
@@ -240,8 +238,7 @@ def _halt_lines(sys, x, y, stop):
     reason's literal, for the first halt that applies.  |q| of x outside
     (rmin, rmax) (a NaN too) is "domain-exit"; for each b_i != 0,
     |x_i| < _AXIS_EPS or x_i y_i <= 0 (q_i changed sign) is
-    "singular-axis".  Both integrators halt by these lines (see _make_rhs
-    and _make_march)."""
+    "singular-axis".  Every kernel halts by these lines."""
     rmin, rmax = _halt_bounds(sys)
     r2 = " + ".join(f"{v} * {v}" for v in x[:sys.n])
     axes = " or ".join(f"{-_AXIS_EPS!r} < {x[i]} < {_AXIS_EPS!r} or {x[i]} * {y[i]} <= 0.0"
@@ -251,6 +248,22 @@ def _halt_lines(sys, x, y, stop):
     if axes:
         lines += [f"if {axes}:", "    " + stop.format("'singular-axis'")]
     return lines
+
+
+_KEPT = {}  # (generator, metric, potential, repr of (mu2, b)) -> kernel
+
+
+def _kernel(make, sys):
+    """make(sys) for a kernel generator make, kept (up to 256) by what fixes
+    its text: metric and potential (kept builds), mu2 and b by repr, as the
+    text prints them, and the module constants as at the first make."""
+    key = (make, sys.metric, sys.potential, repr((sys.mu2, sys.b)))
+    kernel = _KEPT.get(key)
+    if kernel is None:
+        if len(_KEPT) >= 256:
+            _KEPT.clear()
+        kernel = _KEPT[key] = make(sys)
+    return kernel
 
 
 def _make_rhs(sys):
@@ -372,79 +385,130 @@ def _make_march(sys):
     ])["march"]
 
 
-@cache
-def _make_dop853(m):
-    """Generate (attempt, dense) for states of m floats: one attempted step
-    of the explicit Runge-Kutta 8(5,3) pair DOP853 (Hairer, Norsett and
-    Wanner, Solving ODEs I, sec. II.10) and the rows of its dense output.
-    Both are straight-line code unrolled over the stages and the m
-    components, with the tableau of scipy.integrate's DOP853 as literals,
-    read from the installed scipy.integrate._ivp.dop853_coefficients (zero
-    entries dropped), compiled as one source once per m.  Each stage calls
-    the system's rhs, passed in, so one kernel serves every system of
-    dimension m/2.
+def _combo(row, j):
+    """sum_s row_s k_s of component j, zero entries of row dropped."""
+    return " + ".join(f"{float(c)!r} * k{s}_{j}" for s, c in enumerate(row) if c != 0.0)
 
-    attempt(rhs, y, f, h, rtol, atol) steps from y, f = rhs(y), by h > 0 and
-    returns (err, y_new, k): scipy's DOP853 error norm (the 5th- and
-    3rd-order estimates, each component scaled by atol + max(|y|, |y_new|)
-    rtol), the 8th-order solution and the 13 stage slopes, the last of them
-    rhs(y_new).  dense(rhs, y, y_new, k, h) evaluates the 3 extra stages and
-    returns the 7 rows of the step's interpolant (see _interpolate).  A
-    stage raises whatever rhs raises.
-    """
+
+def _stage(source, s, row):
+    """Stage s of a DOP853 step from y by h, row A_s of the tableau: the RHS
+    source of _rhs_source at y + h sum_j A_sj k_j, its slopes set to k{s}_j."""
+    names, body, slope = source
+    return [*(f"{w} = y{j} + ({_combo(row, j)}) * h" for j, w in enumerate(names)),
+            *body, *(f"k{s}_{j} = {e}" for j, e in enumerate(slope))]
+
+
+def _dense_args(m):
+    """The parameters of dense: h, then y, y_new and the 13 slopes of a step."""
+    return ", ".join(["h", *(f"{c}{j}" for c in ["y", "yn", *(f"k{s}_" for s in range(13))]
+                             for j in range(m))])
+
+
+def _make_dense(sys):
+    """Generate dense(h, y, y_new, k): the 3 extra DOP853 stages of a step
+    and its interpolant's 7 rows (see _interpolate), apart from _make_run,
+    as one source of both would multiply the compile's peak memory."""
     from scipy.integrate._ivp import dop853_coefficients as tab
-
-    comps = range(m)
-    y = ", ".join(f"y{i}" for i in comps)
-    y_new = ", ".join(f"yn{i}" for i in comps)
-
-    def combo(row, i):  # sum_j row_j k_j, component i
-        return " + ".join(f"{float(c)!r} * k{j}_{i}" for j, c in enumerate(row) if c != 0.0)
-
-    def unpack(s, source=None):
-        return ", ".join(f"k{s}_{i}" for i in comps) + f" = {source or f'k{s}'}"
-
-    def stage(s):
-        point = ", ".join(f"y{i} + ({combo(tab.A[s, :s], i)}) * h" for i in comps)
-        return [f"k{s} = rhs({point})", unpack(s)]
-
-    n_stages = tab.N_STAGES  # 12; slope 12 is rhs(y_new)
-    attempt = [
-        f"{y} = y", unpack(0, "f"),
-        *(line for s in range(1, n_stages) for line in stage(s)),
-        *(f"yn{i} = y{i} + h * ({combo(tab.B, i)})" for i in comps),
-        f"k{n_stages} = rhs({y_new})",
-        # atol + max(|y_i|, |yn_i|) rtol, with max's choice: b if b > a else a
-        *(line for i in comps for line in (
-            f"a = -y{i} if y{i} < 0.0 else y{i}", f"b = -yn{i} if yn{i} < 0.0 else yn{i}",
-            f"sc{i} = atol + (b if b > a else a) * rtol")),
-        *(f"e{i} = ({combo(tab.E5, i)}) / sc{i}" for i in comps),
-        *(f"g{i} = ({combo(tab.E3, i)}) / sc{i}" for i in comps),
-        "n5 = " + " + ".join(f"e{i} * e{i}" for i in comps),
-        "n3 = " + " + ".join(f"g{i} * g{i}" for i in comps),
-        "k = " + ", ".join(["f"] + [f"k{s}" for s in range(1, n_stages + 1)]),
-        "if n5 == 0.0 and n3 == 0.0:",
-        f"    return 0.0, [{y_new}], k",
-        f"return h * n5 / math.sqrt((n5 + 0.01 * n3) * {m}), [{y_new}], k",
-    ]
-    dense = [
-        f"{y} = y", f"{y_new} = y_new",
-        ", ".join(f"k{s}" for s in range(n_stages + 1)) + " = k",
-        *(unpack(s) for s in range(n_stages + 1)),
-        *(line for s in range(n_stages + 1, tab.N_STAGES_EXTENDED) for line in stage(s)),
-        *(f"d{i} = yn{i} - y{i}" for i in comps),
-        f"return [[{', '.join(f'd{i}' for i in comps)}],",
-        f"        [{', '.join(f'h * k0_{i} - d{i}' for i in comps)}],",
-        f"        [{', '.join(f'2.0 * d{i} - h * (k{n_stages}_{i} + k0_{i})' for i in comps)}],",
-        *(f"        [{', '.join(f'h * ({combo(row, i)})' for i in comps)}],"
+    source, m = _rhs_source(sys), 2 * sys.n
+    return _compile(sys, [
+        f"def dense({_dense_args(m)}):",
+        *("    " + line for s in range(13, 16) for line in _stage(source, s, tab.A[s, :s])),
+        *(f"    d{j} = yn{j} - y{j}" for j in range(m)),
+        f"    return [[{', '.join(f'd{j}' for j in range(m))}],",
+        f"            [{', '.join(f'h * k0_{j} - d{j}' for j in range(m))}],",
+        f"            [{', '.join(f'2.0 * d{j} - h * (k12_{j} + k0_{j})' for j in range(m))}],",
+        *(f"            [{', '.join(f'h * ({_combo(row, j)})' for j in range(m))}],"
           for row in tab.D),
-        "        ]",
+        "            ]",
+    ])["dense"]
+
+
+def _make_run(sys):
+    """Generate run(y, ydot, h_abs, nfev, t_end, rtol, atol, sample_ts,
+    samples, queue, dense) for one system: the whole adaptive run from y,
+    ydot = rhs(y), by h_abs first, nfev RHS calls made, as in integrate.  An attempt runs the
+    12 DOP853 stages, scipy's tableau (scipy.integrate._ivp.
+    dop853_coefficients) as literals, zero entries dropped, the RHS of
+    _rhs_source inlined, then scipy's error norm; each max and min is the
+    builtin's comparison: the first argument unless the second is strictly
+    larger (smaller).  A step across samples of sample_ts calls queue(times,
+    y, rows, t, h), rows from dense.  Returns (steps, nfev, rejections,
+    reason, exc, last, crossing): counts, halt reason, the QuadratureError
+    of a stage, dense or queue, the (t, y) of a step-size underflow, and of
+    a step that _halt_lines stops (next sample, t, t_new, y, dense's
+    arguments), whose crossing integrate bisects."""
+    from scipy.integrate._ivp import dop853_coefficients as tab
+    source = names, body, slope = _rhs_source(sys)
+    m = len(names)
+    y, y_new = ([f"{c}{j}" for j in range(m)] for c in ("y", "yn"))
+    state, args = f"[{', '.join(y)}]", _dense_args(m)
+    attempt = [
+        *(line for s in range(1, 12) for line in _stage(source, s, tab.A[s, :s])),
+        *(f"{y_new[j]} = {w} = {y[j]} + h * ({_combo(tab.B, j)})" for j, w in enumerate(names)),
+        *body, *(f"k12_{j} = {e}" for j, e in enumerate(slope)),  # rhs(y_new)
+        *(line for j in range(m) for line in (
+            f"a = -{y[j]} if {y[j]} < 0.0 else {y[j]}",
+            f"b = -{y_new[j]} if {y_new[j]} < 0.0 else {y_new[j]}",
+            f"sc{j} = atol + (b if b > a else a) * rtol")),
+        *(f"e{j} = ({_combo(tab.E5, j)}) / sc{j}" for j in range(m)),
+        *(f"g{j} = ({_combo(tab.E3, j)}) / sc{j}" for j in range(m)),
+        "n5 = " + " + ".join(f"e{j} * e{j}" for j in range(m)),
+        "n3 = " + " + ".join(f"g{j} * g{j}" for j in range(m)),
+        f"err = 0.0 if n5 == 0.0 and n3 == 0.0 else h * n5 / math.sqrt((n5 + 0.01 * n3) * {m})",
     ]
-    env = _exec("\n".join(["def attempt(rhs, y, f, h, rtol, atol):",
-                           *("    " + line for line in attempt),
-                           "def dense(rhs, y, y_new, k, h):",
-                           *("    " + line for line in dense)]))
-    return env["attempt"], env["dense"]
+    quadrature = "return steps, nfev, rejections, None, exc, None, None"
+    stop = ("return steps, nfev, rejections, {}, None, None, "
+            f"(next_i, t, t_new, {state}, ({args}))")
+    underflow = "step-size underflow: Required step size is less than spacing between numbers."
+    factor = f"{_SAFETY!r} * err ** {_ERR_EXPONENT!r}"
+    return _compile(sys, [
+        "def run(y, ydot, h_abs, nfev, t_end, rtol, atol, sample_ts, samples, queue, dense):",
+        f"    {', '.join(y)} = y",
+        f"    {', '.join(f'k0_{j}' for j in range(m))} = ydot",
+        "    t, next_i, steps, rejections = 0.0, 1, 0, 0",
+        "    while t < t_end:",
+        "        min_step = 10.0 * (math.nextafter(t, inf) - t)",
+        "        h_abs = min_step if min_step > h_abs else h_abs",
+        "        rejected = False",
+        "        while h_abs >= min_step:",
+        "            t_new = t_end if t_end < t + h_abs else t + h_abs",
+        "            h = t_new - t",
+        "            nfev += 12",
+        "            try:",
+        *("                " + line for line in attempt),
+        "            except (ValueError, ArithmeticError):",
+        "                err = nan",
+        "            except QuadratureError as exc:",
+        "                " + quadrature,
+        "            if err < 1.0:",
+        "                break",
+        f"            factor = {factor}",
+        f"            h_abs = h * (factor if factor > {_MIN_FACTOR!r} else {_MIN_FACTOR!r})",
+        "            rejected = True",
+        "            rejections += 1",
+        "        else:",
+        f"            return steps, nfev, rejections, {underflow!r}, None, (t, {state}), None",
+        f"        factor = {_MAX_FACTOR!r} if err == 0.0 else {factor}",
+        f"        factor = factor if factor < {_MAX_FACTOR!r} else {_MAX_FACTOR!r}",
+        "        h_abs = h * (factor if not rejected or factor < 1.0 else 1.0)",
+        "        steps += 1",
+        *("        " + line for line in _halt_lines(sys, y_new, y, stop)),
+        "        bound = t_new + 1e-12 * (t_new if t_new > 1.0 else 1.0)",
+        "        if next_i < samples and sample_ts[next_i] <= bound:",
+        "            first = next_i",
+        "            while next_i < samples and sample_ts[next_i] <= bound:",
+        "                next_i += 1",
+        "            try:",
+        f"                rows = dense({args})",
+        "                nfev += 3",
+        f"                queue(sample_ts[first:next_i], {state}, rows, t, h)",
+        "            except QuadratureError as exc:",
+        "                " + quadrature,
+        "        t = t_new",
+        *(f"        {a} = {b}" for a, b in zip(y, y_new)),
+        *(f"        k0_{j} = k12_{j}" for j in range(m)),
+        "    return steps, nfev, rejections, None, None, None, None",
+    ])["run"]
 
 
 def _interpolate(rows, x, y_old):
@@ -495,7 +559,7 @@ def _initial_step(rhs, y, f, t_end, rtol, atol) -> float:
 def gradient(sys, s: PhaseState) -> tuple[np.ndarray, np.ndarray]:
     """Analytic (dH/dq, dH/dp), assembled from f, f' and U'."""
     _validate(sys, s)
-    ydot = np.array(_make_rhs(sys)(*s.q.tolist(), *s.p.tolist()))
+    ydot = np.array(_kernel(_make_rhs, sys)(*s.q.tolist(), *s.p.tolist()))
     return -ydot[sys.n:], ydot[:sys.n]
 
 
@@ -560,18 +624,17 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
 
     method "adaptive" (default): embedded Runge-Kutta 8(5,3) with the given
     rtol/atol (atol > 0; rtol raised to at least 100 machine epsilons),
-    sampled at `samples` equally spaced times.  Each attempt is one call of
-    the generated DOP853 kernel (_make_dop853) and the loop here is scipy's
-    DOP853 driver on Python floats: its initial step, the step factor
-    0.9 err^(-1/8) clipped to [0.2, 10] and capped at 1 after a rejection,
-    and the step-size underflow below 10 ulps of t.  An attempt whose stage
-    raises ValueError or ArithmeticError (a stage outside the metric domain)
-    is rejected with factor 0.2.  Samples, and the bisected crossing of a
-    halt, come from the interpolant of the step that spans them; an
-    accepted step halts by the generated halt(x, y) of _make_rhs, the rule
-    of _halt_lines that the midpoint run inlines, so a step across a
-    singular plane q_i = 0 with b_i != 0 (q_i changes sign) halts like one
-    that ends within _AXIS_EPS of it.
+    sampled at `samples` equally spaced times.  After scipy's initial step,
+    chosen here, the whole run is one call of the system's generated kernel
+    (_make_run): scipy's DOP853 driver on Python floats, with the step
+    factor 0.9 err^(-1/8) clipped to [0.2, 10] and capped at 1 after a
+    rejection, and the step-size underflow below 10 ulps of t.  An attempt
+    whose stage raises ValueError or ArithmeticError (a stage outside the
+    metric domain) is rejected with factor 0.2.  Samples, and the crossing
+    of a halt, bisected here, come from the interpolant of the step that
+    spans them; an accepted step halts by the rule of _halt_lines, as the
+    midpoint run does, so a step across a singular plane q_i = 0 with b_i
+    != 0 (q_i changes sign) halts like one that ends within _AXIS_EPS of it.
     stats["nfev"] counts as scipy did: 2 for the initial slope and step, 12
     per attempt and 3 per interpolant; stats["rejections"] counts the
     rejected attempts.
@@ -661,70 +724,31 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
                 raise ValueError(f"atol must be positive, got {atol}")
             # Python floats throughout: a numpy scalar would slow every attempt
             rtol, atol, t_end = max(float(rtol), _MIN_RTOL), float(atol), float(t_end)
-            rhs = _make_rhs(sys)
-            halt = rhs.__globals__["halt"]  # compiled in the same source
-            attempt, dense = _make_dop853(2 * n)
+            rhs, dense = _kernel(_make_rhs, sys), _kernel(_make_dense, sys)
             sample_ts = np.linspace(0.0, t_end, samples).tolist()
-            next_i = 1
-            t, y = 0.0, y0.tolist()
-            nfev = 2  # rhs(y0) and the initial-step probe
+            y, nfev = y0.tolist(), 2  # rhs(y0) and the initial-step probe
             ydot = _rhs_or_nan(rhs, y)
-            h_abs = _initial_step(rhs, y, ydot, t_end, rtol, atol)
-            while t < t_end:
-                min_step = 10.0 * (math.nextafter(t, math.inf) - t)
-                h_abs = max(h_abs, min_step)
-                rejected = False
-                while h_abs >= min_step:
-                    t_new = min(t + h_abs, t_end)
-                    h = t_new - t
-                    nfev += 12
-                    try:
-                        err, y_new, k = attempt(rhs, y, ydot, h, rtol, atol)
-                    except (ValueError, ArithmeticError):
-                        err = math.nan  # rejected below with the least factor
-                    if err < 1.0:
-                        break
-                    h_abs = h * max(_MIN_FACTOR, _SAFETY * err ** _ERR_EXPONENT)
-                    rejected = True
-                    rejections += 1
-                else:
-                    halted = ("step-size underflow: Required step size is less "
-                              "than spacing between numbers.")
-                    last = t, y
-                    break
-                factor = (_MAX_FACTOR if err == 0.0
-                          else min(_MAX_FACTOR, _SAFETY * err ** _ERR_EXPONENT))
-                h_abs = h * (min(1.0, factor) if rejected else factor)
-                t_old, y_old, t, y, ydot = t, y, t_new, y_new, k[-1]
-                steps += 1
-                rows = None
-                t_hi = t
-                reason = halt(y, y_old)
-                if reason is not None:
-                    rows = dense(rhs, y_old, y, k, h)
-                    nfev += 3
-                    back, start = np.array(rows)[::-1], np.array(y_old)
-                    at = lambda t_s: _interpolate(back, np.array([[(t_s - t_old) / h]]), start)[0]
-                    a, c = t_old, t
-                    for _ in range(80):  # bisect the crossing time
-                        mid = 0.5 * (a + c)
-                        if halt(at(mid), y_old) is None:
-                            a = mid
-                        else:
-                            c = mid
-                    t_hi = a
+            steps, nfev, rejections, halted, exc, last, crossing = _kernel(_make_run, sys)(
+                y, ydot, _initial_step(rhs, y, ydot, t_end, rtol, atol), nfev, t_end, rtol,
+                atol, sample_ts, samples, queue, dense)
+            if exc is not None:
+                raise exc
+            if crossing is not None:  # bisect the crossing time on the step's interpolant
+                next_i, t_old, t, y_old, args = crossing
+                rows, nfev = dense(*args), nfev + 3
+                h, halt = args[0], rhs.__globals__["halt"]  # compiled with rhs
+                back, start = np.array(rows)[::-1], np.array(y_old)
+                at = lambda t_s: _interpolate(back, np.array([[(t_s - t_old) / h]]), start)[0]
+                a, c = t_old, t
+                for _ in range(80):
+                    mid = 0.5 * (a + c)
+                    a, c = (mid, c) if halt(at(mid), y_old) is None else (a, mid)
                 first = next_i
-                while next_i < samples and sample_ts[next_i] <= t_hi + 1e-12 * max(1.0, t_hi):
+                while next_i < samples and sample_ts[next_i] <= a + 1e-12 * max(1.0, a):
                     next_i += 1
                 if next_i > first:
-                    if rows is None:
-                        rows = dense(rhs, y_old, y, k, h)
-                        nfev += 3
                     queue(sample_ts[first:next_i], y_old, rows, t_old, h)
-                if reason is not None:
-                    halted = reason
-                    last = t_hi, at(t_hi).tolist()
-                    break
+                last = a, at(a).tolist()
         else:
             if not step > 0 or math.isinf(t_end / step):
                 raise ValueError(f"need step > 0 and t_end / step finite, got {t_end} / {step}")
@@ -732,7 +756,7 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
                 raise ValueError(f"need t_end / step <= {_MAX_STEPS}, got {t_end} / {step}")
             nsteps = max(1, round(t_end / step))
             h = t_end / nsteps
-            steps, nfev, fp_worst, halted, exc, y = _make_march(sys)(
+            steps, nfev, fp_worst, halted, exc, y = _kernel(_make_march, sys)(
                 y0.tolist(), h, nsteps, max(1, nsteps // (samples - 1)),
                 lambda t_s, y_s: queue([t_s], y_s))
             if isinstance(exc, QuadratureError):

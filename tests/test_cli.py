@@ -1,7 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
 import builtins
-import functools
 import hashlib
 import json
 import math
@@ -375,12 +374,15 @@ samples: 6
 ])
 def test_repeated_simulate_of_one_config_compiles_one_kernel(text, tmp_path, capsys, monkeypatch):
     # each simulate builds its system anew from the config; its metric and
-    # potential are kept builds and its kernels print the same, so each is
-    # compiled once: the midpoint run, or the RHS and the DOP853 kernel
-    compiled = []
+    # potential are kept builds, so its kernels are kept by its value: each
+    # is generated and compiled once, the midpoint run, or the RHS, the
+    # adaptive run and its dense output
+    compiled, generated = [], []
     monkeypatch.setattr(dynamics, "compile", lambda *a: compiled.append(a) or builtins.compile(*a),
                         raising=False)
-    monkeypatch.setattr(dynamics, "_make_dop853", functools.cache(dynamics._make_dop853.__wrapped__))
+    real = dynamics._rhs_source
+    monkeypatch.setattr(dynamics, "_rhs_source", lambda sys: generated.append(sys) or real(sys))
+    monkeypatch.setattr(dynamics, "_KEPT", {})
     dynamics._exec.cache_clear()
     config = tmp_path / "run.yaml"
     config.write_text(text)
@@ -388,7 +390,7 @@ def test_repeated_simulate_of_one_config_compiles_one_kernel(text, tmp_path, cap
         code, _, _ = run_cli(capsys, "simulate", "--config", str(config),
                              "--out", str(tmp_path / f"run{k}"))
         assert code == 0
-    assert len(compiled) == (1 if "method: midpoint" in text else 2)
+    assert len(compiled) == len(generated) == (1 if "method: midpoint" in text else 3)
     assert len({(tmp_path / f"run{k}" / "trajectory.csv").read_bytes() for k in range(4)}) == 1
 
 
@@ -758,9 +760,10 @@ def test_simulate_fixed_point_stall_flushes_partial_output(
         tmp_path, capsys, monkeypatch):
     # the run of tests/test_dynamics.py::_kepler_midpoint_stall through the
     # CLI: one fixed-point pass per step never converges, so step 1 stalls
-    # and only the initial state is written (the config builds a new
-    # system, so its kernel is generated under the patched constant)
+    # and only the initial state is written (with no kernel kept, the
+    # system's kernel is generated under the patched constant)
     monkeypatch.setattr(dynamics, "_MAX_FP_ITER", 1)
+    monkeypatch.setattr(dynamics, "_KEPT", {})
     config = tmp_path / "stall.yaml"
     config.write_text(
         "space: {id: euclidean}\n"
@@ -1053,6 +1056,19 @@ def test_random_state_signs_draw_as_generator_choice(seed):
                      *theirs.uniform(-2.0, 2.0, n)] for _ in range(count)]
             assert [x.hex() for x in got.ravel()] == [float(x).hex() for x in np.ravel(want)]
             assert ours.uniform() == theirs.uniform()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 199, 2 ** 63 + 5])
+def test_identity_orders_draw_as_generator_choice(seed):
+    # _suite_identities indexes its orders nu by rng.integers(5): the draw
+    # of rng.choice on the list, so the values and the stream after them
+    # are those of choice calls, interleaved with the suite's other draws
+    nus = [0.5, 1.0, 1.5, 2.0, 3.0]
+    ours, theirs = (cli._spawn(seed, 1)[0] for _ in range(2))
+    for _ in range(30):
+        assert nus[ours.integers(5)] == float(theirs.choice(nus))
+        assert ours.uniform(0.5, 2.0) == theirs.uniform(0.5, 2.0)
+    assert ours.random() == theirs.random()
 
 
 class _CountedDraws:

@@ -5,6 +5,7 @@ import functools
 import hashlib
 import math
 import types
+from sys import version_info
 
 import numpy as np
 import pytest
@@ -293,20 +294,21 @@ def test_generated_rhs_evaluates_each_subexpression_once():
 
 
 def test_generated_march_and_attempt_call_no_abs_or_max(monkeypatch):
-    # the convergence sweep, the axis halt and the error scale compare
-    # floats directly; darboux3b's f and kc's U' call no abs
+    # the convergence sweep, the axis halt, the error scale and the step
+    # control of the adaptive run's attempts compare floats directly;
+    # darboux3b's f and kc's U' call no abs
     sources = []
     real = dynamics._exec
     monkeypatch.setattr(dynamics, "_exec", lambda source, *a:
                         sources.append(source) or real(source, *a))
-    monkeypatch.setattr(dynamics, "_make_dop853", functools.cache(dynamics._make_dop853.__wrapped__))
+    monkeypatch.setattr(dynamics, "_KEPT", {})
     sys, s0 = _darboux3b_kc_with_b()
     integrate(sys, s0, 0.01)
     integrate(sys, s0, 0.01, method="midpoint")
-    assert [src.split("(", 1)[0] for src in sources] == ["def rhs", "def attempt", "def march"]
-    assert "\ndef dense(" in sources[1]
+    assert [src.split("(", 1)[0] for src in sources] == ["def rhs", "def dense", "def run",
+                                                         "def march"]
     for src in sources:
-        assert "abs(" not in src and "max(" not in src
+        assert "abs(" not in src and "max(" not in src and "min(" not in src
 
 
 def _raising_u_prime():
@@ -333,7 +335,7 @@ def test_midpoint_halts_where_u_prime_raises_with_its_first_exception(q1, p1, re
 
 
 def test_kernels_are_compiled_once_per_distinct_source(monkeypatch):
-    monkeypatch.setattr(dynamics, "_make_dop853", functools.cache(dynamics._make_dop853.__wrapped__))
+    monkeypatch.setattr(dynamics, "_KEPT", {})
     dynamics._exec.cache_clear()
 
     def compiles():
@@ -347,29 +349,47 @@ def test_kernels_are_compiled_once_per_distinct_source(monkeypatch):
     first, twin = build(), build()
     assert twin is not first
     integrate(first, s, 0.1)
-    # an adaptive run compiles its RHS and the DOP853 kernel, no midpoint run
-    assert compiles() == 2
-    # a system built alike shares both; its midpoint run is compiled once
+    # an adaptive run compiles its RHS, its run and its dense output, no
+    # midpoint run
+    assert compiles() == 3
+    # a system built alike shares all three; its midpoint run is compiled once
     gradient(twin, s)
     integrate(twin, s, 0.1)
-    assert compiles() == 2
+    assert compiles() == 3
     for sys in (first, twin, first):
         integrate(sys, s, 0.1, method="midpoint")
-    assert compiles() == 3
-    assert dynamics._make_rhs(first) is dynamics._make_rhs(twin)
-    assert dynamics._make_march(first) is dynamics._make_march(twin)
-    # one b_i or mu2 apart, a system compiles its own RHS and midpoint run
+    assert compiles() == 4
+    for make in (dynamics._make_rhs, dynamics._make_run, dynamics._make_dense,
+                 dynamics._make_march):
+        assert make(first) is make(twin)
+    # one b_i or mu2 apart, a system compiles its own kernels
     for other in (build(b=(0.2, 0.0, 0.51)), build(mu2=0.31)):
         integrate(other, s, 0.1)
         integrate(other, s, 0.1, method="midpoint")
         assert dynamics._make_rhs(other) is not dynamics._make_rhs(first)
-    assert compiles() == 7
-    # the DOP853 kernel is one per dimension
+        assert dynamics._make_run(other) is not dynamics._make_run(first)
+    assert compiles() == 12
+    # and so does each free system of another dimension, once
     for n in (3, 4, 4):
         integrate(SystemSpec(EUCLID, None, n=n),
                   PhaseState([1.0, 2.0] + [1.0] * (n - 2), [0.2, -0.1] + [0.1] * (n - 2)), 0.1)
-    assert dynamics._make_dop853.cache_info().misses == 2
-    assert compiles() == 10
+    assert compiles() == 18
+
+
+def test_equal_systems_generate_each_kernel_text_once(monkeypatch):
+    # four runs and 100 gradient calls on systems built alike: the kernels
+    # kept for the first serve the rest, so the RHS source is generated once
+    # per kernel kind -- the RHS, the adaptive run, its dense output and the
+    # midpoint run
+    monkeypatch.setattr(dynamics, "_KEPT", {})
+    made = []
+    real = dynamics._rhs_source
+    monkeypatch.setattr(dynamics, "_rhs_source", lambda sys: made.append(sys) or real(sys))
+    for method in ("adaptive", "midpoint", "adaptive", "midpoint"):
+        integrate(*_darboux3b_kc_with_b(), 0.1, method=method)
+    for _ in range(100):
+        gradient(*_darboux3b_kc_with_b())
+    assert len(made) == 4
 
 
 def test_a_quadrature_backed_u_prime_is_part_of_the_kernel_key():
@@ -386,14 +406,24 @@ def test_a_quadrature_backed_u_prime_is_part_of_the_kernel_key():
         assert not np.array_equal(shared[0].p, shared[1].p)
         for sys, rec in zip(systems, shared):
             dynamics._exec.cache_clear()
+            dynamics._KEPT.clear()
             fresh = integrate(sys, s0, 0.5, method=method, samples=6)
             assert np.array_equal(np.hstack([rec.q, rec.p]), np.hstack([fresh.q, fresh.p]))
             assert rec.stats == fresh.stats
 
 
 def _global_names(code):
-    """The names code and the code objects nested in it load as globals."""
-    names = {i.argval for i in dis.get_instructions(code) if i.opname == "LOAD_GLOBAL"}
+    """The names code and the code objects nested in it load as globals:
+    the co_names entries that LOAD_GLOBAL's argument indexes (shifted right
+    by one since Python 3.11), read off the bytecode, as dis.get_instructions
+    would at many times the cost on a kernel of thousands of instructions."""
+    shift = 1 if version_info >= (3, 11) else 0
+    names, ops, ext = set(), code.co_code, 0
+    for k in range(0, len(ops), 2):
+        op, arg = ops[k], ops[k + 1] | ext
+        ext = arg << 8 if op == dis.EXTENDED_ARG else 0
+        if op == dis.opmap["LOAD_GLOBAL"]:
+            names.add(code.co_names[arg >> shift])
     for const in code.co_consts:
         if isinstance(const, types.CodeType):
             names |= _global_names(const)
@@ -423,7 +453,8 @@ def test_kernels_read_nothing_but_their_source_and_key(monkeypatch):
 
     def kernels(sys):
         del sources[:]
-        made = dynamics._make_rhs(sys), dynamics._make_march(sys)
+        made = [make(sys) for make in (dynamics._make_rhs, dynamics._make_run,
+                                       dynamics._make_dense, dynamics._make_march)]
         return made, list(sources)
 
     def with_quadrature_u():
@@ -432,15 +463,14 @@ def test_kernels_read_nothing_but_their_source_and_key(monkeypatch):
 
     pairs = list(zip(_kernel_systems(), _kernel_systems()))
     pairs.append((with_quadrature_u(), with_quadrature_u()))
-    for sys, twin in pairs:
+    for k, (sys, twin) in enumerate(pairs):
         made, text = kernels(sys)
         assert kernels(twin)[1] == text, sys.label
         for kernel in made:
             assert _global_names(kernel.__code__) <= namespace, sys.label
-    attempt, dense = dynamics._make_dop853.__wrapped__(6)
-    assert dynamics._make_dop853.__wrapped__(6) == (attempt, dense)
-    for kernel in (attempt, dense):
-        assert _global_names(kernel.__code__) <= namespace
+            if k == 0:  # the bytecode scan reads what dis reads
+                assert _global_names(kernel.__code__) == {
+                    i.argval for i in dis.get_instructions(kernel) if i.opname == "LOAD_GLOBAL"}
     assert len(pairs) == 3 * len(CATALOG) + len(NAMED_SYSTEMS) + 1
 
 
@@ -519,6 +549,130 @@ def _scipy_reference(sys, s0, t_end, samples):
     return np.array(times), np.array(states), stats, halted
 
 
+def _reference_adaptive(sys, s0, t_end, samples, log=None):
+    """The adaptive run of integrate as a plain loop on _reference_rhs, at
+    rtol 1e-10 and atol 1e-12: scipy's DOP853 driver as integrate states it,
+    each stage and row a loop over scipy's tableau with the zero entries
+    dropped, its terms summed in order, the halt rule of _plain_halt, and
+    each sample a float Horner sum on the interpolant of its step.  Returns
+    (times, states, stats, halted); log, if given, gets (h, err, y_new) of
+    every attempt, err and y_new None where a stage raised."""
+    from scipy.integrate._ivp import dop853_coefficients as tab
+
+    rhs = _reference_rhs(sys)
+    m, rtol, atol = 2 * sys.n, 1e-10, 1e-12
+    nonzero = {}  # id of a tableau row -> its (index, entry) pairs with entry != 0
+
+    def combo(row, k, j):
+        if id(row) not in nonzero:
+            nonzero[id(row)] = [(s, float(c)) for s, c in enumerate(row) if c != 0.0]
+        (s, c), *rest = nonzero[id(row)]
+        total = c * k[s][j]
+        for s, c in rest:
+            total += c * k[s][j]
+        return total
+
+    A = [tab.A[s, :s] for s in range(tab.N_STAGES_EXTENDED)]  # one object per row
+    B, E5, E3, D = tab.B, tab.E5, tab.E3, list(tab.D)
+
+    def stages(y, k, h, first, last):  # k[first:last] from y by h, appended to k
+        for s in range(first, last):
+            k.append(rhs([y[j] + combo(A[s], k, j) * h for j in range(m)]))
+
+    def attempt(y, k, h):
+        stages(y, k, h, 1, 12)
+        y_new = [y[j] + h * combo(B, k, j) for j in range(m)]
+        k.append(rhs(y_new))
+        sc = [atol + max(abs(a), abs(b)) * rtol for a, b in zip(y, y_new)]
+        n5 = n3 = None
+        for j in range(m):
+            e, g = combo(E5, k, j) / sc[j], combo(E3, k, j) / sc[j]
+            n5 = e * e if n5 is None else n5 + e * e
+            n3 = g * g if n3 is None else n3 + g * g
+        if n5 == 0.0 and n3 == 0.0:
+            return 0.0, y_new
+        return h * n5 / math.sqrt((n5 + 0.01 * n3) * m), y_new
+
+    def dense(y, y_new, k, h):  # the step's 7 interpolant rows
+        stages(y, k, h, 13, 16)
+        d = [b - a for a, b in zip(y, y_new)]
+        return [d, [h * k[0][j] - d[j] for j in range(m)],
+                [2.0 * d[j] - h * (k[12][j] + k[0][j]) for j in range(m)],
+                *([h * combo(row, k, j) for j in range(m)] for row in D)]
+
+    def at(t_s, t_old, h, y_old, rows):
+        x = (t_s - t_old) / h
+        out = []
+        for j in range(m):
+            v = 0.0
+            for i in range(7):
+                v += rows[6 - i][j]
+                v *= x if i % 2 == 0 else 1.0 - x
+            out.append(v + y_old[j])
+        return out
+
+    t, y = 0.0, s0.q.tolist() + s0.p.tolist()
+    f = dynamics._rhs_or_nan(lambda *v: rhs(list(v)), y)
+    h_abs = dynamics._initial_step(lambda *v: rhs(list(v)), y, f, t_end, rtol, atol)
+    sample_ts = np.linspace(0.0, t_end, samples).tolist()
+    times, states = [0.0], [list(y)]
+    next_i, steps, nfev, rejections, halted = 1, 0, 2, 0, None
+    while t < t_end:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while h_abs >= min_step:
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            nfev += 12
+            k = [list(f)]
+            try:
+                err, y_new = attempt(y, k, h)
+            except (ValueError, ArithmeticError):
+                err, y_new = None, None
+            if log is not None:
+                log.append((h, err, y_new))
+            if err is not None and err < 1.0:
+                break
+            h_abs = h * (0.2 if err is None else max(0.2, 0.9 * err ** -0.125))
+            rejected = True
+            rejections += 1
+        else:
+            halted = "step-size underflow: Required step size is less than spacing between numbers."
+            if t > times[-1] + 1e-12 * max(1.0, t):
+                times.append(t)
+                states.append(y)
+            break
+        factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.125)
+        h_abs = h * (min(1.0, factor) if rejected else factor)
+        t_old, y_old, t, y, f = t, y, t_new, y_new, k[12]
+        steps += 1
+        rows, t_hi = None, t
+        halted = _plain_halt(sys, y, y_old)
+        if halted is not None:
+            rows, nfev = dense(y_old, y, k, h), nfev + 3
+            a, c = t_old, t
+            for _ in range(80):
+                mid = 0.5 * (a + c)
+                if _plain_halt(sys, at(mid, t_old, h, y_old, rows), y_old) is None:
+                    a = mid
+                else:
+                    c = mid
+            t_hi = a
+        while next_i < samples and sample_ts[next_i] <= t_hi + 1e-12 * max(1.0, t_hi):
+            if rows is None:
+                rows, nfev = dense(y_old, y, k, h), nfev + 3
+            times.append(sample_ts[next_i])
+            states.append(at(sample_ts[next_i], t_old, h, y_old, rows))
+            next_i += 1
+        if halted is not None:
+            if t_hi > times[-1] + 1e-12 * max(1.0, t_hi):
+                times.append(t_hi)
+                states.append(at(t_hi, t_old, h, y_old, rows))
+            break
+    return times, states, {"steps": steps, "nfev": nfev, "rejections": rejections}, halted
+
+
 def _oracle_cases():
     direction = np.array([0.6, -0.64, 0.48])
     for mid in CATALOG:
@@ -581,36 +735,60 @@ def test_adaptive_run_matches_scipy_dop853(label, sys, s0, t_end):
     assert np.max(np.max(np.abs(got - states), axis=1) / scale) <= _ORACLE_RTOL
 
 
+def _hexes(rows):
+    return [[float(x).hex() for x in row] for row in rows]
+
+
+def _reference_cases():
+    """The oracle cases, and _custom_f_oscillator's U' that calls potential.du."""
+    yield from _oracle_cases()
+    metric = MetricSpec.from_source("1/(1 + 0.2*r^2)", id="custom")
+    yield ("quadrature-u", SystemSpec(metric, oscillator_potential(metric, 0.01), n=3),
+           PhaseState([0.5, 0.0, 0.0], [2.0, 0.1, 0.0]), 2.0)
+
+
+@pytest.mark.parametrize("label, sys, s0, t_end",
+                         [pytest.param(*case, id=case[0]) for case in _reference_cases()])
+def test_adaptive_run_matches_the_reference_loop_bit_for_bit(label, sys, s0, t_end):
+    # every step, rejection, halt and sample of the generated run is that of
+    # the plain loop, to the bit, halts and a quadrature-backed U' included
+    rec = integrate(sys, s0, t_end, samples=21)
+    times, states, stats, halted = _reference_adaptive(sys, s0, t_end, 21)
+    assert rec.halted == halted == _HALTS.get(label)
+    assert rec.stats == stats
+    assert _hexes([rec.times]) == _hexes([times])
+    assert _hexes(np.hstack([rec.q, rec.p])) == _hexes(states)
+
+
 def test_a_stage_outside_the_domain_rejects_the_attempt(monkeypatch):
     # the flat strip of test_halt_on_domain_exit: a stage beyond |q| = 2
     # raises the metric's DomainViolation, which rejects the attempt and
-    # cuts h by 0.2; every state a returned attempt reached lies inside the
-    # strip, so the run leaves it only through the bisection of a step
-    attempt, dense = dynamics._make_dop853(6)
-    log = []
-
-    def spy(rhs, y, f, h, rtol, atol):
-        try:
-            err, y_new, k = attempt(rhs, y, f, h, rtol, atol)
-        except DomainViolation:
-            log.append((h, None, None))
-            raise
-        log.append((h, err, y_new))
-        return err, y_new, k
-
-    monkeypatch.setattr(dynamics, "_make_dop853", lambda m: (spy, dense))
+    # cuts h by 0.2; every state a finished attempt reached lies inside the
+    # strip, so the run leaves it only through the bisection of a step.  The
+    # kernels, compiled afresh, call a spy for each stage out of the strip
+    calls = []
+    real = dynamics._outside_domain
+    monkeypatch.setattr(dynamics, "_outside_domain", lambda *a: calls.append(a[0]) or real(*a))
+    monkeypatch.setattr(dynamics, "_KEPT", {})
+    monkeypatch.setattr(dynamics, "_exec", functools.lru_cache(dynamics._exec.__wrapped__))
     metric = MetricSpec.from_source("1", id="flat-strip", domain=(0.5, 2.0))
     sys = SystemSpec(metric, None, mu2=0.0, n=3)
     q0 = np.array([1.2, 0.3, 0.4])
-    rec = integrate(sys, PhaseState(q0, 0.5 * q0 / 1.3), 20.0)
-    assert rec.halted == "domain-exit"
+    s0 = PhaseState(q0, 0.5 * q0 / 1.3)
+    rec = integrate(sys, s0, 20.0)
+    log = []
+    times, states, stats, halted = _reference_adaptive(sys, s0, 20.0, 201, log)
+    assert rec.halted == halted == "domain-exit"
+    assert rec.stats == stats and _hexes([rec.times]) == _hexes([times])
+    assert _hexes(np.hstack([rec.q, rec.p])) == _hexes(states)
     failed = [i for i, (_, err, _) in enumerate(log) if err is None]
     assert failed and failed[-1] < len(log) - 1
+    # the generated run stopped each failed attempt at one stage beyond the strip
+    assert len(calls) == len(failed) and min(calls) >= 2.0
     for i in failed:
         assert log[i + 1][0] == pytest.approx(0.2 * log[i][0], rel=1e-12)
     assert rec.stats["rejections"] >= len(failed)
-    assert max(math.sqrt(sum(x * x for x in y[:3])) for _, err, y in log
-               if err is not None) < 2.0
+    assert max(_radius(y[:3]) for _, err, y in log if err is not None) < 2.0
     assert rec.states[-1].radius < 2.0
     assert rec.states[-1].radius == pytest.approx(2.0, abs=1e-6)
 
@@ -964,8 +1142,10 @@ def _across_a_singular_plane():
 ])
 def test_midpoint_run_matches_the_reference_loop_bit_for_bit(monkeypatch, setup, t_end,
                                                              limit, halted):
-    # the limit is baked into the kernel text, which the run generates
+    # the limit is baked into the kernel text, which the run generates with
+    # no kernel kept
     monkeypatch.setattr(dynamics, "_MAX_FP_ITER", limit)
+    monkeypatch.setattr(dynamics, "_KEPT", {})
     sys, s0 = setup()
     assert _run_against_reference(sys, s0, t_end, 1e-3, limit)[0] == halted
 
@@ -1192,9 +1372,10 @@ def test_both_integrators_halt_where_a_singular_plane_is_crossed(method, b1):
 
 
 def _kepler_midpoint_stall(monkeypatch):
-    # one fixed-point pass per step: the kernel of this new system is
-    # generated under the patched constant
+    # one fixed-point pass per step: with no kernel kept, the kernel of
+    # this system is generated under the patched constant
     monkeypatch.setattr(dynamics, "_MAX_FP_ITER", 1)
+    monkeypatch.setattr(dynamics, "_KEPT", {})
     sys = SystemSpec(EUCLID, kc_potential(EUCLID, 1.0), mu2=0.0, n=3)
     s0 = PhaseState([1.0, 0.3, 0.4], [-0.1, 0.5, 0.2])
     return sys, s0, {}
@@ -1276,6 +1457,21 @@ def test_quadrature_failure_halts_and_keeps_earlier_samples(
     assert max(st.radius for st in rec.states) < 0.6
     assert all(v.size == rec.times.size for v in rec.series.values())
     assert conservation_report(rec)["halted"] == rec.halted
+
+
+@pytest.mark.parametrize("q1, nfev", [(0.598, 2), (0.595, 14)])
+def test_quadrature_failure_before_the_first_step_counts_the_calls_made(
+        fail_quadrature_between, q1, nfev):
+    # the oscillator's U' needs U by quadrature: from |q| = 0.598 the
+    # initial-step probe reaches the failing band, from 0.595 only the
+    # stages of the first attempt do; nfev counts the calls made either way
+    metric = MetricSpec.from_source("1/(1 + 0.2*r^2)", id="custom")
+    sys = SystemSpec(metric, oscillator_potential(metric, 0.01), n=3)
+    fail_quadrature_between(0.6, 1.0)
+    rec = integrate(sys, PhaseState([q1, 0.0, 0.0], [2.0, 0.1, 0.0]), 1.0, samples=11)
+    assert rec.halted.startswith("quadrature failed: green function on 'custom'")
+    assert rec.stats == {"steps": 0, "nfev": nfev, "rejections": 0}
+    assert rec.times.tolist() == [0.0]
 
 
 def test_darboux4_edge_is_unreachable():
