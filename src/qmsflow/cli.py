@@ -496,11 +496,16 @@ def _make_outdir(path: str) -> None:
 
 @contextmanager
 def _output(path: str):
-    """path opened for writing; failing to open or write it is a
-    configuration error."""
+    """path opened for writing: created with mode 0o666 less the umask, or
+    overwritten in place (on ext4 a truncate to zero makes close() flush), then
+    cut to the length written, on error too; an OSError is a ConfigError."""
     try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            yield handle
+        with open(path, "w", encoding="utf-8", newline="",
+                  opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as handle:
+            try:
+                yield handle
+            finally:
+                handle.truncate()
     except OSError as exc:
         raise ConfigError(f"cannot write {path!r}: {exc}") from exc
 

@@ -612,11 +612,6 @@ class TrajectoryRecord:
         return tuple(map(PhaseState, self.q, self.p))
 
 
-def _drift(values: np.ndarray) -> float:
-    v0 = values[0]
-    return float(np.max(np.abs(values - v0)) / (1.0 + abs(v0)))
-
-
 def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
               rtol: float = 1e-10, atol: float = 1e-12, samples: int = 201,
               step: float = 1e-3) -> TrajectoryRecord:
@@ -777,7 +772,9 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
     q, p = y[:, :n], y[:, n:]
     series = _audit(q, p, np.concatenate(rs), np.array(frs),
                     np.array(us) if u is not None else None, sys.mu2, sys.b)
-    drift = {name: _drift(vals) for name, vals in series.items()}
+    table = np.array(list(series.values()))  # max |v - v0| / (1 + |v0|) per row
+    v0 = table[:, 0]
+    drift = dict(zip(series, (abs(table.T - v0).max(axis=0) / (1.0 + abs(v0))).tolist()))
     return TrajectoryRecord(np.array(ts), q, p, series, drift, stats, method,
                             halted)
 

@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface."""
 
 import builtins
+import contextlib
+import errno
 import hashlib
 import json
 import math
@@ -912,6 +914,136 @@ def test_simulate_unwritable_output_file_is_a_config_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "config error: cannot write" in err and "summary.json" in err
+
+
+def _fill_with_a_dense_run(capsys, tmp_path, out_dir):
+    config = tmp_path / "dense.yaml"
+    config.write_text(TAUB_NUT_N8_YAML.replace("t_end: 10.0\nsamples: 41",
+                                               "t_end: 0.5\nsamples: 301"))
+    assert run_cli(capsys, "simulate", "--config", str(config), "--out", str(out_dir))[0] == 0
+
+
+def _fill_with_junk(capsys, tmp_path, out_dir):
+    out_dir.mkdir()
+    (out_dir / "trajectory.csv").write_bytes(bytes(range(256)) * 400)
+
+
+@pytest.mark.parametrize("fill", [_fill_with_a_dense_run, _fill_with_junk],
+                         ids=["after-a-301-sample-run", "over-100-kb-of-junk"])
+def test_simulate_into_a_used_directory_writes_what_a_fresh_one_gets(tmp_path, capsys, fill):
+    # outputs are overwritten in place and cut to length: nothing of the
+    # longer earlier file may follow the new bytes
+    config = tmp_path / "short.yaml"
+    config.write_text(KEPLER_YAML.replace("samples: 41", "samples: 3"))
+    used = tmp_path / "used"
+    fill(capsys, tmp_path, used)
+    stale = (used / "trajectory.csv").stat().st_size
+    results = {}
+    for out_dir in (tmp_path / "fresh", used):
+        code, _, err = run_cli(capsys, "simulate", "--config", str(config), "--out", str(out_dir))
+        results[out_dir.name] = (code, err, (out_dir / "trajectory.csv").read_bytes(),
+                                 (out_dir / "summary.json").read_bytes())
+    assert results["used"] == results["fresh"]
+    assert results["fresh"][0] == 0
+    assert len(results["fresh"][2]) < stale
+
+
+def test_verify_report_over_a_longer_stale_one_is_the_fresh_report(tmp_path, capsys):
+    stale = tmp_path / "used" / "verify-brackets.json"
+    stale.parent.mkdir()
+    stale.write_text("{\n" + '  "stale": true,\n' * 2000 + "}\n")
+    reports = []
+    for out_dir in (tmp_path / "fresh", stale.parent):
+        code, out, _ = run_cli(capsys, "verify", "brackets", "--seed", "3",
+                               "--out", str(out_dir))
+        assert code == 0
+        assert (out_dir / "verify-brackets.json").read_text() == out
+        reports.append((out_dir / "verify-brackets.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+class _FailingThirdWrite:
+    """A text handle whose third write raises ENOSPC and writes nothing."""
+
+    def __init__(self, handle):
+        self.handle, self.writes = handle, 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes == 3:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self.handle.write(text)
+
+
+def test_a_failed_csv_block_leaves_the_blocks_before_it_and_no_stale_bytes(
+        tmp_path, capsys, monkeypatch):
+    # header, block 1, then the write of block 2 fails: exit 2 with the
+    # usual message, and the file ends after block 1 even over a longer one
+    monkeypatch.setattr(cli, "_CSV_BLOCK", 4)
+    config = tmp_path / "kepler.yaml"
+    config.write_text(KEPLER_YAML)
+    assert run_cli(capsys, "simulate", "--config", str(config),
+                   "--out", str(tmp_path / "fresh"))[0] == 0
+    rows = (tmp_path / "fresh" / "trajectory.csv").read_bytes().splitlines(keepends=True)
+    assert len(rows) == 42
+    out_dir = tmp_path / "used"
+    _fill_with_junk(capsys, tmp_path, out_dir)
+    output = cli._output
+
+    @contextlib.contextmanager
+    def failing_output(path):
+        with output(path) as handle:
+            yield _FailingThirdWrite(handle)
+
+    monkeypatch.setattr(cli, "_output", failing_output)
+    code, out, err = run_cli(capsys, "simulate", "--config", str(config), "--out", str(out_dir))
+    csv_path = str(out_dir / "trajectory.csv")
+    assert (code, out) == (2, "")
+    assert err == f"config error: cannot write {csv_path!r}: [Errno {errno.ENOSPC}] " \
+                  f"{os.strerror(errno.ENOSPC)}\n"
+    assert (out_dir / "trajectory.csv").read_bytes() == b"".join(rows[:5])
+    assert not (out_dir / "summary.json").exists()
+
+
+def _write_every_output_kind(capsys, tmp_path) -> Path:
+    config = tmp_path / "kepler.yaml"
+    config.write_text(KEPLER_YAML.replace("samples: 41", "samples: 3"))
+    out_dir = tmp_path / "run"
+    assert run_cli(capsys, "simulate", "--config", str(config), "--out", str(out_dir))[0] == 0
+    assert run_cli(capsys, "verify", "brackets", "--out", str(out_dir))[0] == 0
+    return out_dir
+
+
+OUTPUT_NAMES = ["summary.json", "trajectory.csv", "verify-brackets.json"]
+
+
+def test_every_output_is_opened_without_o_trunc(tmp_path, capsys, monkeypatch):
+    # twice, the second time over the files of the first
+    opened = []
+    real_open = os.open
+
+    def spy(path, flags, *args, **kwargs):
+        opened.append((os.path.basename(path), flags))
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    for _ in range(2):
+        _write_every_output_kind(capsys, tmp_path)
+    outputs = [(name, flags) for name, flags in opened if name in OUTPUT_NAMES]
+    assert sorted(name for name, _ in outputs) == sorted(OUTPUT_NAMES * 2)
+    for name, flags in outputs:
+        assert flags & os.O_TRUNC == 0, name
+        assert flags & (os.O_CREAT | os.O_WRONLY) == os.O_CREAT | os.O_WRONLY, name
+
+
+def test_a_new_output_file_has_mode_0o666_less_the_umask(tmp_path, capsys):
+    old_mask = os.umask(0o002)
+    try:
+        out_dir = _write_every_output_kind(capsys, tmp_path)
+    finally:
+        os.umask(old_mask)
+    for name in OUTPUT_NAMES:
+        assert (out_dir / name).stat().st_mode & 0o777 == 0o664, name
 
 
 def test_simulate_midpoint_method_from_config(tmp_path, capsys):
