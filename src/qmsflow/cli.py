@@ -496,16 +496,18 @@ def _make_outdir(path: str) -> None:
 
 @contextmanager
 def _output(path: str):
-    """path opened for writing: created with mode 0o666 less the umask, or
-    overwritten in place (on ext4 a truncate to zero makes close() flush), then
-    cut to the length written, on error too; an OSError is a ConfigError."""
-    try:
+    """path written over in place (mode 0o666 less the umask if new); a file longer than the
+    bytes that reached it is cut where they end, on error too; OSError is a ConfigError."""
+    try:  # never truncated to zero first: on ext4 that makes close() start writeback
         with open(path, "w", encoding="utf-8", newline="",
                   opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as handle:
             try:
                 yield handle
-            finally:
-                handle.truncate()
+                handle.flush()
+            finally:  # unbuffered: a flush of a failed write would fail again and skip the cut
+                raw = handle.buffer.raw
+                if raw.seekable() and os.fstat(raw.fileno()).st_size > raw.tell():
+                    raw.truncate()
     except OSError as exc:
         raise ConfigError(f"cannot write {path!r}: {exc}") from exc
 

@@ -10,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -1003,6 +1004,68 @@ def test_a_failed_csv_block_leaves_the_blocks_before_it_and_no_stale_bytes(
                   f"{os.strerror(errno.ENOSPC)}\n"
     assert (out_dir / "trajectory.csv").read_bytes() == b"".join(rows[:5])
     assert not (out_dir / "summary.json").exists()
+
+
+def test_a_write_that_fails_in_the_os_still_cuts_off_the_stale_tail(
+        tmp_path, capsys, monkeypatch):
+    # a file size limit makes write(2) itself stop at 64 KiB of a 190 KB
+    # trajectory.csv written over 100 KB of junk; with CSV blocks smaller
+    # than the file buffer the bytes that failed stay buffered, so a flush
+    # before the cut would fail again and skip it
+    resource = pytest.importorskip("resource")
+    monkeypatch.setattr(cli, "_CSV_BLOCK", 4)
+    limit = 1 << 16
+    fresh = tmp_path / "fresh"
+    _fill_with_a_dense_run(capsys, tmp_path, fresh)
+    expected = (fresh / "trajectory.csv").read_bytes()
+    out_dir = tmp_path / "used"
+    _fill_with_junk(capsys, tmp_path, out_dir)
+    assert len(expected) > (out_dir / "trajectory.csv").stat().st_size > limit
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (limit, hard))
+    try:
+        code, out, err = run_cli(capsys, "simulate", "--config", str(tmp_path / "dense.yaml"),
+                                 "--out", str(out_dir))
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+    csv_path = str(out_dir / "trajectory.csv")
+    assert (code, out) == (2, "")
+    assert err == f"config error: cannot write {csv_path!r}: [Errno {errno.EFBIG}] " \
+                  f"{os.strerror(errno.EFBIG)}\n"
+    assert (out_dir / "trajectory.csv").read_bytes() == expected[:limit]
+    assert not (out_dir / "summary.json").exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs fifos and /dev/null")
+def test_outputs_into_dev_null_or_a_fifo_are_written_as_before(tmp_path, capsys):
+    # only a file longer than what reached it is cut: /dev/null cannot be
+    # truncated and a fifo has no position, yet both take an output as before
+    config = tmp_path / "kepler.yaml"
+    config.write_text(KEPLER_YAML)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    for name in ("trajectory.csv", "summary.json"):
+        (out_dir / name).symlink_to(os.devnull)
+    assert run_cli(capsys, "simulate", "--config", str(config), "--out", str(out_dir))[0] == 0
+    fifo = out_dir / "verify-brackets.json"
+    os.mkfifo(fifo)
+    received = []
+
+    def drain():
+        with open(fifo, "rb") as reader:
+            received.append(reader.read())
+
+    thread = threading.Thread(target=drain, daemon=True)
+    thread.start()
+    try:
+        code, out, _ = run_cli(capsys, "verify", "brackets", "--seed", "3", "--out", str(out_dir))
+    finally:
+        thread.join(30)
+        if thread.is_alive():  # never opened for writing: let the reader see end of file
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            thread.join(30)
+    assert code == 0
+    assert received == [out.encode()]
 
 
 def _write_every_output_kind(capsys, tmp_path) -> Path:
