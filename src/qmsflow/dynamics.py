@@ -19,8 +19,8 @@ fixed-step implicit midpoint rule (symplectic, order 2) with fixed-point
 iteration; H is not separable as T(p) + V(q) -- f couples positions to
 momenta -- so explicit leapfrog is not an option.  Each step's iteration
 starts from a predictor extrapolated from the converged midpoint slopes of
-the previous four steps (Hairer, Lubich and Wanner, Geometric Numerical
-Integration, sec. VIII.6.1), which puts it O(h^5) from the root, so on a
+the previous five steps (Hairer, Lubich and Wanner, Geometric Numerical
+Integration, sec. VIII.6.1), which puts it O(h^6) from the root, so on a
 smooth orbit most steps converge after one RHS call.
 
 Both integrators run on kernels generated as straight-line Python source
@@ -40,7 +40,9 @@ Integration halts early, recording the reason and the last valid state,
 when a centrifugal axis is approached or crossed (|q_i| < 1e-10 or a sign
 change of q_i, with b_i != 0), when
 |q| reaches the edge of the system domain, when the step size underflows
-near a singular set, or when a quadrature-backed U fails to evaluate.
+near a singular set, when an RHS evaluation the run cannot reject fails (a
+midpoint pass, or a stage of an adaptive step's dense output), or when a
+quadrature-backed U fails to evaluate.
 """
 
 from __future__ import annotations
@@ -154,8 +156,8 @@ def hamiltonian_coalgebra(sys, s: PhaseState) -> float:
 def _rhs_source(sys):
     """Source of Hamilton's RHS for one system, as (names, body, slope): the
     local names q0.., p0.. of y = (q, p), statements on them that leave coef
-    and inv_f2 set, and one expression per component of ydot = (dH/dp,
-    -dH/dq).
+    (and inv_f2, unless f prints as 1.0) set, and one expression per
+    component of ydot = (dH/dp, -dH/dq).
 
     Chain rule on H = K/(2 f^2) + U with K = p^2 + mu^2/r^2 + sum b_i/q_i^2:
 
@@ -169,7 +171,9 @@ def _rhs_source(sys):
     which evaluates each value they share once, as the body does q_i^2 and
     f^2.  The float operations are those of the loop form of the formulas
     above, in order, so the results and the first exception raised are the
-    same.  The only validation is the metric domain check of |q|: out of the
+    same; where f prints as 1.0 (a flat space) the text leaves out f, f^2
+    and each factor 1/f^2 = 1.0, as x * 1.0 is x, and divides K f' by r.
+    The only validation is the metric domain check of |q|: out of the
     domain the code raises the DomainViolation of MetricSpec.check_domain,
     which the integrators rely on (the adaptive attempt is rejected and the
     step shrinks; the midpoint rule halts and quotes the message).
@@ -190,22 +194,25 @@ def _rhs_source(sys):
         items.append((potential.du_expr, potential.params))
     f, fp, *du = to_python_block(items)
     du_term = [] if potential is None else [f"coef += {du[0] if du else 'du(r)'} / r"]
+    # f = 1.0 (a flat space): f^2 and 1/f^2 are 1.0, and x * 1.0 is x, so
+    # the text leaves out each factor 1/f^2 and divides by r alone
+    flat = f == "1.0"
+    over_f2 = "" if flat else " * inv_f2"
     body = [
         "r2 = " + " + ".join(f"(qq{i} := {x} * {x})" if b[i] != 0.0 else f"{x} * {x}"
                              for i, x in enumerate(q)),
         "r = math.sqrt(r2)",
         f"if not {lo!r} < r < {hi!r}:",
         f"    outside_domain(r, {lo!r}, {hi!r}, {metric.id!r})",
-        f"fr = {f}",
-        "f2 = fr * fr",
-        "inv_f2 = 1.0 / f2",
+        *([] if flat else [f"fr = {f}", "f2 = fr * fr", "inv_f2 = 1.0 / f2"]),
         "k = " + " + ".join([f"{lit(mu2)} / r2"] + [f"{x} * {x}" for x in p]
                             + [f"{lit(b[i])} / qq{i}" for i in range(n) if b[i] != 0.0]),
-        f"coef = {lit(-mu2)} / (r2 * r2) * inv_f2 - k * {fp} / (f2 * fr * r)",
+        f"coef = {lit(-mu2)} / (r2 * r2){over_f2} - k * {fp} / "
+        + ("r" if flat else "(f2 * fr * r)"),
         *du_term,
     ]
-    slope = [f"{x} * inv_f2" for x in p] + [
-        f"-(coef * {x} - {lit(b[i])} / {x} ** 3 * inv_f2)" if b[i] != 0.0
+    slope = [f"{x}{over_f2}" for x in p] + [
+        f"-(coef * {x} - {lit(b[i])} / {x} ** 3{over_f2})" if b[i] != 0.0
         else f"-(coef * {x})" for i, x in enumerate(q)]
     return q + p, body, slope
 
@@ -302,9 +309,11 @@ def _make_march(sys):
     call, one pass at x = y (so w = y exactly) before the step loop, sets
     the Euler predictor x = v untested.  Every later step starts from x =
     y + h G, G extrapolated from the converged slopes g of the steps before
-    (the registers F2, F3 and F4 hold the three before g).  A step runs its
-    passes in one while loop and moves each register by one assignment, so
-    it builds no iterator and no tuple.  A converged step from y to v that
+    (the registers F2 to F5 hold the four before g): step k <= 5 through
+    all k - 1 there are, by degree k - 2, and every later step through the
+    last five, by degree 4, G = 5 (g - F4) + 10 (F3 - F2) + F5.  A step runs its passes in one
+    while loop and moves each register by one assignment, so it builds no
+    iterator and no tuple.  A converged step from y to v that
     _halt_lines stops halts the run; otherwise it is accepted, and record(t,
     y) gets every stride-th state and the last.
     It returns (steps, nfev, fp_worst, reason, exc, y): the steps accepted,
@@ -315,7 +324,7 @@ def _make_march(sys):
     names, body, slope = _rhs_source(sys)
     m = len(names)
     y, x, g, v = ([f"{c}{j}" for j in range(m)] for c in "yxgv")
-    f2, f3, f4 = ([f"F{k}_{j}" for j in range(m)] for k in (2, 3, 4))
+    f2, f3, f4, f5 = ([f"F{k}_{j}" for j in range(m)] for k in (2, 3, 4, 5))
     rhs = [*(f"{w} = 0.5 * ({y[j]} + {x[j]})" for j, w in enumerate(names)), *body,
            *(f"{g[j]} = {e}" for j, e in enumerate(slope)), "nfev += 1"]
     sweep = []
@@ -332,7 +341,8 @@ def _make_march(sys):
 
     def predictor(slope):  # x = y + h G, G given over the slope registers
         return [f"{x[j]} = {y[j]} + h * "
-                + slope.format(g=g[j], f2=f2[j], f3=f3[j], f4=f4[j]) for j in range(m)]
+                + slope.format(g=g[j], f2=f2[j], f3=f3[j], f4=f4[j], f5=f5[j])
+                for j in range(m)]
 
     state = f"[{', '.join(y)}]"
     stop = "return {}, nfev, fp_worst, {}, " + state
@@ -340,7 +350,7 @@ def _make_march(sys):
         "def march(y, h, nsteps, stride, record):",
         f"    {', '.join(y)} = y",
         *("    " + line for line in moves(x, y)),
-        f"    {' = '.join(f2 + f3)} = 0.0",  # no predictor reads them before steps fill them
+        f"    {' = '.join(f2 + f3 + f4)} = 0.0",  # no predictor reads them before steps fill them
         "    nfev = fp_worst = 0",
         "    try:",
         *("        " + line for line in rhs + predictor("{g}")),
@@ -372,7 +382,10 @@ def _make_march(sys):
         f"                record(kstep * h, {state})",
         "            except QuadratureError as exc:",
         "                " + stop.format("kstep", "None, exc"),
-        "        if kstep > 3:",
+        "        if kstep > 4:",
+        *("            " + line for line in predictor(
+            "(5.0 * ({g} - {f4}) + 10.0 * ({f3} - {f2}) + {f5})")),
+        "        elif kstep == 4:",
         *("            " + line for line in predictor("(4.0 * ({g} + {f3}) - 6.0 * {f2} - {f4})")),
         "        elif kstep == 3:",
         *("            " + line for line in predictor("(3.0 * ({g} - {f2}) + {f3})")),
@@ -380,7 +393,8 @@ def _make_march(sys):
         *("            " + line for line in predictor("(2.0 * {g} - {f2})")),
         "        else:",
         *("            " + line for line in predictor("{g}")),
-        *("        " + line for line in moves(f4, f3) + moves(f3, f2) + moves(f2, g)),
+        *("        " + line for line in moves(f5, f4) + moves(f4, f3) + moves(f3, f2)
+          + moves(f2, g)),
         "    return nsteps, nfev, fp_worst, None, None, None",
     ])["march"]
 
@@ -434,9 +448,11 @@ def _make_run(sys):
     larger (smaller).  A step across samples of sample_ts calls queue(times,
     y, rows, t, h), rows from dense.  Returns (steps, nfev, rejections,
     reason, exc, last, crossing): counts, halt reason, the QuadratureError
-    of a stage, dense or queue, the (t, y) of a step-size underflow, and of
-    a step that _halt_lines stops (next sample, t, t_new, y, dense's
-    arguments), whose crossing integrate bisects."""
+    of a stage or queue, or the ValueError, ArithmeticError or
+    QuadratureError that dense raised, the (t, y) of a step-size underflow
+    or of the step before that dense, and of a step that _halt_lines stops
+    (next sample, t, t_new, y, dense's arguments), whose crossing integrate
+    bisects."""
     from scipy.integrate._ivp import dop853_coefficients as tab
     source = names, body, slope = _rhs_source(sys)
     m = len(names)
@@ -500,7 +516,10 @@ def _make_run(sys):
         "                next_i += 1",
         "            try:",
         f"                rows = dense({args})",
-        "                nfev += 3",
+        "            except (ValueError, ArithmeticError, QuadratureError) as exc:",
+        f"                return steps, nfev, rejections, None, exc, (t, {state}), None",
+        "            nfev += 3",
+        "            try:",
         f"                queue(sample_ts[first:next_i], {state}, rows, t, h)",
         "            except QuadratureError as exc:",
         "                " + quadrature,
@@ -630,27 +649,31 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
     spans them; an accepted step halts by the rule of _halt_lines, as the
     midpoint run does, so a step across a singular plane q_i = 0 with b_i
     != 0 (q_i changes sign) halts like one that ends within _AXIS_EPS of it.
-    stats["nfev"] counts as scipy did: 2 for the initial slope and step, 12
-    per attempt and 3 per interpolant; stats["rejections"] counts the
-    rejected attempts.
+    An accepted step whose dense output raises ValueError or
+    ArithmeticError in one of its 3 extra stages halts the run as "rhs
+    evaluation failed: ...", as a midpoint pass does, keeping the state
+    before that step.  stats["nfev"] counts as scipy did: 2 for the
+    initial slope and step, 12 per attempt and 3 per interpolant;
+    stats["rejections"] counts the rejected attempts.
 
     method "midpoint": fixed-step implicit midpoint with step `step`,
     sampled every matching stride of steps.  Step k solves y1 = y0 + h F, F = rhs((y0 +
     y1)/2), by fixed-point iteration started from y0 + h G, G extrapolated
-    from F_1, ..., F_4, the converged slopes of the last four steps:
+    from F_1, ..., F_5, the converged slopes of the last five steps:
     G = rhs(y0) (an explicit Euler guess) at step 1, F_1 at step 2,
-    2 F_1 - F_2 at step 3, 3 (F_1 - F_2) + F_3 at step 4 and
-    4 (F_1 + F_3) - 6 F_2 - F_4 from step 5 on, which starts O(h^5) from the
-    root.  Each iteration costs one RHS call; it stops once the update
-    delta = max|y_new - y_old| satisfies delta <= _FP_TOL (1 + max|y_new|),
-    which an exact fast test of every |y_new - y_old| <= _FP_TOL decides
-    first (see _make_march), and the run halts after _MAX_FP_ITER
-    iterations without that.  At most _MAX_STEPS steps run: t_end / step
-    above it raises ValueError, as one that overflows does.  A step
-    accepted after one iteration is off the root by about h L/2 times the
-    predictor's error (L a Lipschitz constant of rhs), far below _FP_TOL, but
-    not zero: on long runs H drifts slowly, about 1e-15 per unit time on
-    circular Kepler at h = 1e-3.
+    2 F_1 - F_2 at step 3, 3 (F_1 - F_2) + F_3 at step 4,
+    4 (F_1 + F_3) - 6 F_2 - F_4 at step 5 and
+    5 (F_1 - F_4) + 10 (F_3 - F_2) + F_5 from step 6 on, which starts O(h^6)
+    from the root.  Each iteration costs one RHS call; it stops once the
+    update delta = max|y_new - y_old| satisfies delta <= _FP_TOL (1 +
+    max|y_new|), which an exact fast test of every |y_new - y_old| <=
+    _FP_TOL decides first (see _make_march), and the run halts after
+    _MAX_FP_ITER iterations without that.  At most _MAX_STEPS steps run:
+    t_end / step above it raises ValueError, as one that overflows does.  A
+    step accepted after one iteration is off the root by about h L/2 times
+    the predictor's error (L a Lipschitz constant of rhs), far below
+    _FP_TOL, but not zero: on long runs H drifts slowly, 6e-14 over t = 200
+    on circular Kepler at h = 1e-3.
     stats["nfev"] counts the step-1 Euler call plus every fixed-point call
     that completed, also on a halt.  The whole midpoint run is one call of
     the system's generated kernel (_make_march), which calls back here only
@@ -726,24 +749,27 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
             steps, nfev, rejections, halted, exc, last, crossing = _kernel(_make_run, sys)(
                 y, ydot, _initial_step(rhs, y, ydot, t_end, rtol, atol), nfev, t_end, rtol,
                 atol, sample_ts, samples, queue, dense)
-            if exc is not None:
-                raise exc
             if crossing is not None:  # bisect the crossing time on the step's interpolant
                 next_i, t_old, t, y_old, args = crossing
-                rows, nfev = dense(*args), nfev + 3
-                h, halt = args[0], rhs.__globals__["halt"]  # compiled with rhs
-                back, start = np.array(rows)[::-1], np.array(y_old)
-                at = lambda t_s: _interpolate(back, np.array([[(t_s - t_old) / h]]), start)[0]
-                a, c = t_old, t
-                for _ in range(80):
-                    mid = 0.5 * (a + c)
-                    a, c = (mid, c) if halt(at(mid), y_old) is None else (a, mid)
-                first = next_i
-                while next_i < samples and sample_ts[next_i] <= a + 1e-12 * max(1.0, a):
-                    next_i += 1
-                if next_i > first:
-                    queue(sample_ts[first:next_i], y_old, rows, t_old, h)
-                last = a, at(a).tolist()
+                try:
+                    rows = dense(*args)
+                except (ValueError, ArithmeticError, QuadratureError) as e:
+                    exc, last = e, (t_old, y_old)
+                else:
+                    nfev += 3
+                    h, halt = args[0], rhs.__globals__["halt"]  # compiled with rhs
+                    back, start = np.array(rows)[::-1], np.array(y_old)
+                    at = lambda t_s: _interpolate(back, np.array([[(t_s - t_old) / h]]), start)[0]
+                    a, c = t_old, t
+                    for _ in range(80):
+                        mid = 0.5 * (a + c)
+                        a, c = (mid, c) if halt(at(mid), y_old) is None else (a, mid)
+                    first = next_i
+                    while next_i < samples and sample_ts[next_i] <= a + 1e-12 * max(1.0, a):
+                        next_i += 1
+                    if next_i > first:
+                        queue(sample_ts[first:next_i], y_old, rows, t_old, h)
+                    last = a, at(a).tolist()
         else:
             if not step > 0 or math.isinf(t_end / step):
                 raise ValueError(f"need step > 0 and t_end / step finite, got {t_end} / {step}")
@@ -754,11 +780,11 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
             steps, nfev, fp_worst, halted, exc, y = _kernel(_make_march, sys)(
                 y0.tolist(), h, nsteps, max(1, nsteps // (samples - 1)),
                 lambda t_s, y_s: queue([t_s], y_s))
-            if isinstance(exc, QuadratureError):
-                raise exc
-            if exc is not None:
-                halted = f"rhs evaluation failed: {exc}"
             last = steps * h, y
+        if isinstance(exc, QuadratureError):
+            raise exc
+        if exc is not None:
+            halted = f"rhs evaluation failed: {exc}"
         if halted is not None and last[0] > ts[-1] + 1e-12 * max(1.0, last[0]):
             queue([last[0]], last[1])
         flush()

@@ -790,6 +790,30 @@ def test_simulate_fixed_point_stall_flushes_partial_output(
     assert conservation["stats"]["steps"] == 0
 
 
+def test_a_loose_rtol_run_whose_dense_output_fails_halts_with_partial_output(tmp_path,
+                                                                             capsys):
+    # the README config on darboux1 at rtol 0.5: an accepted step carries |q|
+    # to about 1e18, and an extra stage of its interpolant divides by zero;
+    # the run halts there as a failing midpoint RHS does, and writes both
+    # files up to the state before that step
+    config = tmp_path / "loose.yaml"
+    config.write_text(_readme_yaml_blocks()[0].replace("id: darboux3b", "id: darboux1")
+                      .replace("rtol: 1.0e-10", "rtol: 0.5"))
+    out_dir = tmp_path / "run"
+    code, out, err = run_cli(capsys, "simulate", "--config", str(config),
+                             "--out", str(out_dir))
+    csv_path, json_path = out_dir / "trajectory.csv", out_dir / "summary.json"
+    assert (code, out) == (3, "")
+    assert err == ("integration halted: rhs evaluation failed: float division by zero\n"
+                   f"partial output written to {csv_path} and {json_path}\n")
+    data = np.loadtxt(str(csv_path), delimiter=",", skiprows=1, ndmin=2)
+    conservation = json.loads(json_path.read_text())["conservation"]
+    assert conservation["halted"] == "rhs evaluation failed: float division by zero"
+    assert conservation["samples"] == data.shape[0] == 36
+    assert conservation["t_final"] == data[-1][0] < 20.0
+    assert conservation["stats"] == {"nfev": 140, "rejections": 0, "steps": 10}
+
+
 def test_simulate_adaptive_axis_halt_flushes_partial_output(tmp_path, capsys):
     # the adaptive run of test_halt_near_centrifugal_axis through the CLI:
     # attractive b_1 < 0 pulls q_1 onto the singular axis before t_end
@@ -865,29 +889,30 @@ def test_adaptive_simulate_outputs_are_pinned(tmp_path, capsys, config, code,
 
 
 def test_midpoint_simulate_output_is_pinned(tmp_path, capsys):
-    # darboux3b with kc and b != 0 at step 1e-3, recorded before the kernels
-    # shared subexpressions
+    # darboux3b with kc and b != 0 at step 1e-3, recorded when the midpoint
+    # predictor became quartic (the kernel then matched the reference loop
+    # of tests/test_dynamics.py bit for bit)
     path = tmp_path / "run.yaml"
     path.write_text(DARBOUX3B_MIDPOINT_YAML)
     out_dir = tmp_path / "run"
     assert run_cli(capsys, "simulate", "--config", str(path), "--out", str(out_dir))[0] == 0
     assert hashlib.sha256((out_dir / "trajectory.csv").read_bytes()).hexdigest() == \
-        "ccc2cec4f97466d94856e59c20987720758121d759bf3a54af4184768ee8982d"
+        "d8f437fa6b4c1d80f199f404ecfe76b3ee8bcc1d545fa3e734e01417c9061fef"
     assert hashlib.sha256((out_dir / "summary.json").read_bytes()).hexdigest() == \
-        "04ef1b15a9f20b72eb8d930addc866a7aeebddd1b1a716244a057346f53afad6"
+        "bd58c81ea54ec3a0788f630d928a51700ff8428cd24e346b2101a6276f0224ae"
 
 
 def test_midpoint_simulate_output_of_every_step_is_pinned(tmp_path, capsys):
     # the same run sampled at all 1000 steps, more samples than one column
-    # pass takes, recorded before samples were queued
+    # pass takes, recorded with the same predictor
     path = tmp_path / "run.yaml"
     path.write_text(DARBOUX3B_MIDPOINT_YAML.replace("samples: 51", "samples: 1001"))
     out_dir = tmp_path / "run"
     assert run_cli(capsys, "simulate", "--config", str(path), "--out", str(out_dir))[0] == 0
     assert hashlib.sha256((out_dir / "trajectory.csv").read_bytes()).hexdigest() == \
-        "88b12e3f85692bee42c8e8b95d50bacbed23b76177903cabed7d12044cc343f8"
+        "fd91202b62164290ab1dbcfef6410d9ab036ae6c06097a97e45135c4f9e770bc"
     assert hashlib.sha256((out_dir / "summary.json").read_bytes()).hexdigest() == \
-        "fb7d7c615f87905ed4eb91a7aa6d4efa5dcae231021de6dbf0b280185e967ac2"
+        "9b79443deb463f27e886448f6ef6a1a19585938f73c4b9d495e42b4b3eca9cd0"
 
 
 def test_simulate_out_naming_a_file_is_a_config_error(tmp_path, capsys, monkeypatch):

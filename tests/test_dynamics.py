@@ -986,8 +986,8 @@ def test_midpoint_steps_solve_the_midpoint_equation(setup):
                        np.max(np.abs(b.p - a.p + h * dh_dq)))
         assert residual <= fp_tol * (1.0 + max(np.max(np.abs(b.q)), np.max(np.abs(b.p))))
     if setup is _circular_kepler:
-        # step 1 adds the Euler call, and steps 1 to 4 start at most O(h^2)
-        # from the root; every later step starts O(h^5) from it, about 1e-15
+        # step 1 adds the Euler call, and steps 1 to 5 start at most O(h^2)
+        # from the root; every later step starts O(h^6) from it, about 1e-18
         # at h = 1e-3 on this orbit, below the 2e-13 the stopping rule asks
         # for, so nearly every step is accepted after its first pass
         assert rec.stats["nfev"] <= rec.stats["steps"] + rec.stats["steps"] // 20 + 5
@@ -1017,7 +1017,8 @@ def _free_particle_at_rest():
 def _extrapolate(slopes, order):
     """The predictor slope G from the converged slopes of the earlier steps,
     latest first: polynomial extrapolation through the last order + 1 of
-    them, or through all there are (constant, linear, quadratic, cubic)."""
+    them, or through all there are (constant, linear, quadratic, cubic,
+    quartic)."""
     F = slopes[:order + 1]
     if len(F) == 1:
         return list(F[0])
@@ -1025,7 +1026,9 @@ def _extrapolate(slopes, order):
         return [2.0 * a - b for a, b in zip(*F)]
     if len(F) == 3:
         return [3.0 * (a - b) + c for a, b, c in zip(*F)]
-    return [4.0 * (a + c) - 6.0 * b - d for a, b, c, d in zip(*F)]
+    if len(F) == 4:
+        return [4.0 * (a + c) - 6.0 * b - d for a, b, c, d in zip(*F)]
+    return [5.0 * (a - d) + 10.0 * (c - b) + e for a, b, c, d, e in zip(*F)]
 
 
 def _reference_march(sys, s0, t_end, h, order, limit=100):
@@ -1133,12 +1136,12 @@ def _across_a_singular_plane():
     (_free_particle_at_rest, 0.3, 100, None),
     (_strip_radial_escape, 2.0, 100, "domain-exit"),
     (_across_a_singular_plane, 2.0, 100, "singular-axis"),
-    # the pass limit after step 1: step 203 needs a 7th pass, so at 6 passes
-    # the run stalls there (202 steps kept, nfev 625, max_fp_iterations 6),
-    # and at 7 it converges on exactly its last allowed pass (300 steps,
-    # nfev 1080, max_fp_iterations 7)
-    (_custom_f_oscillator, 0.3, 6, "fixed-point iteration stalled"),
-    (_custom_f_oscillator, 0.3, 7, None),
+    # the pass limit after step 1: step 194 needs a 6th pass, so at 5 passes
+    # the run stalls there (193 steps kept, nfev 501, max_fp_iterations 5),
+    # and at 6 it converges on exactly its last allowed pass (300 steps,
+    # nfev 965, max_fp_iterations 6)
+    (_custom_f_oscillator, 0.3, 5, "fixed-point iteration stalled"),
+    (_custom_f_oscillator, 0.3, 6, None),
 ])
 def test_midpoint_run_matches_the_reference_loop_bit_for_bit(monkeypatch, setup, t_end,
                                                              limit, halted):
@@ -1152,11 +1155,11 @@ def test_midpoint_run_matches_the_reference_loop_bit_for_bit(monkeypatch, setup,
 
 def _run_against_reference(sys, s0, t_end, h, limit=100):
     """Assert that the midpoint run at stride 1 is _reference_march's at
-    cubic order and the given pass limit, bit for bit; return its halt and
+    quartic order and the given pass limit, bit for bit; return its halt and
     the reference's slow."""
     nsteps = round(t_end / h)
     rec = integrate(sys, s0, t_end, method="midpoint", step=h, samples=nsteps + 1)
-    times, states, halted, stats, slow = _reference_march(sys, s0, t_end, h, order=3,
+    times, states, halted, stats, slow = _reference_march(sys, s0, t_end, h, order=4,
                                                           limit=limit)
     assert rec.halted == halted
     assert rec.stats == {**stats, "rejections": 0}
@@ -1190,18 +1193,80 @@ def test_midpoint_passes_that_converge_relative_to_the_scale_match_the_reference
     assert halted is None and slow > 0
 
 
+def _names(lines):
+    return {node.id for node in ast.walk(ast.parse("\n".join(lines)))
+            if isinstance(node, ast.Name)}
+
+
+@pytest.mark.parametrize("sys, s0", [
+    pytest.param(SystemSpec(EUCLID, kc_potential(EUCLID, 1.0), mu2=0.3, b=(0.05, 0.0, 0.06)),
+                 PhaseState([0.6, 0.55, 0.5], [0.3, -0.4, 0.25]), id="euclidean-kc"),
+    pytest.param(named_system("mic-kepler", {"mu2": 0.3, "centrifugal": [0.05, 0.08, 0.06]}),
+                 PhaseState([0.61, 0.56, 0.51], [0.3, -0.41, 0.24]), id="mic-kepler"),
+])
+def test_flat_kernels_leave_out_f_and_match_both_reference_loops(sys, s0):
+    # f prints as 1.0: the RHS text binds no fr, f2 or inv_f2 and divides by
+    # r alone, which IEEE 754 makes exact, so both generated runs are still
+    # the plain loops' to the bit; a curved space keeps every factor
+    names, body, slope = dynamics._rhs_source(sys)
+    assert not _names(body + slope) & {"fr", "f2", "inv_f2"}
+    curved = SystemSpec(metric_of("darboux3b"), None, mu2=0.3, b=sys.b)
+    assert {"fr", "f2", "inv_f2"} <= _names(sum(dynamics._rhs_source(curved)[1:], []))
+    # k * f' stays: with p^2 overflowing, k * 0.0 is NaN, and so is -dH/dq
+    y = s0.q.tolist() + [1e200, 0.0, 0.0]
+    got = dynamics._make_rhs(sys)(*y)
+    assert [v.hex() for v in got] == [v.hex() for v in _reference_rhs(sys)(y)]
+    assert math.isnan(got[3])
+    rec = integrate(sys, s0, 2.0, samples=21)
+    times, states, stats, halted = _reference_adaptive(sys, s0, 2.0, 21)
+    assert rec.halted is halted is None and rec.stats == stats
+    assert _hexes([rec.times]) == _hexes([times])
+    assert _hexes(np.hstack([rec.q, rec.p])) == _hexes(states)
+    assert _run_against_reference(sys, s0, 0.5, 1e-3)[0] is None
+
+
+def _flow_midpoint_seed_1(name):
+    """The flow-midpoint benchmark config of one named system at seed 1, as
+    its YAML prints the jittered values."""
+    if name == "mic-kepler":  # kepler-eccentric
+        params = {"mu2": 0.2875780044398019, "centrifugal": [
+            0.054994396760410735, 0.08670640329430075, 0.0581399008124852]}
+        q = [0.6141985005837859, 0.5638989327118578, 0.506990279275442]
+        p = [0.2952296737048471, -0.4113236237014385, 0.24401330879677632]
+    else:
+        params = {"mu2": 0.04619975325422824, "centrifugal": [
+            0.020954278793755502, 0.027078999382593633, 0.01841089818747353]}
+        q = [0.3074797182959863, 0.2789995990003221, 0.24880363058997826]
+        p = [0.305189661321589, -0.4017280718647029, 0.24414872326779524]
+    return named_system(name, {"alpha": 1.0, **params}), PhaseState(q, p)
+
+
+@pytest.mark.parametrize("name, per_step", [
+    # 4665 and 8853 RHS calls over the 4000 steps with the cubic predictor
+    ("mic-kepler", 1.01),
+    ("mic-kepler-hyperbolic", 1.6),
+])
+def test_quartic_predictor_bounds_the_rhs_calls_per_step(name, per_step):
+    # the quartic start leaves the eccentric orbit at one pass per step and
+    # the hyperbolic one at well under two
+    sys, s0 = _flow_midpoint_seed_1(name)
+    rec = integrate(sys, s0, 4.0, method="midpoint", step=1e-3, samples=11)
+    assert rec.halted is None and rec.stats["steps"] == 4000
+    assert rec.stats["nfev"] <= per_step * rec.stats["steps"]
+
+
 @pytest.mark.parametrize("setup, nfev, fp_worst, digest", [
-    (_darboux3b_kc_with_b, 322, 4,
-     "976402377ac81b00e15a9e7046e65ba4cdb6b4b57d8a8ea466df68b2184c51c6"),
-    (_custom_f_oscillator, 1080, 7,
-     "097b0444be6b1d191b8b8dafbede2c7d14e9e56576df6a69aeb4ed15b0ec1995"),
+    (_darboux3b_kc_with_b, 311, 4,
+     "b7c9fb30ed211e60abd3e7a8da786f4e8d501db972a519dd8277fe5ffa164bc1"),
+    (_custom_f_oscillator, 965, 6,
+     "8127e1426331f66fb56031577378d34138d50e6dd9257edf69e485ff90d137fe"),
     (_free_particle_at_rest, 301, 1,
      "5f4e810dc72cf1700600ebf8b51a0132fd7c7653f90b6ac1e92082cfe574dba0"),
 ])
 def test_midpoint_run_is_pinned_bit_for_bit(setup, nfev, fp_worst, digest):
     # 300 steps at stride 1: every state, every H and every count of the
     # generated midpoint run, pinned to the values of _reference_march at
-    # the kernel's predictor order (cubic)
+    # the kernel's predictor order (quartic)
     sys, s0 = setup()
     rec = integrate(sys, s0, 0.3, method="midpoint", step=1e-3, samples=301)
     assert rec.halted is None and rec.times.size == 301
@@ -1238,7 +1303,7 @@ def test_float_sums_do_not_depend_on_the_sum_builtin(monkeypatch):
     assert hamiltonian(sys, s).hex() == "0x1.243b1d5b9758ap+2"
     for options, digest in [
             ({"method": "midpoint", "step": 1e-3, "samples": 301, "t_end": 0.3},
-             "976402377ac81b00e15a9e7046e65ba4cdb6b4b57d8a8ea466df68b2184c51c6"),
+             "b7c9fb30ed211e60abd3e7a8da786f4e8d501db972a519dd8277fe5ffa164bc1"),
             ({"t_end": 5.0}, "387dda3e0f56264eabfbbc8335802042c92d0303cf20d93fb1ea3a6897b3c38d")]:
         rec = integrate(sys, s0, **options)
         assert hashlib.sha256(rec.q.tobytes() + rec.p.tobytes()
@@ -1322,6 +1387,32 @@ def test_halt_on_domain_exit():
     assert rec.times[-1] == pytest.approx(1.4, abs=1e-6)  # (2 - 1.3) / 0.5
     assert rec.states[-1].radius == pytest.approx(2.0, abs=1e-6)
     assert conservation_report(rec)["halted"] == "domain-exit"
+
+
+@pytest.mark.parametrize("samples", [201, 2])
+def test_a_dense_output_that_raises_halts_the_adaptive_run(monkeypatch, samples):
+    # dense's three extra stages evaluate the RHS at states no attempt did;
+    # an ArithmeticError there halts the run as a failing RHS halts the
+    # midpoint run, keeping the state before the step: the second step, the
+    # first to span a sample (t = 0.1 of 201), or, with 2 samples, the step
+    # whose domain exit integrate would bisect on the interpolant
+    sys, s0 = _strip_radial_escape()
+    full = integrate(sys, s0, 20.0, samples=samples)
+
+    def dense(*args):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr(dynamics, "_make_dense", lambda sys: dense)
+    monkeypatch.setattr(dynamics, "_KEPT", {})
+    rec = integrate(sys, s0, 20.0, samples=samples)
+    assert rec.halted == "rhs evaluation failed: float division by zero"
+    if samples == 2:
+        assert full.halted == "domain-exit" and full.times.size == 2
+        assert rec.stats == {**full.stats, "nfev": full.stats["nfev"] - 3}
+        assert rec.times.size == 2 and 0.0 < rec.times[-1] < full.times[-1]
+    else:
+        assert rec.stats == {"steps": 2, "nfev": 2 + 2 * 12, "rejections": 0}
+        assert rec.times.size == 2 and 0.0 < rec.times[-1] < full.times[1] == 0.1
 
 
 def test_midpoint_halt_on_domain_exit():
