@@ -56,7 +56,7 @@ class PhaseState:
             raise ValueError(f"q and p must be equal-length vectors, got {q.shape} and {p.shape}")
         if q.shape[0] < 1:
             raise ValueError("empty state")
-        if not np.dot(q, q) > 0.0:
+        if not _ordered_sum(x * x for x in q.tolist()) > 0.0:  # floats: no overflow warning
             raise ValueError("|q| must be positive")
         q.setflags(write=False)
         p.setflags(write=False)

@@ -321,7 +321,7 @@ def _build_initial(node) -> PhaseState:
     sec.close()
     try:
         return to_cartesian(SphericalPhaseState(r, theta, p_r, p_theta))
-    except (ChartError, ValueError) as exc:
+    except (ChartError, ValueError, ArithmeticError) as exc:  # r ** 2 can overflow
         raise ConfigError(f"initial.spherical: {exc}") from exc
 
 
@@ -441,9 +441,11 @@ def build_config(data) -> RunConfig:
     # the initial state must be valid for the system (inside the metric and
     # potential domains, off every centrifugal axis)
     try:
-        hamiltonian(system, state0)
+        energy = hamiltonian(system, state0)
     except (DomainViolation, QuadratureError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"initial state invalid: {exc}") from exc
+    if not math.isfinite(energy):
+        raise ConfigError(f"initial state invalid: H = {energy} is not finite")
 
     return RunConfig(system, state0, t_end, method=method, rtol=rtol,
                      atol=atol, step=step, samples=samples, seed=seed,

@@ -41,8 +41,9 @@ when a centrifugal axis is approached or crossed (|q_i| < 1e-10 or a sign
 change of q_i, with b_i != 0), when
 |q| reaches the edge of the system domain, when the step size underflows
 near a singular set, when an RHS evaluation the run cannot reject fails (a
-midpoint pass, or a stage of an adaptive step's dense output), or when a
-quadrature-backed U fails to evaluate.
+midpoint pass, or a stage of an adaptive step's dense output), when an
+interpolated sample falls outside the domain, or when a quadrature-backed U
+fails to evaluate.
 """
 
 from __future__ import annotations
@@ -85,6 +86,11 @@ def _halt_bounds(sys) -> tuple[float, float]:
     lo, hi = sys.domain
     return (lo + _EDGE_EPS * max(1.0, abs(lo)) if lo > 0.0 else _EDGE_EPS,
             hi - _EDGE_EPS * max(1.0, abs(hi)) if math.isfinite(hi) else math.inf)
+
+
+class _SampleHalt(Exception):
+    """A queued sample outside the system domain, found at a flush: it halts
+    the run, with this message as the reason, as a QuadratureError of U does."""
 
 
 def _check_domain(domain, r: float) -> None:
@@ -168,11 +174,15 @@ def _rhs_source(sys):
     id, so all are baked in: unrolled over N, with terms only for the
     non-zero b_i, the domain check as literals, and f, f' and U' (a call to
     potential.du if U is quadrature-backed) from one exprlang.to_python_block,
-    which evaluates each value they share once, as the body does q_i^2 and
-    f^2.  The float operations are those of the loop form of the formulas
-    above, in order, so the results and the first exception raised are the
-    same; where f prints as 1.0 (a flat space) the text leaves out f, f^2
-    and each factor 1/f^2 = 1.0, as x * 1.0 is x, and divides K f' by r.
+    which evaluates each value they share once, as the body does q_i^2,
+    f^2 and the centrifugal term bq_i = b_i/q_i^2 of K.  The float
+    operations are those of the loop form of the formulas above, in order,
+    with b_i/q_i^3 computed as b_i/(q_i q_i)/q_i, not by libm pow, so the
+    results and the first exception raised are the same; where
+    f prints as 1.0 (a flat space) the text leaves out f, f^2 and each
+    factor 1/f^2 = 1.0, as x * 1.0 is x, and divides K f' by r, or, where
+    f' prints as 0.0 too, leaves K * 0.0 undivided: for r in the domain
+    (positive and finite), a signed zero or NaN over r is itself.
     The only validation is the metric domain check of |q|: out of the
     domain the code raises the DomainViolation of MetricSpec.check_domain,
     which the integrators rely on (the adaptive attempt is rejected and the
@@ -206,13 +216,13 @@ def _rhs_source(sys):
         f"    outside_domain(r, {lo!r}, {hi!r}, {metric.id!r})",
         *([] if flat else [f"fr = {f}", "f2 = fr * fr", "inv_f2 = 1.0 / f2"]),
         "k = " + " + ".join([f"{lit(mu2)} / r2"] + [f"{x} * {x}" for x in p]
-                            + [f"{lit(b[i])} / qq{i}" for i in range(n) if b[i] != 0.0]),
-        f"coef = {lit(-mu2)} / (r2 * r2){over_f2} - k * {fp} / "
-        + ("r" if flat else "(f2 * fr * r)"),
+                            + [f"(bq{i} := {lit(b[i])} / qq{i})" for i in range(n) if b[i] != 0.0]),
+        f"coef = {lit(-mu2)} / (r2 * r2){over_f2} - k * {fp}"
+        + ("" if flat and fp == "0.0" else " / r" if flat else " / (f2 * fr * r)"),
         *du_term,
     ]
     slope = [f"{x}{over_f2}" for x in p] + [
-        f"-(coef * {x} - {lit(b[i])} / {x} ** 3{over_f2})" if b[i] != 0.0
+        f"-(coef * {x} - bq{i} / {x}{over_f2})" if b[i] != 0.0
         else f"-(coef * {x})" for i, x in enumerate(q)]
     return q + p, body, slope
 
@@ -226,7 +236,8 @@ def _exec(source, du=None):
     whose kernels print alike share one compile."""
     env = {"math": math, "abs": abs, "range": range, "inf": math.inf, "nan": math.nan,
            "ValueError": ValueError, "ArithmeticError": ArithmeticError, "__builtins__": {},
-           "QuadratureError": QuadratureError, "outside_domain": _outside_domain, "du": du}
+           "QuadratureError": QuadratureError, "SampleHalt": _SampleHalt,
+           "outside_domain": _outside_domain, "du": du}
     exec(compile(source, "<generated kernel>", "exec"), env)
     return env
 
@@ -521,7 +532,7 @@ def _make_run(sys):
         "            nfev += 3",
         "            try:",
         f"                queue(sample_ts[first:next_i], {state}, rows, t, h)",
-        "            except QuadratureError as exc:",
+        "            except (QuadratureError, SampleHalt) as exc:",
         "                " + quadrature,
         "        t = t_new",
         *(f"        {a} = {b}" for a, b in zip(y, y_new)),
@@ -684,9 +695,12 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
     stacked rows, |q|, then _f_and_u) at _QUEUE samples, at the end of the
     run and, for a U without a compiled expression, after every step: a
     QuadratureError of U halts the run at that step, the samples before it
-    kept.  Any other error of f or U at a sample, or a sample outside the
-    domain, is raised at the flush: the same exception, for the same
-    sample.  H and both towers are audited over whole columns at the end.
+    kept.  So does a sample outside the system domain, which only a step's
+    interpolant can give (a loose rtol): "dense output failed: ..." quotes
+    its DomainViolation, and the stats count the steps run before the flush
+    that found it.  Any other error of f or U at a sample is raised at the
+    flush: the same exception, for the same sample.  H and both towers are
+    audited over whole columns at the end.
     """
     if not t_end > 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
@@ -724,6 +738,8 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
         before = len(frs)
         try:
             _f_and_u(sys.domain, f, u, r, frs, us)
+        except DomainViolation as exc:  # an interpolated sample: every other lies inside
+            raise _SampleHalt(f"dense output failed: {exc}") from None
         finally:
             done = len(frs) - before
             ys.append(y[:done])
@@ -781,7 +797,7 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
                 y0.tolist(), h, nsteps, max(1, nsteps // (samples - 1)),
                 lambda t_s, y_s: queue([t_s], y_s))
             last = steps * h, y
-        if isinstance(exc, QuadratureError):
+        if isinstance(exc, (QuadratureError, _SampleHalt)):
             raise exc
         if exc is not None:
             halted = f"rhs evaluation failed: {exc}"
@@ -790,6 +806,8 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
         flush()
     except QuadratureError as exc:
         halted = f"quadrature failed: {exc}"
+    except _SampleHalt as exc:
+        halted = str(exc)
     stats = {"steps": steps, "nfev": nfev, "rejections": rejections}
     if method == "midpoint":
         stats["max_fp_iterations"] = fp_worst
@@ -810,10 +828,12 @@ def _audit(q, p, r, fr, u, mu2, b) -> dict:
     and p are (T, N) arrays, r, fr and u the columns of |q|, f(|q|) and
     U(|q|) (u None without a potential), mu2 and b floats or columns too.  A
     sample with q_i = 0 where b_i != 0 raises SingularStateError, the first
-    such sample named."""
+    such sample named.  A float operation that overflows gives inf without
+    a word, so the columns' do too."""
     _check_b(q, b)
     q, p = list(q.T), list(p.T)
-    return {"H": _energy(q, p, r, fr, u, mu2, b), **_towers(q, p, b).as_dict()}
+    with np.errstate(over="ignore"):
+        return {"H": _energy(q, p, r, fr, u, mu2, b), **_towers(q, p, b).as_dict()}
 
 
 def conservation_report(rec: TrajectoryRecord) -> dict:

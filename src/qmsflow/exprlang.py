@@ -336,6 +336,11 @@ def _div(a: Expr, b: Expr) -> Expr:
     return BinOp("/", a, b)
 
 
+def _square(a: Expr) -> Expr:
+    """a * a on the one node a."""
+    return _mul(a, a)
+
+
 def _neg(a: Expr) -> Expr:
     if isinstance(a, Const):
         return Const(-a.value)
@@ -349,7 +354,12 @@ def differentiate(e: Expr) -> Expr:
 
     The result stays inside the grammar (differentiation is closed).  Only
     constant folding and trivial 0/1 eliminations are applied; the contract
-    is correctness, not minimality.
+    is correctness, not minimality.  Every square the rules make -- the
+    quotient rule's v^2, the power rule's u^(3-1) and tan's cos(u)^2 -- is
+    the product v * v of one shared node, so that to_python_block evaluates
+    v once and squares it with one correctly rounded multiply instead of a
+    libm pow; a square beyond the float range is inf, where x ** 2 raised
+    OverflowError.
     """
     if isinstance(e, (Const, Param)):
         return Const(0.0)
@@ -367,12 +377,13 @@ def differentiate(e: Expr) -> Expr:
             return _add(_mul(da, e.right), _mul(e.left, db))
         # quotient rule
         num = _sub(_mul(da, e.right), _mul(e.left, db))
-        return _div(num, Pow(e.right, Const(2.0)))
+        return _div(num, _square(e.right))
     if isinstance(e, Pow):
         # exponent is r-free: d/dr u^c = c * u^(c-1) * u'
         du = differentiate(e.base)
         cm1 = _sub(e.exponent, Const(1.0))
-        return _mul(_mul(e.exponent, Pow(e.base, cm1)), du)
+        power = _square(e.base) if _is_const(cm1, 2.0) else Pow(e.base, cm1)
+        return _mul(_mul(e.exponent, power), du)
     if isinstance(e, Call):
         u, du = e.arg, differentiate(e.arg)
         if e.fn == "sin":
@@ -380,7 +391,7 @@ def differentiate(e: Expr) -> Expr:
         if e.fn == "cos":
             return _neg(_mul(Call("sin", u), du))
         if e.fn == "tan":
-            return _div(du, Pow(Call("cos", u), Const(2.0)))
+            return _div(du, _square(Call("cos", u)))
         if e.fn == "exp":
             return _mul(Call("exp", u), du)
         if e.fn == "ln":
@@ -486,7 +497,8 @@ def to_python_block(items: Iterable[tuple[Expr, Mapping[str, float]]]) -> list[s
     ExprError.  Only rewrites that IEEE 754 makes exact, so values and
     exceptions are bit for bit those of the plain translation: a literal
     subtree is folded by the same float operation (unless that raises or
-    overflows); x*1, 1*x, x/1, -(-x) and x^1 are x; and a non-literal
+    overflows); x*1, 1*x, x/1, -(-x) and x^e with e a literal 1 are x;
+    r^e and c^e with e a literal 0 and c a literal are 1.0; and a non-literal
     subexpression that occurs more than once, in one text or across them,
     is evaluated where it first occurs, as (cN := ...), and read as cN."""
     nodes = {}  # text of each non-literal node -> times it was produced
@@ -529,13 +541,14 @@ def to_python_block(items: Iterable[tuple[Expr, Mapping[str, float]]]) -> list[s
             out = lit(v), v
         elif kind is Pow:
             tb, vb = translate(e.base, binds, memo)
-            k = e.exponent.value if type(e.exponent) is Const else 0.5
-            if k == 1.0:
+            te, ve = translate(e.exponent, binds, memo)
+            if ve == 1.0:
                 out = tb, vb
-            elif float(k).is_integer() and abs(k) <= 64:
-                out = make(f"({{}} ** {int(k)})", lambda x: x ** int(k), (tb,), (vb,))
+            elif ve == 0.0 and (vb is not None or type(e.base) is Var):
+                out = "1.0", 1.0  # x ** 0 is 1.0 for every float x, and r or a literal raises nothing
+            elif type(e.exponent) is Const and ve.is_integer() and abs(ve) <= 64:
+                out = make(f"({{}} ** {int(ve)})", lambda x: x ** int(ve), (tb,), (vb,))
             else:
-                te, ve = translate(e.exponent, binds, memo)
                 out = make("math.pow({}, {})", math.pow, (tb, te), (vb, ve))
         elif kind is Neg and type(e.arg) is Neg:
             out = translate(e.arg.arg, binds, memo)

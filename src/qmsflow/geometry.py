@@ -141,13 +141,19 @@ class MetricSpec:
     # -- construction checks --------------------------------------------------
 
     def _validate(self) -> None:
+        def checked(name, fn):  # fn, whose errors of arithmetic or math are MetricErrors
+            def call(r):
+                try:
+                    return fn(r)
+                except (ValueError, ArithmeticError) as exc:
+                    raise MetricError(
+                        f"metric '{self.id}': {name}({r}) not evaluable: {exc}") from None
+            return call
+
+        f, fp, fpp = checked("f", self._f), checked("f'", self._fp), checked("f''", self._fpp)
         grid = sample_radii(self.domain, 64)
         for r in grid:
-            try:
-                v = self._f(float(r))
-            except (ValueError, ZeroDivisionError, OverflowError) as exc:
-                raise MetricError(
-                    f"metric '{self.id}': f({r}) not evaluable: {exc}") from None
+            v = f(float(r))
             if not (math.isfinite(v) and v > 0.0):
                 raise MetricError(f"metric '{self.id}': f({r}) = {v} is not positive")
         # derivative consistency, central differences at 8 interior points
@@ -156,14 +162,14 @@ class MetricSpec:
             h = 1e-6 * max(1.0, r)
             if r - h <= self.domain[0] or r + h >= self.domain[1]:
                 continue
-            fd1 = (self._f(r + h) - self._f(r - h)) / (2 * h)
-            sym1 = self._fp(r)
-            if abs(fd1 - sym1) > 1e-6 * max(1.0, abs(sym1), abs(self._f(r))):
+            fd1 = (f(r + h) - f(r - h)) / (2 * h)
+            sym1 = fp(r)
+            if abs(fd1 - sym1) > 1e-6 * max(1.0, abs(sym1), abs(f(r))):
                 raise MetricError(
                     f"metric '{self.id}': f' inconsistent with f at r={r}: "
                     f"fd={fd1}, symbolic={sym1}")
-            fd2 = (self._fp(r + h) - self._fp(r - h)) / (2 * h)
-            sym2 = self._fpp(r)
+            fd2 = (fp(r + h) - fp(r - h)) / (2 * h)
+            sym2 = fpp(r)
             if abs(fd2 - sym2) > 1e-6 * max(1.0, abs(sym2), abs(sym1)):
                 raise MetricError(
                     f"metric '{self.id}': f'' inconsistent with f' at r={r}: "

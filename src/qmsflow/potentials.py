@@ -202,7 +202,7 @@ def _positive_subdomain(u: Callable, domain, label: str):
         a, b = vals[i], vals[i + 1]
         if a == 0.0:
             crossings.append(float(grid[i]))
-        elif a * b < 0.0:
+        elif a < 0.0 < b or b < 0.0 < a:  # a * b can overflow or underflow
             crossings.append(float(brentq(u, float(grid[i]), float(grid[i + 1]),
                                           xtol=1e-14, rtol=8.9e-16)))
     if vals[-1] == 0.0:

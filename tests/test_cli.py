@@ -285,6 +285,24 @@ def test_simulate_rejects_disjoint_space_and_potential_domains(tmp_path, capsys)
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("f, message", [
+    # the kink of |r - c| on a check radius: f' divides by zero there
+    ("2 + abs(r - 0.02077113925966455)",
+     "space.f: metric 'custom': f'(0.02077113925966455) not evaluable: float division by zero"),
+    # f^2 of H underflows at the initial radius (and r^2 overflowed f' as a pow)
+    ("1/(1 + 1e200*r^2)", "initial state invalid: float division by zero"),
+])
+def test_a_metric_whose_checks_raise_is_a_config_error(f, message, tmp_path, capsys):
+    config = tmp_path / "run.yaml"
+    config.write_text(f'space: {{f: "{f}"}}\npotential: none\n'
+                      "initial:\n"
+                      "  cartesian: {q: [1.0, 0.2, 0.3], p: [0.1, -0.2, 0.4]}\n"
+                      "t_end: 1.0\n")
+    code, out, err = run_cli(capsys, "simulate", "--config", str(config),
+                             "--out", str(tmp_path / "run"))
+    assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+
 @pytest.mark.parametrize("system", [
     "space: {id: nu-fold, params: {nu: 3.0e-7}}\npotential: none\n",
     "potential:\n  named-system: {id: multifold-kepler, nu: 3.0e-7}\n",
@@ -814,6 +832,59 @@ def test_a_loose_rtol_run_whose_dense_output_fails_halts_with_partial_output(tmp
     assert conservation["stats"] == {"nfev": 140, "rejections": 0, "steps": 10}
 
 
+@pytest.mark.parametrize("samples, rows, stats", [
+    (201, 99, {"nfev": 62, "rejections": 0, "steps": 4}),
+    # more samples than one column pass takes: the flush inside the run finds it
+    (4001, 1967, {"nfev": 47, "rejections": 0, "steps": 3}),
+])
+def test_a_loose_rtol_sample_outside_the_domain_halts_with_partial_output(
+        tmp_path, capsys, samples, rows, stats):
+    # the README config on darboux2 at rtol 0.1: a step's interpolant puts a
+    # sample inside |q| < 1, outside the system domain (1, inf), which is
+    # found after integrating; the run halts there and writes both files up
+    # to the sample before it
+    config = tmp_path / "loose.yaml"
+    config.write_text(_readme_yaml_blocks()[0].replace("id: darboux3b", "id: darboux2")
+                      .replace("rtol: 1.0e-10", "rtol: 0.1")
+                      .replace("samples: 201", f"samples: {samples}"))
+    out_dir = tmp_path / "run"
+    code, out, err = run_cli(capsys, "simulate", "--config", str(config),
+                             "--out", str(out_dir))
+    csv_path, json_path = out_dir / "trajectory.csv", out_dir / "summary.json"
+    reason = "dense output failed: |q| = "
+    assert (code, out) == (3, "")
+    assert err.startswith(f"integration halted: {reason}")
+    assert err.endswith(" outside the system domain (1, inf)\n"
+                        f"partial output written to {csv_path} and {json_path}\n")
+    data = np.loadtxt(str(csv_path), delimiter=",", skiprows=1, ndmin=2)
+    assert np.all(np.linalg.norm(data[:, 1:4], axis=1) > 1.0)
+    conservation = json.loads(json_path.read_text())["conservation"]
+    assert conservation["halted"].startswith(reason)
+    assert conservation["samples"] == data.shape[0] == rows
+    assert conservation["stats"] == stats
+
+
+def test_fuzzed_commands_keep_the_exit_code_contract(tmp_path):
+    # tests/fuzz_cli.py's seeded generator, whose longer run is a script:
+    # mutated simulate and verify configs and options, each run exiting as
+    # README's exit codes say, with no traceback, one "config error:" line
+    # on exit 2 and both files on simulate exits 0 and 3; first the configs
+    # that once broke it
+    import fuzz_cli
+    readme = yaml.safe_load(_readme_yaml_blocks()[0])
+    darboux2 = {**readme, "space": {"id": "darboux2"},
+                "integrator": {**readme["integrator"], "rtol": 0.1}}
+    fixed = [(darboux2, 3)] + [
+        ({**base_config(), "space": {"f": f}}, 2)
+        for f in ("2 + abs(r - 0.02077113925966455)", "1/(1 + 1e200*r^2)")]
+    for k, (cfg, code) in enumerate(fixed):
+        assert fuzz_cli.run_case(["simulate"], cfg, str(tmp_path / f"fixed{k}")) == (code, [])
+    codes, failures = fuzz_cli.fuzz(21, 250, str(tmp_path))
+    assert failures == []
+    assert all(codes.get(f"simulate {code}", 0) >= 5 for code in (0, 2, 3)), codes
+    assert all(codes.get(f"verify {code}", 0) >= 1 for code in (0, 1, 2)), codes
+
+
 def test_simulate_adaptive_axis_halt_flushes_partial_output(tmp_path, capsys):
     # the adaptive run of test_halt_near_centrifugal_axis through the CLI:
     # attractive b_1 < 0 pulls q_1 onto the singular axis before t_end
@@ -860,20 +931,22 @@ def test_simulate_summary_is_byte_deterministic(tmp_path, capsys):
 # run with every b_i != 0, recorded before the kernels shared subexpressions,
 # and, recorded before samples were queued and the CSV written in blocks of
 # rows, the N = 8 run with 601 samples in a few steps and the domain exit
-# with 841 samples before its halt
+# with 841 samples before its halt; the runs with a curved f or b != 0 were
+# recorded again when the kernels' squares and b_i/q_i^3 became products
+# (same step counts)
 @pytest.mark.parametrize("config, code, csv_digest, json_digest", [
     (lambda: _readme_yaml_blocks()[0], 0,
-     "880d2a9a0b244ba4bb03d118543ed6e9f7a3045bfd3f73be65ed40b2f29076ea",
-     "588ed4429164e9b481f5d0e99043d9e5058c7e6bbbdce5dbc1ff8547fa5726e7"),
+     "2dc6775d5b308c347407aaadd04aa34584dd18769143db98291f10ab46b88890",
+     "8b9d3352a961cfa33a37f8ce28a25259b9a0465537c4bd33a78f53e4c286e98a"),
     (lambda: STRIP_YAML, 3,
      "f2ca6cd2035532e8e855f4d725addab17d8c15b3cd0b4cec2e0a287b97dab430",
      "aa0bb14779dcad1f448e16f396ab78590d9267f2a0db4f1e20926cb1d79bf3f0"),
     (lambda: TAUB_NUT_N8_YAML, 0,
-     "2b84bcc570cf1e6b789ab74bfadaf18e68333fef5a99c19cd375f30d4943a3c6",
-     "10e5ba0ee1220bd96b95308cdc365334c9b5117a5247b4938e31084701c65121"),
+     "ec57372e069b08c27ca9beeca3d9d3140616f0aab76efb41f306ff24580412e2",
+     "76b8fec00303db5e37a11399963186326b717183812c568662560bad6e786ff9"),
     (lambda: TAUB_NUT_N8_YAML.replace("t_end: 10.0\nsamples: 41", "t_end: 0.5\nsamples: 601"), 0,
-     "d63597e387f378849b52ea35d3f1b64ca049cb9331e054c649385ce675f413b7",
-     "9463e3679a0e9f97773b174287679a58b5b271fcfd1686293620c521bd36b000"),
+     "199aff329b92040bba4d1c291683674604041a3f82a0c44e09a028be7bed09ff",
+     "4e06cc484fdaa902d8f0b647b3002ae6ca5e6162c5d34b0907b48057f23827d5"),
     (lambda: STRIP_YAML + "samples: 3001\n", 3,
      "bcf6c79f2f66e67e5daae9bfee8cae4f725698b6c468fd5193b9129678b50578",
      "1c51601c6d26f5551e05de2098fd60cc4dc9a931239ff91346437d2fa706bb5a"),
@@ -889,28 +962,28 @@ def test_adaptive_simulate_outputs_are_pinned(tmp_path, capsys, config, code,
 
 
 def test_midpoint_simulate_output_is_pinned(tmp_path, capsys):
-    # darboux3b with kc and b != 0 at step 1e-3, recorded when the midpoint
-    # predictor became quartic (the kernel then matched the reference loop
-    # of tests/test_dynamics.py bit for bit)
+    # darboux3b with kc and b != 0 at step 1e-3, recorded when the kernels'
+    # squares and b_i/q_i^3 became products (the kernel then matched the
+    # reference loop of tests/test_dynamics.py bit for bit)
     path = tmp_path / "run.yaml"
     path.write_text(DARBOUX3B_MIDPOINT_YAML)
     out_dir = tmp_path / "run"
     assert run_cli(capsys, "simulate", "--config", str(path), "--out", str(out_dir))[0] == 0
     assert hashlib.sha256((out_dir / "trajectory.csv").read_bytes()).hexdigest() == \
-        "d8f437fa6b4c1d80f199f404ecfe76b3ee8bcc1d545fa3e734e01417c9061fef"
+        "fa5241d67a69728c6dd8798c0aff72fa45b775c4a84ed90732e3282f8fa87399"
     assert hashlib.sha256((out_dir / "summary.json").read_bytes()).hexdigest() == \
         "bd58c81ea54ec3a0788f630d928a51700ff8428cd24e346b2101a6276f0224ae"
 
 
 def test_midpoint_simulate_output_of_every_step_is_pinned(tmp_path, capsys):
     # the same run sampled at all 1000 steps, more samples than one column
-    # pass takes, recorded with the same predictor
+    # pass takes, recorded with the same kernel
     path = tmp_path / "run.yaml"
     path.write_text(DARBOUX3B_MIDPOINT_YAML.replace("samples: 51", "samples: 1001"))
     out_dir = tmp_path / "run"
     assert run_cli(capsys, "simulate", "--config", str(path), "--out", str(out_dir))[0] == 0
     assert hashlib.sha256((out_dir / "trajectory.csv").read_bytes()).hexdigest() == \
-        "fd91202b62164290ab1dbcfef6410d9ab036ae6c06097a97e45135c4f9e770bc"
+        "5501e2f22a696b2270554d2217af998b843897ef010bfb26a8da9e5cb7359fa3"
     assert hashlib.sha256((out_dir / "summary.json").read_bytes()).hexdigest() == \
         "9b79443deb463f27e886448f6ef6a1a19585938f73c4b9d495e42b4b3eca9cd0"
 

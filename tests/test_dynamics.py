@@ -4,6 +4,7 @@ import dis
 import functools
 import hashlib
 import math
+import re
 import types
 from sys import version_info
 
@@ -19,6 +20,7 @@ from qmsflow.algebra import (
     _towers,
 )
 from qmsflow.cli import _conserved
+from qmsflow.exprlang import to_python_block
 from qmsflow.dynamics import (
     TrajectoryRecord,
     conservation_report,
@@ -191,7 +193,7 @@ def _reference_rhs(sys):
         for i in range(n):
             g = coef * y[i]
             if b[i] != 0.0:
-                g -= b[i] / y[i] ** 3 * inv_f2
+                g -= b[i] / (y[i] * y[i]) / y[i] * inv_f2
             out[i] = y[n + i] * inv_f2
             out[n + i] = -g
         return out
@@ -291,6 +293,23 @@ def test_generated_rhs_evaluates_each_subexpression_once():
         assert not repeated, (sys.label, sorted(repeated)[:3])
         checked += 1
     assert checked == 3 * len(CATALOG) + len(NAMED_SYSTEMS)
+
+
+def test_rhs_texts_square_and_cube_by_products():
+    # the RHS writes b_i/q_i^3 as bq_i / q_i and every square that f' and U'
+    # make as a product, so each ** 2 or ** 3 left in its text is one that f
+    # or U contains as written; at nu = 1 the nu-fold spaces fold r^1 and r^0
+    power = re.compile(r"\*\* [23]\b")
+    for sys in _kernel_systems():
+        names, body, slope = dynamics._rhs_source(sys)
+        text = "\n".join(body + slope)
+        written = [(sys.metric.f_expr, sys.metric.params)]
+        if sys.potential is not None:
+            written.append((sys.potential.u_expr, sys.potential.params))
+        assert len(power.findall(text)) <= len(power.findall("\n".join(to_python_block(written)))), \
+            sys.label
+        assert not re.search(r"math\.pow\(r, [01]\.0\)|\(r \*\* 0\)", text), sys.label
+        assert all(f"bq{i} / q{i}" in text for i in (0, 2)), sys.label
 
 
 def test_generated_march_and_attempt_call_no_abs_or_max(monkeypatch):
@@ -1099,7 +1118,7 @@ def _digest(sys, states):
 
 @pytest.mark.parametrize("setup, nfev, fp_worst, digest", [
     (_darboux3b_kc_with_b, 903, 4,
-     "ada6baf9888a339e4c84ba23402bc0377f760a1794f20fb9823d2176cf5a057b"),
+     "a4c9f4f89666d6eabb6c8b02eb6dcfe10b0cd00e6a7f53cc48dd1439438979fc"),
     (_custom_f_oscillator, 1379, 8,
      "67aa1e3103be2bd5d98b12c2c655fbb7d2e2383383e3f6737ed74b57eb38acc4"),
     (_free_particle_at_rest, 301, 1,
@@ -1107,8 +1126,11 @@ def _digest(sys, states):
 ])
 def test_reference_loop_reproduces_the_linear_predictor_pins(setup, nfev, fp_worst, digest):
     # the pins of the generated run when its predictor stopped at linear
-    # extrapolation (2 F_1 - F_2): the reference loop, at that order, gives
-    # the same states, H and counts, so it is a sound oracle for the kernel
+    # extrapolation (2 F_1 - F_2): the reference loop, at that order, gave
+    # the same states, H and counts, so it is a sound oracle for the kernel;
+    # darboux3b's, with b != 0, is re-derived from the loop alone since its
+    # force's b_i/q_i^3 became b_i/(q_i q_i)/q_i, a form no linear-predictor
+    # kernel had; the kernel-loop tests above now anchor the loop to the bit
     sys, s0 = setup()
     times, states, halted, stats, _ = _reference_march(sys, s0, 0.3, 1e-3, order=1)
     assert halted is None and len(states) == 301
@@ -1257,7 +1279,7 @@ def test_quartic_predictor_bounds_the_rhs_calls_per_step(name, per_step):
 
 @pytest.mark.parametrize("setup, nfev, fp_worst, digest", [
     (_darboux3b_kc_with_b, 311, 4,
-     "b7c9fb30ed211e60abd3e7a8da786f4e8d501db972a519dd8277fe5ffa164bc1"),
+     "e54d04a9bd4fa14476d3800c3fd00650b3db98a3767cff96adee1a76285e8293"),
     (_custom_f_oscillator, 965, 6,
      "8127e1426331f66fb56031577378d34138d50e6dd9257edf69e485ff90d137fe"),
     (_free_particle_at_rest, 301, 1,
@@ -1303,8 +1325,8 @@ def test_float_sums_do_not_depend_on_the_sum_builtin(monkeypatch):
     assert hamiltonian(sys, s).hex() == "0x1.243b1d5b9758ap+2"
     for options, digest in [
             ({"method": "midpoint", "step": 1e-3, "samples": 301, "t_end": 0.3},
-             "b7c9fb30ed211e60abd3e7a8da786f4e8d501db972a519dd8277fe5ffa164bc1"),
-            ({"t_end": 5.0}, "387dda3e0f56264eabfbbc8335802042c92d0303cf20d93fb1ea3a6897b3c38d")]:
+             "e54d04a9bd4fa14476d3800c3fd00650b3db98a3767cff96adee1a76285e8293"),
+            ({"t_end": 5.0}, "891863e245d9872419c0e1f694e83dfd5b7e1f7fce0b0fc0fde569fccee6e6e9")]:
         rec = integrate(sys, s0, **options)
         assert hashlib.sha256(rec.q.tobytes() + rec.p.tobytes()
                               + rec.series["H"].tobytes()).hexdigest() == digest

@@ -146,6 +146,33 @@ def test_construction_rejects_inconsistent_derivative(monkeypatch):
         MetricSpec("bad", f)
 
 
+@pytest.mark.parametrize("name, attr, where", [
+    ("f'", "_fp", "everywhere"), ("f''", "_fpp", "everywhere"),
+    ("f", "_f", "off the grid"), ("f'", "_fp", "off the grid"),
+])
+def test_every_check_that_raises_is_not_evaluable(name, attr, where, monkeypatch):
+    # f at the grid, f' and f'' at the check radii, and f and f' at the
+    # +-h probes: a ValueError or ArithmeticError of any is the MetricError
+    # of f's own loop, which names the function and the radius
+    metric = MetricSpec("probe", exprlang.parse("2/(1 + r^2)"))
+    grid = set(sample_radii(metric.domain, 64).tolist())
+    real = getattr(metric, attr)
+
+    def failing(r):
+        if where == "everywhere" or r not in grid:
+            raise (OverflowError if attr == "_fp" else ValueError)("math range error")
+        return real(r)
+
+    monkeypatch.setattr(metric, attr, failing)
+    with pytest.raises(MetricError) as err:
+        metric._validate()
+    head, _, tail = str(err.value).partition("(")
+    assert head == f"metric 'probe': {name}"
+    radius = float(tail.partition(")")[0])
+    assert (radius in grid) == (where == "everywhere")
+    assert tail.endswith(") not evaluable: math range error")
+
+
 # ---------------------------------------------------------------------------
 # scalar curvature
 # ---------------------------------------------------------------------------
