@@ -472,6 +472,15 @@ def load_config(path: str) -> RunConfig:
 # --------------------------------------------------------------------------
 
 _CSV_BLOCK = 256  # trajectory.csv rows formatted by one % operation
+_CSV_DIGITS = 512  # smaller blocks keep "%.17g": numpy's cost per call outweighs dtoa's there
+# A cell with 1e-4 <= |x| < 1 and decade d (0 below 1e-3 .. 3 from 0.1) is written as its sign,
+# "0.", 3 - d zeros and "%d" of n = x * 10^(20 - d) rounded to 17 digits less trailing zeros.
+_SCALE = np.array([1e20, 1e19, 1e18, 1e17])  # 10^(20 - d), exact doubles
+_SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split of a double into two 26-bit halves
+_SCALE_HI = _SPLIT * _SCALE - (_SPLIT * _SCALE - _SCALE)
+_SCALE_LO = _SCALE - _SCALE_HI
+_CELLS = np.array([cell + end for end in ",\n" for cell in ["%.17g", *(
+    sign + "0." + "0" * (3 - d) + "%d" for sign in ("", "-") for d in range(4))]], dtype=object)
 
 
 def _dump_json(obj) -> str:
@@ -518,11 +527,43 @@ def _write_trajectory_csv(path: str, record, n: int) -> None:
     names = _trajectory_columns(n)
     table = np.column_stack([record.times, record.q, record.p,
                              *(record.series[name] for name in names[1 + 2 * n:])])
-    row = ",".join(["%.17g"] * len(names)) + "\n"
     with _output(path) as handle:
         handle.write(",".join(names) + "\n")
         for block in np.split(table, range(_CSV_BLOCK, len(table), _CSV_BLOCK)):
-            handle.write(row * len(block) % tuple(block.ravel().tolist()))
+            handle.write(_format_rows(block))
+
+
+def _format_rows(block: np.ndarray) -> str:
+    """The rows of block as "%.17g" cells, each ended by "," or, last in its row, a newline."""
+    x = block.ravel()
+    if x.size < _CSV_DIGITS:
+        return (",".join(["%.17g"] * block.shape[1]) + "\n") * len(block) % tuple(x.tolist())
+    a = np.abs(x)
+    with np.errstate(invalid="ignore"):  # a NaN compares false, without a warning
+        fast = (a >= 1e-4) & (a < 1.0)
+    a = np.where(fast, a, 0.5)
+    # each literal 10^-k is the double just above 10^-k, so these comparisons are exact
+    d = (a >= 1e-3).astype(np.intp) + (a >= 1e-2) + (a >= 1e-1)
+    hi_scale, lo_scale = _SCALE_HI[d], _SCALE_LO[d]
+    p = a * _SCALE[d]
+    c = _SPLIT * a
+    hi = c - (c - a)
+    lo = a - hi
+    # Dekker's product: a * 10^(20 - d) = p + e exactly, and p >= 2^53 is an even integer,
+    # so p + rint(e) is the product rounded half to even, as dtoa rounds it
+    e = ((hi * hi_scale - p) + hi * lo_scale + lo * hi_scale) + lo * lo_scale
+    n = (p.astype(np.int64) + np.rint(e).astype(np.int64))[fast]
+    digits = n.tolist()
+    for j in np.flatnonzero(n % 10 == 0).tolist():  # strip trailing zeros, as %g does
+        while not digits[j] % 10:
+            digits[j] //= 10
+    code = np.where(fast, 1 + d + 4 * (x < 0), 0).reshape(block.shape)
+    code[:, -1] += 9  # _CELLS[9:] end a row with a newline
+    cells = _CELLS[code].ravel().tolist()
+    slow = np.flatnonzero(~fast)
+    for i, v in zip(slow.tolist(), x[slow].tolist()):
+        cells[i] %= v
+    return "".join(cells) % tuple(digits)
 
 
 # --------------------------------------------------------------------------

@@ -734,7 +734,8 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
         # a given state is kept as given: 0.0 + y_old turns -0.0 into 0.0
         given = np.array([p[3] is no_rows for p in pieces])[k, None]
         y = np.where(given, y_old, _interpolate(rows[:, ::-1], x, y_old))
-        r = np.sqrt(_ordered_sum(c * c for c in y.T[:n]))  # |q| as _validate sums it
+        with np.errstate(over="ignore"):  # an inf |q| is a domain halt below, as in _audit
+            r = np.sqrt(_ordered_sum(c * c for c in y.T[:n]))  # |q| as _validate sums it
         before = len(frs)
         try:
             _f_and_u(sys.domain, f, u, r, frs, us)

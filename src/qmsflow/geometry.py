@@ -278,11 +278,14 @@ def _darboux4_domain(a: float) -> tuple[float, float]:
 def _nu_fold_domain(a: float, b: float, nu: Fraction) -> tuple[float, float]:
     if a > 0 and b >= 0:
         return (0.0, math.inf)
-    if a > 0 and b < 0:
-        return (0.0, float((-a / b) ** float(nu)))
-    if a < 0 and b > 0:
-        return (float((-a / b) ** float(nu)), math.inf)
-    raise MetricError(f"nu-fold: empty domain for a = {a}, b = {b}")
+    if not (a > 0 > b or a < 0 < b):
+        raise MetricError(f"nu-fold: empty domain for a = {a}, b = {b}")
+    try:
+        bound = float((-a / b) ** float(nu))
+    except OverflowError:
+        raise MetricError(f"nu-fold: the domain bound (-a/b)^nu = ({-a / b!r})^{nu} overflows "
+                          f"for a = {a}, b = {b}") from None
+    return (0.0, bound) if a > 0 else (bound, math.inf)
 
 
 def catalog_lookup(id: str, params: Mapping | None = None) -> MetricSpec:

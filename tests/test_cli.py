@@ -321,6 +321,24 @@ def test_a_tiny_float_nu_is_an_error_that_names_it(system, tmp_path, capsys):
                    "it rounds to 0 at denominators up to 10^6\n")
 
 
+@pytest.mark.parametrize("a, b", [(-1e300, 1.0), (1e300, -1.0)])
+def test_a_nu_fold_domain_bound_that_overflows_is_an_error_that_names_it(a, b, tmp_path,
+                                                                         capsys):
+    # (-a/b)^nu beyond the float range, the lower bound for a < 0 < b and the
+    # upper for a > 0 > b, is a configuration error, not a traceback
+    config = tmp_path / "run.yaml"
+    config.write_text(f'space: {{id: nu-fold, params: {{a: {a!r}, b: {b!r}, nu: "3"}}}}\n'
+                      "potential: none\n"
+                      "initial:\n"
+                      "  cartesian: {q: [1.0, 0.2, 0.3], p: [0.1, -0.2, 0.4]}\n"
+                      "t_end: 1.0\n")
+    code, out, err = run_cli(capsys, "simulate", "--config", str(config),
+                             "--out", str(tmp_path / "run"))
+    assert (code, out) == (2, "")
+    assert err == ("config error: nu-fold: the domain bound (-a/b)^nu = (1e+300)^3 overflows "
+                   f"for a = {a!r}, b = {b!r}\n")
+
+
 @pytest.mark.parametrize("t_end, step, shown", [("1.0e306", "1.0e-3", "1e+306 / 0.001"),
                                                  ("1.0", "1.0e-320", "1.0 / 1e-320")])
 def test_a_midpoint_step_count_that_overflows_is_a_config_error(t_end, step, shown, tmp_path,
@@ -561,6 +579,41 @@ def test_simulate_writes_17_significant_digits(tmp_path, capsys):
     cell = lines[-1].split(",")[0]  # final time stamp, an irrational value
     assert cell == "%.17g" % 6.283185307179586
     assert float(cell) == 6.283185307179586
+
+
+def _format_rows_oracle_values() -> np.ndarray:
+    """Every kind of cell _format_rows meets: seeded values in each decade of
+    [1e-4, 1), exact ties of their 17th digit, the ulp neighbours of each
+    decade's ends, random bit patterns, zeros, infinities, NaN, subnormals."""
+    rng = np.random.Generator(np.random.Philox(33))
+    decades = [10.0 ** rng.uniform(k - 1, k, 600) for k in range(-3, 1)]
+    ties = []
+    for d in range(4):  # a = m 2^-(21-d), m odd, makes a 10^(20-d) end in .5 exactly
+        lo, hi = (math.ceil(10.0 ** (d + k) * 2.0 ** (20 - d)) for k in (-4, -3))
+        ties.append(np.ldexp(2.0 * rng.integers(lo, hi, 300) + 1.0, d - 21))
+    ends = np.array([1e-4, 1e-3, 1e-2, 0.1, 1.0]).view(np.int64)[:, None]
+    neighbours = (ends + np.arange(-40, 41)).view(np.float64)
+    bits = np.frombuffer(rng.bytes(8 * 1500), dtype=np.float64)
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+               2.2250738585072009e-308, -1e-310, 1.7976931348623157e308, 1e17, 9.999999999999998e16,
+               0.5, 0.25, 0.375, 0.0625, 0.00048828125]  # the last five end in zeros
+    values = np.concatenate([*decades, *ties, neighbours.ravel(), bits, special])
+    return np.concatenate([values, -values])
+
+
+@pytest.mark.parametrize("shape", [(-1, 1), (1, -1), (257, 31), (21, 11)])
+def test_format_rows_writes_the_bytes_of_percent_17g(shape):
+    # trajectory.csv's block formatter against "%.17g" per cell, with every
+    # "," and newline; its int64, intp, bool and float64 columns must give
+    # these bytes under numpy's value-based casts and under NEP 50 alike.
+    # A 21 x 11 block is below cli._CSV_DIGITS, and keeps "%.17g" throughout
+    values = _format_rows_oracle_values()
+    if -1 not in shape:
+        values = np.resize(np.random.Generator(np.random.Philox(7)).permutation(values),
+                           shape[0] * shape[1])
+    block = values.reshape(shape)
+    row = ",".join(["%.17g"] * block.shape[1]) + "\n"
+    assert cli._format_rows(block) == row * len(block) % tuple(block.ravel().tolist())
 
 
 def test_simulate_named_system_conserves_everything(tmp_path, capsys):
@@ -862,6 +915,29 @@ def test_a_loose_rtol_sample_outside_the_domain_halts_with_partial_output(
     assert conservation["halted"].startswith(reason)
     assert conservation["samples"] == data.shape[0] == rows
     assert conservation["stats"] == stats
+
+
+def test_a_loose_rtol_sample_at_an_infinite_radius_halts_without_a_warning(tmp_path, capsys):
+    # an interpolant carries a sample's q to about 1e160, whose |q| overflows
+    # to inf: that sample is outside the domain, and no RuntimeWarning is
+    # raised on the way (fuzz case 451 of tests/fuzz_cli.py at seed 1)
+    config = tmp_path / "loose.yaml"
+    config.write_text(json.dumps({
+        "dimension": 3, "space": {"f": "1/(1 + 0.2*r^2)"}, "potential": {"kc": {"alpha": 2.0}},
+        "mu2": 0.0, "initial": {"cartesian": {"q": [0.533594, 0.533792, -0.656006],
+                                              "p": [-0.408144, -0.307389, 0.364753]}},
+        "integrator": {"method": "adaptive", "rtol": 0.3, "atol": 1e-12},
+        "t_end": 2.0, "samples": 60}))
+    out_dir = tmp_path / "run"
+    code, out, err = run_cli(capsys, "simulate", "--config", str(config),
+                             "--out", str(out_dir))
+    csv_path, json_path = out_dir / "trajectory.csv", out_dir / "summary.json"
+    assert (code, out) == (3, "")
+    assert err == ("integration halted: dense output failed: |q| = inf outside the system "
+                   "domain (0, inf)\n"
+                   f"partial output written to {csv_path} and {json_path}\n")
+    data = np.loadtxt(str(csv_path), delimiter=",", skiprows=1, ndmin=2)
+    assert json.loads(json_path.read_text())["conservation"]["samples"] == data.shape[0] == 19
 
 
 def test_fuzzed_commands_keep_the_exit_code_contract(tmp_path):
