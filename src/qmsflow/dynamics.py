@@ -25,16 +25,16 @@ smooth orbit most steps converge after one RHS call.
 
 Both integrators run on kernels generated as straight-line Python source
 on plain floats, comparing without abs, max or min, from a system's
-constants and its metric's domain check, as literals (see _rhs_source),
-with the RHS inlined: rhs(q0, ..., p{N-1}) -> ydot with the halt rule
-halt(x, y) in the same source; the whole adaptive run -- DOP853 stages,
-error norm, step control, halt checks and samples of every attempt in one
-call -- and its dense-output rows; and the whole midpoint run --
-predictor, fixed-point iteration, halt checks and sample stride of every
-step.  They match the plain loop forms bit for bit and take their halt
-checks from one generator (_halt_lines).  A kernel is its text, plus U'
-where U is quadrature-backed, and compiles once per key (see _exec); a
-system's kernels are kept by its value (see _kernel).
+constants and its metric's domain check, as literals (see _rhs_source):
+rhs(q0, ..., p{N-1}) -> ydot with the halt rule halt(x, y) in the same
+source, and, with the RHS inlined, the whole adaptive run -- DOP853
+stages, error norm, step control, halt checks and samples of every
+attempt in one call -- and the whole midpoint run -- predictor,
+fixed-point iteration, halt checks and sample stride of every step.  They
+match the plain loop forms bit for bit and take their halt checks from
+one generator (_halt_lines).  A system's kernels are kept by its value
+(see _kernel); the dense output of an adaptive step, whose 3 extra stages
+call rhs, by its dimension alone (see _make_dense).
 
 Integration halts early, recording the reason and the last valid state,
 when a centrifugal axis is approached or crossed (|q_i| < 1e-10 or a sign
@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from types import MappingProxyType
 
 import numpy as np
@@ -227,27 +227,20 @@ def _rhs_source(sys):
     return q + p, body, slope
 
 
-@lru_cache(maxsize=64)
-def _exec(source, du=None):
-    """Compile generated source and return its namespace.  Every float
-    literal prints by repr, so inf and nan are bound as names; du, a
-    quadrature-backed U', is the only call out that is not fixed.  A kernel
-    reads nothing else, so its text, plus du, is its whole key: systems
-    whose kernels print alike share one compile."""
-    env = {"math": math, "abs": abs, "range": range, "inf": math.inf, "nan": math.nan,
-           "ValueError": ValueError, "ArithmeticError": ArithmeticError, "__builtins__": {},
-           "QuadratureError": QuadratureError, "SampleHalt": _SampleHalt,
-           "outside_domain": _outside_domain, "du": du}
-    exec(compile(source, "<generated kernel>", "exec"), env)
-    return env
-
-
-def _compile(sys, lines):
-    """_exec of one system's kernel source, with U' only where U is
-    quadrature-backed: any other U' is in the text."""
-    potential = sys.potential
+def _exec(lines, sys=None):
+    """Compile generated source lines and return their namespace.  Every
+    float literal prints by repr, so inf and nan are bound as names; du, the
+    U' of sys where U is quadrature-backed (any other U' is in the text), is
+    the only call out that is not fixed.  A kernel reads nothing else, so its
+    text, plus du, fixes it (see _kernel)."""
+    potential = None if sys is None else sys.potential
     du = potential.du if potential is not None and potential.du_expr is None else None
-    return _exec("\n".join(lines), du)
+    env = {"math": math, "abs": abs, "len": len, "range": range, "inf": math.inf,
+           "nan": math.nan, "ValueError": ValueError, "ArithmeticError": ArithmeticError,
+           "__builtins__": {}, "QuadratureError": QuadratureError, "SampleHalt": _SampleHalt,
+           "outside_domain": _outside_domain, "du": du}
+    exec(compile("\n".join(lines), "<generated kernel>", "exec"), env)
+    return env
 
 
 def _halt_lines(sys, x, y, stop):
@@ -287,28 +280,27 @@ def _kernel(make, sys):
 def _make_rhs(sys):
     """Generate rhs(q0, ..., p{N-1}) -> ydot = (dH/dp, -dH/dq), a tuple, for
     one system: straight-line code from _rhs_source on plain floats, as on
-    vectors this short numpy's per-call overhead outweighs the arithmetic;
-    compiled once per distinct source.  The same source defines halt(x, y),
-    the halt reason of a step from y to x (sequences of 2N floats) by
-    _halt_lines, or None; it is rhs.__globals__["halt"]."""
+    vectors this short numpy's per-call overhead outweighs the arithmetic.
+    The same source defines halt(x, y), the halt reason of a step from y to
+    x (sequences of 2N floats) by _halt_lines, or None; it is
+    rhs.__globals__["halt"]."""
     names, body, slope = _rhs_source(sys)
     m = len(names)
-    return _compile(sys, [
+    return _exec([
         f"def rhs({', '.join(names)}):",
         *("    " + line for line in body),
         f"    return {', '.join(slope)},",
         "def halt(x, y):",
         *("    " + line for line in _halt_lines(
             sys, [f"x[{j}]" for j in range(m)], [f"y[{j}]" for j in range(m)], "return {}")),
-    ])["rhs"]
+    ], sys)["rhs"]
 
 
 def _make_march(sys):
     """Generate march(y, h, nsteps, stride, record) for one system: the
     whole implicit-midpoint run from the state y, as described in integrate,
     with the RHS of _rhs_source inlined, the sweep unrolled over 2N, and the
-    halt checks, _FP_TOL and _MAX_FP_ITER baked in; compiled once per
-    distinct source.
+    halt checks, _FP_TOL and _MAX_FP_ITER baked in.
 
     Each fixed-point pass evaluates the RHS at w = (y + x)/2 and forms the
     new iterates v = y + h rhs(w).  A pass with every -_FP_TOL <= v_j - x_j
@@ -357,7 +349,7 @@ def _make_march(sys):
 
     state = f"[{', '.join(y)}]"
     stop = "return {}, nfev, fp_worst, {}, " + state
-    return _compile(sys, [
+    return _exec([
         "def march(y, h, nsteps, stride, record):",
         f"    {', '.join(y)} = y",
         *("    " + line for line in moves(x, y)),
@@ -407,7 +399,7 @@ def _make_march(sys):
         *("        " + line for line in moves(f5, f4) + moves(f4, f3) + moves(f3, f2)
           + moves(f2, g)),
         "    return nsteps, nfev, fp_worst, None, None, None",
-    ])["march"]
+    ], sys)["march"]
 
 
 def _combo(row, j):
@@ -429,15 +421,18 @@ def _dense_args(m):
                              for j in range(m))])
 
 
-def _make_dense(sys):
-    """Generate dense(h, y, y_new, k): the 3 extra DOP853 stages of a step
-    and its interpolant's 7 rows (see _interpolate), apart from _make_run,
-    as one source of both would multiply the compile's peak memory."""
+@lru_cache(maxsize=64)
+def _make_dense(m):
+    """Generate dense(rhs, h, y, y_new, k), m state components each: a step's
+    3 extra DOP853 stages, one call of the system's rhs each, and its
+    interpolant's 7 rows (see _interpolate); kept per m, and apart from
+    _make_run, as one source of both would multiply the compile's peak memory."""
     from scipy.integrate._ivp import dop853_coefficients as tab
-    source, m = _rhs_source(sys), 2 * sys.n
-    return _compile(sys, [
-        f"def dense({_dense_args(m)}):",
-        *("    " + line for s in range(13, 16) for line in _stage(source, s, tab.A[s, :s])),
+    return _exec([
+        f"def dense(rhs, {_dense_args(m)}):",
+        *(f"    {', '.join(f'k{s}_{j}' for j in range(m))} = rhs("
+          + ", ".join(f"y{j} + ({_combo(tab.A[s, :s], j)}) * h" for j in range(m)) + ")"
+          for s in range(13, 16)),
         *(f"    d{j} = yn{j} - y{j}" for j in range(m)),
         f"    return [[{', '.join(f'd{j}' for j in range(m))}],",
         f"            [{', '.join(f'h * k0_{j} - d{j}' for j in range(m))}],",
@@ -450,8 +445,8 @@ def _make_dense(sys):
 
 def _make_run(sys):
     """Generate run(y, ydot, h_abs, nfev, t_end, rtol, atol, sample_ts,
-    samples, queue, dense) for one system: the whole adaptive run from y,
-    ydot = rhs(y), by h_abs first, nfev RHS calls made, as in integrate.  An attempt runs the
+    queue, dense) for one system: the whole adaptive run from y, ydot =
+    rhs(y), by h_abs first, nfev RHS calls made, as in integrate.  An attempt runs the
     12 DOP853 stages, scipy's tableau (scipy.integrate._ivp.
     dop853_coefficients) as literals, zero entries dropped, the RHS of
     _rhs_source inlined, then scipy's error norm; each max and min is the
@@ -488,11 +483,11 @@ def _make_run(sys):
             f"(next_i, t, t_new, {state}, ({args}))")
     underflow = "step-size underflow: Required step size is less than spacing between numbers."
     factor = f"{_SAFETY!r} * err ** {_ERR_EXPONENT!r}"
-    return _compile(sys, [
-        "def run(y, ydot, h_abs, nfev, t_end, rtol, atol, sample_ts, samples, queue, dense):",
+    return _exec([
+        "def run(y, ydot, h_abs, nfev, t_end, rtol, atol, sample_ts, queue, dense):",
         f"    {', '.join(y)} = y",
         f"    {', '.join(f'k0_{j}' for j in range(m))} = ydot",
-        "    t, next_i, steps, rejections = 0.0, 1, 0, 0",
+        "    t, next_i, steps, rejections, samples = 0.0, 1, 0, 0, len(sample_ts)",
         "    while t < t_end:",
         "        min_step = 10.0 * (math.nextafter(t, inf) - t)",
         "        h_abs = min_step if min_step > h_abs else h_abs",
@@ -538,7 +533,7 @@ def _make_run(sys):
         *(f"        {a} = {b}" for a, b in zip(y, y_new)),
         *(f"        k0_{j} = k12_{j}" for j in range(m)),
         "    return steps, nfev, rejections, None, None, None, None",
-    ])["run"]
+    ], sys)["run"]
 
 
 def _interpolate(rows, x, y_old):
@@ -663,8 +658,9 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
     An accepted step whose dense output raises ValueError or
     ArithmeticError in one of its 3 extra stages halts the run as "rhs
     evaluation failed: ...", as a midpoint pass does, keeping the state
-    before that step.  stats["nfev"] counts as scipy did: 2 for the
-    initial slope and step, 12 per attempt and 3 per interpolant;
+    before that step; an RHS that raises at the initial state halts the
+    run so at t = 0, with nfev 0.  stats["nfev"] counts as scipy did: 2 for
+    the initial slope and step, 12 per attempt and 3 per interpolant;
     stats["rejections"] counts the rejected attempts.
 
     method "midpoint": fixed-step implicit midpoint with step `step`,
@@ -759,13 +755,19 @@ def integrate(sys, s0: PhaseState, t_end: float, method: str = "adaptive",
                 raise ValueError(f"atol must be positive, got {atol}")
             # Python floats throughout: a numpy scalar would slow every attempt
             rtol, atol, t_end = max(float(rtol), _MIN_RTOL), float(atol), float(t_end)
-            rhs, dense = _kernel(_make_rhs, sys), _kernel(_make_dense, sys)
+            rhs = _kernel(_make_rhs, sys)
+            dense = partial(_make_dense(2 * n), rhs)
             sample_ts = np.linspace(0.0, t_end, samples).tolist()
-            y, nfev = y0.tolist(), 2  # rhs(y0) and the initial-step probe
-            ydot = _rhs_or_nan(rhs, y)
-            steps, nfev, rejections, halted, exc, last, crossing = _kernel(_make_run, sys)(
-                y, ydot, _initial_step(rhs, y, ydot, t_end, rtol, atol), nfev, t_end, rtol,
-                atol, sample_ts, samples, queue, dense)
+            y = y0.tolist()
+            try:
+                ydot = rhs(*y)
+            except (ValueError, ArithmeticError) as e:  # halts as a failing midpoint pass does
+                exc, last, crossing = e, (0.0, y), None
+            else:
+                nfev = 2  # rhs(y0) and the initial-step probe
+                steps, nfev, rejections, halted, exc, last, crossing = _kernel(_make_run, sys)(
+                    y, ydot, _initial_step(rhs, y, ydot, t_end, rtol, atol), nfev, t_end, rtol,
+                    atol, sample_ts, queue, dense)
             if crossing is not None:  # bisect the crossing time on the step's interpolant
                 next_i, t_old, t, y_old, args = crossing
                 try:

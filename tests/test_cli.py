@@ -414,22 +414,23 @@ samples: 6
 def test_repeated_simulate_of_one_config_compiles_one_kernel(text, tmp_path, capsys, monkeypatch):
     # each simulate builds its system anew from the config; its metric and
     # potential are kept builds, so its kernels are kept by its value: each
-    # is generated and compiled once, the midpoint run, or the RHS, the
-    # adaptive run and its dense output
+    # is generated and compiled once, the midpoint run, or the RHS and the
+    # adaptive run, with the dense output of its dimension compiled once
     compiled, generated = [], []
     monkeypatch.setattr(dynamics, "compile", lambda *a: compiled.append(a) or builtins.compile(*a),
                         raising=False)
     real = dynamics._rhs_source
     monkeypatch.setattr(dynamics, "_rhs_source", lambda sys: generated.append(sys) or real(sys))
     monkeypatch.setattr(dynamics, "_KEPT", {})
-    dynamics._exec.cache_clear()
+    dynamics._make_dense.cache_clear()
     config = tmp_path / "run.yaml"
     config.write_text(text)
     for k in range(4):
         code, _, _ = run_cli(capsys, "simulate", "--config", str(config),
                              "--out", str(tmp_path / f"run{k}"))
         assert code == 0
-    assert len(compiled) == len(generated) == (1 if "method: midpoint" in text else 3)
+    midpoint = "method: midpoint" in text
+    assert (len(compiled), len(generated)) == ((1, 1) if midpoint else (3, 2))
     assert len({(tmp_path / f"run{k}" / "trajectory.csv").read_bytes() for k in range(4)}) == 1
 
 
@@ -766,6 +767,34 @@ def test_simulate_overflowing_initial_slope_halts_with_partial_output(tmp_path, 
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["conservation"]["halted"].startswith("step-size underflow")
     assert summary["conservation"]["samples"] == 1
+
+
+@pytest.mark.parametrize("method", ["adaptive", "midpoint"])
+def test_simulate_raising_initial_rhs_halts_with_its_exception(tmp_path, capsys, method):
+    # U' = (r - 1)/abs(r - 1) divides by zero at |q| = 1 (H itself is
+    # finite): both methods halt at t = 0 with that exception, keep the
+    # initial row and count no completed RHS call
+    config = tmp_path / "run.yaml"
+    config.write_text(
+        "space: {id: euclidean}\n"
+        'potential: {custom: {u: "abs(r - 1)"}}\n'
+        "initial:\n"
+        "  cartesian: {q: [1.0, 0.0, 0.0], p: [0.1, 0.5, 0.0]}\n"
+        f"integrator: {{method: {method}}}\n"
+        "t_end: 1.0\n"
+        "samples: 11\n")
+    out_dir = tmp_path / "run"
+    code, _, err = run_cli(capsys, "simulate", "--config", str(config),
+                           "--out", str(out_dir))
+    assert code == 3
+    assert err.splitlines()[0] == "integration halted: rhs evaluation failed: float division by zero"
+    data = np.loadtxt(str(out_dir / "trajectory.csv"), delimiter=",",
+                      skiprows=1, ndmin=2)
+    assert data.shape[0] == 1
+    assert data[0, :7].tolist() == [0.0, 1.0, 0.0, 0.0, 0.1, 0.5, 0.0]
+    conservation = json.loads((out_dir / "summary.json").read_text())["conservation"]
+    assert conservation["halted"] == "rhs evaluation failed: float division by zero"
+    assert conservation["stats"]["steps"] == conservation["stats"]["nfev"] == 0
 
 
 def test_simulate_quadrature_failure_in_the_audit_flushes_partial_output(

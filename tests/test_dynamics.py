@@ -1,7 +1,6 @@
 import ast
 import builtins
 import dis
-import functools
 import hashlib
 import math
 import re
@@ -312,15 +311,22 @@ def test_rhs_texts_square_and_cube_by_products():
         assert all(f"bq{i} / q{i}" in text for i in (0, 2)), sys.label
 
 
+def _compiled(monkeypatch):
+    """The list of sources that dynamics compiles from here on, with no
+    kernel kept and no dense output memoized."""
+    sources = []
+    monkeypatch.setattr(dynamics, "compile", lambda source, *a:
+                        sources.append(source) or builtins.compile(source, *a), raising=False)
+    monkeypatch.setattr(dynamics, "_KEPT", {})
+    dynamics._make_dense.cache_clear()
+    return sources
+
+
 def test_generated_march_and_attempt_call_no_abs_or_max(monkeypatch):
     # the convergence sweep, the axis halt, the error scale and the step
     # control of the adaptive run's attempts compare floats directly;
     # darboux3b's f and kc's U' call no abs
-    sources = []
-    real = dynamics._exec
-    monkeypatch.setattr(dynamics, "_exec", lambda source, *a:
-                        sources.append(source) or real(source, *a))
-    monkeypatch.setattr(dynamics, "_KEPT", {})
+    sources = _compiled(monkeypatch)
     sys, s0 = _darboux3b_kc_with_b()
     integrate(sys, s0, 0.01)
     integrate(sys, s0, 0.01, method="midpoint")
@@ -354,11 +360,10 @@ def test_midpoint_halts_where_u_prime_raises_with_its_first_exception(q1, p1, re
 
 
 def test_kernels_are_compiled_once_per_distinct_source(monkeypatch):
-    monkeypatch.setattr(dynamics, "_KEPT", {})
-    dynamics._exec.cache_clear()
+    sources = _compiled(monkeypatch)
 
     def compiles():
-        return dynamics._exec.cache_info().misses
+        return len(sources)
 
     def build(mu2=0.3, b=(0.2, 0.0, 0.5)):
         metric = metric_of("darboux3b")
@@ -368,8 +373,8 @@ def test_kernels_are_compiled_once_per_distinct_source(monkeypatch):
     first, twin = build(), build()
     assert twin is not first
     integrate(first, s, 0.1)
-    # an adaptive run compiles its RHS, its run and its dense output, no
-    # midpoint run
+    # an adaptive run compiles its RHS, its run and the dense output of its
+    # dimension, no midpoint run
     assert compiles() == 3
     # a system built alike shares all three; its midpoint run is compiled once
     gradient(twin, s)
@@ -378,28 +383,46 @@ def test_kernels_are_compiled_once_per_distinct_source(monkeypatch):
     for sys in (first, twin, first):
         integrate(sys, s, 0.1, method="midpoint")
     assert compiles() == 4
-    for make in (dynamics._make_rhs, dynamics._make_run, dynamics._make_dense,
-                 dynamics._make_march):
-        assert make(first) is make(twin)
-    # one b_i or mu2 apart, a system compiles its own kernels
+    for make in (dynamics._make_rhs, dynamics._make_run, dynamics._make_march):
+        assert dynamics._kernel(make, first) is dynamics._kernel(make, twin)
+    # one b_i or mu2 apart, a system compiles its own RHS and runs, and
+    # shares the dense output
     for other in (build(b=(0.2, 0.0, 0.51)), build(mu2=0.31)):
         integrate(other, s, 0.1)
         integrate(other, s, 0.1, method="midpoint")
-        assert dynamics._make_rhs(other) is not dynamics._make_rhs(first)
-        assert dynamics._make_run(other) is not dynamics._make_run(first)
-    assert compiles() == 12
-    # and so does each free system of another dimension, once
+        for make in (dynamics._make_rhs, dynamics._make_run, dynamics._make_march):
+            assert dynamics._kernel(make, other) is not dynamics._kernel(make, first)
+    assert compiles() == 10
+    # and so does each free system, once, and N = 4 its own dense output
     for n in (3, 4, 4):
         integrate(SystemSpec(EUCLID, None, n=n),
                   PhaseState([1.0, 2.0] + [1.0] * (n - 2), [0.2, -0.1] + [0.1] * (n - 2)), 0.1)
-    assert compiles() == 18
+    assert compiles() == 15
+
+
+def test_adaptive_systems_of_one_dimension_share_one_dense_output(monkeypatch):
+    # the dense output's text depends on the dimension alone: it calls the
+    # system's rhs for its 3 extra stages, so two systems of N = 3 compile
+    # one, and a system of N = 4 its own
+    sources = _compiled(monkeypatch)
+    systems = [_darboux3b_kc_with_b(), _custom_f_oscillator(),
+               (SystemSpec(EUCLID, kc_potential(EUCLID, 1.0), n=4),
+                PhaseState([1.0, 0.3, 0.4, 0.2], [-0.1, 0.5, 0.2, 0.1]))]
+    for sys, s0 in systems:
+        rec = integrate(sys, s0, 0.5, samples=11)
+        assert rec.halted is None and rec.times.size == 11
+    dense = [src for src in sources if src.startswith("def dense")]
+    assert [src.count("= rhs(") for src in dense] == [3, 3]
+    assert [src.split("\n", 1)[0].count(", yn") for src in dense] == [6, 8]
+    assert dynamics._make_dense(6) is dynamics._make_dense(6)
+    assert dynamics._make_dense.cache_info().currsize == 2
 
 
 def test_equal_systems_generate_each_kernel_text_once(monkeypatch):
     # four runs and 100 gradient calls on systems built alike: the kernels
     # kept for the first serve the rest, so the RHS source is generated once
-    # per kernel kind -- the RHS, the adaptive run, its dense output and the
-    # midpoint run
+    # per kernel kind that inlines it -- the RHS, the adaptive run and the
+    # midpoint run; the dense output calls the RHS kernel
     monkeypatch.setattr(dynamics, "_KEPT", {})
     made = []
     real = dynamics._rhs_source
@@ -408,7 +431,7 @@ def test_equal_systems_generate_each_kernel_text_once(monkeypatch):
         integrate(*_darboux3b_kc_with_b(), 0.1, method=method)
     for _ in range(100):
         gradient(*_darboux3b_kc_with_b())
-    assert len(made) == 4
+    assert len(made) == 3
 
 
 def test_a_quadrature_backed_u_prime_is_part_of_the_kernel_key():
@@ -419,12 +442,13 @@ def test_a_quadrature_backed_u_prime_is_part_of_the_kernel_key():
                for alpha in (0.5, 0.7)]
     s0 = PhaseState([1.0, 0.2, 0.3], [0.1, 0.6, 0.4])
     assert dynamics._rhs_source(systems[0]) == dynamics._rhs_source(systems[1])
-    assert dynamics._make_rhs(systems[0]) is not dynamics._make_rhs(systems[1])
+    for sys in systems:
+        for make in (dynamics._make_rhs, dynamics._make_run, dynamics._make_march):
+            assert dynamics._kernel(make, sys).__globals__["du"] == sys.potential.du
     for method in ("adaptive", "midpoint"):
         shared = [integrate(sys, s0, 0.5, method=method, samples=6) for sys in systems]
         assert not np.array_equal(shared[0].p, shared[1].p)
         for sys, rec in zip(systems, shared):
-            dynamics._exec.cache_clear()
             dynamics._KEPT.clear()
             fresh = integrate(sys, s0, 0.5, method=method, samples=6)
             assert np.array_equal(np.hstack([rec.q, rec.p]), np.hstack([fresh.q, fresh.p]))
@@ -461,19 +485,21 @@ def test_midpoint_steps_build_no_iterator_and_unpack_no_tuple():
 
 
 def test_kernels_read_nothing_but_their_source_and_key(monkeypatch):
-    # kernels are shared by source text and a quadrature U': a kernel that
-    # read any other per-system value would hand one system's value to
-    # another that prints alike
+    # kernels are kept by a system's value, and the dense output by its
+    # dimension: a kernel that read any other per-system value than its
+    # text and a quadrature U' would hand one system's value to another
+    # kept alike
     sources = []
     real = dynamics._exec
-    monkeypatch.setattr(dynamics, "_exec", lambda source, *a:
-                        sources.append(source) or real(source, *a))
-    namespace = set(real("pass"))
+    monkeypatch.setattr(dynamics, "_exec", lambda lines, *a:
+                        sources.append(lines) or real(lines, *a))
+    namespace = set(real(["pass"]))
 
     def kernels(sys):
         del sources[:]
         made = [make(sys) for make in (dynamics._make_rhs, dynamics._make_run,
-                                       dynamics._make_dense, dynamics._make_march)]
+                                       dynamics._make_march)]
+        made.append(dynamics._make_dense.__wrapped__(2 * sys.n))  # compiled afresh
         return made, list(sources)
 
     def with_quadrature_u():
@@ -784,12 +810,12 @@ def test_a_stage_outside_the_domain_rejects_the_attempt(monkeypatch):
     # raises the metric's DomainViolation, which rejects the attempt and
     # cuts h by 0.2; every state a finished attempt reached lies inside the
     # strip, so the run leaves it only through the bisection of a step.  The
-    # kernels, compiled afresh, call a spy for each stage out of the strip
+    # RHS and run kernels, compiled afresh, call a spy for each stage out of
+    # the strip, the dense output through that RHS
     calls = []
     real = dynamics._outside_domain
     monkeypatch.setattr(dynamics, "_outside_domain", lambda *a: calls.append(a[0]) or real(*a))
     monkeypatch.setattr(dynamics, "_KEPT", {})
-    monkeypatch.setattr(dynamics, "_exec", functools.lru_cache(dynamics._exec.__wrapped__))
     metric = MetricSpec.from_source("1", id="flat-strip", domain=(0.5, 2.0))
     sys = SystemSpec(metric, None, mu2=0.0, n=3)
     q0 = np.array([1.2, 0.3, 0.4])
@@ -1413,7 +1439,7 @@ def test_halt_on_domain_exit():
 
 @pytest.mark.parametrize("samples", [201, 2])
 def test_a_dense_output_that_raises_halts_the_adaptive_run(monkeypatch, samples):
-    # dense's three extra stages evaluate the RHS at states no attempt did;
+    # dense's three extra rhs calls evaluate the RHS at states no attempt did;
     # an ArithmeticError there halts the run as a failing RHS halts the
     # midpoint run, keeping the state before the step: the second step, the
     # first to span a sample (t = 0.1 of 201), or, with 2 samples, the step
@@ -1421,10 +1447,10 @@ def test_a_dense_output_that_raises_halts_the_adaptive_run(monkeypatch, samples)
     sys, s0 = _strip_radial_escape()
     full = integrate(sys, s0, 20.0, samples=samples)
 
-    def dense(*args):
+    def dense(rhs, *args):
         raise ZeroDivisionError("float division by zero")
 
-    monkeypatch.setattr(dynamics, "_make_dense", lambda sys: dense)
+    monkeypatch.setattr(dynamics, "_make_dense", lambda m: dense)
     monkeypatch.setattr(dynamics, "_KEPT", {})
     rec = integrate(sys, s0, 20.0, samples=samples)
     assert rec.halted == "rhs evaluation failed: float division by zero"
